@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import random
 import sys
 from pathlib import Path
 
@@ -261,8 +262,6 @@ def _geodesic_suite(surf: ConformalSurface, seed: int) -> dict:
     horizontality, the resolved coupling and rotation signs."""
     (x1_lo, x1_hi), (x2_lo, x2_hi) = surf.window
     x0 = ((x1_lo + x1_hi) / 2.0, (x2_lo + x2_hi) / 2.0)
-    import random
-
     rng = random.Random(seed)
     checks = []
 

@@ -337,29 +337,27 @@ def eval_jet(expr: Expr | str, point: tuple[float, float], order: int) -> Jet:
 
 
 def _eval(e: Expr, env: dict[str, Jet], order: int) -> Jet:
-    if isinstance(e, Literal):
-        return Jet.constant(e.value, order)
-    if isinstance(e, Var):
-        return env[e.name]
-    if isinstance(e, Const):
-        return Jet.constant(CONSTANTS[e.name], order)
-    if isinstance(e, Neg):
-        return -_eval(e.arg, env, order)
-    if isinstance(e, Add):
-        return _eval(e.left, env, order) + _eval(e.right, env, order)
-    if isinstance(e, Sub):
-        return _eval(e.left, env, order) - _eval(e.right, env, order)
-    if isinstance(e, Mul):
-        return _eval(e.left, env, order) * _eval(e.right, env, order)
-    if isinstance(e, Div):
-        return _eval(e.left, env, order) / _eval(e.right, env, order)
-    if isinstance(e, Pow):
-        base = _eval(e.base, env, order)
-        exponent = _eval(e.exponent, env, order)
-        return _power(base, exponent)
-    if isinstance(e, Call):
-        return jets.FUNCTIONS[e.func](_eval(e.arg, env, order))
-    raise TypeError(f"not an expression node: {e!r}")
+    try:
+        rule = _EVAL_RULES[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {e!r}") from None
+    return rule(e, env, order)
+
+
+# One evaluation rule per node type, dispatched on the exact type.  Function
+# calls look ``jets.FUNCTIONS`` up at evaluation time, not when this is built.
+_EVAL_RULES = {
+    Literal: lambda e, env, order: Jet.constant(e.value, order),
+    Var: lambda e, env, order: env[e.name],
+    Const: lambda e, env, order: Jet.constant(CONSTANTS[e.name], order),
+    Neg: lambda e, env, order: -_eval(e.arg, env, order),
+    Add: lambda e, env, order: _eval(e.left, env, order) + _eval(e.right, env, order),
+    Sub: lambda e, env, order: _eval(e.left, env, order) - _eval(e.right, env, order),
+    Mul: lambda e, env, order: _eval(e.left, env, order) * _eval(e.right, env, order),
+    Div: lambda e, env, order: _eval(e.left, env, order) / _eval(e.right, env, order),
+    Pow: lambda e, env, order: _power(_eval(e.base, env, order), _eval(e.exponent, env, order)),
+    Call: lambda e, env, order: jets.FUNCTIONS[e.func](_eval(e.arg, env, order)),
+}
 
 
 def _power(base: Jet, exponent: Jet) -> Jet:

@@ -26,16 +26,25 @@ right-hand side.
 
 from __future__ import annotations
 
+import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import connection
 from .lift import KAPPA_MIN, SingularCurvature
-from .surface import ChartDomainError, ConformalSurface, Point, frame_fields, surface_jets
+from .surface import (
+    ChartDomainError,
+    ConformalSurface,
+    Point,
+    conformal_laplacian_curvature,
+    frame_fields,
+    surface_jets,
+)
 
 WONG_ROTATION_SIGN = -1.0
 
+_RK4_WHOLE_STEPS_TOL = 1e-9
 _RK45_MIN_STEP = 1e-12
 _RK45_SAFETY = 0.9
 
@@ -158,11 +167,6 @@ def base_rhs(
     return (em * b.P1, em * b.P2, dP[0], dP[1])
 
 
-def _monitor_curvature(surface: ConformalSurface, x: Point) -> float:
-    lam = surface.lambda_jet(x, 2)
-    return -math.exp(-2.0 * lam.value) * (lam.deriv(2, 0) + lam.deriv(0, 2))
-
-
 # -- integrators ---------------------------------------------------------------
 
 
@@ -210,13 +214,23 @@ def _integrate(
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
     if method == "rk4":
-        steps = max(1, int(round(t_max / h)))
+        # When t_max is a whole number of steps up to rounding in t_max/h, the
+        # run keeps exactly those steps and the times n*h; otherwise it ends
+        # with one partial step that lands on t_max.
+        ratio = t_max / h
+        steps = round(ratio)
+        exact = steps >= 1 and abs(ratio - steps) <= _RK4_WHOLE_STEPS_TOL
+        if not exact:
+            steps = math.floor(ratio)
         t, y = 0.0, y0
         yield t, y
         for n in range(1, steps + 1):
             y = _rk4_step(f, y, h)
             t = n * h
             yield t, y
+        if not exact:
+            y = _rk4_step(f, y, t_max - t)
+            yield t_max, y
         return
     if method != "rk45":
         raise ValueError(f"unknown integration method {method!r}")
@@ -280,7 +294,7 @@ def integrate_lift(
     trajectory = Trajectory(kind="lift", surface=surface.name, method=method, step=h)
     for t, y in raw:
         state = LiftState(*y)
-        K = _monitor_curvature(surface, state.point)
+        K = conformal_laplacian_curvature(surface, state.point)
         trajectory.samples.append(
             Sample(t=t, state=state, speed=state.speed, q3_over_k=state.Q3 / K)
         )
@@ -442,8 +456,6 @@ def _row(sample: Sample) -> list[str]:
 
 def write_csv(trajectory: Trajectory, stream) -> None:
     """Write the trajectory with the fixed column layout, 17 significant digits."""
-    import csv
-
     writer = csv.writer(stream, lineterminator="\n")
     writer.writerow(CSV_COLUMNS)
     for sample in trajectory.samples:

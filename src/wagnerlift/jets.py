@@ -7,11 +7,23 @@ the reciprocal series, and elementary functions by composing their univariate
 derivative sequences with the truncated series.  Internally coefficients are
 Taylor-scaled (divided by a!·b!) so that multiplication is a plain truncated
 polynomial product; the public accessors return raw derivative values.
+
+Products run through straight-line kernels generated at import, one per order,
+from ``_MUL_TABLE``: each kernel unpacks two coefficient tuples into locals and
+returns every output slot as ``0.0 + a[i]*b[j] + ...`` with the terms in table
+order.  That is the same sequence of roundings as accumulating
+``out[k] += a[i]*b[j]`` over the table from a zero-filled list, so the
+kernels are bit-identical to that loop, signed zeros included.  Because every
+slot sum starts from +0.0, no kernel output is -0.0; adding the constant
+Taylor term in ``compose`` therefore touches slot 0 only, since adding 0.0 to
+the other slots would change no bit.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+from operator import add, neg, sub
 
 MAX_ORDER = 4
 
@@ -53,6 +65,31 @@ for _n in range(1, MAX_ORDER + 1):
         _DIFF_TABLE[(_n, _axis)] = _tbl
 
 _FACTORIALS = [1.0, 1.0, 2.0, 6.0, 24.0]
+
+
+def _product_kernel(n: int):
+    """Straight-line product of two order-``n`` coefficient tuples."""
+    size = _SIZE[n]
+    sums = [["0.0"] for _ in range(size)]
+    for i, j, k in _MUL_TABLE[n]:
+        sums[k].append(f"a{i}*b{j}")
+    a = ", ".join(f"a{i}" for i in range(size))
+    b = ", ".join(f"b{i}" for i in range(size))
+    slots = ", ".join(" + ".join(terms) for terms in sums)
+    namespace: dict = {}
+    exec(f"def _mul{n}(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
+    return namespace[f"_mul{n}"]
+
+
+_MUL_KERNELS = tuple(_product_kernel(n) for n in range(MAX_ORDER + 1))
+
+
+def _new(order: int, taylor: tuple[float, ...]) -> "Jet":
+    # Unchecked construction for jets whose shape this module guarantees.
+    jet = object.__new__(Jet)
+    jet.order = order
+    jet._t = taylor
+    return jet
 
 
 class Jet:
@@ -112,15 +149,12 @@ class Jet:
     def is_constant(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self._t[1:])
 
-    def is_finite(self) -> bool:
-        return all(math.isfinite(c) for c in self._t)
-
     def truncate(self, order: int) -> "Jet":
         if order == self.order:
             return self
         if order > self.order:
             raise ValueError("cannot raise the order of a jet")
-        return Jet(order, self._t[: _SIZE[order]])
+        return _new(order, self._t[: _SIZE[order]])
 
     # -- arithmetic ----------------------------------------------------------
 
@@ -133,39 +167,43 @@ class Jet:
         return None
 
     def __add__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Jet(a.order, tuple(x + y for x, y in zip(a._t, b._t)))
+        a, b = self, other
+        if not (isinstance(other, Jet) and other.order == self.order):
+            pair = self._coerce(other)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
+        return _new(a.order, tuple(map(add, a._t, b._t)))
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        pair = self._coerce(other)
-        if pair is None:
-            return NotImplemented
-        a, b = pair
-        return Jet(a.order, tuple(x - y for x, y in zip(a._t, b._t)))
+        a, b = self, other
+        if not (isinstance(other, Jet) and other.order == self.order):
+            pair = self._coerce(other)
+            if pair is None:
+                return NotImplemented
+            a, b = pair
+        return _new(a.order, tuple(map(sub, a._t, b._t)))
 
     def __rsub__(self, other):
         return (-self).__add__(other)
 
     def __neg__(self):
-        return Jet(self.order, tuple(-x for x in self._t))
+        return _new(self.order, tuple(map(neg, self._t)))
 
     def __mul__(self, other):
+        if isinstance(other, Jet):
+            n = self.order
+            if other.order == n:
+                return _new(n, _MUL_KERNELS[n](self._t, other._t))
+            n = min(n, other.order)
+            size = _SIZE[n]
+            return _new(n, _MUL_KERNELS[n](self._t[:size], other._t[:size]))
         if isinstance(other, (int, float)):
             f = float(other)
-            return Jet(self.order, tuple(x * f for x in self._t))
-        if not isinstance(other, Jet):
-            return NotImplemented
-        n = min(self.order, other.order)
-        a, b = self.truncate(n)._t, other.truncate(n)._t
-        out = [0.0] * _SIZE[n]
-        for i, j, k in _MUL_TABLE[n]:
-            out[k] += a[i] * b[j]
-        return Jet(n, tuple(out))
+            return _new(self.order, tuple(x * f for x in self._t))
+        return NotImplemented
 
     __rmul__ = __mul__
 
@@ -198,18 +236,21 @@ def diff(jet: Jet, axis: int) -> Jet:
     out = [0.0] * _SIZE[jet.order - 1]
     for src, factor, dst in _DIFF_TABLE[(jet.order, axis)]:
         out[dst] = factor * jet._t[src]
-    return Jet(jet.order - 1, tuple(out))
+    return _new(jet.order - 1, tuple(out))
 
 
 def compose(jet: Jet, derivs: list[float]) -> Jet:
     """Jet of h(f) given the jet of f and [h(f0), h'(f0), ..., h^(n)(f0)]."""
     n = jet.order
+    mul = _MUL_KERNELS[n]
     taylor = [derivs[k] / _FACTORIALS[k] for k in range(n + 1)]
-    p = Jet(n, (0.0,) + jet._t[1:])  # perturbation: f minus its value term
-    result = Jet.constant(taylor[n], n)
+    p = (0.0,) + jet._t[1:]  # perturbation: f minus its value term
+    result = (taylor[n],) + (0.0,) * (_SIZE[n] - 1)
     for k in range(n - 1, -1, -1):
-        result = result * p + taylor[k]
-    return result
+        result = mul(result, p)
+        # Kernel outputs are never -0.0, so adding 0.0 past slot 0 is a no-op.
+        result = (result[0] + taylor[k],) + result[1:]
+    return _new(n, result)
 
 
 def integer_power(jet: Jet, n: int) -> Jet:
@@ -236,11 +277,26 @@ def reciprocal(jet: Jet) -> Jet:
 # -- elementary functions ----------------------------------------------------
 
 
+def _real(fn):
+    """Report a float overflow inside ``fn`` as leaving the real domain."""
+
+    @functools.wraps(fn)
+    def guarded(jet: Jet) -> Jet:
+        try:
+            return fn(jet)
+        except OverflowError:
+            raise DomainError(f"{fn.__name__} overflows at value {jet.value!r}") from None
+
+    return guarded
+
+
+@_real
 def exp(jet: Jet) -> Jet:
     e = math.exp(jet.value)
     return compose(jet, [e] * (jet.order + 1))
 
 
+@_real
 def log(jet: Jet) -> Jet:
     v = jet.value
     if v <= 0.0:
@@ -253,6 +309,7 @@ def log(jet: Jet) -> Jet:
     return compose(jet, derivs)
 
 
+@_real
 def sqrt(jet: Jet) -> Jet:
     v = jet.value
     if v <= 0.0:
@@ -266,23 +323,27 @@ def sqrt(jet: Jet) -> Jet:
     return compose(jet, derivs)
 
 
+@_real
 def sin(jet: Jet) -> Jet:
     s, c = math.sin(jet.value), math.cos(jet.value)
     cycle = [s, c, -s, -c]
     return compose(jet, [cycle[k % 4] for k in range(jet.order + 1)])
 
 
+@_real
 def cos(jet: Jet) -> Jet:
     s, c = math.sin(jet.value), math.cos(jet.value)
     cycle = [c, -s, -c, s]
     return compose(jet, [cycle[k % 4] for k in range(jet.order + 1)])
 
 
+@_real
 def sinh(jet: Jet) -> Jet:
     s, c = math.sinh(jet.value), math.cosh(jet.value)
     return compose(jet, [s if k % 2 == 0 else c for k in range(jet.order + 1)])
 
 
+@_real
 def cosh(jet: Jet) -> Jet:
     s, c = math.sinh(jet.value), math.cosh(jet.value)
     return compose(jet, [c if k % 2 == 0 else s for k in range(jet.order + 1)])
@@ -317,10 +378,12 @@ def _tangent_derivs(u: float, n: int, sign: float) -> list[float]:
     return derivs
 
 
+@_real
 def tan(jet: Jet) -> Jet:
     return compose(jet, _tangent_derivs(math.tan(jet.value), jet.order, 1.0))
 
 
+@_real
 def tanh(jet: Jet) -> Jet:
     return compose(jet, _tangent_derivs(math.tanh(jet.value), jet.order, -1.0))
 
@@ -332,6 +395,7 @@ def _poly_sub(p: list[float], q: list[float]) -> list[float]:
     return [a - b for a, b in zip(p, q)]
 
 
+@_real
 def atan(jet: Jet) -> Jet:
     # d^k atan = Q_k(x) / (1+x^2)^k with Q_1 = 1 and
     # Q_{k+1} = Q_k' (1+x^2) - 2k x Q_k.

@@ -12,6 +12,7 @@ exact up to roundoff:
 
 from __future__ import annotations
 
+import math
 import random
 from dataclasses import dataclass
 
@@ -207,8 +208,6 @@ def gauss_curvature(surface: ConformalSurface, x: Point) -> BaseGeometry:
 
 
 def _require_finite(geometry: BaseGeometry, x: Point) -> None:
-    import math
-
     values = [geometry.c112, geometry.c212, geometry.K, geometry.e1K, geometry.e2K]
     if geometry.dlogK is not None:
         values += list(geometry.dlogK)
@@ -221,8 +220,6 @@ def _require_finite(geometry: BaseGeometry, x: Point) -> None:
 def conformal_laplacian_curvature(surface: ConformalSurface, x: Point) -> float:
     """Independent curvature route K = -e^(-2 lambda) (d11 + d22)(lambda)."""
     lam = surface.lambda_jet(x, 2)
-    import math
-
     return -math.exp(-2.0 * lam.value) * (lam.deriv(2, 0) + lam.deriv(0, 2))
 
 
@@ -240,14 +237,11 @@ def frame_fields(
 
     u1/u2 are None when Lap(lambda) is exactly zero.
     """
-    import math
-
-    lam = surface.lambda_jet(x, 3)
-    l10, l01 = lam.deriv(1, 0), lam.deriv(0, 1)
-    lap = lam.deriv(2, 0) + lam.deriv(0, 2)
-    lap1 = lam.deriv(3, 0) + lam.deriv(1, 2)
-    lap2 = lam.deriv(2, 1) + lam.deriv(0, 3)
-    em = math.exp(-lam.value)
+    l00, l10, l01, l20, _, l02, l30, l21, l12, l03 = surface.lambda_jet(x, 3).coeffs
+    lap = l20 + l02
+    lap1 = l30 + l12
+    lap2 = l21 + l03
+    em = math.exp(-l00)
     c1 = em * l01
     c2 = -em * l10
     K = -em * em * lap

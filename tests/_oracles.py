@@ -12,6 +12,7 @@ import random
 import mpmath as mp
 
 from wagnerlift import expr as ex
+from wagnerlift import jets
 
 mp.mp.dps = 40
 
@@ -153,3 +154,30 @@ def polynomial_partial(monomials, point, a: int, b: int) -> float:
         factor *= math.factorial(n) // math.factorial(n - b)
         total += coeff * factor * x1 ** (m - a) * x2 ** (n - b)
     return total
+
+
+# -- jet arithmetic references ---------------------------------------------------
+
+
+def mul_reference(a: tuple, b: tuple, order: int) -> tuple:
+    """Truncated product of two Taylor coefficient tuples of ``order``: the
+    table-driven accumulation loop the generated product kernels replace."""
+    out = [0.0] * len(jets.MONOMIALS[order])
+    for i, j, k in jets._MUL_TABLE[order]:
+        out[k] += a[i] * b[j]
+    return tuple(out)
+
+
+def compose_reference(jet: jets.Jet, derivs: list[float]) -> tuple:
+    """Taylor coefficients of h(f) by Horner's rule on whole jets: multiply by
+    the perturbation with ``mul_reference``, then add the constant jet of the
+    next Taylor term to every slot."""
+    n = jet.order
+    taylor = [derivs[k] / jets._FACTORIALS[k] for k in range(n + 1)]
+    p = (0.0,) + jet._t[1:]
+    result = jets.Jet.constant(taylor[n], n)._t
+    for k in range(n - 1, -1, -1):
+        result = mul_reference(result, p, n)
+        constant = jets.Jet.constant(taylor[k], n)._t
+        result = tuple(x + y for x, y in zip(result, constant))
+    return result

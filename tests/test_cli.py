@@ -254,6 +254,23 @@ def test_geodesic_flat_surface_exits_three(tmp_path, capsys):
     assert "offending point" in captured.err
 
 
+def test_geodesic_honours_t_max(capsys):
+    argv = ["geodesic", "--surface", "sphere", "--start", "0,0,0", "--velocity", "1,0,0",
+            "--t-max", "1", "--step", "0.3"]
+    assert run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [row.split(",")[0] for row in rows[1:]][-2:] == ["0.89999999999999991", "1"]
+
+
+def test_overflow_exits_three(tmp_path, capsys):
+    config = tmp_path / "overflow.json"
+    config.write_text(json.dumps({"name": "ee", "lambda": "exp(exp(x1))", "guard": "all"}))
+    code = run(["surface", "info", "--surface", str(config), "--at", "10,0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "overflows" in captured.err
+
+
 def test_help_exits_zero():
     assert run(["--help"]) == 0
 

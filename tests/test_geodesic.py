@@ -92,6 +92,20 @@ def test_integration_validates_parameters():
 
 
 @pytest.mark.parametrize(
+    "t_max,h,times",
+    [
+        (1.0, 0.3, [0.0, 0.3, 0.6, 0.3 * 3, 1.0]),  # ends with a partial step
+        (0.1, 0.3, [0.0, 0.1]),  # one partial step shorter than h
+        (0.5, 0.1, [n * 0.1 for n in range(6)]),  # whole steps keep t = n*h
+    ],
+)
+def test_rk4_run_ends_at_t_max(t_max, h, times):
+    state = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)
+    trajectory = geo.integrate_lift(SPHERE, state, t_max=t_max, h=h)
+    assert trajectory.times == times
+
+
+@pytest.mark.parametrize(
     "surface,start",
     [
         (SPHERE, geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)),

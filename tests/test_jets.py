@@ -1,0 +1,96 @@
+"""Generated jet kernels against the reference loops, bit for bit.
+
+Equality is checked on the IEEE-754 bit patterns (``struct.pack("d", ...)``),
+so a kernel that sums in a different order, or loses a signed zero, fails
+even where ``==`` would pass.
+"""
+
+import struct
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from wagnerlift import jets
+from wagnerlift.jets import Jet
+
+from _oracles import compose_reference, mul_reference
+
+# Mixed magnitudes make rounding depend on the summation order; explicit
+# signed zeros check that no slot turns -0.0 into +0.0 or back.
+coefficient = st.one_of(
+    st.floats(min_value=-1e6, max_value=1e6, allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 1.0, -1.0, 1e-300, -1e-300]),
+)
+order = st.integers(min_value=0, max_value=jets.MAX_ORDER)
+
+
+def _bits(values) -> bytes:
+    return struct.pack(f"{len(values)}d", *values)
+
+
+def _jet(draw, n: int) -> Jet:
+    size = len(jets.MONOMIALS[n])
+    return Jet(n, tuple(draw(st.lists(coefficient, min_size=size, max_size=size))))
+
+
+@st.composite
+def jet_pairs(draw):
+    return _jet(draw, draw(order)), _jet(draw, draw(order))
+
+
+@settings(max_examples=300, deadline=None)
+@given(jet_pairs())
+def test_product_matches_reference_loop(pair):
+    a, b = pair
+    n = min(a.order, b.order)
+    size = len(jets.MONOMIALS[n])
+    expected = mul_reference(a._t[:size], b._t[:size], n)
+    product = a * b
+    assert product.order == n
+    assert _bits(product._t) == _bits(expected)
+    assert _bits((b * a)._t) == _bits(mul_reference(b._t[:size], a._t[:size], n))
+
+
+@pytest.mark.parametrize("n", range(jets.MAX_ORDER + 1))
+def test_signed_zero_products_match_reference_loop(n):
+    size = len(jets.MONOMIALS[n])
+    a = Jet(n, (-0.0,) * size)
+    b = Jet(n, tuple(1.0 if i % 2 else 0.0 for i in range(size)))
+    for x, y in ((a, b), (b, a), (a, a)):
+        assert _bits((x * y)._t) == _bits(mul_reference(x._t, y._t, n))
+
+
+@st.composite
+def jets_with_derivatives(draw):
+    n = draw(order)
+    derivs = draw(st.lists(coefficient, min_size=n + 1, max_size=n + 1))
+    return _jet(draw, n), derivs
+
+
+@settings(max_examples=300, deadline=None)
+@given(jets_with_derivatives())
+def test_compose_matches_reference_horner(case):
+    jet, derivs = case
+    composed = jets.compose(jet, derivs)
+    assert composed.order == jet.order
+    assert _bits(composed._t) == _bits(compose_reference(jet, derivs))
+
+
+@pytest.mark.parametrize("n", range(jets.MAX_ORDER + 1))
+def test_compose_with_signed_zeros_matches_reference_horner(n):
+    size = len(jets.MONOMIALS[n])
+    jet = Jet(n, tuple(-0.0 if i % 2 else 0.5 for i in range(size)))
+    derivs = [-0.0 if k % 2 else 0.0 for k in range(n + 1)]
+    assert _bits(jets.compose(jet, derivs)._t) == _bits(compose_reference(jet, derivs))
+
+
+@pytest.mark.parametrize("fn", ["exp", "sinh", "cosh"])
+def test_overflow_is_a_domain_error(fn):
+    with pytest.raises(jets.DomainError, match="overflows"):
+        jets.FUNCTIONS[fn](Jet.variable(1000.0, 1, 2))
+
+
+def test_power_overflow_in_derivatives_is_a_domain_error():
+    with pytest.raises(jets.DomainError, match="overflows"):
+        jets.log(Jet.variable(1e200, 1, 4))
