@@ -12,15 +12,18 @@ Subcommands:
 
 ``--surface`` is a catalog name (sphere, halfplane, bump) or the path of a
 JSON config file with keys name, lambda, guard.  Exit codes: 0 success,
-1 failed verification, 2 argument errors, 3 runtime evaluation errors
-(singular curvature or a chart-domain violation, with the offending point
-printed to stderr).
+1 failed verification, 2 argument or config errors (including a non-finite
+--t-max or --step, and a guard that holds nowhere in the sampling window),
+3 runtime evaluation errors (singular curvature, a chart-domain violation
+with the offending point printed to stderr, or a value leaving the real
+domain).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import random
 import sys
 from pathlib import Path
@@ -31,9 +34,11 @@ from .jets import DomainError
 from .surface import (
     ChartDomainError,
     ConformalSurface,
+    SamplingError,
     catalog,
     catalog_names,
     gauss_curvature,
+    sample_points,
     structure_functions,
 )
 
@@ -68,8 +73,10 @@ def _positive(what: str):
             value = float(text)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad number for {what}: {text!r}") from None
-        if value <= 0.0:
-            raise argparse.ArgumentTypeError(f"{what} must be positive, got {text!r}")
+        if not (math.isfinite(value) and value > 0.0):
+            raise argparse.ArgumentTypeError(
+                f"{what} must be a finite positive number, got {text!r}"
+            )
         return value
 
     return parse
@@ -259,10 +266,14 @@ def _run_base_geodesic(ns) -> int:
 
 def _geodesic_suite(surf: ConformalSurface, seed: int) -> dict:
     """Geodesic invariants at CLI-verify scale: conservation, speed,
-    horizontality, the resolved coupling and rotation signs."""
+    horizontality, the resolved coupling and rotation signs.  The geodesics
+    start at the window centre, or at a sampled point where the guard fails
+    there."""
     (x1_lo, x1_hi), (x2_lo, x2_hi) = surf.window
     x0 = ((x1_lo + x1_hi) / 2.0, (x2_lo + x2_hi) / 2.0)
     rng = random.Random(seed)
+    if not surf.contains(x0):
+        x0 = sample_points(surf, 1, rng)[0]
     checks = []
 
     s0 = geodesic.LiftState(x0[0], x0[1], 0.0, 0.6, 0.1 * rng.random(), 0.8)
@@ -329,7 +340,7 @@ def run(argv: list[str]) -> int:
     handler = handlers[(ns.command, getattr(ns, "subcommand", None))]
     try:
         return handler(ns)
-    except _UsageError as err:
+    except (_UsageError, SamplingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
     except lift.SingularCurvature as err:

@@ -13,11 +13,32 @@ than ``^`` (so ``-x1^2`` is ``-(x1^2)``).  Identifiers are the variables
 ``x1``/``x2``, the constants ``pi``/``e``, and the functions sin, cos, tan,
 exp, log, sqrt, sinh, cosh, tanh, atan.  Evaluation happens over the truncated
 Taylor jet algebra, yielding exact partial derivatives at a point.
+
+Evaluation runs on a ``Tape``: the AST lowered once, with no jet arithmetic,
+to a straight line of jet operations (Taylor propagation along a tape,
+Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Registers 0 and 1
+hold the x1/x2 seed jets, then come one register per ``Literal``/``Const``
+leaf and one per operation in post-order.  The first run at an order executes
+every operation.  The second run does too, and then folds: it keeps the
+registers that do not depend on x1/x2, resolves each power whose exponent is
+such a register to the integer power or exp/log route ``_power`` would pick,
+and from then on only the operations that depend on x1/x2 are replayed.  A
+run that raises stores nothing.
+
+The results are bit-identical to evaluating the tree recursively: the tape
+applies the same jet operations to the same operands in the same order
+(post-order, left operand first), and a folded register holds exactly the jet
+that recursion would rebuild, since it does not depend on the point.  A
+constant operation either raises at every point, and then no run succeeds and
+nothing is folded, or at none, so every exception is the one recursion would
+raise, at the same operation.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 import re
 from dataclasses import dataclass
 
@@ -42,6 +63,7 @@ __all__ = [
     "parse",
     "format_expr",
     "eval_jet",
+    "Tape",
 ]
 
 VARIABLES = ("x1", "x2")
@@ -316,56 +338,132 @@ def format_expr(e: Expr) -> str:
 
 # -- evaluation ---------------------------------------------------------------------
 
+_SEEDS = {"x1": 0, "x2": 1}
+_BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
-def eval_jet(expr: Expr | str, point: tuple[float, float], order: int) -> Jet:
+
+class Tape:
+    """An expression lowered once to a straight line of jet operations.
+
+    Registers 0 and 1 hold the x1/x2 seed jets, then one register per
+    ``Literal``/``Const`` leaf, then one per operation in post-order.  Each
+    operation is ``(fn, i, j, k)``: ``r[k] = fn(r[i], r[j])``, or ``fn(r[i])``
+    when ``j`` is None.  Evaluate through ``eval_jet``.
+    """
+
+    __slots__ = ("_leaves", "_ops", "_out", "_plans")
+
+    def __init__(self, expr: Expr):
+        leaves: list[float] = []
+        ops: list[tuple] = []
+
+        def lower(e: Expr) -> int:
+            # Leaves return their register; operations return -(index + 1)
+            # until the leaf count, and with it their register, is known.
+            kind = type(e)
+            if kind is Var:
+                return _SEEDS[e.name]
+            if kind is Literal or kind is Const:
+                leaves.append(e.value if kind is Literal else CONSTANTS[e.name])
+                return len(leaves) + 1
+            if kind is Neg:
+                ops.append((operator.neg, lower(e.arg), None))
+            elif kind is Call:
+                ops.append((jets.FUNCTIONS[e.func], lower(e.arg), None))
+            elif kind is Pow:
+                ops.append((_power, lower(e.base), lower(e.exponent)))
+            elif kind in _BINARY:
+                ops.append((_BINARY[kind], lower(e.left), lower(e.right)))
+            else:
+                raise TypeError(f"not an expression node: {e!r}")
+            return -len(ops)
+
+        out = lower(expr)
+        first_op = 2 + len(leaves)
+
+        def register(ref: int | None) -> int | None:
+            return ref if ref is None or ref >= 0 else first_op - 1 - ref
+
+        self._leaves = tuple(leaves)
+        self._ops = tuple(
+            (fn, register(i), register(j), first_op + k) for k, (fn, i, j) in enumerate(ops)
+        )
+        self._out = register(out)
+        # Per order: None (no run yet), True (one run), or the folded plan.
+        self._plans: list = [None] * (jets.MAX_ORDER + 1)
+
+    def _run(self, x1: float, x2: float, order: int) -> Jet:
+        plan = self._plans[order]
+        if plan is None or plan is True:
+            return self._run_all(x1, x2, order, plan)
+        r = plan[0].copy()
+        r[0] = Jet.variable(x1, 1, order)
+        r[1] = Jet.variable(x2, 2, order)
+        for fn, i, j, k in plan[1]:
+            r[k] = fn(r[i]) if j is None else fn(r[i], r[j])
+        return r[self._out]
+
+    def _run_all(self, x1: float, x2: float, order: int, ran_before: bool | None) -> Jet:
+        r = [Jet.variable(x1, 1, order), Jet.variable(x2, 2, order)]
+        r += [Jet.constant(v, order) for v in self._leaves]
+        for fn, i, j, _ in self._ops:
+            r.append(fn(r[i]) if j is None else fn(r[i], r[j]))
+        self._plans[order] = self._fold(r) if ran_before else True
+        return r[self._out]
+
+    def _fold(self, r: list[Jet]) -> tuple[list, tuple]:
+        """Keep the registers that do not depend on x1/x2 and the operations
+        that do, resolving each power whose exponent is one of those registers."""
+        varying = [True, True] + [False] * (len(r) - 2)
+        ops = []
+        for fn, i, j, k in self._ops:
+            if not (varying[i] or (j is not None and varying[j])):
+                continue
+            varying[k] = True
+            if fn is _power and not varying[j]:
+                n = _integer_exponent(r[j])
+                if n is None:
+                    fn = _exp_log_power
+                else:
+                    fn, j = functools.partial(jets.integer_power, n=n), None
+            ops.append((fn, i, j, k))
+        template = [None if v else jet for v, jet in zip(varying, r)]
+        return template, tuple(ops)
+
+
+def eval_jet(expr: Expr | str | Tape, point: tuple[float, float], order: int) -> Jet:
     """Evaluate an expression at ``point`` over the jet algebra of ``order``.
 
     Returns the exact partial derivatives of the expression up to ``order``.
     Raises ``DomainError`` if the point leaves the real domain of log/sqrt or
-    a division hits a zero value term.
+    a division hits a zero value term.  Pass a ``Tape`` to evaluate one
+    expression at many points; a string or AST is lowered afresh per call.
     """
     if isinstance(expr, str):
         expr = parse(expr)
     if not 0 <= order <= jets.MAX_ORDER:
         raise ValueError(f"order must be in 0..{jets.MAX_ORDER}, got {order}")
-    x1, x2 = float(point[0]), float(point[1])
-    env = {
-        "x1": Jet.variable(x1, 1, order),
-        "x2": Jet.variable(x2, 2, order),
-    }
-    return _eval(expr, env, order)
+    tape = expr if isinstance(expr, Tape) else Tape(expr)
+    return tape._run(float(point[0]), float(point[1]), order)
 
 
-def _eval(e: Expr, env: dict[str, Jet], order: int) -> Jet:
-    try:
-        rule = _EVAL_RULES[type(e)]
-    except KeyError:
-        raise TypeError(f"not an expression node: {e!r}") from None
-    return rule(e, env, order)
-
-
-# One evaluation rule per node type, dispatched on the exact type.  Function
-# calls look ``jets.FUNCTIONS`` up at evaluation time, not when this is built.
-_EVAL_RULES = {
-    Literal: lambda e, env, order: Jet.constant(e.value, order),
-    Var: lambda e, env, order: env[e.name],
-    Const: lambda e, env, order: Jet.constant(CONSTANTS[e.name], order),
-    Neg: lambda e, env, order: -_eval(e.arg, env, order),
-    Add: lambda e, env, order: _eval(e.left, env, order) + _eval(e.right, env, order),
-    Sub: lambda e, env, order: _eval(e.left, env, order) - _eval(e.right, env, order),
-    Mul: lambda e, env, order: _eval(e.left, env, order) * _eval(e.right, env, order),
-    Div: lambda e, env, order: _eval(e.left, env, order) / _eval(e.right, env, order),
-    Pow: lambda e, env, order: _power(_eval(e.base, env, order), _eval(e.exponent, env, order)),
-    Call: lambda e, env, order: jets.FUNCTIONS[e.func](_eval(e.arg, env, order)),
-}
-
-
-def _power(base: Jet, exponent: Jet) -> Jet:
+def _integer_exponent(exponent: Jet) -> int | None:
     # Constant integer exponents of modest size keep the base's full real
     # domain (e.g. x^2 for negative x); everything else goes through exp/log.
     if exponent.is_constant():
         v = exponent.value
         n = round(v)
         if v == n and abs(n) <= _MAX_INT_POWER:
-            return jets.integer_power(base, int(n))
+            return int(n)
+    return None
+
+
+def _exp_log_power(base: Jet, exponent: Jet) -> Jet:
     return jets.exp(exponent * jets.log(base))
+
+
+def _power(base: Jet, exponent: Jet) -> Jet:
+    n = _integer_exponent(exponent)
+    if n is None:
+        return _exp_log_power(base, exponent)
+    return jets.integer_power(base, n)

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import functools
 import math
-from operator import add, neg, sub
+from operator import add, mul, neg, sub
 
 MAX_ORDER = 4
 
@@ -65,6 +65,13 @@ for _n in range(1, MAX_ORDER + 1):
         _DIFF_TABLE[(_n, _axis)] = _tbl
 
 _FACTORIALS = [1.0, 1.0, 2.0, 6.0, 24.0]
+
+# a!*b! per monomial.  Scaling by it equals scaling by a! and then b!: at
+# order <= 4 one factor is 1 unless a = b = 2, and powers of two scale exactly.
+_SCALE = {
+    n: tuple(_FACTORIALS[a] * _FACTORIALS[b] for a, b in MONOMIALS[n])
+    for n in range(MAX_ORDER + 1)
+}
 
 
 def _product_kernel(n: int):
@@ -141,10 +148,7 @@ class Jet:
     @property
     def coeffs(self) -> tuple[float, ...]:
         """All raw derivatives, in the canonical monomial order of ``MONOMIALS``."""
-        return tuple(
-            self._t[i] * _FACTORIALS[a] * _FACTORIALS[b]
-            for i, (a, b) in enumerate(MONOMIALS[self.order])
-        )
+        return tuple(map(mul, self._t, _SCALE[self.order]))
 
     def is_constant(self, tol: float = 0.0) -> bool:
         return all(abs(c) <= tol for c in self._t[1:])
@@ -242,12 +246,12 @@ def diff(jet: Jet, axis: int) -> Jet:
 def compose(jet: Jet, derivs: list[float]) -> Jet:
     """Jet of h(f) given the jet of f and [h(f0), h'(f0), ..., h^(n)(f0)]."""
     n = jet.order
-    mul = _MUL_KERNELS[n]
+    kernel = _MUL_KERNELS[n]
     taylor = [derivs[k] / _FACTORIALS[k] for k in range(n + 1)]
     p = (0.0,) + jet._t[1:]  # perturbation: f minus its value term
     result = (taylor[n],) + (0.0,) * (_SIZE[n] - 1)
     for k in range(n - 1, -1, -1):
-        result = mul(result, p)
+        result = kernel(result, p)
         # Kernel outputs are never -0.0, so adding 0.0 past slot 0 is a no-op.
         result = (result[0] + taylor[k],) + result[1:]
     return _new(n, result)
@@ -278,7 +282,8 @@ def reciprocal(jet: Jet) -> Jet:
 
 
 def _real(fn):
-    """Report a float overflow inside ``fn`` as leaving the real domain."""
+    """Report a float overflow inside ``fn``, or a math domain error such as
+    the sine of an infinite value, as leaving the real domain."""
 
     @functools.wraps(fn)
     def guarded(jet: Jet) -> Jet:
@@ -286,6 +291,10 @@ def _real(fn):
             return fn(jet)
         except OverflowError:
             raise DomainError(f"{fn.__name__} overflows at value {jet.value!r}") from None
+        except DomainError:
+            raise
+        except ValueError:
+            raise DomainError(f"{fn.__name__} is undefined at value {jet.value!r}") from None
 
     return guarded
 

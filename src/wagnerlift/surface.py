@@ -14,15 +14,19 @@ from __future__ import annotations
 
 import math
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 from . import jets
-from .expr import Expr, eval_jet, format_expr, parse
+from .expr import Expr, Tape, eval_jet, format_expr, parse
 from .jets import DomainError, Jet
 
 Point = tuple[float, float]
 
 DEFAULT_WINDOW = ((-1.0, 1.0), (-1.0, 1.0))
+
+
+class SamplingError(RuntimeError):
+    """The chart guard held at too few points of the sampling window."""
 
 
 class ChartDomainError(ValueError):
@@ -46,12 +50,19 @@ class ConformalSurface:
     lam: Expr
     guard: Expr | None = None
     window: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_WINDOW
+    _lam_tape: Tape = field(init=False, repr=False, compare=False)
+    _guard_tape: Tape | None = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        object.__setattr__(self, "_lam_tape", Tape(self.lam))
+        guard = None if self.guard is None else Tape(self.guard)
+        object.__setattr__(self, "_guard_tape", guard)
 
     def contains(self, x: Point) -> bool:
-        if self.guard is None:
+        if self._guard_tape is None:
             return True
         try:
-            return eval_jet(self.guard, x, 0).value > 0.0
+            return eval_jet(self._guard_tape, x, 0).value > 0.0
         except DomainError:
             return False
 
@@ -62,7 +73,7 @@ class ConformalSurface:
 
     def lambda_jet(self, x: Point, order: int) -> Jet:
         self.require(x)
-        return eval_jet(self.lam, x, order)
+        return eval_jet(self._lam_tape, x, order)
 
     @classmethod
     def from_config(cls, config: dict) -> "ConformalSurface":
@@ -183,7 +194,7 @@ def surface_jets(surface: ConformalSurface, x: Point, order: int = 4) -> Conform
 def structure_functions(surface: ConformalSurface, x: Point) -> tuple[float, float]:
     """(c^1_12, c^2_12) of the conformal orthonormal frame at ``x``."""
     surface.require(x)
-    lam = eval_jet(surface.lam, x, 1)
+    lam = eval_jet(surface._lam_tape, x, 1)
     em = jets.exp(-lam).value
     return (em * lam.deriv(0, 1), -em * lam.deriv(1, 0))
 
@@ -220,7 +231,14 @@ def _require_finite(geometry: BaseGeometry, x: Point) -> None:
 def conformal_laplacian_curvature(surface: ConformalSurface, x: Point) -> float:
     """Independent curvature route K = -e^(-2 lambda) (d11 + d22)(lambda)."""
     lam = surface.lambda_jet(x, 2)
-    return -math.exp(-2.0 * lam.value) * (lam.deriv(2, 0) + lam.deriv(0, 2))
+    return -_exp(-2.0 * lam.value, x) * (lam.deriv(2, 0) + lam.deriv(0, 2))
+
+
+def _exp(v: float, x: Point) -> float:
+    try:
+        return math.exp(v)
+    except OverflowError:
+        raise DomainError(f"exp overflows at value {v!r} at point {x!r}") from None
 
 
 def frame_fields(
@@ -241,7 +259,7 @@ def frame_fields(
     lap = l20 + l02
     lap1 = l30 + l12
     lap2 = l21 + l03
-    em = math.exp(-l00)
+    em = _exp(-l00, x)
     c1 = em * l01
     c2 = -em * l10
     K = -em * em * lap
@@ -302,7 +320,7 @@ def sample_points(
     while len(points) < count:
         attempts += 1
         if attempts > max_attempts:
-            raise RuntimeError(
+            raise SamplingError(
                 f"could not sample {count} guarded points in {max_attempts} attempts"
             )
         x = (rng.uniform(x1_lo, x1_hi), rng.uniform(x2_lo, x2_hi))

@@ -2,7 +2,9 @@
 
 The finite-difference oracle evaluates expressions with mpmath at high
 precision, so central differences of 3rd/4th derivatives are limited by
-truncation only, never by float cancellation.
+truncation only, never by float cancellation.  The jet references are the
+plain loops and the recursive AST interpreter that the library's kernels and
+tapes replace, kept here to pin those bit for bit.
 """
 
 from __future__ import annotations
@@ -181,3 +183,55 @@ def compose_reference(jet: jets.Jet, derivs: list[float]) -> tuple:
         constant = jets.Jet.constant(taylor[k], n)._t
         result = tuple(x + y for x, y in zip(result, constant))
     return result
+
+
+def coeffs_reference(jet: jets.Jet) -> tuple:
+    """Raw derivatives from Taylor coefficients, scaling by a! and then b!."""
+    return tuple(
+        jet._t[i] * jets._FACTORIALS[a] * jets._FACTORIALS[b]
+        for i, (a, b) in enumerate(jets.MONOMIALS[jet.order])
+    )
+
+
+# -- recursive expression evaluation -------------------------------------------------
+
+
+def eval_jet_reference(node: ex.Expr, point, order: int) -> jets.Jet:
+    """Evaluate an AST over jets by recursion on the tree: every constant is
+    rebuilt and every power re-resolved at each call."""
+    env = {
+        "x1": jets.Jet.variable(float(point[0]), 1, order),
+        "x2": jets.Jet.variable(float(point[1]), 2, order),
+    }
+    return _eval(node, env, order)
+
+
+def _eval(e: ex.Expr, env: dict, order: int) -> jets.Jet:
+    try:
+        rule = _EVAL_RULES[type(e)]
+    except KeyError:
+        raise TypeError(f"not an expression node: {e!r}") from None
+    return rule(e, env, order)
+
+
+_EVAL_RULES = {
+    ex.Literal: lambda e, env, order: jets.Jet.constant(e.value, order),
+    ex.Var: lambda e, env, order: env[e.name],
+    ex.Const: lambda e, env, order: jets.Jet.constant(ex.CONSTANTS[e.name], order),
+    ex.Neg: lambda e, env, order: -_eval(e.arg, env, order),
+    ex.Add: lambda e, env, order: _eval(e.left, env, order) + _eval(e.right, env, order),
+    ex.Sub: lambda e, env, order: _eval(e.left, env, order) - _eval(e.right, env, order),
+    ex.Mul: lambda e, env, order: _eval(e.left, env, order) * _eval(e.right, env, order),
+    ex.Div: lambda e, env, order: _eval(e.left, env, order) / _eval(e.right, env, order),
+    ex.Pow: lambda e, env, order: _power(_eval(e.base, env, order), _eval(e.exponent, env, order)),
+    ex.Call: lambda e, env, order: jets.FUNCTIONS[e.func](_eval(e.arg, env, order)),
+}
+
+
+def _power(base: jets.Jet, exponent: jets.Jet) -> jets.Jet:
+    if exponent.is_constant():
+        v = exponent.value
+        n = round(v)
+        if v == n and abs(n) <= 8:
+            return jets.integer_power(base, int(n))
+    return jets.exp(exponent * jets.log(base))

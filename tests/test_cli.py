@@ -284,3 +284,55 @@ def test_verify_reports_sectional_signs(capsys):
     signs = report["lift"]["resolved_signs"]
     assert signs["sectional_12"] == 1
     assert signs["sectional_signs_stable"] is True
+
+
+def _config_path(tmp_path, name, lam, guard="all"):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps({"name": name, "lambda": lam, "guard": guard}))
+    return str(path)
+
+
+def test_frame_exp_overflow_exits_three(tmp_path, capsys):
+    surface = _config_path(tmp_path, "steep", "-1000*x1^2")
+    code = run(["geodesic", "--surface", surface, "--start", "1,0,0", "--velocity", "1,0,0",
+                "--t-max", "0.1", "--step", "0.1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "exp overflows" in captured.err
+    assert "Traceback" not in captured.err
+
+
+def test_sine_of_infinity_exits_three(tmp_path, capsys):
+    surface = _config_path(tmp_path, "sinf", "sin(x1*1e200*1e200)")
+    code = run(["surface", "info", "--surface", surface, "--at", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "sin is undefined at value inf" in captured.err
+
+
+@pytest.mark.parametrize(
+    "t_max, step", [("inf", "0.1"), ("nan", "0.1"), ("1", "inf")]
+)
+def test_non_finite_times_exit_two(t_max, step, capsys):
+    code = run(["geodesic", "--surface", "sphere", "--start", "0,0,0", "--velocity", "1,0,0",
+                "--t-max", t_max, "--step", step])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "finite positive number" in captured.err
+
+
+def test_verify_guard_empty_in_window_exits_two(tmp_path, capsys):
+    surface = _config_path(tmp_path, "far", "x1^2 + x2^2", "x1 - 100 > 0")
+    code = run(["verify", "--surface", surface, "--samples", "5"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "could not sample" in captured.err
+
+
+def test_verify_starts_geodesics_inside_the_guard(tmp_path, capsys):
+    # The window centre (0, 0) lies in the hole of the annulus.
+    surface = _config_path(tmp_path, "annulus", "x1^2 + x2^2", "x1^2 + x2^2 - 0.25 > 0")
+    code = run(["verify", "--surface", surface, "--samples", "5", "--seed", "0"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 0
+    assert report["geodesic"]["pass"] is True
