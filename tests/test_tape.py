@@ -117,7 +117,7 @@ def test_signed_zero_leaves_match_reference(node):
 
 
 def _folded_functions(tape: Tape, order: int) -> list:
-    template, ops = tape._plans[order]
+    _, ops = tape._plans[order]
     return [fn for fn, *_ in ops]
 
 
