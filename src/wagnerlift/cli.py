@@ -16,7 +16,8 @@ JSON config file with keys name, lambda, guard.  Exit codes: 0 success,
 --t-max or --step, and a guard that holds nowhere in the sampling window),
 3 runtime evaluation errors (singular curvature, a chart-domain violation
 with the offending point printed to stderr, or a value leaving the real
-domain).
+domain).  A geodesic that fails mid-flight also prints the time of its last
+valid sample.
 """
 
 from __future__ import annotations
@@ -343,17 +344,13 @@ def run(argv: list[str]) -> int:
     except (_UsageError, SamplingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except lift.SingularCurvature as err:
+    except (lift.SingularCurvature, ChartDomainError) as err:
         print(f"error: {err}", file=sys.stderr)
         print(
             f"offending point: ({err.point[0]!r}, {err.point[1]!r})", file=sys.stderr
         )
-        return EXIT_RUNTIME
-    except ChartDomainError as err:
-        print(f"error: {err}", file=sys.stderr)
-        print(
-            f"offending point: ({err.point[0]!r}, {err.point[1]!r})", file=sys.stderr
-        )
+        if hasattr(err, "last_valid_t"):
+            print(f"last valid t: {err.last_valid_t!r}", file=sys.stderr)
         return EXIT_RUNTIME
     except (DomainError, geodesic.StepFailure) as err:
         print(f"error: {err}", file=sys.stderr)

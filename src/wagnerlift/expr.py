@@ -339,6 +339,10 @@ def format_expr(e: Expr) -> str:
 # -- evaluation ---------------------------------------------------------------------
 
 _SEEDS = {"x1": 0, "x2": 1}
+# Per order, the x1 and x2 seed coefficients after the value term.
+_SEED_TAILS = [
+    [Jet.variable(0.0, axis, n)._t[1:] for axis in (1, 2)] for n in range(jets.MAX_ORDER + 1)
+]
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
@@ -397,14 +401,15 @@ class Tape:
         if plan is None or plan is True:
             return self._run_all(x1, x2, order, plan)
         r = plan[0].copy()
-        r[0] = Jet.variable(x1, 1, order)
-        r[1] = Jet.variable(x2, 2, order)
+        tail1, tail2 = _SEED_TAILS[order]
+        r[0] = jets._new(order, (x1, *tail1))
+        r[1] = jets._new(order, (x2, *tail2))
         for fn, i, j, k in plan[1]:
             r[k] = fn(r[i]) if j is None else fn(r[i], r[j])
         return r[self._out]
 
     def _run_all(self, x1: float, x2: float, order: int, ran_before: bool | None) -> Jet:
-        r = [Jet.variable(x1, 1, order), Jet.variable(x2, 2, order)]
+        r = [jets._new(order, (x, *tail)) for x, tail in zip((x1, x2), _SEED_TAILS[order])]
         r += [Jet.constant(v, order) for v in self._leaves]
         for fn, i, j, _ in self._ops:
             r.append(fn(r[i]) if j is None else fn(r[i], r[j]))
@@ -449,9 +454,12 @@ def eval_jet(expr: Expr | str | Tape, point: tuple[float, float], order: int) ->
 
 def _integer_exponent(exponent: Jet) -> int | None:
     # Constant integer exponents of modest size keep the base's full real
-    # domain (e.g. x^2 for negative x); everything else goes through exp/log.
+    # domain (e.g. x^2 for negative x); everything else goes through exp/log,
+    # except a constant that is not finite, which no route gives a value for.
     if exponent.is_constant():
         v = exponent.value
+        if not math.isfinite(v):
+            raise DomainError(f"power with non-finite constant exponent {v!r}")
         n = round(v)
         if v == n and abs(n) <= _MAX_INT_POWER:
             return int(n)

@@ -22,6 +22,14 @@ with C the conserved ratio.  ``wong_residual`` evaluates that equation from
 sampled data only: centered differences for the acceleration and the generic
 Koszul coefficients for the connection, independent of the integrator's
 right-hand side.
+
+Lambda is evaluated once per accepted lifted sample: its order-3 jet is stage
+1 of the next step (every rk45 retry reuses it) and gives the sample's frame
+fields, which the sample carries for ``wong_residual``, and its Q3/K monitor
+-e^(-2 lambda) Lap(lambda).  The monitor keeps the bits of an order-2
+evaluation because the order-2 coefficients are a prefix of the order-3 ones;
+where a third derivative overflowed and left them NaN, and at the final
+sample, which has no next step, the monitor is evaluated at order 2.
 """
 
 from __future__ import annotations
@@ -39,6 +47,8 @@ from .surface import (
     Point,
     conformal_laplacian_curvature,
     frame_fields,
+    frame_fields_from,
+    laplacian_curvature_from,
     surface_jets,
 )
 
@@ -93,11 +103,14 @@ class BaseState:
 
 @dataclass(frozen=True)
 class Sample:
+    # ``fields``: ``frame_fields`` at the point, on every lifted sample but
+    # the last and on their projections.
     t: float
     state: LiftState | BaseState
     speed: float
     q3_over_k: float | None = None
     wong: float | None = None
+    fields: tuple | None = field(default=None, compare=False, repr=False)
 
 
 @dataclass
@@ -126,18 +139,23 @@ class Trajectory:
 # -- right-hand sides ---------------------------------------------------------------
 
 
-def _lift_fields(surface: ConformalSurface, x: Point, kappa_min: float):
-    em, c1, c2, K, u1, u2 = frame_fields(surface, x)
+def _checked(fields: tuple, x: Point, kappa_min: float) -> tuple:
+    K, u1 = fields[3], fields[4]
     if abs(K) < kappa_min or u1 is None:
         raise SingularCurvature(x, K, kappa_min)
-    return em, c1, c2, K, u1, u2
+    return fields
 
 
 def lift_rhs(
     surface: ConformalSurface, s: LiftState, kappa_min: float = KAPPA_MIN
 ) -> tuple[float, float, float, float, float, float]:
     """Time derivative of a lifted state under the geodesic flow of g-hat."""
-    em, c1, c2, K, u1, u2 = _lift_fields(surface, (s.x1, s.x2), kappa_min)
+    x = (s.x1, s.x2)
+    return _lift_derivative(_checked(frame_fields(surface, x), x, kappa_min), s)
+
+
+def _lift_derivative(fields: tuple, s: LiftState) -> tuple:
+    em, c1, c2, K, u1, u2 = fields
     Q1, Q2, Q3 = s.Q1, s.Q2, s.Q3
     return (
         em * Q1,
@@ -178,12 +196,14 @@ def _add_scaled(y: tuple, *terms: tuple[float, tuple]) -> tuple:
     return tuple(out)
 
 
-def _rk4_step(f: Callable, y: tuple, h: float) -> tuple:
-    k1 = f(y)
-    k2 = f(_add_scaled(y, (h / 2.0, k1)))
-    k3 = f(_add_scaled(y, (h / 2.0, k2)))
-    k4 = f(_add_scaled(y, (h, k3)))
-    return _add_scaled(y, (h / 6.0, k1), (h / 3.0, k2), (h / 3.0, k3), (h / 6.0, k4))
+def _rk4_step(f: Callable, y: tuple, h: float, k1: tuple) -> tuple:
+    # Each stage adds its terms in _add_scaled's order, so the bits match it.
+    h2, h3, h6 = h / 2.0, h / 3.0, h / 6.0
+    k2 = f(tuple(yi + h2 * a for yi, a in zip(y, k1)))
+    k3 = f(tuple(yi + h2 * b for yi, b in zip(y, k2)))
+    k4 = f(tuple(yi + h * c for yi, c in zip(y, k3)))
+    stages = zip(y, k1, k2, k3, k4)
+    return tuple(yi + h6 * a + h3 * b + h3 * c + h6 * d for yi, a, b, c, d in stages)
 
 
 # Dormand-Prince 5(4) tableau.
@@ -206,68 +226,66 @@ def _integrate(
     t_max: float,
     h: float,
     method: str,
-    atol: float = 1e-9,
-):
-    """Yield (t, y) samples, starting at (0, y0)."""
+    atol: float,
+    first: Callable,
+) -> list[tuple]:
+    """Samples (t, y, info) from (0, y0) to t_max.
+
+    ``first(y)`` gives ``(f(y), info)`` at each accepted sample but the last,
+    once (rk45 retries reuse it); the last sample's info is None.  A chart or
+    curvature failure carries the last accepted time as ``last_valid_t``.
+    """
     if h <= 0.0:
         raise ValueError("step size must be positive")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
-    if method == "rk4":
-        # When t_max is a whole number of steps up to rounding in t_max/h, the
-        # run keeps exactly those steps and the times n*h; otherwise it ends
-        # with one partial step that lands on t_max.
-        ratio = t_max / h
-        steps = round(ratio)
-        exact = steps >= 1 and abs(ratio - steps) <= _RK4_WHOLE_STEPS_TOL
-        if not exact:
-            steps = math.floor(ratio)
-        t, y = 0.0, y0
-        yield t, y
-        for n in range(1, steps + 1):
-            y = _rk4_step(f, y, h)
-            t = n * h
-            yield t, y
-        if not exact:
-            y = _rk4_step(f, y, t_max - t)
-            yield t_max, y
-        return
-    if method != "rk45":
+    if method not in ("rk4", "rk45"):
         raise ValueError(f"unknown integration method {method!r}")
-
+    samples: list[tuple] = []
     t, y = 0.0, y0
-    yield t, y
-    h_try = min(h, t_max)
-    while t < t_max - 1e-14:
-        if h_try < _RK45_MIN_STEP:
-            raise StepFailure(f"adaptive step underflow at t={t!r}")
-        h_step = min(h_try, t_max - t)
-        k = [f(y)]
-        for row in _DP_A[1:]:
-            k.append(f(_add_scaled(y, *[(h_step * a, ki) for a, ki in zip(row, k)])))
-        y5 = _add_scaled(y, *[(h_step * b, ki) for b, ki in zip(_DP_B5, k)])
-        y4 = _add_scaled(y, *[(h_step * b, ki) for b, ki in zip(_DP_B4, k)])
-        error = max(abs(a - b) for a, b in zip(y5, y4))
-        if error <= atol:
-            t += h_step
-            y = y5
-            yield t, y
-            growth = 5.0 if error == 0.0 else min(5.0, _RK45_SAFETY * (atol / error) ** 0.2)
-            h_try = h_step * max(growth, 0.2)
-        else:
-            h_try = h_step * max(0.2, _RK45_SAFETY * (atol / error) ** 0.2)
-
-
-def _run(f, y0, t_max, h, method, atol=1e-9):
-    samples = []
-    last_t = 0.0
     try:
-        for t, y in _integrate(f, y0, t_max, h, method, atol):
-            samples.append((t, y))
-            last_t = t
+        if method == "rk4":
+            # When t_max is a whole number of steps up to rounding in t_max/h,
+            # the run keeps exactly those steps and the times n*h; otherwise it
+            # ends with one partial step that lands on t_max.
+            ratio = t_max / h
+            steps = round(ratio)
+            exact = steps >= 1 and abs(ratio - steps) <= _RK4_WHOLE_STEPS_TOL
+            if not exact:
+                steps = math.floor(ratio)
+            for n in range(1, steps + 1 + (not exact)):
+                k1, info = first(y)
+                samples.append((t, y, info))
+                whole = n <= steps
+                y = _rk4_step(f, y, h if whole else t_max - t, k1)
+                t = n * h if whole else t_max
+        else:
+            k1 = None
+            h_try = min(h, t_max)
+            while t < t_max - 1e-14:
+                if h_try < _RK45_MIN_STEP:
+                    raise StepFailure(f"adaptive step underflow at t={t!r}")
+                if k1 is None:
+                    k1, info = first(y)
+                    samples.append((t, y, info))
+                h_step = min(h_try, t_max - t)
+                k = [k1]
+                for row in _DP_A[1:]:
+                    k.append(f(_add_scaled(y, *[(h_step * a, ki) for a, ki in zip(row, k)])))
+                y5 = _add_scaled(y, *[(h_step * b, ki) for b, ki in zip(_DP_B5, k)])
+                y4 = _add_scaled(y, *[(h_step * b, ki) for b, ki in zip(_DP_B4, k)])
+                error = max(abs(a - b) for a, b in zip(y5, y4))
+                if error <= atol:
+                    t += h_step
+                    y, k1 = y5, None
+                    growth = 5.0 if error == 0.0 else min(5.0, _RK45_SAFETY * (atol / error) ** 0.2)
+                    h_try = h_step * max(growth, 0.2)
+                else:
+                    h_try = h_step * max(0.2, _RK45_SAFETY * (atol / error) ** 0.2)
     except (SingularCurvature, ChartDomainError) as failure:
-        failure.last_valid_t = last_t
+        failure.last_valid_t = t
         raise
+    samples.append((t, y, None))
     return samples
 
 
@@ -282,21 +300,33 @@ def integrate_lift(
 ) -> Trajectory:
     """Integrate the lifted geodesic flow from ``s0`` over [0, t_max].
 
-    Every sample carries the speed and the conserved-ratio monitor Q3/K.
-    Evaluation failures along the path (chart guard, |K| below ``kappa_min``)
-    abort the run with the last valid time attached to the exception.
+    Every sample carries the speed and the conserved-ratio monitor Q3/K, and
+    all but the last their frame fields.  Evaluation failures along the path
+    (chart guard, |K| below ``kappa_min``) abort the run with the last valid
+    time attached to the exception.
     """
+
+    def first(y: tuple) -> tuple:
+        s = LiftState(*y)
+        x = s.point
+        l = surface.lambda_jet(x, 3).coeffs
+        fields = _checked(frame_fields_from(l, x), x, kappa_min)
+        return _lift_derivative(fields, s), (l, fields)
 
     def f(y: tuple) -> tuple:
         return lift_rhs(surface, LiftState(*y), kappa_min)
 
-    raw = _run(f, (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3), t_max, h, method, atol)
+    y0 = (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3)
+    raw = _integrate(f, y0, t_max, h, method, atol, first)
     trajectory = Trajectory(kind="lift", surface=surface.name, method=method, step=h)
-    for t, y in raw:
+    for t, y, info in raw:
         state = LiftState(*y)
-        K = conformal_laplacian_curvature(surface, state.point)
+        # The final sample, or NaN order-3 partials, need an order-2 evaluation.
+        K = laplacian_curvature_from(info[0], state.point) if info else math.nan
+        if not math.isfinite(K):
+            K = conformal_laplacian_curvature(surface, state.point)
         trajectory.samples.append(
-            Sample(t=t, state=state, speed=state.speed, q3_over_k=state.Q3 / K)
+            Sample(t, state, state.speed, state.Q3 / K, fields=info and info[1])
         )
     return trajectory
 
@@ -314,9 +344,10 @@ def integrate_base(
     def f(y: tuple) -> tuple:
         return base_rhs(surface, BaseState(*y))
 
-    raw = _run(f, (b0.x1, b0.x2, b0.P1, b0.P2), t_max, h, method, atol)
+    y0 = (b0.x1, b0.x2, b0.P1, b0.P2)
+    raw = _integrate(f, y0, t_max, h, method, atol, lambda y: (f(y), None))
     trajectory = Trajectory(kind="base", surface=surface.name, method=method, step=h)
-    for t, y in raw:
+    for t, y, _ in raw:
         state = BaseState(*y)
         trajectory.samples.append(Sample(t=t, state=state, speed=state.speed))
     return trajectory
@@ -329,22 +360,15 @@ def project(trajectory: Trajectory) -> Trajectory:
     """Project a lifted trajectory to the base: drop (phi, Q3), keep P^a = Q^a.
 
     The conserved-ratio monitor is carried along; it is the constant C of the
-    projected equation of motion.
+    projected equation of motion.  So are the frame fields.
     """
     if trajectory.kind != "lift":
         raise ValueError("only lifted trajectories can be projected")
-    projected = Trajectory(
-        kind="base",
-        surface=trajectory.surface,
-        method=trajectory.method,
-        step=trajectory.step,
-    )
+    samples = []
     for s in trajectory.samples:
         state = BaseState(x1=s.state.x1, x2=s.state.x2, P1=s.state.Q1, P2=s.state.Q2)
-        projected.samples.append(
-            Sample(t=s.t, state=state, speed=state.speed, q3_over_k=s.q3_over_k)
-        )
-    return projected
+        samples.append(Sample(s.t, state, state.speed, s.q3_over_k, fields=s.fields))
+    return replace(trajectory, kind="base", samples=samples)
 
 
 def _three_point_derivative(t0, f0, t1, f1, t2, f2) -> float:
@@ -369,7 +393,8 @@ def wong_residual(
     acceleration from centered differences of the sampled P^a and the
     connection from the generic Koszul coefficients.  Endpoint entries are
     None (no centered difference there).  C defaults to the trajectory's
-    conserved Q3/K monitor.
+    conserved Q3/K monitor.  Frame fields carried by the samples are used
+    when the trajectory's surface has this surface's name.
     """
     samples = trajectory.samples
     if len(samples) < 3:
@@ -379,11 +404,13 @@ def wong_residual(
         if C is None:
             raise ValueError("no Q3/K monitor on the trajectory; pass C explicitly")
 
+    carried = trajectory.surface == surface.name
     residuals: list[float | None] = [None] * len(samples)
     for m in range(1, len(samples) - 1):
         before, here, after = samples[m - 1], samples[m], samples[m + 1]
         x = (here.state.x1, here.state.x2)
-        em, c1, c2, K, u1, u2 = _lift_fields(surface, x, kappa_min)
+        fields = here.fields if carried and here.fields else frame_fields(surface, x)
+        em, c1, c2, K, u1, u2 = _checked(fields, x, kappa_min)
         c_values = (((0.0, c1), (-c1, 0.0)), ((0.0, c2), (-c2, 0.0)))
         gamma = connection.koszul_values(c_values, 2)
         P = (here.state.P1, here.state.P2)
@@ -412,15 +439,8 @@ def with_wong(trajectory: Trajectory, residuals: list[float | None]) -> Trajecto
     """Copy of the trajectory with the residual series attached to its samples."""
     if len(residuals) != len(trajectory.samples):
         raise ValueError("residual series does not match the trajectory")
-    out = Trajectory(
-        kind=trajectory.kind,
-        surface=trajectory.surface,
-        method=trajectory.method,
-        step=trajectory.step,
-    )
-    for s, r in zip(trajectory.samples, residuals):
-        out.samples.append(replace(s, wong=r))
-    return out
+    samples = [replace(s, wong=r) for s, r in zip(trajectory.samples, residuals)]
+    return replace(trajectory, samples=samples)
 
 
 # -- serialization ---------------------------------------------------------------
@@ -482,7 +502,8 @@ def to_json_dict(trajectory: Trajectory) -> dict:
 def coupling_sign_vs_reference(surface: ConformalSurface, s: LiftState) -> int:
     """+1 if the implemented Q^a Q3 coupling matches -Q2Q3/+Q1Q3, -1 if it is
     the opposite orientation.  The comparison needs Q2*Q3 != 0."""
-    em, c1, c2, K, u1, u2 = _lift_fields(surface, (s.x1, s.x2), KAPPA_MIN)
+    x = (s.x1, s.x2)
+    em, c1, c2, K, u1, u2 = _checked(frame_fields(surface, x), x, KAPPA_MIN)
     dQ1 = lift_rhs(surface, s)[3]
     base_part = -c1 * s.Q1 * s.Q2 - c2 * s.Q2 * s.Q2 - u1 * s.Q3 * s.Q3
     coupling = dQ1 - base_part

@@ -282,8 +282,9 @@ def reciprocal(jet: Jet) -> Jet:
 
 
 def _real(fn):
-    """Report a float overflow inside ``fn``, or a math domain error such as
-    the sine of an infinite value, as leaving the real domain."""
+    """Report a float overflow inside ``fn``, a division by a power that
+    underflowed to zero, or a math domain error such as the sine of an
+    infinite value, as leaving the real domain."""
 
     @functools.wraps(fn)
     def guarded(jet: Jet) -> Jet:
@@ -291,6 +292,8 @@ def _real(fn):
             return fn(jet)
         except OverflowError:
             raise DomainError(f"{fn.__name__} overflows at value {jet.value!r}") from None
+        except ZeroDivisionError:
+            raise DomainError(f"{fn.__name__} underflows at value {jet.value!r}") from None
         except DomainError:
             raise
         except ValueError:

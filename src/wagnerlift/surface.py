@@ -230,8 +230,13 @@ def _require_finite(geometry: BaseGeometry, x: Point) -> None:
 
 def conformal_laplacian_curvature(surface: ConformalSurface, x: Point) -> float:
     """Independent curvature route K = -e^(-2 lambda) (d11 + d22)(lambda)."""
-    lam = surface.lambda_jet(x, 2)
-    return -_exp(-2.0 * lam.value, x) * (lam.deriv(2, 0) + lam.deriv(0, 2))
+    return laplacian_curvature_from(surface.lambda_jet(x, 2).coeffs, x)
+
+
+def laplacian_curvature_from(l: tuple[float, ...], x: Point) -> float:
+    """K = -e^(-2 l00) (l20 + l02) from the raw partials ``l`` of a lambda
+    jet of order >= 2 at ``x``."""
+    return -_exp(-2.0 * l[0], x) * (l[3] + l[5])
 
 
 def _exp(v: float, x: Point) -> float:
@@ -244,7 +249,12 @@ def _exp(v: float, x: Point) -> float:
 def frame_fields(
     surface: ConformalSurface, x: Point
 ) -> tuple[float, float, float, float, float | None, float | None]:
-    """(e^-lambda, c112, c212, K, u1, u2) at ``x``, on the fast scalar path.
+    """(e^-lambda, c112, c212, K, u1, u2) at ``x``, on the fast scalar path."""
+    return frame_fields_from(surface.lambda_jet(x, 3).coeffs, x)
+
+
+def frame_fields_from(l: tuple[float, ...], x: Point) -> tuple:
+    """``frame_fields`` from the raw partials of an order-3 lambda jet at ``x``.
 
     Same quantities as ``conformal_pipeline`` (u_i = e_i(K)/K), expanded in
     the raw partials of lambda so the geodesic right-hand side costs a single
@@ -253,9 +263,10 @@ def frame_fields(
         K   = -e^(-2 lambda) Lap(lambda)
         u_i = e^(-lambda) (d_i Lap(lambda) / Lap(lambda) - 2 d_i lambda)
 
-    u1/u2 are None when Lap(lambda) is exactly zero.
+    u1/u2 are None when Lap(lambda) is exactly zero.  The same partials also
+    give the Laplacian-route curvature, ``laplacian_curvature_from``.
     """
-    l00, l10, l01, l20, _, l02, l30, l21, l12, l03 = surface.lambda_jet(x, 3).coeffs
+    l00, l10, l01, l20, _, l02, l30, l21, l12, l03 = l
     lap = l20 + l02
     lap1 = l30 + l12
     lap2 = l21 + l03

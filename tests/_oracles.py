@@ -9,6 +9,7 @@ tapes replace, kept here to pin those bit for bit.
 
 from __future__ import annotations
 
+import math
 import random
 
 import mpmath as mp
@@ -231,6 +232,8 @@ _EVAL_RULES = {
 def _power(base: jets.Jet, exponent: jets.Jet) -> jets.Jet:
     if exponent.is_constant():
         v = exponent.value
+        if not math.isfinite(v):
+            raise jets.DomainError(f"power with non-finite constant exponent {v!r}")
         n = round(v)
         if v == n and abs(n) <= 8:
             return jets.integer_power(base, int(n))

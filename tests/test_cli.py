@@ -336,3 +336,41 @@ def test_verify_starts_geodesics_inside_the_guard(tmp_path, capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 0
     assert report["geodesic"]["pass"] is True
+
+
+@pytest.mark.parametrize(
+    "lam, value",
+    [("x1^(1e200*1e200)", "inf"), ("x1^(1e200*1e200 - 1e200*1e200)", "nan")],
+)
+def test_non_finite_constant_exponent_exits_three(tmp_path, capsys, lam, value):
+    surface = _config_path(tmp_path, "power", lam)
+    code = run(["surface", "info", "--surface", surface, "--at", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"non-finite constant exponent {value}" in captured.err
+    assert "Traceback" not in captured.err
+
+
+@pytest.mark.parametrize("fn", ["log", "sqrt"])
+def test_underflowed_derivative_power_exits_three(tmp_path, capsys, fn):
+    surface = _config_path(tmp_path, fn, f"{fn}(1e-200 + 0*x1)")
+    code = run(["surface", "info", "--surface", surface, "--at", "1,0"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert f"{fn} underflows at value 1e-200" in captured.err
+
+
+def test_mid_flight_failure_prints_last_valid_time(tmp_path, capsys):
+    surface = _config_path(tmp_path, "disk", "x1^2 + x2^2", "1 - x1^2 - x2^2 > 0")
+    code = run(["geodesic", "--surface", surface, "--start", "0.5,0,0",
+                "--velocity", "0.6,0,0.8", "--t-max", "3", "--step", "0.01"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1] == "last valid t: 1.06"
+
+
+def test_pointwise_failure_prints_no_time(capsys):
+    code = run(["surface", "info", "--surface", "halfplane", "--at", "0,-1"])
+    assert code == 3
+    assert "last valid t" not in capsys.readouterr().err

@@ -3,10 +3,12 @@
 import io
 import math
 import random
+from dataclasses import replace
 
 import pytest
 
 from wagnerlift import geodesic as geo
+from wagnerlift import surface as surface_module
 from wagnerlift.lift import SingularCurvature, lifted_connection
 from wagnerlift.surface import ChartDomainError, ConformalSurface, catalog
 
@@ -205,6 +207,75 @@ def test_singular_curvature_mid_flight_reports_last_valid_time():
     assert err.value.last_valid_t == 0.0
 
 
+@pytest.mark.parametrize(
+    "method, last_valid_t, point",
+    [
+        ("rk4", 1.06, (0.996291098331003, -0.09863201725815646)),
+        ("rk45", 1.050529230613897, (0.9967144810745929, -0.0987560811282271)),
+    ],
+)
+def test_lift_failure_time_and_point_are_pinned(method, last_valid_t, point):
+    # last_valid_t is the time of the last accepted sample before the step
+    # whose evaluation failed, as it has always been reported.
+    start = geo.LiftState(0.5, 0.0, 0.0, 0.6, 0.0, 0.8)
+    with pytest.raises(ChartDomainError) as err:
+        geo.integrate_lift(DISK, start, t_max=3.0, h=1e-2, method=method)
+    assert err.value.last_valid_t == last_valid_t
+    assert err.value.point == point
+
+
+def test_monitor_keeps_order_two_bits_when_a_third_derivative_overflows():
+    # At x1 = 1e-103 the third derivative of log(x1) overflows, which leaves
+    # the whole order-3 jet NaN, while the order-2 monitor reads K = inf.
+    surface = ConformalSurface.from_config({"name": "log", "lambda": "log(x1)"})
+    start = geo.LiftState(1e-103, 0.0, 0.0, 0.6, 0.0, 0.8)
+    trajectory = geo.integrate_lift(surface, start, t_max=0.02, h=1e-2)
+    assert trajectory.samples[0].q3_over_k == 0.0
+
+
+def _count_lambda_runs(monkeypatch, surface):
+    runs = []
+    evaluate = surface_module.eval_jet
+
+    def counting(expr, point, order):
+        if expr is surface._lam_tape:
+            runs.append(order)
+        return evaluate(expr, point, order)
+
+    monkeypatch.setattr(surface_module, "eval_jet", counting)
+    return runs
+
+
+@pytest.mark.parametrize("surface", [SPHERE, HALFPLANE, BUMP])
+def test_rk4_wong_job_evaluates_lambda_once_per_stage(monkeypatch, surface):
+    steps = 50
+    start = geo.LiftState(0.3, 1.1, 0.0, 0.6, 0.0, 0.8)
+    runs = _count_lambda_runs(monkeypatch, surface)
+    trajectory = geo.integrate_lift(surface, start, t_max=steps * 1e-2, h=1e-2)
+    geo.wong_residual(surface, geo.project(trajectory))
+    # Stage 1 at each accepted sample also yields its monitor and Wong
+    # fields; the final sample is evaluated once, at order 2, for its monitor.
+    assert runs == [3] * (4 * steps) + [2]
+
+
+def test_rk45_retries_reuse_the_first_stage(monkeypatch):
+    start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.8)
+    runs = _count_lambda_runs(monkeypatch, SPHERE)
+    trajectory = geo.integrate_lift(SPHERE, start, t_max=1.0, h=1.0, method="rk45")
+    accepted = len(trajectory.samples) - 1
+    # Six runs per attempt besides stage 1, once per accepted sample, and
+    # one for the final sample.
+    attempts, rest = divmod(len(runs) - accepted - 1, 6)
+    assert rest == 0
+    assert attempts > accepted  # a step was rejected and retried
+
+
+def test_base_run_evaluates_no_final_sample(monkeypatch):
+    runs = _count_lambda_runs(monkeypatch, SPHERE)
+    geo.integrate_base(SPHERE, geo.BaseState(0.5, 0.0, 0.0, 1.0), t_max=0.1, h=1e-2)
+    assert len(runs) == 4 * 10
+
+
 # -- projection ---------------------------------------------------------------
 
 
@@ -294,6 +365,31 @@ def test_wong_opposite_rotation_sign_is_rejected_by_the_data():
     wrong = geo.wong_residual(SPHERE, projected, rotation_sign=+1.0)
     # flipping the magnetic orientation leaves 2|C K| |P| of residual
     assert max(r for r in wrong if r is not None) > 0.5
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_wong_residual_from_carried_fields_matches_fresh_evaluation(method):
+    start = geo.LiftState(0.3, 0.1, 0.0, 0.6, 0.0, 0.8)
+    projected = geo.project(geo.integrate_lift(BUMP, start, t_max=0.5, h=1e-2, method=method))
+    assert all(s.fields is not None for s in projected.samples[:-1])
+    bare = geo.Trajectory(
+        kind=projected.kind,
+        surface=projected.surface,
+        method=projected.method,
+        step=projected.step,
+        samples=[replace(s, fields=None) for s in projected.samples],
+    )
+    assert bare == projected  # the carried fields are outside ==
+    assert geo.wong_residual(BUMP, projected) == geo.wong_residual(BUMP, bare)
+    # A surface of another name never uses them.
+    assert geo.wong_residual(SPHERE, projected) == geo.wong_residual(SPHERE, bare)
+
+
+def test_wong_residual_applies_its_own_kappa_min():
+    start = geo.LiftState(0.3, 0.1, 0.0, 0.6, 0.0, 0.8)
+    projected = geo.project(geo.integrate_lift(BUMP, start, t_max=0.1, h=1e-2))
+    with pytest.raises(SingularCurvature):
+        geo.wong_residual(BUMP, projected, kappa_min=10.0)
 
 
 def test_wong_residual_needs_three_samples():

@@ -8,6 +8,7 @@ bits (``struct.pack``) or the exception type and message with
 ``eval_jet_reference``.
 """
 
+import random
 import struct
 
 import pytest
@@ -18,8 +19,13 @@ from wagnerlift import expr as ex
 from wagnerlift import jets
 from wagnerlift.expr import Tape, eval_jet, parse
 from wagnerlift.jets import Jet
+from wagnerlift.surface import (
+    ConformalSurface,
+    conformal_laplacian_curvature,
+    laplacian_curvature_from,
+)
 
-from _oracles import coeffs_reference, eval_jet_reference
+from _oracles import coeffs_reference, eval_jet_reference, random_smooth_expr
 
 
 def _bits(values) -> bytes:
@@ -180,3 +186,24 @@ def any_jet(draw):
 @given(any_jet())
 def test_coeffs_match_two_step_scaling(jet):
     assert _bits(jet.coeffs) == _bits(coeffs_reference(jet))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(min_value=0, max_value=2**32 - 1), coordinate, coordinate)
+def test_lower_order_jet_is_the_prefix_of_the_higher(seed, x1, x2):
+    # The geodesic integrator reads the Q3/K monitor off the order-3 jet it
+    # evaluates anyway; that gives the order-2 bits only because of this.
+    # At order 0 ``compose`` returns the Taylor term itself; at higher orders
+    # it adds it to a +0.0 slot sum, so a -0.0 value can come out as +0.0 and
+    # the order-0 value is pinned up to the sign of a zero.
+    node = random_smooth_expr(random.Random(seed))
+    tape, point = Tape(node), (x1, x2)
+    assert _bits([eval_jet(tape, point, 0).value + 0.0]) == _bits(
+        [eval_jet(tape, point, 1).value + 0.0]
+    )
+    for n in range(1, jets.MAX_ORDER):
+        higher = eval_jet(tape, point, n + 1)
+        assert _bits(eval_jet(tape, point, n)._t) == _bits(higher.truncate(n)._t), n
+    surface = ConformalSurface(name="random", lam=node)
+    monitor = laplacian_curvature_from(eval_jet(tape, point, 3).coeffs, point)
+    assert _bits([monitor]) == _bits([conformal_laplacian_curvature(surface, point)])
