@@ -216,7 +216,7 @@ def test_singular_curvature_mid_flight_reports_last_valid_time():
 )
 def test_lift_failure_time_and_point_are_pinned(method, last_valid_t, point):
     # last_valid_t is the time of the last accepted sample before the step
-    # whose evaluation failed, as it has always been reported.
+    # whose evaluation failed.
     start = geo.LiftState(0.5, 0.0, 0.0, 0.6, 0.0, 0.8)
     with pytest.raises(ChartDomainError) as err:
         geo.integrate_lift(DISK, start, t_max=3.0, h=1e-2, method=method)
@@ -372,13 +372,7 @@ def test_wong_residual_from_carried_fields_matches_fresh_evaluation(method):
     start = geo.LiftState(0.3, 0.1, 0.0, 0.6, 0.0, 0.8)
     projected = geo.project(geo.integrate_lift(BUMP, start, t_max=0.5, h=1e-2, method=method))
     assert all(s.fields is not None for s in projected.samples[:-1])
-    bare = geo.Trajectory(
-        kind=projected.kind,
-        surface=projected.surface,
-        method=projected.method,
-        step=projected.step,
-        samples=[replace(s, fields=None) for s in projected.samples],
-    )
+    bare = replace(projected, samples=[replace(s, fields=None) for s in projected.samples])
     assert bare == projected  # the carried fields are outside ==
     assert geo.wong_residual(BUMP, projected) == geo.wong_residual(BUMP, bare)
     # A surface of another name never uses them.
