@@ -23,6 +23,7 @@ valid sample.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import math
 import random
@@ -40,7 +41,7 @@ from .surface import (
     catalog_names,
     gauss_curvature,
     sample_points,
-    structure_functions,
+    surface_jets,
 )
 
 EXIT_OK = 0
@@ -103,7 +104,9 @@ def _load_surface(spec: str) -> ConformalSurface:
         ) from None
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process; ``parse_args`` keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="wagnerlift",
         description="Wagner lift of a 2-D metric: frame-bundle geometry and geodesics.",
@@ -164,15 +167,14 @@ def _num(value: float) -> str:
 def _run_surface_info(ns) -> int:
     surf = _load_surface(ns.surface)
     x = ns.at
-    c1, c2 = structure_functions(surf, x)
     geom = gauss_curvature(surf, x)
-    lam = surf.lambda_jet(x, 0).value
+    lam = surface_jets(surf, x, 4).lam.value  # the evaluation gauss_curvature made
     print(f"surface: {surf.name}")
     print(f"point: ({_num(x[0])}, {_num(x[1])})")
     print(f"lambda_expr: {format_expr(surf.lam)}")
     print(f"lambda: {_num(lam)}")
-    print(f"c1_12: {_num(c1)}")
-    print(f"c2_12: {_num(c2)}")
+    print(f"c1_12: {_num(geom.c112)}")
+    print(f"c2_12: {_num(geom.c212)}")
     print(f"K: {_num(geom.K)}")
     print(f"e1K: {_num(geom.e1K)}")
     print(f"e2K: {_num(geom.e2K)}")
@@ -325,9 +327,8 @@ def _run_verify(ns) -> int:
 
 def run(argv: list[str]) -> int:
     """Entry point returning the exit code (0/1/2/3, see module docstring)."""
-    parser = _build_parser()
     try:
-        ns = parser.parse_args(argv)
+        ns = _build_parser().parse_args(argv)
     except SystemExit as leave:
         return int(leave.code or 0)
 
@@ -344,16 +345,12 @@ def run(argv: list[str]) -> int:
     except (_UsageError, SamplingError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
-    except (lift.SingularCurvature, ChartDomainError) as err:
+    except (lift.SingularCurvature, ChartDomainError, DomainError, geodesic.StepFailure) as err:
         print(f"error: {err}", file=sys.stderr)
-        print(
-            f"offending point: ({err.point[0]!r}, {err.point[1]!r})", file=sys.stderr
-        )
+        if hasattr(err, "point"):
+            print(f"offending point: ({err.point[0]!r}, {err.point[1]!r})", file=sys.stderr)
         if hasattr(err, "last_valid_t"):
             print(f"last valid t: {err.last_valid_t!r}", file=sys.stderr)
-        return EXIT_RUNTIME
-    except (DomainError, geodesic.StepFailure) as err:
-        print(f"error: {err}", file=sys.stderr)
         return EXIT_RUNTIME
 
 

@@ -173,16 +173,19 @@ def koszul_values(c_values, dim: int):
     )
 
 
-def koszul(frame: FrameSampler, x: Point) -> ConnectionTable:
-    """The unique metric-compatible torsion-free connection of the frame at ``x``."""
-    point = frame.at(x)
-    gamma = koszul_jets(point)
-    n = frame.dim
-    values = tuple(
-        tuple(tuple(gamma[k][i][j].value for j in range(n)) for i in range(n))
+def _c_values(point: FramePoint) -> FloatTable3:
+    """The values of the structure-function jets, c[k][i][j]."""
+    n = point.dim
+    return tuple(
+        tuple(tuple(point.c[k][i][j].value for j in range(n)) for i in range(n))
         for k in range(n)
     )
-    return ConnectionTable(dim=n, gamma=values)
+
+
+def koszul(frame: FrameSampler, x: Point) -> ConnectionTable:
+    """The unique metric-compatible torsion-free connection of the frame at ``x``."""
+    n = frame.dim
+    return ConnectionTable(dim=n, gamma=koszul_values(_c_values(frame.at(x)), n))
 
 
 def solve_connection(c_values, dim: int) -> ConnectionTable:
@@ -241,7 +244,7 @@ def curvature(frame: FrameSampler, x: Point) -> CurvatureTable:
         [[[point.d(a, gamma_jets[l][j][k]).value for k in range(n)] for j in range(n)] for l in range(n)]
         for a in range(n)
     ]
-    c = [[[point.c[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
+    c = _c_values(point)
 
     R = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for l in range(n):

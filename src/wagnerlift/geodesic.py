@@ -28,8 +28,9 @@ Lambda is evaluated once per accepted lifted sample: its order-3 jet is stage
 fields, which the sample carries for ``wong_residual``, and its Q3/K monitor
 -e^(-2 lambda) Lap(lambda).  The monitor keeps the bits of an order-2
 evaluation because the order-2 coefficients are a prefix of the order-3 ones;
-where a third derivative overflowed and left them NaN, and at the final
-sample, which has no next step, the monitor is evaluated at order 2.
+at the final sample, which has no next step, it is evaluated at order 2.
+Frame fields that are not finite (a third derivative that overflowed leaves
+the whole order-3 jet NaN) stop the run with a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import connection
+from .jets import DomainError
 from .lift import KAPPA_MIN, SingularCurvature
 from .surface import (
     ChartDomainError,
@@ -140,9 +142,12 @@ class Trajectory:
 
 
 def _checked(fields: tuple, x: Point, kappa_min: float) -> tuple:
-    K, u1 = fields[3], fields[4]
+    em, c1, c2, K, u1, u2 = fields
     if abs(K) < kappa_min or u1 is None:
         raise SingularCurvature(x, K, kappa_min)
+    # v - v is 0.0 for every finite v and NaN for an infinite or NaN one.
+    if (em - em) + (c1 - c1) + (c2 - c2) + (K - K) + (u1 - u1) + (u2 - u2) != 0.0:
+        raise DomainError(f"non-finite frame fields at point {x!r}")
     return fields
 
 
@@ -232,8 +237,8 @@ def _integrate(
     """Samples (t, y, info) from (0, y0) to t_max.
 
     ``first(y)`` gives ``(f(y), info)`` at each accepted sample but the last,
-    once (rk45 retries reuse it); the last sample's info is None.  A chart or
-    curvature failure carries the last accepted time as ``last_valid_t``.
+    once (rk45 retries reuse it); the last sample's info is None.  Evaluation
+    failures carry the last accepted time as ``last_valid_t``.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -282,7 +287,7 @@ def _integrate(
                     h_try = h_step * max(growth, 0.2)
                 else:
                     h_try = h_step * max(0.2, _RK45_SAFETY * (atol / error) ** 0.2)
-    except (SingularCurvature, ChartDomainError) as failure:
+    except (SingularCurvature, ChartDomainError, DomainError) as failure:
         failure.last_valid_t = t
         raise
     samples.append((t, y, None))
@@ -321,9 +326,9 @@ def integrate_lift(
     trajectory = Trajectory(kind="lift", surface=surface.name, method=method, step=h)
     for t, y, info in raw:
         state = LiftState(*y)
-        # The final sample, or NaN order-3 partials, need an order-2 evaluation.
-        K = laplacian_curvature_from(info[0], state.point) if info else math.nan
-        if not math.isfinite(K):
+        if info:
+            K = laplacian_curvature_from(info[0], state.point)
+        else:  # the final sample has no order-3 evaluation
             K = conformal_laplacian_curvature(surface, state.point)
         trajectory.samples.append(
             Sample(t, state, state.speed, state.Q3 / K, fields=info and info[1])

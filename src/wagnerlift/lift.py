@@ -36,7 +36,7 @@ import numpy as np
 
 from . import connection, jets
 from .connection import ConnectionTable, CurvatureTable, FramePoint, FrameSampler
-from .jets import Jet
+from .jets import DomainError, Jet
 from .surface import (
     BaseGeometry,
     ConformalJets,
@@ -63,12 +63,16 @@ class SingularCurvature(Exception):
         self.curvature = curvature_value
 
 
-def _checked_jets(
-    surface: ConformalSurface, x: Point, kappa_min: float, order: int = 4
-) -> ConformalJets:
-    p = surface_jets(surface, x, order)
-    if abs(p.K.value) < kappa_min or p.u1 is None:
-        raise SingularCurvature(x, p.K.value, kappa_min)
+def _checked_jets(surface: ConformalSurface, x: Point, kappa_min: float) -> ConformalJets:
+    p = surface_jets(surface, x, 4)
+    K = p.K.value
+    if abs(K) < kappa_min or p.u1 is None:
+        raise SingularCurvature(x, K, kappa_min)
+    # v - v is 0.0 for a finite v and NaN otherwise.  A finite K bounds c1
+    # and c2, and finite u_i bound e_i(K).
+    u1, u2, ((a, b), (c, d)) = p.u1.value, p.u2.value, p.ddlogK
+    if (K - K) + (u1 - u1) + (u2 - u2) + (a - a) + (b - b) + (c - c) + (d - d) != 0.0:
+        raise DomainError(f"non-finite geometry at point {x!r}")
     return p
 
 

@@ -52,6 +52,7 @@ class ConformalSurface:
     window: tuple[tuple[float, float], tuple[float, float]] = DEFAULT_WINDOW
     _lam_tape: Tape = field(init=False, repr=False, compare=False)
     _guard_tape: Tape | None = field(init=False, repr=False, compare=False)
+    _last_jets: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_lam_tape", Tape(self.lam))
@@ -188,7 +189,16 @@ class BaseGeometry:
 
 
 def surface_jets(surface: ConformalSurface, x: Point, order: int = 4) -> ConformalJets:
-    return conformal_pipeline(surface.lambda_jet(x, order))
+    """``conformal_pipeline`` of the lambda jet at ``x``.  A surface keeps its
+    last successful result, keyed by the point tuple itself (``is``: ``==``
+    takes -0.0 for 0.0), so routes that query one point share one evaluation."""
+    last = surface._last_jets
+    if last is not None and last[0] is x and last[1] == order:
+        return last[2]
+    p = conformal_pipeline(surface.lambda_jet(x, order))
+    if type(x) is tuple:  # a list or an array could change under the key
+        object.__setattr__(surface, "_last_jets", (x, order, p))
+    return p
 
 
 def structure_functions(surface: ConformalSurface, x: Point) -> tuple[float, float]:

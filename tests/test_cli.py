@@ -1,9 +1,15 @@
 """Command-line interface tests: subcommands, formats, exit codes, determinism."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import wagnerlift
+from wagnerlift import surface as surface_module
 from wagnerlift.cli import run
 
 FLAT_CONFIG = {"name": "flat", "lambda": "0", "guard": "all"}
@@ -374,3 +380,72 @@ def test_pointwise_failure_prints_no_time(capsys):
     code = run(["surface", "info", "--surface", "halfplane", "--at", "0,-1"])
     assert code == 3
     assert "last valid t" not in capsys.readouterr().err
+
+
+def test_non_finite_frame_fields_exit_three(tmp_path, capsys):
+    # The order-3 jet of log(x1) at x1 = 1e-103 is all NaN.
+    surface = _config_path(tmp_path, "log", "log(x1)")
+    code = run(["geodesic", "--surface", surface, "--start", "1e-103,0.5,0",
+                "--velocity", "0.6,0,0.8", "--t-max", "0.002", "--step", "0.001"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: non-finite frame fields at point (1e-103, 0.5)",
+        "last valid t: 0.0",
+    ]
+
+
+def test_lift_table_non_finite_geometry_exits_three(tmp_path, capsys):
+    surface = _config_path(tmp_path, "log", "log(x1)")
+    code = run(["lift", "table", "--surface", surface, "--at", "1e-80,0.5"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "non-finite geometry at point (1e-80, 0.5)" in captured.err
+
+
+@pytest.mark.parametrize("command", [("surface", "info"), ("lift", "table")])
+def test_point_query_evaluates_the_guard_and_lambda_once(monkeypatch, capsys, command):
+    orders = []
+    evaluate = surface_module.eval_jet
+
+    def counting(expr, point, order):
+        orders.append(order)
+        return evaluate(expr, point, order)
+
+    monkeypatch.setattr(surface_module, "eval_jet", counting)
+    assert run([*command, "--surface", "halfplane", "--at", "0.4,1.3"]) == 0
+    assert orders == [0, 4]  # the guard x2 > 0, then lambda
+
+
+_WONG = ["geodesic", "--surface", "sphere", "--start", "0.3,0.2,0",
+         "--velocity", "0.6,0.1,0.8", "--t-max", "0.003", "--step", "0.001"]
+_REUSE_SEQUENCE = [
+    ["geodesic", "--surface"],
+    ["--help"],
+    [*_WONG, "--wong"],
+    _WONG,
+    ["surface", "info", "--surface", "sphere", "--at", "0.3,0.2"],
+]
+
+
+def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help and usage to it
+    env = dict(os.environ)
+    src = str(Path(wagnerlift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    script = "import sys; from wagnerlift.cli import run; sys.exit(run(sys.argv[1:]))"
+    outcomes = []
+    for argv in _REUSE_SEQUENCE:
+        code = run(argv)
+        captured = capsys.readouterr()
+        outcomes.append((code, captured.out, captured.err))
+        fresh = subprocess.run(
+            [sys.executable, "-c", script, *argv], capture_output=True, text=True, env=env
+        )
+        assert (code, captured.out, captured.err) == (fresh.returncode, fresh.stdout, fresh.stderr)
+    assert [code for code, _, _ in outcomes] == [2, 0, 0, 0, 0]
+    assert outcomes[2][1] != outcomes[3][1]  # the --wong column did not stick
+    golden = Path(__file__).parent / "data" / "surface_info_sphere.txt"
+    assert outcomes[-1][1].encode() == golden.read_bytes()

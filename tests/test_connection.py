@@ -1,6 +1,7 @@
 """Generic frame-calculus tests: Koszul coefficients, curvature, sectional."""
 
 import random
+import struct
 
 import pytest
 
@@ -9,10 +10,12 @@ from wagnerlift.connection import (
     constant_frame_sampler,
     curvature,
     koszul,
+    koszul_jets,
     koszul_values,
     sectional,
     solve_connection,
 )
+from wagnerlift.lift import lift_frame_sampler
 from wagnerlift.surface import catalog, gauss_curvature, sample_points
 
 ALL_SURFACES = ("sphere", "halfplane", "bump")
@@ -197,3 +200,18 @@ def test_koszul_values_agrees_with_jet_route():
         for i in range(2):
             for j in range(2):
                 assert values[k][i][j] == pytest.approx(table.gamma[k][i][j], abs=1e-14)
+
+
+def _packed(table):
+    values = [v for plane in table for row in plane for v in row]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+@pytest.mark.parametrize("name", ALL_SURFACES)
+def test_koszul_on_values_matches_the_jet_sums_bit_for_bit(name):
+    surface = catalog(name)
+    for frame in (base_frame_sampler(surface), lift_frame_sampler(surface)):
+        for x in sample_points(surface, 30, random.Random(11)):
+            jets = koszul_jets(frame.at(x))
+            expected = tuple(tuple(tuple(g.value for g in row) for row in plane) for plane in jets)
+            assert _packed(koszul(frame, x).gamma) == _packed(expected)

@@ -9,6 +9,7 @@ import pytest
 
 from wagnerlift import geodesic as geo
 from wagnerlift import surface as surface_module
+from wagnerlift.jets import DomainError
 from wagnerlift.lift import SingularCurvature, lifted_connection
 from wagnerlift.surface import ChartDomainError, ConformalSurface, catalog
 
@@ -224,13 +225,17 @@ def test_lift_failure_time_and_point_are_pinned(method, last_valid_t, point):
     assert err.value.point == point
 
 
-def test_monitor_keeps_order_two_bits_when_a_third_derivative_overflows():
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_non_finite_frame_fields_stop_the_run(method):
     # At x1 = 1e-103 the third derivative of log(x1) overflows, which leaves
-    # the whole order-3 jet NaN, while the order-2 monitor reads K = inf.
+    # the whole order-3 jet NaN; the run stops before any state goes NaN.
     surface = ConformalSurface.from_config({"name": "log", "lambda": "log(x1)"})
     start = geo.LiftState(1e-103, 0.0, 0.0, 0.6, 0.0, 0.8)
-    trajectory = geo.integrate_lift(surface, start, t_max=0.02, h=1e-2)
-    assert trajectory.samples[0].q3_over_k == 0.0
+    with pytest.raises(DomainError, match=r"non-finite frame fields at point \(1e-103, 0.0\)") as err:
+        geo.integrate_lift(surface, start, t_max=0.02, h=1e-2, method=method)
+    assert err.value.last_valid_t == 0.0
+    with pytest.raises(DomainError):
+        geo.lift_rhs(surface, start)
 
 
 def _count_lambda_runs(monkeypatch, surface):

@@ -2,7 +2,9 @@
 
 The files under ``tests/data/`` named ``geodesic_wong_*.csv``,
 ``surface_info_*.txt`` and ``lift_table_*.txt`` were written by this same CLI
-before the jet arithmetic was rewritten as generated straight-line kernels.
+before the jet arithmetic was rewritten as generated straight-line kernels;
+``verify_*.json`` (``verify --samples 20 --seed 3``) before the surfaces
+learned to remember their last queried point.
 Any change to the floating-point evaluation order of the jets, the geometry
 or the integrator shows up here as a byte difference.  Regenerate them only
 for an intended change of the output.
@@ -42,3 +44,11 @@ def test_point_query_matches_golden(command, name):
         assert run([*command, "--surface", name, "--at", POINTS[name]]) == 0
     golden = DATA / f"{command[0]}_{command[1]}_{name}.txt"
     assert buf.getvalue().encode() == golden.read_bytes()
+
+
+@pytest.mark.parametrize("name", sorted(POINTS))
+def test_verify_report_matches_golden(name):
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        assert run(["verify", "--surface", name, "--samples", "20", "--seed", "3"]) == 0
+    assert buf.getvalue().encode() == (DATA / f"verify_{name}.json").read_bytes()

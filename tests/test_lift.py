@@ -8,7 +8,9 @@ from pathlib import Path
 import pytest
 
 from wagnerlift import connection, lift
+from wagnerlift import surface as surface_module
 from wagnerlift.connection import sectional, solve_connection
+from wagnerlift.jets import DomainError
 from wagnerlift.lift import (
     SingularCurvature,
     bracket_structure,
@@ -433,3 +435,33 @@ def test_verify_report_curvature_summary():
     ).curvature_summary
     assert sphere_summary["sectional_12"]["min"] == pytest.approx(0.25, abs=1e-10)
     assert sphere_summary["sectional_12"]["max"] == pytest.approx(0.25, abs=1e-10)
+
+
+@pytest.mark.parametrize(
+    "route",
+    [lifted_frame, lifted_structure, bracket_structure, lifted_connection,
+     lifted_curvature_closed, lifted_curvature_oracle],
+)
+@pytest.mark.parametrize("x", [(1e-80, 0.5), (1e-60, 0.5)])
+def test_non_finite_geometry_raises_domain_error(route, x):
+    # log(x1) near x1 = 0: at 1e-80 a fourth derivative overflows and leaves
+    # the whole jet NaN; at 1e-60 K is finite but u1 and e1(u1) are not.
+    surface = ConformalSurface.from_config({"name": "log", "lambda": "log(x1)"})
+    with pytest.raises(DomainError, match=r"non-finite geometry at point"):
+        route(surface, x)
+
+
+def test_verify_evaluates_lambda_once_per_sampled_point(monkeypatch):
+    surface = catalog("bump")
+    runs = []
+    evaluate = surface_module.eval_jet
+
+    def counting(expr, point, order):
+        if expr is surface._lam_tape:
+            runs.append(order)
+        return evaluate(expr, point, order)
+
+    monkeypatch.setattr(surface_module, "eval_jet", counting)
+    verify_lift(surface, sample_count=7, seed=3, tol=1e-8)
+    # One order-4 evaluation is shared by the six routes that check a point.
+    assert runs == [4] * 7

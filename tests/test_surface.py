@@ -1,7 +1,9 @@
 """Surface geometry tests: structure functions, curvature, catalog, guards."""
 
+import dataclasses
 import math
 import random
+import struct
 
 import pytest
 
@@ -252,3 +254,73 @@ def test_lambda_domain_error_propagates():
     )
     with pytest.raises(DomainError):
         gauss_curvature(weird, (-1.0, 0.0))
+
+
+# -- the last-point memo of surface_jets ---------------------------------------------
+
+
+def _bits(p):
+    """Every coefficient of a ConformalJets record, packed bit for bit."""
+    values = []
+    for jet in (p.lam, p.em, p.c1, p.c2, p.K, p.e1K, p.e2K, p.u1, p.u2):
+        values += [] if jet is None else jet.coeffs
+    values += [] if p.ddlogK is None else [v for row in p.ddlogK for v in row]
+    return struct.pack(f"<{len(values)}d", *values)
+
+
+LINE = {"name": "line", "lambda": "x1"}
+
+
+def test_memo_keeps_the_sign_of_a_zero_coordinate():
+    surface = ConformalSurface.from_config(LINE)
+    assert math.copysign(1.0, surface_jets(surface, (-0.0, 0.0), 4).lam.value) == -1.0
+    after = surface_jets(surface, (0.0, 0.0), 4)
+    fresh = surface_jets(ConformalSurface.from_config(LINE), (0.0, 0.0), 4)
+    assert math.copysign(1.0, after.lam.value) == 1.0
+    assert _bits(after) == _bits(fresh)
+
+
+def test_memo_never_keeps_a_failing_point():
+    surface = ConformalSurface.from_config(
+        {"name": "log", "lambda": "log(x1)", "guard": "x1 + 2 > 0"}
+    )
+    good, outside, negative = (1.5, 0.2), (-3.0, 0.0), (-1.0, 0.0)
+    expected = _bits(surface_jets(surface, good, 4))
+    for _ in range(3):
+        with pytest.raises(ChartDomainError):
+            surface_jets(surface, outside, 4)
+        with pytest.raises(DomainError):
+            surface_jets(surface, negative, 4)
+    assert _bits(surface_jets(surface, good, 4)) == expected
+
+
+def test_memo_leaves_equality_hash_repr_and_replace_alone():
+    x = (0.3, -0.4)
+    queried, fresh = catalog("bump"), catalog("bump")
+    surface_jets(queried, x, 4)
+    assert queried == fresh
+    assert hash(queried) == hash(fresh)
+    assert repr(queried) == repr(fresh)
+    assert dataclasses.replace(queried) == fresh
+    steeper = dataclasses.replace(queried, lam=parse("2*x1^2 + x2^2"))
+    config = {"name": "bump", "lambda": "2*x1^2 + x2^2", "window": list(fresh.window)}
+    assert _bits(surface_jets(steeper, x, 4)) == _bits(
+        surface_jets(ConformalSurface.from_config(config), x, 4)
+    )
+
+
+def test_memo_keys_on_the_order():
+    surface, x = catalog("sphere"), (0.3, 0.2)
+    for order in (2, 4, 3, 4, 2):
+        p = surface_jets(surface, x, order)
+        assert p.lam.order == order
+        assert _bits(p) == _bits(surface_jets(catalog("sphere"), x, order))
+
+
+def test_memo_ignores_a_point_that_can_change():
+    surface, x = catalog("bump"), [0.3, -0.4]
+    surface_jets(surface, x, 4)
+    x[0] = 0.5
+    assert _bits(surface_jets(surface, x, 4)) == _bits(
+        surface_jets(catalog("bump"), (0.5, -0.4), 4)
+    )
