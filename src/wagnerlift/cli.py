@@ -12,7 +12,8 @@ Subcommands:
 
 ``--surface`` is a catalog name (sphere, halfplane, bump) or the path of a
 JSON config file with keys name, lambda, guard.  Exit codes: 0 success,
-1 failed verification, 2 argument or config errors (including a non-finite
+1 failed verification (a verify geodesic leaving the chart is a failed
+check), 2 argument or config errors (including a non-finite
 --t-max or --step, and a guard that holds nowhere in the sampling window),
 3 runtime evaluation errors (singular curvature, a chart-domain violation
 with the offending point printed to stderr, or a value leaving the real
@@ -271,42 +272,52 @@ def _geodesic_suite(surf: ConformalSurface, seed: int) -> dict:
     """Geodesic invariants at CLI-verify scale: conservation, speed,
     horizontality, the resolved coupling and rotation signs.  The geodesics
     start at the window centre, or at a sampled point where the guard fails
-    there."""
+    there.  A geodesic that leaves the chart ends the integrations with a
+    failing ``geodesic_left_chart`` check carrying its last valid time ``t``
+    and the offending ``point``."""
     (x1_lo, x1_hi), (x2_lo, x2_hi) = surf.window
     x0 = ((x1_lo + x1_hi) / 2.0, (x2_lo + x2_hi) / 2.0)
     rng = random.Random(seed)
     if not surf.contains(x0):
         x0 = sample_points(surf, 1, rng)[0]
-    checks = []
+    checks, left_chart = [], []
 
     s0 = geodesic.LiftState(x0[0], x0[1], 0.0, 0.6, 0.1 * rng.random(), 0.8)
-    trajectory = geodesic.integrate_lift(surf, s0, t_max=5.0, h=1e-3)
-    drift = trajectory.conservation_drift()
-    checks.append(
-        lift.CheckResult("conservation_Q3_over_K", drift, 1e-6, drift <= 1e-6)
-    )
-    speed = trajectory.speed_drift()
-    checks.append(lift.CheckResult("speed_conservation", speed, 1e-8, speed <= 1e-8))
+    try:
+        trajectory = geodesic.integrate_lift(surf, s0, t_max=5.0, h=1e-3)
+        drift = trajectory.conservation_drift()
+        checks.append(
+            lift.CheckResult("conservation_Q3_over_K", drift, 1e-6, drift <= 1e-6)
+        )
+        speed = trajectory.speed_drift()
+        checks.append(lift.CheckResult("speed_conservation", speed, 1e-8, speed <= 1e-8))
 
-    horizontal = geodesic.LiftState(x0[0], x0[1], 0.0, 1.0, 0.0, 0.0)
-    h_traj = geodesic.integrate_lift(surf, horizontal, t_max=2.0, h=1e-2)
-    q3_max = max(abs(s.state.Q3) for s in h_traj.samples)
-    checks.append(lift.CheckResult("horizontality_persistence", q3_max, 1e-12, q3_max <= 1e-12))
+        horizontal = geodesic.LiftState(x0[0], x0[1], 0.0, 1.0, 0.0, 0.0)
+        h_traj = geodesic.integrate_lift(surf, horizontal, t_max=2.0, h=1e-2)
+        q3_max = max(abs(s.state.Q3) for s in h_traj.samples)
+        checks.append(
+            lift.CheckResult("horizontality_persistence", q3_max, 1e-12, q3_max <= 1e-12)
+        )
 
-    residuals = geodesic.wong_residual(surf, geodesic.project(trajectory))
-    wong_max = max(r for r in residuals if r is not None)
-    tol = 1e-4
-    checks.append(lift.CheckResult("wong_equation_residual", wong_max, tol, wong_max <= tol))
+        residuals = geodesic.wong_residual(surf, geodesic.project(trajectory))
+        wong_max = max(r for r in residuals if r is not None)
+        tol = 1e-4
+        checks.append(lift.CheckResult("wong_equation_residual", wong_max, tol, wong_max <= tol))
+    except ChartDomainError as left:
+        left_chart = [{
+            "name": "geodesic_left_chart", "t": left.last_valid_t,
+            "point": list(left.point), "pass": False,
+        }]
 
     coupling_state = geodesic.LiftState(x0[0], x0[1], 0.0, 0.5, 0.4, 0.6)
     coupling = geodesic.coupling_sign_vs_reference(surf, coupling_state)
     return {
-        "checks": [c.to_dict() for c in checks],
+        "checks": [c.to_dict() for c in checks] + left_chart,
         "resolved_signs": {
             "geodesic_coupling_vs_reference": coupling,
             "wong_rotation": int(geodesic.WONG_ROTATION_SIGN),
         },
-        "pass": all(c.passed for c in checks),
+        "pass": not left_chart and all(c.passed for c in checks),
     }
 
 

@@ -18,25 +18,22 @@ Evaluation runs on a ``Tape``: the AST lowered once, with no jet arithmetic,
 to a straight line of jet operations (Taylor propagation along a tape,
 Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Registers 0 and 1
 hold the x1/x2 seed jets, then come one register per ``Literal``/``Const``
-leaf and one per operation in post-order.  The first run at an order executes
-every operation.  The second run does too, and then folds: it keeps the
-registers that do not depend on x1/x2, resolves each power whose exponent is
-such a register to the integer power or exp/log route ``_power`` would pick,
-and from then on only the operations that depend on x1/x2 are replayed.  A
-run that raises stores nothing.
+leaf and one per operation in post-order.  After ``COMPILE_AFTER``
+successful runs at an order, the tape compiles that order by source
+transformation (as Tapenade does; Hascoet & Pascual, ACM TOMS 39(3), 2013)
+into one function over float locals, which folds the registers that do not
+depend on x1/x2 (``_compile``).
 
 The results are bit-identical to evaluating the tree recursively: the tape
 applies the same jet operations to the same operands in the same order
-(post-order, left operand first), and a folded register holds exactly the jet
-that recursion would rebuild, since it does not depend on the point.  A
-constant operation either raises at every point, and then no run succeeds and
-nothing is folded, or at none, so every exception is the one recursion would
-raise, at the same operation.
+(post-order, left operand first), and the compiled function the same float
+operations, less those whose result it knows; a point where it cannot vouch
+for that reruns on the jets.  A constant operation either raises at every
+point, and then no run succeeds and nothing compiles, or at none.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 import operator
 import re
@@ -346,6 +343,11 @@ _SEED_TAILS = [
 _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operator.truediv}
 
 
+# Successful jet runs after which a tape compiles that order.  Compiling costs
+# 15 to 30 jet runs, so a tape queried at a few points never compiles.
+COMPILE_AFTER = 20
+
+
 class Tape:
     """An expression lowered once to a straight line of jet operations.
 
@@ -355,9 +357,10 @@ class Tape:
     when ``j`` is None.  Evaluate through ``eval_jet``.
     """
 
-    __slots__ = ("_leaves", "_ops", "_out", "_plans")
+    __slots__ = ("_expr", "_leaves", "_ops", "_out", "_runs", "_compiled")
 
     def __init__(self, expr: Expr):
+        self._expr = expr
         leaves: list[float] = []
         ops: list[tuple] = []
 
@@ -393,47 +396,182 @@ class Tape:
             (fn, register(i), register(j), first_op + k) for k, (fn, i, j) in enumerate(ops)
         )
         self._out = register(out)
-        # Per order: None (no run yet), True (one run), or the folded plan.
-        self._plans: list = [None] * (jets.MAX_ORDER + 1)
+        self._runs = [0] * (jets.MAX_ORDER + 1)
+        self._compiled: list = [None] * (jets.MAX_ORDER + 1)  # None: on the jets
+
+    def __reduce__(self):
+        # Generated functions do not pickle; a copy lowers and compiles afresh.
+        return Tape, (self._expr,)
 
     def _run(self, x1: float, x2: float, order: int) -> Jet:
-        plan = self._plans[order]
-        if plan is None or plan is True:
-            return self._run_all(x1, x2, order, plan)
-        r = plan[0].copy()
-        tail1, tail2 = _SEED_TAILS[order]
-        r[0] = jets._new(order, (x1, *tail1))
-        r[1] = jets._new(order, (x2, *tail2))
-        for fn, i, j, k in plan[1]:
-            r[k] = fn(r[i]) if j is None else fn(r[i], r[j])
-        return r[self._out]
+        compiled = self._compiled[order]
+        if compiled is not None:
+            try:
+                return jets._new(order, compiled(x1, x2))
+            except _FALLBACK:
+                return self._run_jets(x1, x2, order)
+        jet = self._run_jets(x1, x2, order)
+        self._runs[order] += 1
+        if self._runs[order] == COMPILE_AFTER:
+            self._compiled[order] = _compile(self, order)
+        return jet
 
-    def _run_all(self, x1: float, x2: float, order: int, ran_before: bool | None) -> Jet:
+    def _run_jets(self, x1: float, x2: float, order: int) -> Jet:
         r = [jets._new(order, (x, *tail)) for x, tail in zip((x1, x2), _SEED_TAILS[order])]
         r += [Jet.constant(v, order) for v in self._leaves]
         for fn, i, j, _ in self._ops:
             r.append(fn(r[i]) if j is None else fn(r[i], r[j]))
-        self._plans[order] = self._fold(r) if ran_before else True
         return r[self._out]
 
-    def _fold(self, r: list[Jet]) -> tuple[list, tuple]:
-        """Keep the registers that do not depend on x1/x2 and the operations
-        that do, resolving each power whose exponent is one of those registers."""
-        varying = [True, True] + [False] * (len(r) - 2)
-        ops = []
-        for fn, i, j, k in self._ops:
-            if not (varying[i] or (j is not None and varying[j])):
-                continue
-            varying[k] = True
-            if fn is _power and not varying[j]:
-                n = _integer_exponent(r[j])
-                if n is None:
-                    fn = _exp_log_power
+
+# A compiled tape raises these where the jets may differ; the point then
+# reruns on the jets, which give their own result or exception.
+_FALLBACK = (ArithmeticError, ValueError)
+_SLOTWISE = {operator.add: "+", operator.sub: "-"}
+
+
+def _compile(tape: Tape, order: int):
+    """``tape`` at ``order`` as one generated function ``(x1, x2) -> Taylor
+    tuple``, or None when an exponent depends on x1/x2 or an output is a
+    known NaN."""
+    src = _Source(order)
+    r = [[x, *tail] for x, tail in zip(("x1", "x2"), _SEED_TAILS[order])]
+    r += [[v] + [0.0] * (jets._SIZE[order] - 1) for v in tape._leaves]
+    names = {fn: name for name, fn in jets.FUNCTIONS.items()}
+    for fn, i, j, _ in tape._ops:
+        a, b = r[i], None if j is None else r[j]
+        if fn is _power:
+            if any(isinstance(s, str) for s in b):
+                return None
+            n = _integer_exponent(Jet(order, tuple(b)))
+            if n is None:
+                out = src.mul(b, src.compose(a, jets.DERIVS["log"]))
+                out = src.compose(out, jets.DERIVS["exp"])
+            else:
+                out = src.power(a, n)
+        elif fn is operator.neg:
+            out = [src.local(f"-{x}") if isinstance(x, str) else -x for x in a]
+        elif fn is operator.mul:
+            out = src.mul(a, b)
+        elif fn is operator.truediv:
+            out = src.mul(a, src.compose(b, jets.reciprocal_derivs))
+        elif fn in _SLOTWISE:
+            out = [src.op(x, _SLOTWISE[fn], y) for x, y in zip(a, b)]
+        elif fn in names:
+            out = src.compose(a, jets.DERIVS[names[fn]])
+        else:
+            return None
+        r.append(out)
+    return src.function(r[tape._out])
+
+
+class _Source:
+    """Straight-line float code for one tape at one order.
+
+    A slot is a float known at compile time or the name of a local.  The code
+    performs the jets' float operations in their order, less those whose
+    result is known: known operands fold; x*1.0, x*-1.0 (as -x), x + -0.0 and
+    x - 0.0 give x; and a product term with a +-0.0 factor is left out, which
+    changes no kernel sum (they start at +0.0) unless the other factor is not
+    finite.  So the function tests those factors and its outputs, and raises
+    ``FloatingPointError`` when one is not finite (v - v is then NaN).
+    """
+
+    def __init__(self, order: int):
+        self.order = order
+        # Per output slot, the (i, j) of its product terms in kernel order.
+        self.terms = [[] for _ in range(jets._SIZE[order])]
+        for i, j, k in jets._MUL_TABLE[order]:
+            self.terms[k].append((i, j))
+        self.lines: list[str] = []
+        self.names: dict = {}
+        self.tested: dict[str, None] = {}
+
+    def text(self, s) -> str:
+        if isinstance(s, str) or math.isfinite(s):
+            return s if isinstance(s, str) else repr(s)
+        self.names[f"c{len(self.names)}"] = s  # inf and nan have no literal
+        return f"c{len(self.names) - 1}"
+
+    def local(self, expr: str) -> str:
+        self.lines.append(f"v{len(self.lines)} = {expr}")
+        return f"v{len(self.lines) - 1}"
+
+    def op(self, a, sign: str, b):
+        if not isinstance(a, str) and not isinstance(b, str):
+            return a + b if sign == "+" else a - b if sign == "-" else a / b
+        if sign != "/" and not isinstance(b, str) and b == 0.0:
+            if (math.copysign(1.0, b) < 0.0) == (sign == "+"):
+                return a  # x + -0.0 and x - 0.0 are x
+        return self.local(f"{self.text(a)} {sign} {self.text(b)}")
+
+    def mul(self, a: list, b: list) -> list:
+        out = []
+        for pairs in self.terms:
+            acc, chain = 0.0, ""  # the known leading partial sum, then the rest
+            for i, j in pairs:
+                x, y = a[i], b[j]
+                if not (isinstance(x, str) or isinstance(y, str)):
+                    term = x * y
+                    if term != 0.0 and chain:  # a +-0.0 term changes no sum
+                        chain += f" + {self.text(term)}"
+                    elif term != 0.0:
+                        acc += term
+                    continue
+                if not isinstance(x, str):
+                    x, y = y, x
+                if isinstance(y, str):
+                    chain += f" + {x}*{y}"
+                elif y == 0.0:
+                    self.tested[x] = None
+                elif y == 1.0 or y == -1.0:
+                    chain += f" {'+' if y > 0.0 else '-'} {x}"
                 else:
-                    fn, j = functools.partial(jets.integer_power, n=n), None
-            ops.append((fn, i, j, k))
-        template = [None if v else jet for v, jet in zip(varying, r)]
-        return template, tuple(ops)
+                    chain += f" + {x}*{self.text(y)}"
+            out.append(self.local(self.text(acc) + chain) if chain else acc)
+        return out
+
+    def compose(self, f: list, derivs) -> list:
+        """``jets.compose`` of ``f`` with ``derivs(f[0], order)``."""
+        n = self.order
+        if isinstance(f[0], str):
+            d = [f"v{len(self.lines)}_{k}" for k in range(n + 1)]
+            self.names[derivs.__name__] = derivs
+            self.lines.append(f"{', '.join(d)}, = {derivs.__name__}({f[0]}, {n})")
+        else:
+            d = derivs(f[0], n)
+        taylor = d[:2] + [self.op(d[k], "/", jets._FACTORIALS[k]) for k in range(2, n + 1)]
+        p = [0.0, *f[1:]]
+        result = [self.op(taylor[n], "+", 0.0), *[0.0] * (len(f) - 1)]
+        for k in range(n - 1, -1, -1):
+            result = self.mul(result, p)
+            result[0] = self.op(result[0], "+", taylor[k])
+        return result
+
+    def power(self, f: list, n: int) -> list:
+        """``jets.integer_power`` of ``f``."""
+        if n == 0:
+            return [1.0] + [0.0] * (len(f) - 1)
+        if n < 0:
+            return self.compose(self.power(f, -n), jets.reciprocal_derivs)
+        result = f
+        for _ in range(n - 1):
+            result = self.mul(result, f)
+        return result
+
+    def function(self, out: list):
+        if any(s != s for s in out if not isinstance(s, str)):
+            return None  # the sign of a folded NaN depends on how it was computed
+        self.tested.update(dict.fromkeys(s for s in out if isinstance(s, str)))
+        tested = [f"({v} - {v})" for v in self.tested]
+        body = list(self.lines)
+        for i in range(0, len(tested), 64):  # short sums keep Python's compiler shallow
+            body.append("t = " + " + ".join(["t"] * (i > 0) + tested[i : i + 64]))
+        if tested:
+            body.append("if t != 0.0: raise FloatingPointError")
+        body.append(f"return ({', '.join(map(self.text, out))},)")
+        exec("def compiled(x1, x2):\n    " + "\n    ".join(body), self.names)
+        return self.names["compiled"]
 
 
 def eval_jet(expr: Expr | str | Tape, point: tuple[float, float], order: int) -> Jet:
@@ -466,12 +604,8 @@ def _integer_exponent(exponent: Jet) -> int | None:
     return None
 
 
-def _exp_log_power(base: Jet, exponent: Jet) -> Jet:
-    return jets.exp(exponent * jets.log(base))
-
-
 def _power(base: Jet, exponent: Jet) -> Jet:
     n = _integer_exponent(exponent)
     if n is None:
-        return _exp_log_power(base, exponent)
+        return jets.exp(exponent * jets.log(base))
     return jets.integer_power(base, n)

@@ -177,11 +177,13 @@ def base_rhs(
 ) -> tuple[float, float, float, float]:
     """Base geodesic flow, via the generic Koszul coefficients (independent of
     the closed-form lifted system)."""
-    p = surface_jets(surface, (b.x1, b.x2), 2)
-    c1, c2 = p.c1.value, p.c2.value
+    x = (b.x1, b.x2)
+    p = surface_jets(surface, x, 2)
+    em, c1, c2 = p.em.value, p.c1.value, p.c2.value
+    if (em - em) + (c1 - c1) + (c2 - c2) != 0.0:  # _checked's finiteness rule
+        raise DomainError(f"non-finite frame fields at point {x!r}")
     c_values = (((0.0, c1), (-c1, 0.0)), ((0.0, c2), (-c2, 0.0)))
     gamma = connection.koszul_values(c_values, 2)
-    em = p.em.value
     P = (b.P1, b.P2)
     dP = [
         -sum(gamma[k][i][j] * P[i] * P[j] for i in range(2) for j in range(2))

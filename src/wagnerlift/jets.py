@@ -21,7 +21,6 @@ the other slots would change no bit.
 
 from __future__ import annotations
 
-import functools
 import math
 from operator import add, mul, neg, sub
 
@@ -249,10 +248,13 @@ def compose(jet: Jet, derivs: list[float]) -> Jet:
     kernel = _MUL_KERNELS[n]
     taylor = [derivs[k] / _FACTORIALS[k] for k in range(n + 1)]
     p = (0.0,) + jet._t[1:]  # perturbation: f minus its value term
-    result = (taylor[n],) + (0.0,) * (_SIZE[n] - 1)
+    # Horner's rule from the zero jet: the leading term is added to +0.0, so
+    # the value is a +0.0 sum plus the Taylor term at every order, order 0
+    # included.  Kernel outputs are never -0.0, so adding 0.0 past slot 0
+    # would be a no-op.
+    result = (taylor[n] + 0.0,) + (0.0,) * (_SIZE[n] - 1)
     for k in range(n - 1, -1, -1):
         result = kernel(result, p)
-        # Kernel outputs are never -0.0, so adding 0.0 past slot 0 is a no-op.
         result = (result[0] + taylor[k],) + result[1:]
     return _new(n, result)
 
@@ -268,97 +270,73 @@ def integer_power(jet: Jet, n: int) -> Jet:
     return result
 
 
-def reciprocal(jet: Jet) -> Jet:
-    v = jet.value
+def reciprocal_derivs(v: float, n: int) -> list[float]:
     if v == 0.0:
         raise DomainError("division by a jet whose value term is zero")
     derivs = [1.0 / v]
-    for k in range(1, jet.order + 1):
+    for k in range(1, n + 1):
         derivs.append(-derivs[-1] * k / v)
-    return compose(jet, derivs)
+    return derivs
+
+
+def reciprocal(jet: Jet) -> Jet:
+    return compose(jet, reciprocal_derivs(jet.value, jet.order))
 
 
 # -- elementary functions ----------------------------------------------------
+#
+# Each function h is its derivative sequence ``derivs(v, n)`` = [h(v), h'(v),
+# ..., h^(n)(v)] composed with the argument jet.  Compiled tapes call the
+# same sequences, so both routes round alike.
 
 
-def _real(fn):
-    """Report a float overflow inside ``fn``, a division by a power that
-    underflowed to zero, or a math domain error such as the sine of an
-    infinite value, as leaving the real domain."""
-
-    @functools.wraps(fn)
-    def guarded(jet: Jet) -> Jet:
-        try:
-            return fn(jet)
-        except OverflowError:
-            raise DomainError(f"{fn.__name__} overflows at value {jet.value!r}") from None
-        except ZeroDivisionError:
-            raise DomainError(f"{fn.__name__} underflows at value {jet.value!r}") from None
-        except DomainError:
-            raise
-        except ValueError:
-            raise DomainError(f"{fn.__name__} is undefined at value {jet.value!r}") from None
-
-    return guarded
+def _exp(v: float, n: int) -> list[float]:
+    return [math.exp(v)] * (n + 1)
 
 
-@_real
-def exp(jet: Jet) -> Jet:
-    e = math.exp(jet.value)
-    return compose(jet, [e] * (jet.order + 1))
-
-
-@_real
-def log(jet: Jet) -> Jet:
-    v = jet.value
+def _log(v: float, n: int) -> list[float]:
     if v <= 0.0:
         raise DomainError(f"log of non-positive value {v!r}")
     derivs = [math.log(v)]
     sign = 1.0
-    for k in range(1, jet.order + 1):
+    for k in range(1, n + 1):
         derivs.append(sign * _FACTORIALS[k - 1] / v**k)
         sign = -sign
-    return compose(jet, derivs)
+    return derivs
 
 
-@_real
-def sqrt(jet: Jet) -> Jet:
-    v = jet.value
+def _sqrt(v: float, n: int) -> list[float]:
     if v <= 0.0:
         raise DomainError(f"sqrt of non-positive value {v!r}")
     s = math.sqrt(v)
     derivs = [s]
     factor = 1.0
-    for k in range(1, jet.order + 1):
+    for k in range(1, n + 1):
         factor *= 0.5 - (k - 1)
         derivs.append(factor * s / v**k)
-    return compose(jet, derivs)
+    return derivs
 
 
-@_real
-def sin(jet: Jet) -> Jet:
-    s, c = math.sin(jet.value), math.cos(jet.value)
+def _sin(v: float, n: int) -> list[float]:
+    s, c = math.sin(v), math.cos(v)
     cycle = [s, c, -s, -c]
-    return compose(jet, [cycle[k % 4] for k in range(jet.order + 1)])
+    return [cycle[k % 4] for k in range(n + 1)]
 
 
-@_real
-def cos(jet: Jet) -> Jet:
-    s, c = math.sin(jet.value), math.cos(jet.value)
+def _cos(v: float, n: int) -> list[float]:
+    s, c = math.sin(v), math.cos(v)
     cycle = [c, -s, -c, s]
-    return compose(jet, [cycle[k % 4] for k in range(jet.order + 1)])
+    return [cycle[k % 4] for k in range(n + 1)]
 
 
-@_real
-def sinh(jet: Jet) -> Jet:
-    s, c = math.sinh(jet.value), math.cosh(jet.value)
-    return compose(jet, [s if k % 2 == 0 else c for k in range(jet.order + 1)])
+def _sinh(v: float, n: int) -> list[float]:
+    s, c = math.sinh(v), math.cosh(v)
+    return [s if k % 2 == 0 else c for k in range(n + 1)]
 
 
-@_real
-def cosh(jet: Jet) -> Jet:
-    s, c = math.sinh(jet.value), math.cosh(jet.value)
-    return compose(jet, [c if k % 2 == 0 else s for k in range(jet.order + 1)])
+def _cosh(v: float, n: int) -> list[float]:
+    s, c = math.sinh(v), math.cosh(v)
+    return [c if k % 2 == 0 else s for k in range(n + 1)]
 
 
 def _poly_diff(p: list[float]) -> list[float]:
@@ -390,14 +368,12 @@ def _tangent_derivs(u: float, n: int, sign: float) -> list[float]:
     return derivs
 
 
-@_real
-def tan(jet: Jet) -> Jet:
-    return compose(jet, _tangent_derivs(math.tan(jet.value), jet.order, 1.0))
+def _tan(v: float, n: int) -> list[float]:
+    return _tangent_derivs(math.tan(v), n, 1.0)
 
 
-@_real
-def tanh(jet: Jet) -> Jet:
-    return compose(jet, _tangent_derivs(math.tanh(jet.value), jet.order, -1.0))
+def _tanh(v: float, n: int) -> list[float]:
+    return _tangent_derivs(math.tanh(v), n, -1.0)
 
 
 def _poly_sub(p: list[float], q: list[float]) -> list[float]:
@@ -407,32 +383,58 @@ def _poly_sub(p: list[float], q: list[float]) -> list[float]:
     return [a - b for a, b in zip(p, q)]
 
 
-@_real
-def atan(jet: Jet) -> Jet:
+def _atan(v: float, n: int) -> list[float]:
     # d^k atan = Q_k(x) / (1+x^2)^k with Q_1 = 1 and
     # Q_{k+1} = Q_k' (1+x^2) - 2k x Q_k.
-    v = jet.value
     derivs = [math.atan(v)]
     q = [1.0]
     w = 1.0 + v * v
-    for k in range(1, jet.order + 1):
+    for k in range(1, n + 1):
         derivs.append(_poly_eval(q, v) / w**k)
         q = _poly_sub(
             _poly_mul(_poly_diff(q) or [0.0], [1.0, 0.0, 1.0]),
             _poly_mul([0.0, 2.0 * k], q),
         )
-    return compose(jet, derivs)
+    return derivs
 
 
-FUNCTIONS = {
-    "sin": sin,
-    "cos": cos,
-    "tan": tan,
-    "exp": exp,
-    "log": log,
-    "sqrt": sqrt,
-    "sinh": sinh,
-    "cosh": cosh,
-    "tanh": tanh,
-    "atan": atan,
+DERIVS = {
+    "sin": _sin,
+    "cos": _cos,
+    "tan": _tan,
+    "exp": _exp,
+    "log": _log,
+    "sqrt": _sqrt,
+    "sinh": _sinh,
+    "cosh": _cosh,
+    "tanh": _tanh,
+    "atan": _atan,
 }
+
+
+def _elementary(name: str, derivs):
+    """``h(jet)`` for the h whose derivatives ``derivs`` gives.  A float
+    overflow, a division by a power that underflowed to zero, or a math domain
+    error such as the sine of an infinite value leaves the real domain."""
+
+    def fn(jet: Jet) -> Jet:
+        try:
+            return compose(jet, derivs(jet.value, jet.order))
+        except OverflowError:
+            raise DomainError(f"{name} overflows at value {jet.value!r}") from None
+        except ZeroDivisionError:
+            raise DomainError(f"{name} underflows at value {jet.value!r}") from None
+        except DomainError:
+            raise
+        except ValueError:
+            raise DomainError(f"{name} is undefined at value {jet.value!r}") from None
+
+    fn.__name__ = fn.__qualname__ = name
+    return fn
+
+
+FUNCTIONS = {name: _elementary(name, derivs) for name, derivs in DERIVS.items()}
+sin, cos, tan, exp, log, sqrt, sinh, cosh, tanh, atan = (
+    FUNCTIONS[name]
+    for name in ("sin", "cos", "tan", "exp", "log", "sqrt", "sinh", "cosh", "tanh", "atan")
+)

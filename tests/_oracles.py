@@ -172,15 +172,16 @@ def mul_reference(a: tuple, b: tuple, order: int) -> tuple:
 
 
 def compose_reference(jet: jets.Jet, derivs: list[float]) -> tuple:
-    """Taylor coefficients of h(f) by Horner's rule on whole jets: multiply by
-    the perturbation with ``mul_reference``, then add the constant jet of the
-    next Taylor term to every slot."""
+    """Taylor coefficients of h(f) by Horner's rule on whole jets, from the
+    zero jet: add the constant jet of the next Taylor term to every slot, then
+    multiply by the perturbation with ``mul_reference``."""
     n = jet.order
     taylor = [derivs[k] / jets._FACTORIALS[k] for k in range(n + 1)]
     p = (0.0,) + jet._t[1:]
-    result = jets.Jet.constant(taylor[n], n)._t
-    for k in range(n - 1, -1, -1):
-        result = mul_reference(result, p, n)
+    result = (0.0,) * len(jets.MONOMIALS[n])
+    for k in range(n, -1, -1):
+        if k < n:
+            result = mul_reference(result, p, n)
         constant = jets.Jet.constant(taylor[k], n)._t
         result = tuple(x + y for x, y in zip(result, constant))
     return result

@@ -344,6 +344,38 @@ def test_verify_starts_geodesics_inside_the_guard(tmp_path, capsys):
     assert report["geodesic"]["pass"] is True
 
 
+def test_verify_reports_a_geodesic_leaving_the_chart(tmp_path, capsys):
+    # At seed 3 the suite starts next to the hole and runs into it.
+    surface = _config_path(tmp_path, "annulus", "x1^2 + x2^2", "x1^2 + x2^2 - 0.25 > 0")
+    code = run(["verify", "--surface", surface, "--samples", "5", "--seed", "3"])
+    report = json.loads(capsys.readouterr().out)
+    assert code == 1
+    assert report["lift"]["pass"] is True
+    assert report["geodesic"]["checks"] == [
+        {
+            "name": "geodesic_left_chart",
+            "t": 0.074,
+            "point": [-0.49179516813780966, 0.09008933025936011],
+            "pass": False,
+        }
+    ]
+    assert report["geodesic"]["pass"] is False
+
+
+def test_base_geodesic_non_finite_frame_fields_exit_three(tmp_path, capsys):
+    # The order-2 jet of log(x1) at x1 = 1e-155 is all NaN.
+    surface = _config_path(tmp_path, "log", "log(x1)")
+    code = run(["base-geodesic", "--surface", surface, "--start", "1e-155,0.5",
+                "--velocity", "1,0", "--t-max", "0.002", "--step", "0.001"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: non-finite frame fields at point (1e-155, 0.5)",
+        "last valid t: 0.0",
+    ]
+
+
 @pytest.mark.parametrize(
     "lam, value",
     [("x1^(1e200*1e200)", "inf"), ("x1^(1e200*1e200 - 1e200*1e200)", "nan")],

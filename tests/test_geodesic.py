@@ -3,12 +3,14 @@
 import io
 import math
 import random
+from collections import Counter
 from dataclasses import replace
 
 import pytest
 
 from wagnerlift import geodesic as geo
 from wagnerlift import surface as surface_module
+from wagnerlift.expr import COMPILE_AFTER, Tape
 from wagnerlift.jets import DomainError
 from wagnerlift.lift import SingularCurvature, lifted_connection
 from wagnerlift.surface import ChartDomainError, ConformalSurface, catalog
@@ -279,6 +281,25 @@ def test_base_run_evaluates_no_final_sample(monkeypatch):
     runs = _count_lambda_runs(monkeypatch, SPHERE)
     geo.integrate_base(SPHERE, geo.BaseState(0.5, 0.0, 0.0, 1.0), t_max=0.1, h=1e-2)
     assert len(runs) == 4 * 10
+
+
+def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):
+    surface = catalog("sphere")  # a fresh tape, not yet compiled at any order
+    runs = []
+    run_jets = Tape._run_jets
+
+    def counting(tape, x1, x2, order):
+        if tape is surface._lam_tape:
+            runs.append(order)
+        return run_jets(tape, x1, x2, order)
+
+    monkeypatch.setattr(Tape, "_run_jets", counting)
+    start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.8)
+    trajectory = geo.integrate_lift(surface, start, t_max=1.0, h=1e-3)
+    assert len(trajectory.samples) == 1001
+    # 4000 order-3 runs, of which the first COMPILE_AFTER run on jets, and
+    # the final sample's single order-2 run.
+    assert Counter(runs) == {3: COMPILE_AFTER, 2: 1}
 
 
 # -- projection ---------------------------------------------------------------

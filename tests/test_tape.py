@@ -1,13 +1,16 @@
 """Expression tapes against the recursive AST interpreter, bit for bit.
 
-A tape runs every operation at its first two evaluations at an order, folds
-the point-independent registers at the second, and replays only the varying
-operations after that.  Each case here evaluates one tape at four points per
-order (the first run, the folding run and two replays) and compares the jet
-bits (``struct.pack``) or the exception type and message with
-``eval_jet_reference``.
+A tape runs every operation on the jet path until ``COMPILE_AFTER`` runs at
+an order have succeeded, and from then on calls the function it compiled for
+that order, which reruns a point on the jet path when it raises or meets a
+non-finite value.  The cases here compare the jet bits (``struct.pack``) or
+the exception type and message with ``eval_jet_reference``: on the jet path
+at four points per order, and on the compiled path after running each tape
+past the threshold.
 """
 
+import itertools
+import pickle
 import random
 import struct
 
@@ -122,44 +125,139 @@ def test_signed_zero_leaves_match_reference(node):
         _assert_matches_reference(node, PTS, order)
 
 
-def _folded_functions(tape: Tape, order: int) -> list:
-    _, ops = tape._plans[order]
-    return [fn for fn, *_ in ops]
+# -- the compiled path -------------------------------------------------------------
+
+WARM = [(0.3, -0.7), (1.5, 0.25), (-2.0, 1.0), (0.7, 1.3), (-0.4, -1.1), (2.5, 0.6)]
+# Tiny, huge, signed-zero and exp-overflowing coordinates.
+EXTREMES = [1e-155, -1e-155, 1e154, -1e154, 0.0, -0.0, 700.0, -700.0, 1e300]
 
 
-def test_fold_drops_constant_subtrees_and_resolves_powers():
+def _run_past_threshold(tape: Tape, order: int, points) -> bool:
+    """Evaluate until ``COMPILE_AFTER`` runs at ``order`` have succeeded, or
+    3 * ``COMPILE_AFTER`` have been tried; True when the tape compiled."""
+    for point in itertools.islice(itertools.cycle(points), 3 * ex.COMPILE_AFTER):
+        if tape._compiled[order] is not None:
+            break
+        try:
+            eval_jet(tape, point, order)
+        except jets.DomainError:
+            pass
+    return tape._compiled[order] is not None
+
+
+extreme_coordinate = st.one_of(coordinate, st.sampled_from(EXTREMES))
+extreme_points = st.lists(st.tuples(extreme_coordinate, extreme_coordinate), min_size=6, max_size=6)
+
+
+@settings(max_examples=150, deadline=None)
+@given(expression, extreme_points)
+def test_compiled_tape_matches_reference_at_every_order(node, pts):
+    for order in range(jets.MAX_ORDER + 1):
+        tape = Tape(node)
+        _run_past_threshold(tape, order, WARM + pts)
+        for point in pts + [(e, 0.5) for e in EXTREMES]:
+            expected = _outcome(lambda: eval_jet_reference(node, point, order))
+            assert _outcome(lambda: eval_jet(tape, point, order)) == expected, (point, order)
+
+
+@pytest.mark.parametrize(
+    "source",
+    [
+        "log(2) - log(1 + x1^2 + x2^2)",
+        "-log(x2)",
+        "x1^2 + x2^2",
+        "log(x1)",  # all NaN at order 3 for x1 = 1e-103
+        "exp(x1)*cos(x2)/tan(x1 + x2) - sqrt(x1^2 + 1)^-3",
+        "x1^0.5*atan(x2) + sinh(x1)*cosh(x2)*tanh(x1 - x2)",
+        "-(x1 - x2)",
+        # At x1 = 0 one Horner term overflows where no output does.
+        "log(1e-5 + 1e300*x1^2)",
+    ],
+)
+def test_a_point_keeps_its_bits_across_compilation(source):
+    for order in range(jets.MAX_ORDER + 1):
+        tape = Tape(parse(source))
+        points = [(0.3, 0.7), (1e-103, 0.5), (-0.0, 0.0), (1e300, 2.0)]
+        before = [_outcome(lambda: eval_jet(tape, point, order)) for point in points]
+        assert _run_past_threshold(tape, order, [*WARM[:2], (0.0, 0.3)]), order
+        after = [_outcome(lambda: eval_jet(tape, point, order)) for point in points]
+        assert after == before, order
+
+
+def test_a_folded_nan_output_keeps_the_tape_on_the_jets():
+    # Which sign a NaN made from two NaNs takes depends on the code that
+    # combined them, so a NaN folded at compile time could differ in sign.
+    node = parse("-(-3.9999999999999996/log(2.225073858507e-311))")
+    tape = Tape(node)
+    assert not _run_past_threshold(tape, 1, PTS)
+    expected = _outcome(lambda: eval_jet_reference(node, PTS[0], 1))
+    assert _outcome(lambda: eval_jet(tape, PTS[0], 1)) == expected
+
+
+def test_compiled_tape_evaluates_constant_subtrees_at_compile_time(monkeypatch):
     tape = Tape(parse("log(2) - log(1 + x1^2 + x2^2)"))
-    for point in PTS[:3]:
-        eval_jet(tape, point, 3)
-    functions = _folded_functions(tape, 3)
-    assert functions.count(jets.FUNCTIONS["log"]) == 1  # log(2) is folded
-    assert ex._power not in functions
-    assert [getattr(fn, "keywords", None) for fn in functions].count({"n": 2}) == 2
+    expected = _outcome(lambda: eval_jet(tape, PTS[1], 3))
+    log_runs = []
+    log_derivs = jets.DERIVS["log"]
+
+    def counting(v, n):
+        log_runs.append(v)
+        return log_derivs(v, n)
+
+    monkeypatch.setitem(jets.DERIVS, "log", counting)
+    assert _run_past_threshold(tape, 3, PTS[:1])
+    assert log_runs == [2.0]  # log(2), once, while compiling
+
+    def unexpected(*args):
+        raise AssertionError("the compiled tape called a jet power")
+
+    monkeypatch.setattr(jets, "integer_power", unexpected)
+    monkeypatch.setattr(ex, "_power", unexpected)
+    assert _outcome(lambda: eval_jet(tape, PTS[1], 3)) == expected
+    assert log_runs == [2.0, 1.0 + PTS[1][0] ** 2 + PTS[1][1] ** 2]
 
 
-def test_varying_exponent_keeps_the_runtime_power():
+def test_varying_exponent_keeps_the_runtime_power(monkeypatch):
     tape = Tape(parse("x1^(x2 - x2)"))
-    for point in PTS[:3]:
-        eval_jet(tape, point, 2)
-    assert ex._power in _folded_functions(tape, 2)
+    powers = []
+    integer_power = jets.integer_power
+
+    def counting(jet, n):
+        powers.append(n)
+        return integer_power(jet, n)
+
+    monkeypatch.setattr(jets, "integer_power", counting)
+    assert not _run_past_threshold(tape, 2, PTS[:3])
+    assert tape._runs[2] == 3 * ex.COMPILE_AFTER
+    assert powers == [0] * (3 * ex.COMPILE_AFTER)
 
 
-def test_failing_run_stores_nothing():
+def test_failing_constant_subtree_never_compiles():
     tape = Tape(parse("x1 + log(0 - 1)"))
-    for point in PTS:
+    for point in PTS * ex.COMPILE_AFTER:
         with pytest.raises(jets.DomainError, match="log of non-positive value -1.0"):
             eval_jet(tape, point, 1)
-    assert tape._plans[1] is None
+    assert tape._runs[1] == 0
+    assert tape._compiled[1] is None
 
 
-def test_fold_waits_for_the_second_run_at_each_order():
+def test_compilation_waits_for_the_threshold_run_at_each_order():
     tape = Tape(parse("x1*log(2)"))
-    eval_jet(tape, PTS[0], 2)
-    assert tape._plans[2] is True
-    assert tape._plans[3] is None
+    for _ in range(ex.COMPILE_AFTER - 1):
+        eval_jet(tape, PTS[0], 2)
+    assert tape._compiled[2] is None
     eval_jet(tape, PTS[1], 2)
-    assert isinstance(tape._plans[2], tuple)
-    assert tape._plans[3] is None
+    assert tape._compiled[2] is not None
+    assert tape._compiled[3] is None
+
+
+def test_compiled_tape_pickles_as_a_fresh_tape():
+    surface = ConformalSurface(name="sphere", lam=parse("log(2) - log(1 + x1^2 + x2^2)"))
+    assert _run_past_threshold(surface._lam_tape, 3, PTS[:2])
+    copy = pickle.loads(pickle.dumps(surface))
+    assert copy._lam_tape._compiled[3] is None
+    expected = _outcome(lambda: surface.lambda_jet(PTS[2], 3))
+    assert _outcome(lambda: copy.lambda_jet(PTS[2], 3)) == expected
 
 
 def test_eval_jet_accepts_text_ast_and_tape():
@@ -193,15 +291,9 @@ def test_coeffs_match_two_step_scaling(jet):
 def test_lower_order_jet_is_the_prefix_of_the_higher(seed, x1, x2):
     # The geodesic integrator reads the Q3/K monitor off the order-3 jet it
     # evaluates anyway; that gives the order-2 bits only because of this.
-    # At order 0 ``compose`` returns the Taylor term itself; at higher orders
-    # it adds it to a +0.0 slot sum, so a -0.0 value can come out as +0.0 and
-    # the order-0 value is pinned up to the sign of a zero.
     node = random_smooth_expr(random.Random(seed))
     tape, point = Tape(node), (x1, x2)
-    assert _bits([eval_jet(tape, point, 0).value + 0.0]) == _bits(
-        [eval_jet(tape, point, 1).value + 0.0]
-    )
-    for n in range(1, jets.MAX_ORDER):
+    for n in range(jets.MAX_ORDER):
         higher = eval_jet(tape, point, n + 1)
         assert _bits(eval_jet(tape, point, n)._t) == _bits(higher.truncate(n)._t), n
     surface = ConformalSurface(name="random", lam=node)
