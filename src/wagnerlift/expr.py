@@ -488,8 +488,10 @@ class _Source:
         self.tested: dict[str, None] = {}
 
     def text(self, s) -> str:
-        if isinstance(s, str) or math.isfinite(s):
-            return s if isinstance(s, str) else repr(s)
+        if isinstance(s, str):
+            return s
+        if math.isfinite(s):
+            return repr(s)
         self.names[f"c{len(self.names)}"] = s  # inf and nan have no literal
         return f"c{len(self.names) - 1}"
 
