@@ -13,18 +13,20 @@ Subcommands:
 ``--surface`` is a catalog name (sphere, halfplane, bump) or the path of a
 JSON config file with keys name, lambda, guard.  Exit codes: 0 success,
 1 failed verification (a verify geodesic leaving the chart is a failed
-check), 2 argument or config errors (including a non-finite
---t-max or --step, and a guard that holds nowhere in the sampling window),
-3 runtime evaluation errors (singular curvature, a chart-domain violation
-with the offending point printed to stderr, or a value leaving the real
-domain).  A geodesic that fails mid-flight also prints the time of its last
-valid sample.
+check), 2 argument or config errors (a non-finite number or --t-max /
+--step, a --tol <= 0, an --out that cannot be written, a guard that holds
+nowhere in the sampling window), 3 runtime evaluation errors (singular
+curvature, a chart-domain violation with the offending point printed to
+stderr, a value leaving the real domain or a non-finite value to write).  A
+geodesic that fails mid-flight also prints the time of its last valid sample;
+a failed run writes no output.
 """
 
 from __future__ import annotations
 
 import argparse
 import functools
+import io
 import json
 import math
 import random
@@ -63,9 +65,12 @@ def _floats(count: int, what: str):
                 f"{what} needs {count} comma-separated numbers, got {text!r}"
             )
         try:
-            return tuple(float(p) for p in parts)
+            values = tuple(float(p) for p in parts)
         except ValueError:
             raise argparse.ArgumentTypeError(f"bad number in {what}: {text!r}") from None
+        if not all(map(math.isfinite, values)):
+            raise argparse.ArgumentTypeError(f"{what} needs finite numbers, got {text!r}")
+        return values
 
     return parse
 
@@ -157,7 +162,7 @@ def _build_parser() -> argparse.ArgumentParser:
     verify.add_argument("--surface", required=True)
     verify.add_argument("--samples", type=int, default=100)
     verify.add_argument("--seed", type=int, default=0)
-    verify.add_argument("--tol", type=float, default=1e-8)
+    verify.add_argument("--tol", type=_positive("--tol"), default=1e-8)
     return parser
 
 
@@ -170,6 +175,8 @@ def _run_surface_info(ns) -> int:
     x = ns.at
     geom = gauss_curvature(surf, x)
     lam = surface_jets(surf, x, 4).lam.value  # the evaluation gauss_curvature made
+    if not math.isfinite(lam):
+        raise DomainError(f"non-finite lambda at point {x!r}")
     print(f"surface: {surf.name}")
     print(f"point: ({_num(x[0])}, {_num(x[1])})")
     print(f"lambda_expr: {format_expr(surf.lam)}")
@@ -229,41 +236,36 @@ def _run_lift_table(ns) -> int:
 
 
 def _write_trajectory(trajectory, ns) -> None:
+    """Format the whole output before writing any of it, so a failure writes nothing."""
+    stream = sys.stdout if ns.out is None else io.StringIO()
     if ns.format == "csv":
-        if ns.out is None:
-            geodesic.write_csv(trajectory, sys.stdout)
-        else:
-            with open(ns.out, "w", newline="") as stream:
-                geodesic.write_csv(trajectory, stream)
+        geodesic.write_csv(trajectory, stream)  # a single write
     else:
-        text = json.dumps(geodesic.to_json_dict(trajectory), indent=2)
-        if ns.out is None:
-            print(text)
-        else:
-            Path(ns.out).write_text(text + "\n")
+        stream.write(json.dumps(geodesic.to_json_dict(trajectory), indent=2) + "\n")
+    if ns.out is None:
+        return
+    try:
+        with open(ns.out, "w", newline="") as out:
+            out.write(stream.getvalue())
+    except OSError as err:
+        raise _UsageError(f"cannot write --out {ns.out!r}: {err.strerror or err}") from None
 
 
-def _run_geodesic(ns) -> int:
+def _run_geodesic(ns) -> int:  # also base-geodesic
+    if not math.isfinite(ns.t_max / ns.step):
+        raise _UsageError(f"--t-max / --step must be finite, got {ns.t_max!r} / {ns.step!r}")
     surf = _load_surface(ns.surface)
-    (x1, x2, phi), (q1, q2, q3) = ns.start, ns.velocity
-    state = geodesic.LiftState(x1=x1, x2=x2, phi=phi, Q1=q1, Q2=q2, Q3=q3)
-    trajectory = geodesic.integrate_lift(
-        surf, state, t_max=ns.t_max, h=ns.step, method=ns.method
-    )
-    if ns.wong:
+    if ns.command == "base-geodesic":
+        state = geodesic.BaseState(*ns.start, *ns.velocity)
+        trajectory = geodesic.integrate_base(surf, state, ns.t_max, ns.step, ns.method)
+    else:
+        state = geodesic.LiftState(*ns.start, *ns.velocity)
+        trajectory = geodesic.integrate_lift(surf, state, ns.t_max, ns.step, ns.method)
+    if getattr(ns, "wong", False):
+        if len(trajectory.t) < 3:
+            raise _UsageError("--wong needs a trajectory of at least 3 samples")
         residuals = geodesic.wong_residual(surf, geodesic.project(trajectory))
         trajectory = geodesic.with_wong(trajectory, residuals)
-    _write_trajectory(trajectory, ns)
-    return EXIT_OK
-
-
-def _run_base_geodesic(ns) -> int:
-    surf = _load_surface(ns.surface)
-    (x1, x2), (p1, p2) = ns.start, ns.velocity
-    state = geodesic.BaseState(x1=x1, x2=x2, P1=p1, P2=p2)
-    trajectory = geodesic.integrate_base(
-        surf, state, t_max=ns.t_max, h=ns.step, method=ns.method
-    )
     _write_trajectory(trajectory, ns)
     return EXIT_OK
 
@@ -294,7 +296,7 @@ def _geodesic_suite(surf: ConformalSurface, seed: int) -> dict:
 
         horizontal = geodesic.LiftState(x0[0], x0[1], 0.0, 1.0, 0.0, 0.0)
         h_traj = geodesic.integrate_lift(surf, horizontal, t_max=2.0, h=1e-2)
-        q3_max = max(abs(s.state.Q3) for s in h_traj.samples)
+        q3_max = max(abs(y[5]) for y in h_traj.states)
         checks.append(
             lift.CheckResult("horizontality_persistence", q3_max, 1e-12, q3_max <= 1e-12)
         )
@@ -347,7 +349,7 @@ def run(argv: list[str]) -> int:
         ("surface", "info"): _run_surface_info,
         ("lift", "table"): _run_lift_table,
         ("geodesic", None): _run_geodesic,
-        ("base-geodesic", None): _run_base_geodesic,
+        ("base-geodesic", None): _run_geodesic,
         ("verify", None): _run_verify,
     }
     handler = handlers[(ns.command, getattr(ns, "subcommand", None))]

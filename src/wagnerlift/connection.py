@@ -161,16 +161,16 @@ def koszul_jets(point: FramePoint) -> tuple:
 
 def koszul_values(c_values, dim: int):
     """Plain-number version of the Koszul coefficients."""
-    return tuple(
-        tuple(
-            tuple(
+    return tuple([
+        tuple([
+            tuple([
                 0.5 * (c_values[k][i][j] + c_values[j][k][i] + c_values[i][k][j])
                 for j in range(dim)
-            )
+            ])
             for i in range(dim)
-        )
+        ])
         for k in range(dim)
-    )
+    ])
 
 
 def _c_values(point: FramePoint) -> FloatTable3:

@@ -399,6 +399,11 @@ class Tape:
         self._runs = [0] * (jets.MAX_ORDER + 1)
         self._compiled: list = [None] * (jets.MAX_ORDER + 1)  # None: on the jets
 
+    @property
+    def compiled(self) -> list:
+        """Per order, the generated function or None (on the jets); live."""
+        return self._compiled
+
     def __reduce__(self):
         # Generated functions do not pickle; a copy lowers and compiles afresh.
         return Tape, (self._expr,)

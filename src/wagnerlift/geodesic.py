@@ -23,24 +23,24 @@ sampled data only: centered differences for the acceleration and the generic
 Koszul coefficients for the connection, independent of the integrator's
 right-hand side.
 
-Lambda is evaluated once per accepted lifted sample: its order-3 jet is stage
-1 of the next step (every rk45 retry reuses it) and gives the sample's frame
-fields, which the sample carries for ``wong_residual``, and its Q3/K monitor
--e^(-2 lambda) Lap(lambda).  The monitor keeps the bits of an order-2
-evaluation because the order-2 coefficients are a prefix of the order-3 ones;
-at the final sample, which has no next step, it is evaluated at order 2.
-Frame fields that are not finite (a third derivative that overflowed leaves
-the whole order-3 jet NaN) stop the run with a ``DomainError``.
+Lambda is evaluated once per RK stage (``_lift_stage``).  At an accepted
+sample, stage 1 (which every rk45 retry reuses) also gives the frame fields
+kept for ``wong_residual`` and the Q3/K monitor -e^(-2 lambda) Lap(lambda),
+which keeps the bits of an order-2 evaluation because the order-2
+coefficients are a prefix of the order-3 ones; the final sample, which has no
+next step, is evaluated at order 2.  Frame fields that are not finite (a
+third derivative that overflowed leaves the whole order-3 jet NaN) stop the
+run with a ``DomainError``.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
 from . import connection
+from .expr import _FALLBACK
 from .jets import DomainError
 from .lift import KAPPA_MIN, SingularCurvature
 from .surface import (
@@ -77,10 +77,6 @@ class LiftState:
     Q3: float
 
     @property
-    def point(self) -> Point:
-        return (self.x1, self.x2)
-
-    @property
     def speed(self) -> float:
         return math.sqrt(self.Q1**2 + self.Q2**2 + self.Q3**2)
 
@@ -93,10 +89,6 @@ class BaseState:
     x2: float
     P1: float
     P2: float
-
-    @property
-    def point(self) -> Point:
-        return (self.x1, self.x2)
 
     @property
     def speed(self) -> float:
@@ -117,25 +109,41 @@ class Sample:
 
 @dataclass
 class Trajectory:
+    """Samples as parallel columns.  ``states`` holds the integrator's tuples,
+    (x1, x2, phi, Q1, Q2, Q3) or (x1, x2, P1, P2) by ``kind``; the other
+    columns are ``Sample``'s fields, None where absent."""
+
     kind: str  # "lift" or "base"
     surface: str
     method: str
     step: float
-    samples: list[Sample] = field(default_factory=list)
+    t: list[float] = field(default_factory=list)
+    states: list[tuple] = field(default_factory=list)
+    speed: list[float] = field(default_factory=list)
+    q3_over_k: list[float | None] = field(default_factory=list)
+    wong: list[float | None] = field(default_factory=list)
+    fields: list[tuple | None] = field(default_factory=list, compare=False, repr=False)
+
+    @property
+    def samples(self) -> list[Sample]:
+        """The columns as ``Sample`` objects, built afresh on every access."""
+        state = LiftState if self.kind == "lift" else BaseState
+        rows = zip(self.t, self.states, self.speed, self.q3_over_k, self.wong, self.fields)
+        return [Sample(t, state(*y), *rest) for t, y, *rest in rows]
 
     @property
     def times(self) -> list[float]:
-        return [s.t for s in self.samples]
+        return self.t
 
     def conservation_drift(self) -> float:
         """max_t |Q3/K(t) - Q3/K(0)| over the recorded samples."""
-        values = [s.q3_over_k for s in self.samples if s.q3_over_k is not None]
+        values = [v for v in self.q3_over_k if v is not None]
         if not values:
             raise ValueError("trajectory carries no Q3/K monitor")
         return max(abs(v - values[0]) for v in values)
 
     def speed_drift(self) -> float:
-        return max(abs(s.speed - self.samples[0].speed) for s in self.samples)
+        return max(abs(v - self.speed[0]) for v in self.speed)
 
 
 # -- right-hand sides ---------------------------------------------------------------
@@ -156,12 +164,12 @@ def lift_rhs(
 ) -> tuple[float, float, float, float, float, float]:
     """Time derivative of a lifted state under the geodesic flow of g-hat."""
     x = (s.x1, s.x2)
-    return _lift_derivative(_checked(frame_fields(surface, x), x, kappa_min), s)
+    fields = _checked(frame_fields(surface, x), x, kappa_min)
+    return _lift_derivative(fields, s.Q1, s.Q2, s.Q3)
 
 
-def _lift_derivative(fields: tuple, s: LiftState) -> tuple:
+def _lift_derivative(fields: tuple, Q1: float, Q2: float, Q3: float) -> tuple:
     em, c1, c2, K, u1, u2 = fields
-    Q1, Q2, Q3 = s.Q1, s.Q2, s.Q3
     return (
         em * Q1,
         em * Q2,
@@ -170,6 +178,41 @@ def _lift_derivative(fields: tuple, s: LiftState) -> tuple:
         c1 * Q1 * Q1 + c2 * Q1 * Q2 - Q1 * Q3 - u2 * Q3 * Q3,
         u1 * Q1 * Q3 + u2 * Q2 * Q3,
     )
+
+
+def _lift_stage(surface: ConformalSurface, kappa_min: float) -> Callable:
+    """``lift_rhs`` on raw state tuples as ``stage(y, keep=None)``; ``keep``, at
+    stage 1 of an accepted sample, receives ``(partials, fields)``.  It calls
+    the compiled guard (order 0) and lambda (order 3) functions directly; a
+    point they do not vouch for (not compiled yet, guard <= 0.0, a fallback,
+    fields ``_checked`` rejects) reruns on the ``lambda_jet`` route, which
+    gives the same bits or the same exception."""
+    lam = surface._lam_tape.compiled
+    guard = surface._guard_tape and surface._guard_tape.compiled
+
+    def stage(y: tuple, keep: Callable | None = None) -> tuple:
+        x1, x2, _, Q1, Q2, Q3 = y
+        x = (x1, x2)
+        fields = None
+        p1, p2 = float(x1), float(x2)  # as eval_jet passes them
+        try:
+            if lam[3] and (not guard or guard[0] and guard[0](p1, p2)[0] > 0.0):
+                t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = lam[3](p1, p2)
+                # Jet.coeffs's products at order 3 (a scale of 1.0 is exact).
+                l = (t0, t1, t2, 2.0 * t3, t4, 2.0 * t5, 6.0 * t6, 2.0 * t7, 2.0 * t8, 6.0 * t9)
+                fields = _checked(frame_fields_from(l, x), x, kappa_min)
+        except (*_FALLBACK, SingularCurvature):
+            fields = None
+        if fields is None:
+            if keep is None:
+                return lift_rhs(surface, LiftState(*y), kappa_min)
+            l = surface.lambda_jet(x, 3).coeffs
+            fields = _checked(frame_fields_from(l, x), x, kappa_min)
+        if keep is not None:
+            keep((l, fields))
+        return _lift_derivative(fields, Q1, Q2, Q3)
+
+    return stage
 
 
 def base_rhs(
@@ -206,11 +249,11 @@ def _add_scaled(y: tuple, *terms: tuple[float, tuple]) -> tuple:
 def _rk4_step(f: Callable, y: tuple, h: float, k1: tuple) -> tuple:
     # Each stage adds its terms in _add_scaled's order, so the bits match it.
     h2, h3, h6 = h / 2.0, h / 3.0, h / 6.0
-    k2 = f(tuple(yi + h2 * a for yi, a in zip(y, k1)))
-    k3 = f(tuple(yi + h2 * b for yi, b in zip(y, k2)))
-    k4 = f(tuple(yi + h * c for yi, c in zip(y, k3)))
+    k2 = f(tuple([yi + h2 * a for yi, a in zip(y, k1)]))
+    k3 = f(tuple([yi + h2 * b for yi, b in zip(y, k2)]))
+    k4 = f(tuple([yi + h * c for yi, c in zip(y, k3)]))
     stages = zip(y, k1, k2, k3, k4)
-    return tuple(yi + h6 * a + h3 * b + h3 * c + h6 * d for yi, a, b, c, d in stages)
+    return tuple([yi + h6 * a + h3 * b + h3 * c + h6 * d for yi, a, b, c, d in stages])
 
 
 # Dormand-Prince 5(4) tableau.
@@ -235,17 +278,19 @@ def _integrate(
     method: str,
     atol: float,
     first: Callable,
-) -> list[tuple]:
-    """Samples (t, y, info) from (0, y0) to t_max.
+) -> tuple[list[float], list[tuple]]:
+    """Times and states of the samples from (0, y0) to t_max.
 
-    ``first(y)`` gives ``(f(y), info)`` at each accepted sample but the last,
-    once (rk45 retries reuse it); the last sample's info is None.  Evaluation
-    failures carry the last accepted time as ``last_valid_t``.
+    ``first(y)`` gives ``f(y)`` at each accepted sample but the last, once
+    (rk45 retries reuse it).  Evaluation failures carry the last accepted
+    time as ``last_valid_t``.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
     if t_max <= 0.0:
         raise ValueError("t_max must be positive")
+    if not math.isfinite(t_max / h):
+        raise ValueError("t_max / step must be finite")
     if method not in ("rk4", "rk45"):
         raise ValueError(f"unknown integration method {method!r}")
     samples: list[tuple] = []
@@ -261,8 +306,8 @@ def _integrate(
             if not exact:
                 steps = math.floor(ratio)
             for n in range(1, steps + 1 + (not exact)):
-                k1, info = first(y)
-                samples.append((t, y, info))
+                k1 = first(y)
+                samples.append((t, y))
                 whole = n <= steps
                 y = _rk4_step(f, y, h if whole else t_max - t, k1)
                 t = n * h if whole else t_max
@@ -273,8 +318,8 @@ def _integrate(
                 if h_try < _RK45_MIN_STEP:
                     raise StepFailure(f"adaptive step underflow at t={t!r}")
                 if k1 is None:
-                    k1, info = first(y)
-                    samples.append((t, y, info))
+                    k1 = first(y)
+                    samples.append((t, y))
                 h_step = min(h_try, t_max - t)
                 k = [k1]
                 for row in _DP_A[1:]:
@@ -292,8 +337,8 @@ def _integrate(
     except (SingularCurvature, ChartDomainError, DomainError) as failure:
         failure.last_valid_t = t
         raise
-    samples.append((t, y, None))
-    return samples
+    samples.append((t, y))
+    return tuple(map(list, zip(*samples)))  # times, states
 
 
 def integrate_lift(
@@ -312,30 +357,27 @@ def integrate_lift(
     (chart guard, |K| below ``kappa_min``) abort the run with the last valid
     time attached to the exception.
     """
-
-    def first(y: tuple) -> tuple:
-        s = LiftState(*y)
-        x = s.point
-        l = surface.lambda_jet(x, 3).coeffs
-        fields = _checked(frame_fields_from(l, x), x, kappa_min)
-        return _lift_derivative(fields, s), (l, fields)
-
-    def f(y: tuple) -> tuple:
-        return lift_rhs(surface, LiftState(*y), kappa_min)
-
+    stage = _lift_stage(surface, kappa_min)
+    kept: list[tuple] = []  # stage 1's (partials, fields) per sample but the last
     y0 = (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3)
-    raw = _integrate(f, y0, t_max, h, method, atol, first)
-    trajectory = Trajectory(kind="lift", surface=surface.name, method=method, step=h)
-    for t, y, info in raw:
-        state = LiftState(*y)
+    times, states = _integrate(stage, y0, t_max, h, method, atol, lambda y: stage(y, kept.append))
+    speed, monitor = [], []
+    for y, info in zip(states, kept + [None]):
+        x = (y[0], y[1])
         if info:
-            K = laplacian_curvature_from(info[0], state.point)
-        else:  # the final sample has no order-3 evaluation
-            K = conformal_laplacian_curvature(surface, state.point)
-        trajectory.samples.append(
-            Sample(t, state, state.speed, state.Q3 / K, fields=info and info[1])
-        )
-    return trajectory
+            K = laplacian_curvature_from(info[0], x)
+        else:  # the final sample has no order-3 evaluation, nor its K test
+            K = conformal_laplacian_curvature(surface, x)
+            if abs(K) < kappa_min:
+                raise SingularCurvature(x, K, kappa_min)
+        try:
+            speed.append(math.sqrt(y[3] ** 2 + y[4] ** 2 + y[5] ** 2))
+        except OverflowError:
+            speed.append(math.inf)
+        monitor.append(y[5] / K)
+    fields = [info[1] for info in kept] + [None]
+    wong = [None] * len(states)
+    return Trajectory("lift", surface.name, method, h, times, states, speed, monitor, wong, fields)
 
 
 def integrate_base(
@@ -352,12 +394,12 @@ def integrate_base(
         return base_rhs(surface, BaseState(*y))
 
     y0 = (b0.x1, b0.x2, b0.P1, b0.P2)
-    raw = _integrate(f, y0, t_max, h, method, atol, lambda y: (f(y), None))
-    trajectory = Trajectory(kind="base", surface=surface.name, method=method, step=h)
-    for t, y, _ in raw:
-        state = BaseState(*y)
-        trajectory.samples.append(Sample(t=t, state=state, speed=state.speed))
-    return trajectory
+    times, states = _integrate(f, y0, t_max, h, method, atol, f)
+    speed = [math.hypot(y[2], y[3]) for y in states]
+    n = len(states)
+    return Trajectory(
+        "base", surface.name, method, h, times, states, speed, [None] * n, [None] * n, [None] * n
+    )
 
 
 # -- projection and the Wong equation ------------------------------------------------
@@ -367,15 +409,14 @@ def project(trajectory: Trajectory) -> Trajectory:
     """Project a lifted trajectory to the base: drop (phi, Q3), keep P^a = Q^a.
 
     The conserved-ratio monitor is carried along; it is the constant C of the
-    projected equation of motion.  So are the frame fields.
+    projected equation of motion.  So are the times and the frame fields,
+    whose lists the projection shares.
     """
     if trajectory.kind != "lift":
         raise ValueError("only lifted trajectories can be projected")
-    samples = []
-    for s in trajectory.samples:
-        state = BaseState(x1=s.state.x1, x2=s.state.x2, P1=s.state.Q1, P2=s.state.Q2)
-        samples.append(Sample(s.t, state, state.speed, s.q3_over_k, fields=s.fields))
-    return replace(trajectory, kind="base", samples=samples)
+    states = [(x1, x2, Q1, Q2) for x1, x2, _, Q1, Q2, _ in trajectory.states]
+    speed = [math.hypot(P1, P2) for _, _, P1, P2 in states]
+    return replace(trajectory, kind="base", states=states, speed=speed, wong=[None] * len(states))
 
 
 def _three_point_derivative(t0, f0, t1, f1, t2, f2) -> float:
@@ -403,33 +444,27 @@ def wong_residual(
     conserved Q3/K monitor.  Frame fields carried by the samples are used
     when the trajectory's surface has this surface's name.
     """
-    samples = trajectory.samples
-    if len(samples) < 3:
+    t, states = trajectory.t, trajectory.states
+    if len(t) < 3:
         raise ValueError("trajectory too short for differencing (need >= 3 samples)")
     if C is None:
-        C = samples[0].q3_over_k
+        C = trajectory.q3_over_k[0]
         if C is None:
             raise ValueError("no Q3/K monitor on the trajectory; pass C explicitly")
 
-    carried = trajectory.surface == surface.name
-    residuals: list[float | None] = [None] * len(samples)
-    for m in range(1, len(samples) - 1):
-        before, here, after = samples[m - 1], samples[m], samples[m + 1]
-        x = (here.state.x1, here.state.x2)
-        fields = here.fields if carried and here.fields else frame_fields(surface, x)
-        em, c1, c2, K, u1, u2 = _checked(fields, x, kappa_min)
+    carried = trajectory.fields if trajectory.surface == surface.name else [None] * len(t)
+    residuals: list[float | None] = [None] * len(t)
+    for m in range(1, len(t) - 1):
+        (_, _, P1a, P2a), (x1, x2, P1, P2), (_, _, P1b, P2b) = states[m - 1 : m + 2]
+        x = (x1, x2)
+        em, c1, c2, K, u1, u2 = _checked(carried[m] or frame_fields(surface, x), x, kappa_min)
         c_values = (((0.0, c1), (-c1, 0.0)), ((0.0, c2), (-c2, 0.0)))
         gamma = connection.koszul_values(c_values, 2)
-        P = (here.state.P1, here.state.P2)
+        P, J = (P1, P2), (-P2, P1)
         dP = (
-            _three_point_derivative(
-                before.t, before.state.P1, here.t, here.state.P1, after.t, after.state.P1
-            ),
-            _three_point_derivative(
-                before.t, before.state.P2, here.t, here.state.P2, after.t, after.state.P2
-            ),
+            _three_point_derivative(t[m - 1], P1a, t[m], P1, t[m + 1], P1b),
+            _three_point_derivative(t[m - 1], P2a, t[m], P2, t[m + 1], P2b),
         )
-        J = (-P[1], P[0])
         grad = (u1 * K, u2 * K)  # (e1 K, e2 K)
         r = [
             dP[a]
@@ -443,11 +478,10 @@ def wong_residual(
 
 
 def with_wong(trajectory: Trajectory, residuals: list[float | None]) -> Trajectory:
-    """Copy of the trajectory with the residual series attached to its samples."""
-    if len(residuals) != len(trajectory.samples):
+    """Copy of the trajectory with the residual series as its ``wong`` column."""
+    if len(residuals) != len(trajectory.t):
         raise ValueError("residual series does not match the trajectory")
-    samples = [replace(s, wong=r) for s, r in zip(trajectory.samples, residuals)]
-    return replace(trajectory, samples=samples)
+    return replace(trajectory, wong=list(residuals))
 
 
 # -- serialization ---------------------------------------------------------------
@@ -470,29 +504,31 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-def _row(sample: Sample) -> list[str]:
-    s = sample.state
-    if isinstance(s, LiftState):
-        phi = math.remainder(s.phi, 2.0 * math.pi)  # reduced only on output
-        values = [sample.t, s.x1, s.x2, phi, s.Q1, s.Q2, s.Q3]
-    else:
-        values = [sample.t, s.x1, s.x2, None, s.P1, s.P2, None]
-    values += [sample.speed, sample.q3_over_k, sample.wong]
-    return [_fmt(v) for v in values]
+def _lines(trajectory: Trajectory):
+    """One CSV line per sample, 17 significant digits.  A value that is not
+    finite stops the output with a ``DomainError`` naming its sample."""
+    rows = zip(trajectory.t, trajectory.states, trajectory.speed, trajectory.q3_over_k)
+    for (t, y, speed, ratio), wong in zip(rows, trajectory.wong):
+        if trajectory.kind == "lift":
+            x1, x2, phi, Q1, Q2, Q3 = y
+            phi = math.remainder(phi, 2.0 * math.pi) if phi - phi == 0.0 else phi
+            line = f"{t:.17g},{x1:.17g},{x2:.17g},{phi:.17g},{Q1:.17g},{Q2:.17g},{Q3:.17g},"
+        else:
+            x1, x2, P1, P2 = y
+            line = f"{t:.17g},{x1:.17g},{x2:.17g},,{P1:.17g},{P2:.17g},,"
+        line += f"{speed:.17g},{_fmt(ratio)},{_fmt(wong)}\n"
+        if "n" in line:  # nan or inf
+            raise DomainError(f"non-finite value in the sample at t={t!r}, point {(x1, x2)!r}")
+        yield line
 
 
 def write_csv(trajectory: Trajectory, stream) -> None:
     """Write the trajectory with the fixed column layout, 17 significant digits."""
-    writer = csv.writer(stream, lineterminator="\n")
-    writer.writerow(CSV_COLUMNS)
-    for sample in trajectory.samples:
-        writer.writerow(_row(sample))
+    stream.write(",".join(CSV_COLUMNS) + "\n" + "".join(_lines(trajectory)))
 
 
 def to_json_dict(trajectory: Trajectory) -> dict:
-    rows = []
-    for sample in trajectory.samples:
-        rows.append([None if cell == "" else float(cell) for cell in _row(sample)])
+    rows = [[float(c) if c else None for c in line[:-1].split(",")] for line in _lines(trajectory)]
     return {
         "kind": trajectory.kind,
         "surface": trajectory.surface,

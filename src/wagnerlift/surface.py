@@ -129,10 +129,6 @@ class ConformalJets:
     u2: Jet | None = None
     ddlogK: tuple[tuple[float, float], tuple[float, float]] | None = None
 
-    def frame_derivative(self, axis: int, f: Jet) -> Jet:
-        """e_axis(f) = e^(-lambda) d_axis(f); drops the jet order by one."""
-        return self.em * jets.diff(f, axis)
-
 
 def conformal_pipeline(lam: Jet) -> ConformalJets:
     """Structure functions, curvature, and curvature derivatives from a lambda jet.

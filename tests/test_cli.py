@@ -481,3 +481,115 @@ def test_reused_parser_answers_like_a_fresh_process(monkeypatch, capsys):
     assert outcomes[2][1] != outcomes[3][1]  # the --wong column did not stick
     golden = Path(__file__).parent / "data" / "surface_info_sphere.txt"
     assert outcomes[-1][1].encode() == golden.read_bytes()
+
+
+_ONE_STEP = ["--velocity", "1,0,0", "--t-max", "0.01", "--step", "0.01"]
+
+
+@pytest.mark.parametrize("command", ["geodesic", "base-geodesic"])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_step_count_that_is_not_finite_exits_two(capsys, command, method):
+    start, velocity = ("0,0,0", "1,0,0") if command == "geodesic" else ("0,0", "1,0")
+    code = run([command, "--surface", "sphere", "--start", start, "--velocity", velocity,
+                "--t-max", "1e308", "--step", "1e-308", "--method", method])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--t-max / --step must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["geodesic", "--surface", "sphere", "--start=0,0,nan", *_ONE_STEP],
+        ["geodesic", "--surface", "sphere", "--start=0,0,0", "--velocity=1,inf,0",
+         "--t-max", "0.01", "--step", "0.01"],
+        ["base-geodesic", "--surface", "sphere", "--start=-inf,0", "--velocity=1,0",
+         "--t-max", "0.01", "--step", "0.01"],
+        ["surface", "info", "--surface", "sphere", "--at=nan,0"],
+        ["lift", "table", "--surface", "sphere", "--at=0,inf"],
+    ],
+)
+def test_non_finite_components_exit_two(argv, capsys):
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "needs finite numbers" in captured.err
+
+
+@pytest.mark.parametrize("tol", ["nan", "-1", "0", "inf"])
+def test_verify_tolerance_must_be_finite_positive(capsys, tol):
+    code = run(["verify", "--surface", "sphere", "--samples", "2", "--tol", tol])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert "--tol must be a finite positive number" in captured.err
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize("where", ["missing/x.csv", "."])
+def test_unwritable_out_exits_two(tmp_path, capsys, fmt, where):
+    code = run(["geodesic", "--surface", "sphere", "--start", "0,0,0", *_ONE_STEP,
+                "--format", fmt, "--out", str(tmp_path / where)])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: cannot write --out")
+    assert "Traceback" not in captured.err
+
+
+def test_failed_run_writes_no_out_file(tmp_path, capsys):
+    out = tmp_path / "x.csv"
+    code = run(["geodesic", "--surface", "halfplane", "--start", "0,-1,0", *_ONE_STEP,
+                "--out", str(out)])
+    capsys.readouterr()
+    assert code == 3
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_overflowed_speed_exits_three_and_writes_nothing(tmp_path, capsys, fmt):
+    # A fast fiber rotation: every state is finite, but |Q|^2 overflows.
+    out = tmp_path / "x.out"
+    code = run(["geodesic", "--surface", "halfplane", "--start", "0,1,0",
+                "--velocity", "0,0,1e200", "--t-max", "0.02", "--step", "0.01",
+                "--format", fmt, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.err == "error: non-finite value in the sample at t=0.0, point (0.0, 1.0)\n"
+    assert not out.exists()
+
+
+def test_overflowed_phi_exits_three(capsys):
+    code = run(["geodesic", "--surface", "halfplane", "--start", "0,1,1.7e308",
+                "--velocity", "0,0,-1", "--t-max", "1e308", "--step", "1e308"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "non-finite value in the sample at t=1e+308" in captured.err
+
+
+def test_surface_info_non_finite_lambda_exits_three(capsys):
+    code = run(["surface", "info", "--surface", "bump", "--at", "0,1e200"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert captured.err == "error: non-finite lambda at point (0.0, 1e+200)\n"
+
+
+def test_final_sample_with_vanishing_curvature_exits_three(capsys):
+    # No adaptive step fits below 1e-14, so the only sample is the final one.
+    code = run(["geodesic", "--surface", "sphere", "--start=0,120548256.0,0",
+                "--velocity=0,0,0", "--t-max=1e-308", "--step=0.01", "--method", "rk45"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "below the singularity threshold" in captured.err
+
+
+def test_wong_on_a_trajectory_too_short_exits_two(capsys):
+    code = run(["geodesic", "--surface", "sphere", "--start", "0,0,0", *_ONE_STEP, "--wong"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "--wong needs a trajectory of at least 3 samples" in captured.err

@@ -3,17 +3,24 @@
 import io
 import math
 import random
+import struct
 from collections import Counter
 from dataclasses import replace
 
 import pytest
 
+from wagnerlift import expr as expr_module
 from wagnerlift import geodesic as geo
-from wagnerlift import surface as surface_module
 from wagnerlift.expr import COMPILE_AFTER, Tape
 from wagnerlift.jets import DomainError
-from wagnerlift.lift import SingularCurvature, lifted_connection
-from wagnerlift.surface import ChartDomainError, ConformalSurface, catalog
+from wagnerlift.lift import KAPPA_MIN, SingularCurvature, lifted_connection
+from wagnerlift.surface import (
+    ChartDomainError,
+    ConformalSurface,
+    catalog,
+    frame_fields_from,
+    sample_points,
+)
 
 SPHERE = catalog("sphere")
 HALFPLANE = catalog("halfplane")
@@ -240,24 +247,41 @@ def test_non_finite_frame_fields_stop_the_run(method):
         geo.lift_rhs(surface, start)
 
 
-def _count_lambda_runs(monkeypatch, surface):
-    runs = []
-    evaluate = surface_module.eval_jet
+def _count_lambda_runs(monkeypatch, name):
+    """A fresh catalog surface and the orders of every evaluation of its lambda
+    tape, in call order, on the jets or on a compiled function.  A fresh tape
+    gets its compiled functions only through ``expr._compile``."""
+    surface = catalog(name)
+    tape, runs = surface._lam_tape, []
+    compile_, run_jets = expr_module._compile, Tape._run_jets
 
-    def counting(expr, point, order):
-        if expr is surface._lam_tape:
+    def counting_compile(t, order):
+        fn = compile_(t, order)
+        if t is not tape or fn is None:
+            return fn
+
+        def counted(x1, x2):
+            value = fn(x1, x2)  # a point that falls back counts on the jets
             runs.append(order)
-        return evaluate(expr, point, order)
+            return value
 
-    monkeypatch.setattr(surface_module, "eval_jet", counting)
-    return runs
+        return counted
+
+    def counting_jets(t, x1, x2, order):
+        if t is tape:
+            runs.append(order)
+        return run_jets(t, x1, x2, order)
+
+    monkeypatch.setattr(expr_module, "_compile", counting_compile)
+    monkeypatch.setattr(Tape, "_run_jets", counting_jets)
+    return surface, runs
 
 
 @pytest.mark.parametrize("surface", [SPHERE, HALFPLANE, BUMP])
 def test_rk4_wong_job_evaluates_lambda_once_per_stage(monkeypatch, surface):
     steps = 50
     start = geo.LiftState(0.3, 1.1, 0.0, 0.6, 0.0, 0.8)
-    runs = _count_lambda_runs(monkeypatch, surface)
+    surface, runs = _count_lambda_runs(monkeypatch, surface.name)
     trajectory = geo.integrate_lift(surface, start, t_max=steps * 1e-2, h=1e-2)
     geo.wong_residual(surface, geo.project(trajectory))
     # Stage 1 at each accepted sample also yields its monitor and Wong
@@ -267,9 +291,9 @@ def test_rk4_wong_job_evaluates_lambda_once_per_stage(monkeypatch, surface):
 
 def test_rk45_retries_reuse_the_first_stage(monkeypatch):
     start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.8)
-    runs = _count_lambda_runs(monkeypatch, SPHERE)
-    trajectory = geo.integrate_lift(SPHERE, start, t_max=1.0, h=1.0, method="rk45")
-    accepted = len(trajectory.samples) - 1
+    surface, runs = _count_lambda_runs(monkeypatch, "sphere")
+    trajectory = geo.integrate_lift(surface, start, t_max=1.0, h=1.0, method="rk45")
+    accepted = len(trajectory.t) - 1
     # Six runs per attempt besides stage 1, once per accepted sample, and
     # one for the final sample.
     attempts, rest = divmod(len(runs) - accepted - 1, 6)
@@ -278,9 +302,100 @@ def test_rk45_retries_reuse_the_first_stage(monkeypatch):
 
 
 def test_base_run_evaluates_no_final_sample(monkeypatch):
-    runs = _count_lambda_runs(monkeypatch, SPHERE)
-    geo.integrate_base(SPHERE, geo.BaseState(0.5, 0.0, 0.0, 1.0), t_max=0.1, h=1e-2)
+    surface, runs = _count_lambda_runs(monkeypatch, "sphere")
+    geo.integrate_base(surface, geo.BaseState(0.5, 0.0, 0.0, 1.0), t_max=0.1, h=1e-2)
     assert len(runs) == 4 * 10
+
+
+# -- the fused lifted stage ------------------------------------------------------------
+
+
+def _bits(value):
+    """``value`` with every float as its IEEE-754 bytes (-0.0 and NaN compare)."""
+    if isinstance(value, tuple):
+        return tuple(_bits(v) for v in value)
+    return struct.pack("<d", value) if isinstance(value, float) else value
+
+
+def _outcome(call):
+    try:
+        return "returned", _bits(call())
+    except Exception as err:  # the same type and message, or a mismatch
+        return type(err), str(err)
+
+
+def _stage_one_route(surface, y, kappa_min):
+    """Stage 1 of an accepted sample on the ``lambda_jet`` route."""
+    x = (y[0], y[1])
+    l = surface.lambda_jet(x, 3).coeffs
+    fields = geo._checked(frame_fields_from(l, x), x, kappa_min)
+    return geo._lift_derivative(fields, *y[3:]), (l, fields)
+
+
+def _assert_stage_matches(surface, states, kappa_min=KAPPA_MIN):
+    """The fused stage against ``lift_rhs`` (stages 2-4) and the stage-1 route."""
+    stage = geo._lift_stage(surface, kappa_min)
+    for y in states:
+        expected = _outcome(lambda: geo.lift_rhs(surface, geo.LiftState(*y), kappa_min))
+        assert _outcome(lambda: stage(y)) == expected, y
+        kept = []
+        first = _outcome(lambda: (stage(y, kept.append), *kept))
+        assert first == _outcome(lambda: _stage_one_route(surface, y, kappa_min)), y
+
+
+def _states(surface, count, seed):
+    rng = random.Random(seed)
+    states = []
+    for x1, x2 in sample_points(surface, count, rng):
+        q = [rng.uniform(-1.0, 1.0) for _ in range(3)]
+        states.append((x1, x2, rng.uniform(-3.0, 3.0), *q))
+    return states
+
+
+_GUARDED = {"name": "ring", "lambda": "0.3*x1^2 + 0.2*x2^2 + 0.1*x1*x2",
+            "guard": "1 - x1^2 - x2^2 > 0", "window": ((-0.7, 0.7), (-0.7, 0.7))}
+
+
+@pytest.mark.parametrize("config", ["sphere", "halfplane", "bump", _GUARDED], ids=str)
+def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, config):
+    surface = catalog(config) if isinstance(config, str) else ConformalSurface.from_config(config)
+    assert surface._lam_tape.compiled[3] is None
+    outside = [(0.3, -0.5, 0.0, 0.6, 0.1, 0.8), (0.9, 0.9, 1.0, 0.6, 0.1, 0.8)]
+    _assert_stage_matches(surface, _states(surface, 3 * COMPILE_AFTER, str(config)) + outside)
+    assert surface._lam_tape.compiled[3] is not None
+    # On the happy path a compiled stage never reaches the jet route.
+    run = Tape._run
+
+    def refuse(tape, *args):
+        assert tape not in (surface._lam_tape, surface._guard_tape), "a compiled point reran"
+        return run(tape, *args)
+
+    states = _states(surface, 5, "again")
+    monkeypatch.setattr(Tape, "_run", refuse)
+    stage = geo._lift_stage(surface, KAPPA_MIN)
+    for y in states:
+        stage(y)
+        stage(y, [].append)
+
+
+@pytest.mark.parametrize(
+    "lam, guard, point, kappa_min",
+    [
+        ("x1^2 + x2^2", "1 - x1^2 - x2^2 > 0", (0.8, 0.8), KAPPA_MIN),  # guard false
+        ("x1^2 + x2^2", "all", (0.1, 0.2), 10.0),  # |K| < kappa_min
+        ("x1^2 - x2^2", "all", (0.1, 0.2), KAPPA_MIN),  # Lap(lambda) = 0
+        ("log(x1)", "x1 > 0", (1e-103, 0.5), KAPPA_MIN),  # a NaN order-3 jet
+        ("-1000*x1^2", "all", (1.0, 0.0), KAPPA_MIN),  # exp overflows
+    ],
+)
+def test_fused_stage_reruns_each_fallback_on_the_jet_route(lam, guard, point, kappa_min):
+    surface = ConformalSurface.from_config({"name": "case", "lambda": lam, "guard": guard})
+    warm = [(0.1 + 0.01 * k, 0.3, 0.0, 0.6, 0.1, 0.8) for k in range(COMPILE_AFTER + 5)]
+    _assert_stage_matches(surface, warm, kappa_min)
+    assert surface._lam_tape.compiled[3] is not None
+    _assert_stage_matches(surface, [(*point, 0.0, 0.6, 0.1, 0.8)], kappa_min)
+    with pytest.raises((SingularCurvature, ChartDomainError, DomainError)):
+        geo._lift_stage(surface, kappa_min)((*point, 0.0, 0.6, 0.1, 0.8))
 
 
 def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):
@@ -397,8 +512,8 @@ def test_wong_opposite_rotation_sign_is_rejected_by_the_data():
 def test_wong_residual_from_carried_fields_matches_fresh_evaluation(method):
     start = geo.LiftState(0.3, 0.1, 0.0, 0.6, 0.0, 0.8)
     projected = geo.project(geo.integrate_lift(BUMP, start, t_max=0.5, h=1e-2, method=method))
-    assert all(s.fields is not None for s in projected.samples[:-1])
-    bare = replace(projected, samples=[replace(s, fields=None) for s in projected.samples])
+    assert all(fields is not None for fields in projected.fields[:-1])
+    bare = replace(projected, fields=[None] * len(projected.t))
     assert bare == projected  # the carried fields are outside ==
     assert geo.wong_residual(BUMP, projected) == geo.wong_residual(BUMP, bare)
     # A surface of another name never uses them.
@@ -488,3 +603,31 @@ def test_json_round_trip():
     assert data["kind"] == "lift"
     assert len(data["rows"]) == len(trajectory.samples)
     assert data["rows"][0][9] is None
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_integrate_rejects_a_step_count_that_is_not_finite(method):
+    start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.8)
+    with pytest.raises(ValueError, match="t_max / step must be finite"):
+        geo.integrate_lift(SPHERE, start, t_max=1e308, h=1e-308, method=method)
+    with pytest.raises(ValueError, match="t_max / step must be finite"):
+        geo.integrate_base(SPHERE, geo.BaseState(0.5, 0.0, 0.0, 1.0), t_max=1e308, h=1e-308)
+
+
+def test_samples_materialise_the_columns():
+    start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)
+    trajectory = geo.integrate_lift(SPHERE, start, t_max=0.05, h=1e-2)
+    samples = trajectory.samples
+    assert [s.t for s in samples] == trajectory.t
+    assert [s.state for s in samples] == [geo.LiftState(*y) for y in trajectory.states]
+    assert [s.speed for s in samples] == [s.state.speed for s in samples]
+    assert [s.q3_over_k for s in samples] == trajectory.q3_over_k
+    assert [s.fields for s in samples] == trajectory.fields
+    with pytest.raises(AttributeError):
+        trajectory.samples = samples  # read-only
+    projected = geo.project(trajectory)
+    assert projected.t is trajectory.t and projected.fields is trajectory.fields
+    assert [s.state for s in projected.samples] == [
+        geo.BaseState(s.state.x1, s.state.x2, s.state.Q1, s.state.Q2) for s in samples
+    ]
+    assert [s.speed for s in projected.samples] == [s.state.speed for s in projected.samples]
