@@ -202,7 +202,7 @@ def _lift_stage(surface: ConformalSurface, kappa_min: float) -> Callable:
                 l = (t0, t1, t2, 2.0 * t3, t4, 2.0 * t5, 6.0 * t6, 2.0 * t7, 2.0 * t8, 6.0 * t9)
                 fields = _checked(frame_fields_from(l, x), x, kappa_min)
         except (*_FALLBACK, SingularCurvature):
-            fields = None
+            pass  # fields stays None
         if fields is None:
             if keep is None:
                 return lift_rhs(surface, LiftState(*y), kappa_min)
