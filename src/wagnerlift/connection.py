@@ -1,17 +1,20 @@
 """Frame-based Levi-Civita calculus in dimension 2 or 3.
 
 Everything here works for an arbitrary orthonormal frame described only by its
-structure functions c^k_ij (as jets, so frame derivatives are exact) and a
-directional-derivative operator.  Conventions, used consistently everywhere:
+structure functions c^k_ij and a directional-derivative operator.  A
+``FramePoint`` carries the values of c and their first chart partials, read
+once from the jets of the base geometry, and ``d`` turns the chart partials of
+a scalar into its frame derivative e_a; frame derivatives are therefore exact,
+and the whole calculus runs on plain floats.  Conventions, used consistently
+everywhere:
 
     Gamma^k_ij = <nabla_{e_i} e_j, e_k> = (c^k_ij + c^j_ki + c^i_kj) / 2
     R(X, Y) Z  = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
     R[l][i][j][k] = <R(e_i, e_j) e_k, e_l>      (lowering is trivial here)
     sectional(i, j) = <R(e_i, e_j) e_j, e_i>
 
-This module doubles as the independent oracle for the closed-form lift
-formulas: ``solve_connection`` recovers Gamma from the metric-compatibility
-and torsion constraints alone, with no index formula involved.
+This module is the generic oracle for the closed-form lift formulas: the
+curvature comes from c and e_a alone, never from the closed forms.
 """
 
 from __future__ import annotations
@@ -19,10 +22,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
-from . import jets
-from .jets import Jet
 from .surface import ConformalSurface, Point, surface_jets
 
 FloatTable3 = tuple  # c[k][i][j]
@@ -31,11 +30,19 @@ FloatTable4 = tuple  # R[l][i][j][k]
 
 @dataclass(frozen=True)
 class FramePoint:
-    """Structure functions (jets) and frame-derivative operator at one point."""
+    """Structure functions, their chart partials and the frame-derivative
+    operator at one point."""
 
     dim: int
-    c: tuple  # c[k][i][j], jets; antisymmetric in (i, j)
-    d: Callable[[int, Jet], Jet]  # frame index (0-based), scalar jet -> e_i(jet)
+    c: FloatTable3  # c[k][i][j] values; antisymmetric in (i, j)
+    dc: tuple  # (d_1 c, d_2 c), each laid out like c
+    d: Callable[[int, float, float], float]  # frame index (0-based), d_1 f, d_2 f -> e_i(f)
+
+
+def first_partials(jet) -> tuple[float, float, float]:
+    """(value, d_1, d_2) of a jet of order >= 1.  These are slots 0-2 of
+    ``coeffs``, whose Taylor scale is 1, so they are the jet's own bits."""
+    return jet.coeffs[:3]
 
 
 @dataclass(frozen=True)
@@ -147,20 +154,10 @@ def sectional(table: CurvatureTable, i: int, j: int) -> float:
 # -- connection -----------------------------------------------------------------
 
 
-def koszul_jets(point: FramePoint) -> tuple:
-    """Connection coefficients as jets: Gamma^k_ij = (c^k_ij + c^j_ki + c^i_kj)/2."""
-    n, c = point.dim, point.c
-    return tuple(
-        tuple(
-            tuple(0.5 * (c[k][i][j] + c[j][k][i] + c[i][k][j]) for j in range(n))
-            for i in range(n)
-        )
-        for k in range(n)
-    )
-
-
 def koszul_values(c_values, dim: int):
-    """Plain-number version of the Koszul coefficients."""
+    """Koszul coefficients Gamma^k_ij = (c^k_ij + c^j_ki + c^i_kj)/2 of a
+    table of numbers; applied to the chart partials of c, it gives the chart
+    partials of Gamma."""
     return tuple([
         tuple([
             tuple([
@@ -173,55 +170,10 @@ def koszul_values(c_values, dim: int):
     ])
 
 
-def _c_values(point: FramePoint) -> FloatTable3:
-    """The values of the structure-function jets, c[k][i][j]."""
-    n = point.dim
-    return tuple(
-        tuple(tuple(point.c[k][i][j].value for j in range(n)) for i in range(n))
-        for k in range(n)
-    )
-
-
 def koszul(frame: FrameSampler, x: Point) -> ConnectionTable:
     """The unique metric-compatible torsion-free connection of the frame at ``x``."""
     n = frame.dim
-    return ConnectionTable(dim=n, gamma=koszul_values(_c_values(frame.at(x)), n))
-
-
-def solve_connection(c_values, dim: int) -> ConnectionTable:
-    """Brute-force oracle: solve the linear system
-
-        Gamma^k_ij + Gamma^j_ik = 0        (metric compatibility)
-        Gamma^k_ij - Gamma^k_ji = c^k_ij   (torsion-freeness)
-
-    in the dim^3 unknowns by least squares.  Independent of any index formula.
-    """
-    n = dim
-    m = n * n * n
-
-    def unknown(k, i, j):
-        return (k * n + i) * n + j
-
-    rows, rhs = [], []
-    for i in range(n):
-        for j in range(n):
-            for k in range(n):
-                row = [0.0] * m
-                row[unknown(k, i, j)] += 1.0
-                row[unknown(j, i, k)] += 1.0
-                rows.append(row)
-                rhs.append(0.0)
-                row = [0.0] * m
-                row[unknown(k, i, j)] += 1.0
-                row[unknown(k, j, i)] -= 1.0
-                rows.append(row)
-                rhs.append(c_values[k][i][j])
-    solution, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
-    gamma = tuple(
-        tuple(tuple(float(solution[unknown(k, i, j)]) for j in range(n)) for i in range(n))
-        for k in range(n)
-    )
-    return ConnectionTable(dim=n, gamma=gamma)
+    return ConnectionTable(dim=n, gamma=koszul_values(frame.at(x).c, n))
 
 
 # -- curvature -----------------------------------------------------------------
@@ -234,17 +186,17 @@ def curvature(frame: FrameSampler, x: Point) -> CurvatureTable:
               + Gamma^l_is Gamma^s_jk - Gamma^l_js Gamma^s_ik
               - c^s_ij Gamma^l_sk
 
-    with e_i Gamma supplied exactly by the jet pipeline.
+    with e_i Gamma = d(i, d_1 Gamma, d_2 Gamma), from the chart partials of
+    Gamma that the Koszul formula gives on the chart partials of c.
     """
     point = frame.at(x)
-    n = frame.dim
-    gamma_jets = koszul_jets(point)
-    gamma = [[[gamma_jets[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
+    n, c, d = frame.dim, point.c, point.d
+    gamma = koszul_values(c, n)
+    g1, g2 = (koszul_values(dc, n) for dc in point.dc)
     dgamma = [
-        [[[point.d(a, gamma_jets[l][j][k]).value for k in range(n)] for j in range(n)] for l in range(n)]
+        [[[d(a, g1[l][j][k], g2[l][j][k]) for k in range(n)] for j in range(n)] for l in range(n)]
         for a in range(n)
     ]
-    c = _c_values(point)
 
     R = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for l in range(n):
@@ -272,35 +224,17 @@ def base_frame_sampler(surface: ConformalSurface, order: int = 4) -> FrameSample
 
     def at(x: Point) -> FramePoint:
         p = surface_jets(surface, x, order)
-        zero = Jet.constant(0.0, p.c1.order)
-        c = (
-            ((zero, p.c1), (-p.c1, zero)),
-            ((zero, p.c2), (-p.c2, zero)),
+        em = p.em.value
+        c1, c2 = first_partials(p.c1), first_partials(p.c2)
+        c, d1c, d2c = (
+            (((0.0, c1[s]), (-c1[s], 0.0)), ((0.0, c2[s]), (-c2[s], 0.0))) for s in range(3)
         )
 
-        def d(i: int, f: Jet) -> Jet:
-            return p.em * jets.diff(f, i + 1)
+        def d(i: int, f1: float, f2: float) -> float:
+            # 0.0 + em*f is slot 0 of the jet product em * d_i(f): the sum
+            # starts at +0.0, so a -0.0 product comes out as +0.0.
+            return 0.0 + em * (f2 if i else f1)
 
-        return FramePoint(dim=2, c=c, d=d)
+        return FramePoint(dim=2, c=c, dc=(d1c, d2c), d=d)
 
     return FrameSampler(dim=2, at=at)
-
-
-def constant_frame_sampler(c_values, dim: int, order: int = 2) -> FrameSampler:
-    """Frame with constant structure functions (e.g. a left-invariant frame)."""
-
-    def at(_: Point) -> FramePoint:
-        c = tuple(
-            tuple(
-                tuple(Jet.constant(c_values[k][i][j], order) for j in range(dim))
-                for i in range(dim)
-            )
-            for k in range(dim)
-        )
-
-        def d(_i: int, f: Jet) -> Jet:
-            return Jet.constant(0.0, max(f.order - 1, 0))
-
-        return FramePoint(dim=dim, c=c, d=d)
-
-    return FrameSampler(dim=dim, at=at)

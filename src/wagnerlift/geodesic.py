@@ -312,10 +312,12 @@ def _integrate(
                 y = _rk4_step(f, y, h if whole else t_max - t, k1)
                 t = n * h if whole else t_max
         else:
+            # The first step always runs and may be as short as t_max itself,
+            # so a t_max below the end slack or the step floor is honoured.
             k1 = None
             h_try = min(h, t_max)
-            while t < t_max - 1e-14:
-                if h_try < _RK45_MIN_STEP:
+            while t == 0.0 or t < t_max - 1e-14:
+                if h_try < min(_RK45_MIN_STEP, t_max):
                     raise StepFailure(f"adaptive step underflow at t={t!r}")
                 if k1 is None:
                     k1 = first(y)

@@ -34,9 +34,15 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import connection, jets
-from .connection import ConnectionTable, CurvatureTable, FramePoint, FrameSampler
-from .jets import DomainError, Jet
+from . import connection
+from .connection import (
+    ConnectionTable,
+    CurvatureTable,
+    FramePoint,
+    FrameSampler,
+    first_partials,
+)
+from .jets import DomainError
 from .surface import (
     BaseGeometry,
     ConformalJets,
@@ -117,18 +123,20 @@ def lifted_frame(
     )
 
 
-def _coefficient_jets(p: ConformalJets) -> tuple:
-    """Frame coefficient fields as jets, rows E1, E2, E3, columns (d1, d2, d_phi)."""
-    zero = Jet.constant(0.0, p.em.order)
+def _coefficient_rows(p: ConformalJets) -> tuple:
+    """Frame coefficient fields as (value, d_1, d_2) partials, rows E1, E2, E3,
+    columns (d1, d2, d_phi)."""
+    em, zero = first_partials(p.em), (0.0, 0.0, 0.0)
+    (c1, c11, c12), (c2, c21, c22) = first_partials(p.c1), first_partials(p.c2)
     return (
-        (p.em, zero, -p.c1),
-        (zero, p.em, -p.c2),
-        (zero, zero, p.K),
+        (em, zero, (-c1, -c11, -c12)),
+        (zero, em, (-c2, -c21, -c22)),
+        (zero, zero, first_partials(p.K)),
     )
 
 
 def _bracket_components(rows: tuple, i: int, j: int) -> list[float]:
-    """Chart components of [E_i, E_j] from the coefficient jets.
+    """Chart components of [E_i, E_j] from the coefficient partials.
 
     The coefficients are phi-independent, so only d_1 and d_2 act.
     """
@@ -136,8 +144,8 @@ def _bracket_components(rows: tuple, i: int, j: int) -> list[float]:
     for mu in range(3):
         total = 0.0
         for nu in range(2):
-            total += rows[i][nu].value * jets.diff(rows[j][mu], nu + 1).value
-            total -= rows[j][nu].value * jets.diff(rows[i][mu], nu + 1).value
+            total += rows[i][nu][0] * rows[j][mu][nu + 1]
+            total -= rows[j][nu][0] * rows[i][mu][nu + 1]
         out.append(total)
     return out
 
@@ -149,13 +157,13 @@ def nonholonomity(surface: ConformalSurface, x: Point) -> float:
     subtracting their horizontal part, not by citing the curvature.
     """
     p = surface_jets(surface, x, 4)
-    rows = _coefficient_jets(p)
+    rows = _coefficient_rows(p)
     bracket = _bracket_components(rows, 0, 1)
     em = p.em.value
     # dpi[E1, E2] = a1 e1 + a2 e2 fixes the horizontal part of the expansion.
     a1 = bracket[0] / em
     a2 = bracket[1] / em
-    return bracket[2] - (a1 * rows[0][2].value + a2 * rows[1][2].value)
+    return bracket[2] - (a1 * rows[0][2][0] + a2 * rows[1][2][0])
 
 
 # -- lifted structure functions ----------------------------------------------------
@@ -222,9 +230,9 @@ def bracket_structure(
     coefficient fields and re-expand in the lifted frame (3x3 linear solve).
     Returns the full table chat[k][i][j]."""
     p = _checked_jets(surface, x, kappa_min)
-    rows = _coefficient_jets(p)
+    rows = _coefficient_rows(p)
     frame_matrix = np.array(
-        [[rows[k][mu].value for k in range(3)] for mu in range(3)]
+        [[rows[k][mu][0] for k in range(3)] for mu in range(3)]
     )
     table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
@@ -240,6 +248,17 @@ def bracket_structure(
 # -- lifted connection ----------------------------------------------------------
 
 
+def _lifted_table(c1: float, c2: float, c312: float, u1: float, u2: float) -> tuple:
+    """chat[k][i][j] from one slot (value or a chart partial) of c112, c212,
+    chat^3_12, u1 and u2; the other entries are zero."""
+    z = 0.0
+    return (
+        ((z, c1, z), (-c1, z, z), (z, z, z)),
+        ((z, c2, z), (-c2, z, z), (z, z, z)),
+        ((z, c312, u1), (-c312, z, u2), (-u1, -u2, z)),
+    )
+
+
 def lift_frame_sampler(
     surface: ConformalSurface, kappa_min: float = KAPPA_MIN
 ) -> FrameSampler:
@@ -251,36 +270,20 @@ def lift_frame_sampler(
 
     def at(x: Point) -> FramePoint:
         p = _checked_jets(surface, x, kappa_min)
-        order = p.c1.order
-        zero = Jet.constant(0.0, order)
-        minus_one = Jet.constant(-1.0, order)
+        em = p.em.value
+        c1, c2 = first_partials(p.c1), first_partials(p.c2)
+        u1, u2 = first_partials(p.u1), first_partials(p.u2)
+        # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
+        c = _lifted_table(c1[0], c2[0], -1.0, u1[0], u2[0])
+        dc = tuple(_lifted_table(c1[s], c2[s], 0.0, u1[s], u2[s]) for s in (1, 2))
 
-        def entry(k: int, i: int, j: int) -> Jet:
-            if (i, j) == (0, 1):
-                return (p.c1, p.c2, minus_one)[k]
-            if (i, j) == (1, 0):
-                return (-p.c1, -p.c2, -minus_one)[k]
-            if k == 2 and (i, j) == (0, 2):
-                return p.u1
-            if k == 2 and (i, j) == (2, 0):
-                return -p.u1
-            if k == 2 and (i, j) == (1, 2):
-                return p.u2
-            if k == 2 and (i, j) == (2, 1):
-                return -p.u2
-            return zero
-
-        c = tuple(
-            tuple(tuple(entry(k, i, j) for j in range(3)) for i in range(3))
-            for k in range(3)
-        )
-
-        def d(i: int, f: Jet) -> Jet:
+        def d(i: int, f1: float, f2: float) -> float:
             if i == 2:
-                return Jet.constant(0.0, max(f.order - 1, 0))
-            return p.em * jets.diff(f, i + 1)
+                return 0.0
+            # Slot 0 of the jet product em * d_i(f), +0.0 sum start included.
+            return 0.0 + em * (f2 if i else f1)
 
-        return FramePoint(dim=3, c=c, d=d)
+        return FramePoint(dim=3, c=c, dc=dc, d=d)
 
     return FrameSampler(dim=3, at=at)
 

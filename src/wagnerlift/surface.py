@@ -197,14 +197,6 @@ def surface_jets(surface: ConformalSurface, x: Point, order: int = 4) -> Conform
     return p
 
 
-def structure_functions(surface: ConformalSurface, x: Point) -> tuple[float, float]:
-    """(c^1_12, c^2_12) of the conformal orthonormal frame at ``x``."""
-    surface.require(x)
-    lam = eval_jet(surface._lam_tape, x, 1)
-    em = jets.exp(-lam).value
-    return (em * lam.deriv(0, 1), -em * lam.deriv(1, 0))
-
-
 def geometry_from_jets(p: ConformalJets) -> BaseGeometry:
     return BaseGeometry(
         c112=p.c1.value,

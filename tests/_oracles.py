@@ -4,18 +4,27 @@ The finite-difference oracle evaluates expressions with mpmath at high
 precision, so central differences of 3rd/4th derivatives are limited by
 truncation only, never by float cancellation.  The jet references are the
 plain loops and the recursive AST interpreter that the library's kernels and
-tapes replace, kept here to pin those bit for bit.
+tapes replace, and the frame calculus and bracket oracle as they ran on whole
+jets before they ran on first partials, kept here to pin those bit for bit.
+The linear-system connection and the constant frames are oracles that only
+the tests need.
 """
 
 from __future__ import annotations
 
 import math
 import random
+from dataclasses import dataclass
+from typing import Callable
 
 import mpmath as mp
+import numpy as np
 
+from wagnerlift import connection
 from wagnerlift import expr as ex
 from wagnerlift import jets
+from wagnerlift import lift
+from wagnerlift.surface import surface_jets
 
 mp.mp.dps = 40
 
@@ -239,3 +248,227 @@ def _power(base: jets.Jet, exponent: jets.Jet) -> jets.Jet:
         if v == n and abs(n) <= 8:
             return jets.integer_power(base, int(n))
     return jets.exp(exponent * jets.log(base))
+
+
+# -- frame calculus on jets ------------------------------------------------------
+
+
+def structure_functions(surface, x) -> tuple[float, float]:
+    """(c^1_12, c^2_12) of the conformal orthonormal frame at ``x``, from an
+    order-1 lambda jet: a third route besides the order-4 pipeline and the
+    Lie bracket."""
+    surface.require(x)
+    lam = ex.eval_jet(surface._lam_tape, x, 1)
+    em = jets.exp(-lam).value
+    return (em * lam.deriv(0, 1), -em * lam.deriv(1, 0))
+
+
+def solve_connection(c_values, dim: int) -> connection.ConnectionTable:
+    """Brute-force oracle: solve the linear system
+
+        Gamma^k_ij + Gamma^j_ik = 0        (metric compatibility)
+        Gamma^k_ij - Gamma^k_ji = c^k_ij   (torsion-freeness)
+
+    in the dim^3 unknowns by least squares.  Independent of any index formula.
+    """
+    n = dim
+    m = n * n * n
+
+    def unknown(k, i, j):
+        return (k * n + i) * n + j
+
+    rows, rhs = [], []
+    for i in range(n):
+        for j in range(n):
+            for k in range(n):
+                row = [0.0] * m
+                row[unknown(k, i, j)] += 1.0
+                row[unknown(j, i, k)] += 1.0
+                rows.append(row)
+                rhs.append(0.0)
+                row = [0.0] * m
+                row[unknown(k, i, j)] += 1.0
+                row[unknown(k, j, i)] -= 1.0
+                rows.append(row)
+                rhs.append(c_values[k][i][j])
+    solution, *_ = np.linalg.lstsq(np.array(rows), np.array(rhs), rcond=None)
+    gamma = tuple(
+        tuple(tuple(float(solution[unknown(k, i, j)]) for j in range(n)) for i in range(n))
+        for k in range(n)
+    )
+    return connection.ConnectionTable(dim=n, gamma=gamma)
+
+
+def constant_frame_sampler(c_values, dim: int) -> connection.FrameSampler:
+    """Frame with constant structure functions (e.g. a left-invariant frame)."""
+
+    zero = tuple(tuple((0.0,) * dim for _ in range(dim)) for _ in range(dim))
+
+    def at(_) -> connection.FramePoint:
+        return connection.FramePoint(dim, c_values, (zero, zero), lambda _i, _f1, _f2: 0.0)
+
+    return connection.FrameSampler(dim=dim, at=at)
+
+
+@dataclass(frozen=True)
+class JetFramePoint:
+    """Structure functions as jets and a frame derivative of jets."""
+
+    dim: int
+    c: tuple  # c[k][i][j], jets
+    d: Callable[[int, jets.Jet], jets.Jet]
+
+
+def jet_base_frame(surface, order: int = 4) -> connection.FrameSampler:
+    """The conformal frame e_a = e^(-lambda) d_a, sampled as jets."""
+
+    def at(x) -> JetFramePoint:
+        p = surface_jets(surface, x, order)
+        zero = jets.Jet.constant(0.0, p.c1.order)
+        c = (
+            ((zero, p.c1), (-p.c1, zero)),
+            ((zero, p.c2), (-p.c2, zero)),
+        )
+
+        def d(i: int, f: jets.Jet) -> jets.Jet:
+            return p.em * jets.diff(f, i + 1)
+
+        return JetFramePoint(dim=2, c=c, d=d)
+
+    return connection.FrameSampler(dim=2, at=at)
+
+
+def jet_lift_frame(surface, kappa_min: float = lift.KAPPA_MIN) -> connection.FrameSampler:
+    """The lifted frame, sampled as jets; E3 = K d_phi kills phi-independent fields."""
+
+    def at(x) -> JetFramePoint:
+        p = lift._checked_jets(surface, x, kappa_min)
+        order = p.c1.order
+        zero = jets.Jet.constant(0.0, order)
+        minus_one = jets.Jet.constant(-1.0, order)
+
+        def entry(k: int, i: int, j: int) -> jets.Jet:
+            if (i, j) == (0, 1):
+                return (p.c1, p.c2, minus_one)[k]
+            if (i, j) == (1, 0):
+                return (-p.c1, -p.c2, -minus_one)[k]
+            if k == 2 and (i, j) == (0, 2):
+                return p.u1
+            if k == 2 and (i, j) == (2, 0):
+                return -p.u1
+            if k == 2 and (i, j) == (1, 2):
+                return p.u2
+            if k == 2 and (i, j) == (2, 1):
+                return -p.u2
+            return zero
+
+        c = tuple(
+            tuple(tuple(entry(k, i, j) for j in range(3)) for i in range(3))
+            for k in range(3)
+        )
+
+        def d(i: int, f: jets.Jet) -> jets.Jet:
+            if i == 2:
+                return jets.Jet.constant(0.0, max(f.order - 1, 0))
+            return p.em * jets.diff(f, i + 1)
+
+        return JetFramePoint(dim=3, c=c, d=d)
+
+    return connection.FrameSampler(dim=3, at=at)
+
+
+def koszul_jets(point: JetFramePoint) -> tuple:
+    """Connection coefficients as jets: Gamma^k_ij = (c^k_ij + c^j_ki + c^i_kj)/2."""
+    n, c = point.dim, point.c
+    return tuple(
+        tuple(
+            tuple(0.5 * (c[k][i][j] + c[j][k][i] + c[i][k][j]) for j in range(n))
+            for i in range(n)
+        )
+        for k in range(n)
+    )
+
+
+def jet_values(table) -> tuple:
+    """The values of a c[k][i][j]-shaped table of jets."""
+    return tuple(tuple(tuple(f.value for f in row) for row in plane) for plane in table)
+
+
+def curvature_jets(frame: connection.FrameSampler, x) -> connection.CurvatureTable:
+    """``connection.curvature`` with e_i Gamma taken from jets of Gamma."""
+    point = frame.at(x)
+    n = frame.dim
+    gamma_jets = koszul_jets(point)
+    gamma = [[[gamma_jets[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
+    dgamma = [
+        [[[point.d(a, gamma_jets[l][j][k]).value for k in range(n)] for j in range(n)] for l in range(n)]
+        for a in range(n)
+    ]
+    c = jet_values(point.c)
+
+    R = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
+    for l in range(n):
+        for i in range(n):
+            for j in range(n):
+                for k in range(n):
+                    total = dgamma[i][l][j][k] - dgamma[j][l][i][k]
+                    for s in range(n):
+                        total += gamma[l][i][s] * gamma[s][j][k]
+                        total -= gamma[l][j][s] * gamma[s][i][k]
+                        total -= c[s][i][j] * gamma[l][s][k]
+                    R[l][i][j][k] = total
+    frozen = tuple(
+        tuple(tuple(tuple(R[l][i][j][k] for k in range(n)) for j in range(n)) for i in range(n))
+        for l in range(n)
+    )
+    return connection.CurvatureTable(dim=n, R=frozen)
+
+
+# -- bracket oracle on jets ------------------------------------------------------
+
+
+def _coefficient_jets(p) -> tuple:
+    zero = jets.Jet.constant(0.0, p.em.order)
+    return (
+        (p.em, zero, -p.c1),
+        (zero, p.em, -p.c2),
+        (zero, zero, p.K),
+    )
+
+
+def _bracket_components_jets(rows: tuple, i: int, j: int) -> list[float]:
+    out = []
+    for mu in range(3):
+        total = 0.0
+        for nu in range(2):
+            total += rows[i][nu].value * jets.diff(rows[j][mu], nu + 1).value
+            total -= rows[j][nu].value * jets.diff(rows[i][mu], nu + 1).value
+        out.append(total)
+    return out
+
+
+def bracket_structure_jets(surface, x, kappa_min: float = lift.KAPPA_MIN) -> tuple:
+    """``lift.bracket_structure`` with the frame coefficients differentiated as jets."""
+    p = lift._checked_jets(surface, x, kappa_min)
+    rows = _coefficient_jets(p)
+    frame_matrix = np.array([[rows[k][mu].value for k in range(3)] for mu in range(3)])
+    table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        coefficients = np.linalg.solve(
+            frame_matrix, np.array(_bracket_components_jets(rows, i, j))
+        )
+        for k in range(3):
+            table[k][i][j] = float(coefficients[k])
+            table[k][j][i] = -float(coefficients[k])
+    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+
+def nonholonomity_jets(surface, x) -> float:
+    """``lift.nonholonomity`` with the frame coefficients differentiated as jets."""
+    p = surface_jets(surface, x, 4)
+    rows = _coefficient_jets(p)
+    bracket = _bracket_components_jets(rows, 0, 1)
+    em = p.em.value
+    a1 = bracket[0] / em
+    a2 = bracket[1] / em
+    return bracket[2] - (a1 * rows[0][2].value + a2 * rows[1][2].value)

@@ -145,12 +145,8 @@ def test_criterion_05_connection_invariants():
         frame = base_frame_sampler(surface)
         rng = random.Random(SEED + 4)
         for x in sample_points(surface, 50, rng):
-            point = frame.at(x)
             table = koszul(frame, x)
-            c_values = tuple(
-                tuple(tuple(point.c[k][i][j].value for j in range(2)) for i in range(2))
-                for k in range(2)
-            )
+            c_values = frame.at(x).c
             worst = max(worst, table.compatibility_residual())
             worst = max(worst, table.torsion_residual(c_values))
             lifted = lift.lifted_connection(surface, x)

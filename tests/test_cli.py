@@ -268,6 +268,18 @@ def test_geodesic_honours_t_max(capsys):
     assert [row.split(",")[0] for row in rows[1:]][-2:] == ["0.89999999999999991", "1"]
 
 
+@pytest.mark.parametrize("t_max", ["1e-15", "1e-14", "5e-13", "1e-308"])
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_geodesic_honours_a_t_max_below_the_step_floor(t_max, method, capsys):
+    # rk45 ends within 1e-14 of t_max and has a step floor of 1e-12; its first
+    # step still lands on a t_max below either.
+    argv = ["geodesic", "--surface", "sphere", "--start", "0.1,0.2,0",
+            "--velocity", "0.6,0,0.8", "--t-max", t_max, "--step", "0.01", "--method", method]
+    assert run(argv) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, float(t_max)]
+
+
 def test_overflow_exits_three(tmp_path, capsys):
     config = tmp_path / "overflow.json"
     config.write_text(json.dumps({"name": "ee", "lambda": "exp(exp(x1))", "guard": "all"}))
@@ -578,13 +590,28 @@ def test_surface_info_non_finite_lambda_exits_three(capsys):
 
 
 def test_final_sample_with_vanishing_curvature_exits_three(capsys):
-    # No adaptive step fits below 1e-14, so the only sample is the final one.
+    # rk45 takes its one step to t = 1e-308, and that step's first stage finds
+    # |K| below the threshold at the start point, so the run exits 3 before
+    # any row is written.  The check on the final sample alone is pinned below.
     code = run(["geodesic", "--surface", "sphere", "--start=0,120548256.0,0",
                 "--velocity=0,0,0", "--t-max=1e-308", "--step=0.01", "--method", "rk45"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "below the singularity threshold" in captured.err
+
+
+def test_vanishing_curvature_at_the_final_sample_alone_exits_three(capsys):
+    # Near x2 = 1.2e8 the sphere's Laplacian rounds to zero at some floats and
+    # not at their neighbours.  Every stage of this one rk4 step passes the
+    # K test; the final sample, which has no stage of its own, does not.
+    code = run(["geodesic", "--surface", "sphere", "--start=0,120548255.99999931,0",
+                "--velocity=0,1e-23,0", "--t-max=1", "--step=1"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    assert "at point (0.0, 120548255.9999994) is below the singularity threshold" in captured.err
+    assert "last valid t" not in captured.err
 
 
 def test_wong_on_a_trajectory_too_short_exits_two(capsys):

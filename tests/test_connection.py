@@ -5,15 +5,20 @@ import struct
 
 import pytest
 
+from _oracles import (
+    constant_frame_sampler,
+    jet_base_frame,
+    jet_lift_frame,
+    jet_values,
+    koszul_jets,
+    solve_connection,
+)
 from wagnerlift.connection import (
     base_frame_sampler,
-    constant_frame_sampler,
     curvature,
     koszul,
-    koszul_jets,
     koszul_values,
     sectional,
-    solve_connection,
 )
 from wagnerlift.lift import lift_frame_sampler
 from wagnerlift.surface import catalog, gauss_curvature, sample_points
@@ -82,11 +87,7 @@ def test_koszul_matches_linear_system_oracle_dim2():
         surface = catalog(name)
         frame = base_frame_sampler(surface)
         for x in sample_points(surface, 10, rng):
-            point = frame.at(x)
-            c_values = tuple(
-                tuple(tuple(point.c[k][i][j].value for j in range(2)) for i in range(2))
-                for k in range(2)
-            )
+            c_values = frame.at(x).c
             assert (
                 _max_gamma_difference(koszul(frame, x), solve_connection(c_values, 2), 2)
                 < 1e-12
@@ -118,12 +119,8 @@ def test_connection_invariants_dim2(name):
     frame = base_frame_sampler(surface)
     rng = random.Random(name)
     for x in sample_points(surface, 100, rng):
-        point = frame.at(x)
         table = koszul(frame, x)
-        c_values = tuple(
-            tuple(tuple(point.c[k][i][j].value for j in range(2)) for i in range(2))
-            for k in range(2)
-        )
+        c_values = frame.at(x).c
         assert table.compatibility_residual() <= 1e-12
         assert table.torsion_residual(c_values) <= 1e-12
 
@@ -189,11 +186,7 @@ def test_koszul_values_agrees_with_jet_route():
     hp = catalog("halfplane")
     frame = base_frame_sampler(hp)
     x = (0.5, 1.2)
-    point = frame.at(x)
-    c_values = tuple(
-        tuple(tuple(point.c[k][i][j].value for j in range(2)) for i in range(2))
-        for k in range(2)
-    )
+    c_values = jet_values(jet_base_frame(hp).at(x).c)
     values = koszul_values(c_values, 2)
     table = koszul(frame, x)
     for k in range(2):
@@ -210,8 +203,33 @@ def _packed(table):
 @pytest.mark.parametrize("name", ALL_SURFACES)
 def test_koszul_on_values_matches_the_jet_sums_bit_for_bit(name):
     surface = catalog(name)
-    for frame in (base_frame_sampler(surface), lift_frame_sampler(surface)):
+    frames = (
+        (base_frame_sampler(surface), jet_base_frame(surface)),
+        (lift_frame_sampler(surface), jet_lift_frame(surface)),
+    )
+    for frame, jet_frame in frames:
         for x in sample_points(surface, 30, random.Random(11)):
-            jets = koszul_jets(frame.at(x))
+            jets = koszul_jets(jet_frame.at(x))
             expected = tuple(tuple(tuple(g.value for g in row) for row in plane) for plane in jets)
             assert _packed(koszul(frame, x).gamma) == _packed(expected)
+
+
+def test_connection_module_needs_no_jets_and_no_numpy():
+    # The frame calculus runs on floats: the module imports neither the jet
+    # arithmetic nor numpy, and names no Jet.
+    import ast
+    from pathlib import Path
+
+    import wagnerlift.connection
+
+    tree = ast.parse(Path(wagnerlift.connection.__file__).read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            imported.add(node.module or "")
+            imported.update(alias.name for alias in node.names)
+    assert not imported & {"numpy", "jets", "Jet"}, imported
+    names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    assert "Jet" not in names and "np" not in names

@@ -7,6 +7,7 @@ import struct
 
 import pytest
 
+from _oracles import structure_functions
 from wagnerlift.expr import parse
 from wagnerlift.jets import DomainError
 from wagnerlift.surface import (
@@ -20,7 +21,6 @@ from wagnerlift.surface import (
     gauss_curvature,
     geometry_from_jets,
     sample_points,
-    structure_functions,
     surface_jets,
 )
 
