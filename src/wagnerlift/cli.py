@@ -29,11 +29,10 @@ import functools
 import io
 import json
 import math
-import random
 import sys
 from pathlib import Path
 
-from . import connection, geodesic, lift
+from . import connection, geodesic, lift, verify
 from .expr import format_expr
 from .jets import DomainError
 from .surface import (
@@ -43,7 +42,6 @@ from .surface import (
     catalog,
     catalog_names,
     gauss_curvature,
-    sample_points,
     surface_jets,
 )
 
@@ -270,72 +268,13 @@ def _run_geodesic(ns) -> int:  # also base-geodesic
     return EXIT_OK
 
 
-def _geodesic_suite(surf: ConformalSurface, seed: int) -> dict:
-    """Geodesic invariants at CLI-verify scale: conservation, speed,
-    horizontality, the resolved coupling and rotation signs.  The geodesics
-    start at the window centre, or at a sampled point where the guard fails
-    there.  A geodesic that leaves the chart ends the integrations with a
-    failing ``geodesic_left_chart`` check carrying its last valid time ``t``
-    and the offending ``point``."""
-    (x1_lo, x1_hi), (x2_lo, x2_hi) = surf.window
-    x0 = ((x1_lo + x1_hi) / 2.0, (x2_lo + x2_hi) / 2.0)
-    rng = random.Random(seed)
-    if not surf.contains(x0):
-        x0 = sample_points(surf, 1, rng)[0]
-    checks, left_chart = [], []
-
-    s0 = geodesic.LiftState(x0[0], x0[1], 0.0, 0.6, 0.1 * rng.random(), 0.8)
-    try:
-        trajectory = geodesic.integrate_lift(surf, s0, t_max=5.0, h=1e-3)
-        drift = trajectory.conservation_drift()
-        checks.append(
-            lift.CheckResult("conservation_Q3_over_K", drift, 1e-6, drift <= 1e-6)
-        )
-        speed = trajectory.speed_drift()
-        checks.append(lift.CheckResult("speed_conservation", speed, 1e-8, speed <= 1e-8))
-
-        horizontal = geodesic.LiftState(x0[0], x0[1], 0.0, 1.0, 0.0, 0.0)
-        h_traj = geodesic.integrate_lift(surf, horizontal, t_max=2.0, h=1e-2)
-        q3_max = max(abs(y[5]) for y in h_traj.states)
-        checks.append(
-            lift.CheckResult("horizontality_persistence", q3_max, 1e-12, q3_max <= 1e-12)
-        )
-
-        residuals = geodesic.wong_residual(surf, geodesic.project(trajectory))
-        wong_max = max(r for r in residuals if r is not None)
-        tol = 1e-4
-        checks.append(lift.CheckResult("wong_equation_residual", wong_max, tol, wong_max <= tol))
-    except ChartDomainError as left:
-        left_chart = [{
-            "name": "geodesic_left_chart", "t": left.last_valid_t,
-            "point": list(left.point), "pass": False,
-        }]
-
-    coupling_state = geodesic.LiftState(x0[0], x0[1], 0.0, 0.5, 0.4, 0.6)
-    coupling = geodesic.coupling_sign_vs_reference(surf, coupling_state)
-    return {
-        "checks": [c.to_dict() for c in checks] + left_chart,
-        "resolved_signs": {
-            "geodesic_coupling_vs_reference": coupling,
-            "wong_rotation": int(geodesic.WONG_ROTATION_SIGN),
-        },
-        "pass": not left_chart and all(c.passed for c in checks),
-    }
-
-
 def _run_verify(ns) -> int:
     surf = _load_surface(ns.surface)
     if ns.samples < 1:
         raise _UsageError("--samples must be at least 1")
-    report = lift.verify_lift(surf, sample_count=ns.samples, seed=ns.seed, tol=ns.tol)
-    suite = _geodesic_suite(surf, ns.seed)
-    combined = {
-        "lift": report.to_dict(),
-        "geodesic": suite,
-        "pass": report.passed and suite["pass"],
-    }
-    print(json.dumps(combined, indent=2, sort_keys=True))
-    return EXIT_OK if combined["pass"] else EXIT_VERIFY_FAILED
+    report = verify.report(surf, ns.samples, ns.seed, ns.tol)
+    print(json.dumps(report, indent=2, sort_keys=True))
+    return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED
 
 
 def run(argv: list[str]) -> int:

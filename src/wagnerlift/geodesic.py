@@ -10,10 +10,10 @@ Writing u_i = e_i(K)/K, the lifted geodesic system in frame components is
 
 obtained by contracting the derived connection coefficients (the signs of the
 Q^a Q3 couplings follow from chat^3_12 = -1 and are re-checked against the
-connection table at test time; ``coupling_sign_vs_reference`` records how they
-compare with the +Q2Q3/-Q1Q3-free variant).  Along any solution Q3/K(gamma(t))
-is constant, horizontality (Q3 = 0) persists exactly, and the projected curve
-satisfies
+connection table at test time; ``verify.coupling_sign_vs_reference`` records
+how they compare with the +Q2Q3/-Q1Q3-free variant).  Along any solution
+Q3/K(gamma(t)) is constant, horizontality (Q3 = 0) persists exactly, and the
+projected curve satisfies
 
     nabla_{gamma'} gamma' = s * C K J(gamma') - C^2 K grad K,
     J(Q1, Q2) = (-Q2, Q1),   s = WONG_ROTATION_SIGN = -1,
@@ -42,15 +42,17 @@ from typing import Callable
 from . import connection
 from .expr import _FALLBACK
 from .jets import DomainError
-from .lift import KAPPA_MIN, SingularCurvature
 from .surface import (
+    KAPPA_MIN,
     ChartDomainError,
     ConformalSurface,
     Point,
+    SingularCurvature,
     conformal_laplacian_curvature,
     frame_fields,
     frame_fields_from,
     laplacian_curvature_from,
+    require_finite,
     surface_jets,
 )
 
@@ -223,8 +225,7 @@ def base_rhs(
     x = (b.x1, b.x2)
     p = surface_jets(surface, x, 2)
     em, c1, c2 = p.em.value, p.c1.value, p.c2.value
-    if (em - em) + (c1 - c1) + (c2 - c2) != 0.0:  # _checked's finiteness rule
-        raise DomainError(f"non-finite frame fields at point {x!r}")
+    require_finite((em, c1, c2), x, "frame fields")
     c_values = (((0.0, c1), (-c1, 0.0)), ((0.0, c2), (-c2, 0.0)))
     gamma = connection.koszul_values(c_values, 2)
     P = (b.P1, b.P2)
@@ -312,12 +313,13 @@ def _integrate(
                 y = _rk4_step(f, y, h if whole else t_max - t, k1)
                 t = n * h if whole else t_max
         else:
-            # The first step always runs and may be as short as t_max itself,
-            # so a t_max below the end slack or the step floor is honoured.
+            # The floor is at most the first trial step min(h, t_max), so that
+            # step always runs: a t_max below the end slack is honoured, and a
+            # t_max or an h below 1e-12 is not an underflow.
             k1 = None
             h_try = min(h, t_max)
             while t == 0.0 or t < t_max - 1e-14:
-                if h_try < min(_RK45_MIN_STEP, t_max):
+                if h_try < min(_RK45_MIN_STEP, t_max, h):
                     raise StepFailure(f"adaptive step underflow at t={t!r}")
                 if k1 is None:
                     k1 = first(y)
@@ -539,20 +541,3 @@ def to_json_dict(trajectory: Trajectory) -> dict:
         "columns": list(CSV_COLUMNS),
         "rows": rows,
     }
-
-
-# -- invariant suite (used by the CLI verify command) ----------------------------------
-
-
-def coupling_sign_vs_reference(surface: ConformalSurface, s: LiftState) -> int:
-    """+1 if the implemented Q^a Q3 coupling matches -Q2Q3/+Q1Q3, -1 if it is
-    the opposite orientation.  The comparison needs Q2*Q3 != 0."""
-    x = (s.x1, s.x2)
-    em, c1, c2, K, u1, u2 = _checked(frame_fields(surface, x), x, KAPPA_MIN)
-    dQ1 = lift_rhs(surface, s)[3]
-    base_part = -c1 * s.Q1 * s.Q2 - c2 * s.Q2 * s.Q2 - u1 * s.Q3 * s.Q3
-    coupling = dQ1 - base_part
-    reference = -s.Q2 * s.Q3
-    if abs(reference) < 1e-12:
-        raise ValueError("state does not expose the coupling term")
-    return 1 if abs(coupling - reference) < 1e-9 * max(1.0, abs(reference)) else -1

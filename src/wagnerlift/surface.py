@@ -108,6 +108,21 @@ def _parse_guard(text: str) -> Expr | None:
 
 # -- derived geometry ----------------------------------------------------------
 
+KAPPA_MIN = 1e-8
+
+
+class SingularCurvature(Exception):
+    """The Gaussian curvature vanishes (or nearly so) at the queried point,
+    so the lifted metric is singular along the fiber above it."""
+
+    def __init__(self, point: Point, curvature_value: float, kappa_min: float = KAPPA_MIN):
+        super().__init__(
+            f"Gaussian curvature {curvature_value!r} at point "
+            f"({point[0]!r}, {point[1]!r}) is below the singularity threshold {kappa_min!r}"
+        )
+        self.point = point
+        self.curvature = curvature_value
+
 
 @dataclass(frozen=True)
 class ConformalJets:
@@ -212,18 +227,19 @@ def geometry_from_jets(p: ConformalJets) -> BaseGeometry:
 def gauss_curvature(surface: ConformalSurface, x: Point) -> BaseGeometry:
     """Gaussian curvature and its frame derivatives at ``x``."""
     geometry = geometry_from_jets(surface_jets(surface, x, 4))
-    _require_finite(geometry, x)
-    return geometry
-
-
-def _require_finite(geometry: BaseGeometry, x: Point) -> None:
     values = [geometry.c112, geometry.c212, geometry.K, geometry.e1K, geometry.e2K]
     if geometry.dlogK is not None:
         values += list(geometry.dlogK)
     if geometry.ddlogK is not None:
         values += [v for row in geometry.ddlogK for v in row]
-    if not all(math.isfinite(v) for v in values):
-        raise DomainError(f"non-finite geometry at point {x!r}")
+    require_finite(values, x)
+    return geometry
+
+
+def require_finite(values, x: Point, what: str = "geometry") -> None:
+    """Raise ``DomainError`` naming ``what`` at ``x`` unless every value is finite."""
+    if not all(map(math.isfinite, values)):
+        raise DomainError(f"non-finite {what} at point {x!r}")
 
 
 def conformal_laplacian_curvature(surface: ConformalSurface, x: Point) -> float:

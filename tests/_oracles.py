@@ -5,7 +5,8 @@ precision, so central differences of 3rd/4th derivatives are limited by
 truncation only, never by float cancellation.  The jet references are the
 plain loops and the recursive AST interpreter that the library's kernels and
 tapes replace, and the frame calculus and bracket oracle as they ran on whole
-jets before they ran on first partials, kept here to pin those bit for bit.
+jets before they ran on first partials, and the entry-by-entry expansion of
+the six curvature components, kept here to pin those bit for bit.
 The linear-system connection and the constant frames are oracles that only
 the tests need.
 """
@@ -472,3 +473,38 @@ def nonholonomity_jets(surface, x) -> float:
     a1 = bracket[0] / em
     a2 = bracket[1] / em
     return bracket[2] - (a1 * rows[0][2].value + a2 * rows[1][2].value)
+
+
+# -- curvature table entry by entry ----------------------------------------------
+
+
+def _pair_form(components: dict, a: int, b: int, c: int, d: int) -> float:
+    """<R(E_a, E_b) E_c, E_d> extended from the six components by the
+    antisymmetries in (a,b) and (c,d) and the pair symmetry."""
+    if a == b or c == d:
+        return 0.0
+    sign = 1.0
+    if a > b:
+        a, b, sign = b, a, -sign
+    if c > d:
+        c, d, sign = d, c, -sign
+    key = ((a, b), (c, d))
+    if key in components:
+        return sign * components[key]
+    return sign * components[((c, d), (a, b))]
+
+
+def table_from_pair_form(components: dict) -> connection.CurvatureTable:
+    """``lift.table_from_pair_components`` with each of the 81 entries looked
+    up by ``_pair_form``."""
+    R = tuple(
+        tuple(
+            tuple(
+                tuple(_pair_form(components, i + 1, j + 1, k + 1, l + 1) for k in range(3))
+                for j in range(3)
+            )
+            for i in range(3)
+        )
+        for l in range(3)
+    )
+    return connection.CurvatureTable(dim=3, R=R)

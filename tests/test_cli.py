@@ -268,16 +268,26 @@ def test_geodesic_honours_t_max(capsys):
     assert [row.split(",")[0] for row in rows[1:]][-2:] == ["0.89999999999999991", "1"]
 
 
-@pytest.mark.parametrize("t_max", ["1e-15", "1e-14", "5e-13", "1e-308"])
+@pytest.mark.parametrize(
+    "t_max,step",
+    [("1e-15", "0.01"), ("1e-14", "0.01"), ("5e-13", "0.01"), ("1e-308", "0.01"),
+     ("1e-10", "1e-13")],
+    ids=["1e-15", "1e-14", "5e-13", "1e-308", "1e-10-step-1e-13"],
+)
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
-def test_geodesic_honours_a_t_max_below_the_step_floor(t_max, method, capsys):
-    # rk45 ends within 1e-14 of t_max and has a step floor of 1e-12; its first
-    # step still lands on a t_max below either.
+def test_geodesic_honours_a_t_max_below_the_step_floor(t_max, step, method, capsys):
+    # rk45 ends within 1e-14 of t_max and has a step floor of min(1e-12, t_max,
+    # step); its first step still lands on a t_max below either, and a first
+    # trial step below 1e-12 is not an underflow.
     argv = ["geodesic", "--surface", "sphere", "--start", "0.1,0.2,0",
-            "--velocity", "0.6,0,0.8", "--t-max", t_max, "--step", "0.01", "--method", method]
+            "--velocity", "0.6,0,0.8", "--t-max", t_max, "--step", step, "--method", method]
     assert run(argv) == 0
     rows = capsys.readouterr().out.splitlines()
-    assert [float(row.split(",")[0]) for row in rows[1:]] == [0.0, float(t_max)]
+    times = [float(row.split(",")[0]) for row in rows[1:]]
+    assert times[0] == 0.0 and times[-1] == float(t_max)
+    assert times == sorted(set(times))
+    if float(step) >= float(t_max):
+        assert times == [0.0, float(t_max)]
 
 
 def test_overflow_exits_three(tmp_path, capsys):

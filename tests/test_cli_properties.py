@@ -1,6 +1,7 @@
 """Property test of the CLI contract: for any argument vector of the five
-commands, the exit code is 0, 1, 2 or 3, no traceback escapes, and a
-successful run prints no NaN or infinity.
+commands, the exit code is 0, 1, 2 or 3, no traceback escapes, a
+successful run prints no NaN or infinity, and ``verify`` exits 1 exactly when
+one of its checks failed.
 
 Every generated case stays small: a fixed-step run takes at most 10^3 steps,
 an adaptive run integrates a velocity with components of size <= 1 over
@@ -107,6 +108,12 @@ def test_every_argument_vector_keeps_the_exit_contract(files, data):
         code = run(args)  # an exception escaping here is a traceback
     assert code in (0, 1, 2, 3), args
     assert "Traceback" not in err.getvalue(), args
+    if args[0] == "verify" and code in (0, 1):
+        # Exit 1 means exactly that a check failed.
+        report = json.loads(out.getvalue())
+        checks = report["lift"]["checks"] + report["geodesic"]["checks"]
+        assert (code == 1) == any(check["pass"] is False for check in checks), args
+        assert (code == 0) == (report["pass"] is True), args
     if code == 0 and args[0] != "verify":
         text = out.getvalue().lower()
         assert "nan" not in text and "inf" not in text, args

@@ -20,6 +20,7 @@ from _oracles import (
     koszul_jets,
     nonholonomity_jets,
     random_smooth_expr,
+    table_from_pair_form,
 )
 from wagnerlift import connection, lift
 from wagnerlift import expr as ex
@@ -146,3 +147,19 @@ def test_frame_derivative_matches_the_jet_product_on_signed_zeros(name):
                 for a in range(frame.dim):
                     expected = jet_point.d(a, jet).value
                     assert _bits(point.d(a, partials[1], partials[2])) == _bits(expected)
+
+
+def test_curvature_table_fill_matches_the_pair_form_expansion():
+    # Signed zeros and infinities included: a negated 0.0 must stay -0.0.
+    rng = random.Random(11)
+    special = (0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), 1e-300, -1e300)
+    keys = (((1, 2), (1, 2)), ((1, 2), (1, 3)), ((1, 2), (2, 3)),
+            ((1, 3), (1, 3)), ((1, 3), (2, 3)), ((2, 3), (2, 3)))
+    for _ in range(2000):
+        components = {
+            key: rng.choice(special) if rng.random() < 0.3 else rng.uniform(-5.0, 5.0)
+            for key in keys
+        }
+        assert _outcome(lift.table_from_pair_components, components) == _outcome(
+            table_from_pair_form, components
+        )

@@ -14,6 +14,7 @@ from wagnerlift import geodesic as geo
 from wagnerlift.expr import COMPILE_AFTER, Tape
 from wagnerlift.jets import DomainError
 from wagnerlift.lift import KAPPA_MIN, SingularCurvature, lifted_connection
+from wagnerlift.verify import coupling_sign_vs_reference
 from wagnerlift.surface import (
     ChartDomainError,
     ConformalSurface,
@@ -83,7 +84,7 @@ def test_coupling_sign_resolution_is_stable():
         x = ((surface.window[0][0] + surface.window[0][1]) / 2,
              (surface.window[1][0] + surface.window[1][1]) / 2)
         state = geo.LiftState(x[0], x[1], 0.0, 0.5, 0.4, 0.6)
-        assert geo.coupling_sign_vs_reference(surface, state) == -1
+        assert coupling_sign_vs_reference(surface, state) == -1
 
 
 def test_base_rhs_zero_velocity():
