@@ -151,6 +151,8 @@ def test_frame_derivative_matches_the_jet_product_on_signed_zeros(name):
 
 def test_curvature_table_fill_matches_the_pair_form_expansion():
     # Signed zeros and infinities included: a negated 0.0 must stay -0.0.
+    # NaN is left out: -v and the old -1.0 * v differ in a NaN's sign bit,
+    # which no output shows (repr, JSON and abs drop it).
     rng = random.Random(11)
     special = (0.0, -0.0, 1.0, -1.0, float("inf"), float("-inf"), 1e-300, -1e300)
     keys = (((1, 2), (1, 2)), ((1, 2), (1, 3)), ((1, 2), (2, 3)),
