@@ -14,7 +14,6 @@ from wagnerlift import geodesic as geo
 from wagnerlift.expr import COMPILE_AFTER, Tape
 from wagnerlift.jets import DomainError
 from wagnerlift.lift import KAPPA_MIN, SingularCurvature, lifted_connection
-from wagnerlift.verify import coupling_sign_vs_reference
 from wagnerlift.surface import (
     ChartDomainError,
     ConformalSurface,
@@ -22,6 +21,7 @@ from wagnerlift.surface import (
     frame_fields_from,
     sample_points,
 )
+from wagnerlift.verify import coupling_sign_vs_reference
 
 SPHERE = catalog("sphere")
 HALFPLANE = catalog("halfplane")
