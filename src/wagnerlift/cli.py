@@ -13,13 +13,13 @@ Subcommands:
 ``--surface`` is a catalog name (sphere, halfplane, bump) or the path of a
 JSON config file with keys name, lambda, guard.  Exit codes: 0 success,
 1 failed verification (a verify geodesic leaving the chart is a failed
-check), 2 argument or config errors (a non-finite number or --t-max /
---step, a --tol <= 0, an --out that cannot be written, a guard that holds
-nowhere in the sampling window), 3 runtime evaluation errors (singular
-curvature, a chart-domain violation with the offending point printed to
-stderr, a value leaving the real domain or a non-finite value to write).  A
-geodesic that fails mid-flight also prints the time of its last valid sample;
-a failed run writes no output.
+check), 2 argument or config errors (a non-finite number, a --t-max /
+--step that is not finite or above 10^6, a --tol <= 0, an --out that cannot
+be written, a guard that holds nowhere in the sampling window), 3 runtime
+evaluation errors (singular curvature, a chart-domain violation with the
+offending point printed to stderr, a value leaving the real domain or a
+non-finite value to write).  A geodesic that fails mid-flight also prints
+the time of its last valid sample; a failed run writes no output.
 """
 
 from __future__ import annotations
@@ -49,6 +49,9 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
+
+# A run keeps about 1.7 KB per sample, so 10^6 steps take about 1.7 GB.
+MAX_STEP_RATIO = 1e6
 
 
 class _UsageError(ValueError):
@@ -250,8 +253,11 @@ def _write_trajectory(trajectory, ns) -> None:
 
 
 def _run_geodesic(ns) -> int:  # also base-geodesic
-    if not math.isfinite(ns.t_max / ns.step):
-        raise _UsageError(f"--t-max / --step must be finite, got {ns.t_max!r} / {ns.step!r}")
+    if not ns.t_max / ns.step <= MAX_STEP_RATIO:  # an inf ratio fails too
+        raise _UsageError(
+            f"--t-max / --step must be finite and at most {MAX_STEP_RATIO:g}, "
+            f"got {ns.t_max!r} / {ns.step!r}"
+        )
     surf = _load_surface(ns.surface)
     if ns.command == "base-geodesic":
         state = geodesic.BaseState(*ns.start, *ns.velocity)

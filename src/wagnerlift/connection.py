@@ -219,11 +219,11 @@ def curvature(frame: FrameSampler, x: Point) -> CurvatureTable:
 # -- frame samplers --------------------------------------------------------------
 
 
-def base_frame_sampler(surface: ConformalSurface, order: int = 4) -> FrameSampler:
+def base_frame_sampler(surface: ConformalSurface) -> FrameSampler:
     """The conformal orthonormal frame e_a = e^(-lambda) d_a as a FrameSampler."""
 
     def at(x: Point) -> FramePoint:
-        p = surface_jets(surface, x, order)
+        p = surface_jets(surface, x, 4)
         em = p.em.value
         c1, c2 = first_partials(p.c1), first_partials(p.c2)
         c, d1c, d2c = (

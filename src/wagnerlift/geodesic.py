@@ -59,6 +59,7 @@ from .surface import (
 WONG_ROTATION_SIGN = -1.0
 
 _RK4_WHOLE_STEPS_TOL = 1e-9
+_RK45_ATOL = 1e-9
 _RK45_MIN_STEP = 1e-12
 _RK45_SAFETY = 0.9
 
@@ -97,23 +98,13 @@ class BaseState:
         return math.hypot(self.P1, self.P2)
 
 
-@dataclass(frozen=True)
-class Sample:
-    # ``fields``: ``frame_fields`` at the point, on every lifted sample but
-    # the last and on their projections.
-    t: float
-    state: LiftState | BaseState
-    speed: float
-    q3_over_k: float | None = None
-    wong: float | None = None
-    fields: tuple | None = field(default=None, compare=False, repr=False)
-
-
 @dataclass
 class Trajectory:
     """Samples as parallel columns.  ``states`` holds the integrator's tuples,
-    (x1, x2, phi, Q1, Q2, Q3) or (x1, x2, P1, P2) by ``kind``; the other
-    columns are ``Sample``'s fields, None where absent."""
+    (x1, x2, phi, Q1, Q2, Q3) or (x1, x2, P1, P2) by ``kind``.  The Q3/K
+    monitor and the Wong residual are None where absent; ``fields`` holds
+    ``frame_fields`` at every lifted sample but the last and at their
+    projections."""
 
     kind: str  # "lift" or "base"
     surface: str
@@ -125,17 +116,6 @@ class Trajectory:
     q3_over_k: list[float | None] = field(default_factory=list)
     wong: list[float | None] = field(default_factory=list)
     fields: list[tuple | None] = field(default_factory=list, compare=False, repr=False)
-
-    @property
-    def samples(self) -> list[Sample]:
-        """The columns as ``Sample`` objects, built afresh on every access."""
-        state = LiftState if self.kind == "lift" else BaseState
-        rows = zip(self.t, self.states, self.speed, self.q3_over_k, self.wong, self.fields)
-        return [Sample(t, state(*y), *rest) for t, y, *rest in rows]
-
-    @property
-    def times(self) -> list[float]:
-        return self.t
 
     def conservation_drift(self) -> float:
         """max_t |Q3/K(t) - Q3/K(0)| over the recorded samples."""
@@ -151,10 +131,10 @@ class Trajectory:
 # -- right-hand sides ---------------------------------------------------------------
 
 
-def _checked(fields: tuple, x: Point, kappa_min: float) -> tuple:
+def _checked(fields: tuple, x: Point) -> tuple:
     em, c1, c2, K, u1, u2 = fields
-    if abs(K) < kappa_min or u1 is None:
-        raise SingularCurvature(x, K, kappa_min)
+    if abs(K) < KAPPA_MIN or u1 is None:
+        raise SingularCurvature(x, K)
     # v - v is 0.0 for every finite v and NaN for an infinite or NaN one.
     if (em - em) + (c1 - c1) + (c2 - c2) + (K - K) + (u1 - u1) + (u2 - u2) != 0.0:
         raise DomainError(f"non-finite frame fields at point {x!r}")
@@ -162,11 +142,11 @@ def _checked(fields: tuple, x: Point, kappa_min: float) -> tuple:
 
 
 def lift_rhs(
-    surface: ConformalSurface, s: LiftState, kappa_min: float = KAPPA_MIN
+    surface: ConformalSurface, s: LiftState
 ) -> tuple[float, float, float, float, float, float]:
     """Time derivative of a lifted state under the geodesic flow of g-hat."""
     x = (s.x1, s.x2)
-    fields = _checked(frame_fields(surface, x), x, kappa_min)
+    fields = _checked(frame_fields(surface, x), x)
     return _lift_derivative(fields, s.Q1, s.Q2, s.Q3)
 
 
@@ -182,7 +162,7 @@ def _lift_derivative(fields: tuple, Q1: float, Q2: float, Q3: float) -> tuple:
     )
 
 
-def _lift_stage(surface: ConformalSurface, kappa_min: float) -> Callable:
+def _lift_stage(surface: ConformalSurface) -> Callable:
     """``lift_rhs`` on raw state tuples as ``stage(y, keep=None)``; ``keep``, at
     stage 1 of an accepted sample, receives ``(partials, fields)``.  It calls
     the compiled guard (order 0) and lambda (order 3) functions directly; a
@@ -202,14 +182,14 @@ def _lift_stage(surface: ConformalSurface, kappa_min: float) -> Callable:
                 t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = lam[3](p1, p2)
                 # Jet.coeffs's products at order 3 (a scale of 1.0 is exact).
                 l = (t0, t1, t2, 2.0 * t3, t4, 2.0 * t5, 6.0 * t6, 2.0 * t7, 2.0 * t8, 6.0 * t9)
-                fields = _checked(frame_fields_from(l, x), x, kappa_min)
+                fields = _checked(frame_fields_from(l, x), x)
         except (*_FALLBACK, SingularCurvature):
             pass  # fields stays None
         if fields is None:
             if keep is None:
-                return lift_rhs(surface, LiftState(*y), kappa_min)
+                return lift_rhs(surface, LiftState(*y))
             l = surface.lambda_jet(x, 3).coeffs
-            fields = _checked(frame_fields_from(l, x), x, kappa_min)
+            fields = _checked(frame_fields_from(l, x), x)
         if keep is not None:
             keep((l, fields))
         return _lift_derivative(fields, Q1, Q2, Q3)
@@ -226,14 +206,19 @@ def base_rhs(
     p = surface_jets(surface, x, 2)
     em, c1, c2 = p.em.value, p.c1.value, p.c2.value
     require_finite((em, c1, c2), x, "frame fields")
+    dP1, dP2 = _christoffel_contraction(c1, c2, b.P1, b.P2)
+    return (em * b.P1, em * b.P2, -dP1, -dP2)
+
+
+def _christoffel_contraction(c1: float, c2: float, P1: float, P2: float) -> list[float]:
+    """Gamma^k_ij P^i P^j (k = 1, 2) from the generic Koszul coefficients of the
+    base frame with c112 = c1, c212 = c2, added in (i, j) order as ``sum`` adds
+    them (Gamma^k_kk is +0.0, so ``sum``'s +0.0 start would change no bit)."""
     c_values = (((0.0, c1), (-c1, 0.0)), ((0.0, c2), (-c2, 0.0)))
-    gamma = connection.koszul_values(c_values, 2)
-    P = (b.P1, b.P2)
-    dP = [
-        -sum(gamma[k][i][j] * P[i] * P[j] for i in range(2) for j in range(2))
-        for k in range(2)
+    return [
+        g[0][0] * P1 * P1 + g[0][1] * P1 * P2 + g[1][0] * P2 * P1 + g[1][1] * P2 * P2
+        for g in connection.koszul_values(c_values, 2)
     ]
-    return (em * b.P1, em * b.P2, dP[0], dP[1])
 
 
 # -- integrators ---------------------------------------------------------------
@@ -272,13 +257,7 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 
 
 def _integrate(
-    f: Callable,
-    y0: tuple,
-    t_max: float,
-    h: float,
-    method: str,
-    atol: float,
-    first: Callable,
+    f: Callable, y0: tuple, t_max: float, h: float, method: str, first: Callable
 ) -> tuple[list[float], list[tuple]]:
     """Times and states of the samples from (0, y0) to t_max.
 
@@ -316,7 +295,7 @@ def _integrate(
             # The floor is at most the first trial step min(h, t_max), so that
             # step always runs: a t_max below the end slack is honoured, and a
             # t_max or an h below 1e-12 is not an underflow.
-            k1 = None
+            k1, atol = None, _RK45_ATOL
             h_try = min(h, t_max)
             while t == 0.0 or t < t_max - 1e-14:
                 if h_try < min(_RK45_MIN_STEP, t_max, h):
@@ -346,25 +325,19 @@ def _integrate(
 
 
 def integrate_lift(
-    surface: ConformalSurface,
-    s0: LiftState,
-    t_max: float,
-    h: float,
-    method: str = "rk4",
-    kappa_min: float = KAPPA_MIN,
-    atol: float = 1e-9,
+    surface: ConformalSurface, s0: LiftState, t_max: float, h: float, method: str = "rk4"
 ) -> Trajectory:
     """Integrate the lifted geodesic flow from ``s0`` over [0, t_max].
 
     Every sample carries the speed and the conserved-ratio monitor Q3/K, and
     all but the last their frame fields.  Evaluation failures along the path
-    (chart guard, |K| below ``kappa_min``) abort the run with the last valid
+    (chart guard, |K| below ``KAPPA_MIN``) abort the run with the last valid
     time attached to the exception.
     """
-    stage = _lift_stage(surface, kappa_min)
+    stage = _lift_stage(surface)
     kept: list[tuple] = []  # stage 1's (partials, fields) per sample but the last
     y0 = (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3)
-    times, states = _integrate(stage, y0, t_max, h, method, atol, lambda y: stage(y, kept.append))
+    times, states = _integrate(stage, y0, t_max, h, method, lambda y: stage(y, kept.append))
     speed, monitor = [], []
     for y, info in zip(states, kept + [None]):
         x = (y[0], y[1])
@@ -372,8 +345,8 @@ def integrate_lift(
             K = laplacian_curvature_from(info[0], x)
         else:  # the final sample has no order-3 evaluation, nor its K test
             K = conformal_laplacian_curvature(surface, x)
-            if abs(K) < kappa_min:
-                raise SingularCurvature(x, K, kappa_min)
+            if abs(K) < KAPPA_MIN:
+                raise SingularCurvature(x, K)
         try:
             speed.append(math.sqrt(y[3] ** 2 + y[4] ** 2 + y[5] ** 2))
         except OverflowError:
@@ -385,12 +358,7 @@ def integrate_lift(
 
 
 def integrate_base(
-    surface: ConformalSurface,
-    b0: BaseState,
-    t_max: float,
-    h: float,
-    method: str = "rk4",
-    atol: float = 1e-9,
+    surface: ConformalSurface, b0: BaseState, t_max: float, h: float, method: str = "rk4"
 ) -> Trajectory:
     """Integrate the base geodesic flow from ``b0`` over [0, t_max]."""
 
@@ -398,7 +366,7 @@ def integrate_base(
         return base_rhs(surface, BaseState(*y))
 
     y0 = (b0.x1, b0.x2, b0.P1, b0.P2)
-    times, states = _integrate(f, y0, t_max, h, method, atol, f)
+    times, states = _integrate(f, y0, t_max, h, method, f)
     speed = [math.hypot(y[2], y[3]) for y in states]
     n = len(states)
     return Trajectory(
@@ -433,11 +401,7 @@ def _three_point_derivative(t0, f0, t1, f1, t2, f2) -> float:
 
 
 def wong_residual(
-    surface: ConformalSurface,
-    trajectory: Trajectory,
-    C: float | None = None,
-    rotation_sign: float = WONG_ROTATION_SIGN,
-    kappa_min: float = KAPPA_MIN,
+    surface: ConformalSurface, trajectory: Trajectory, C: float | None = None
 ) -> list[float | None]:
     """Residual norm of the projected equation of motion, per sample.
 
@@ -461,10 +425,9 @@ def wong_residual(
     for m in range(1, len(t) - 1):
         (_, _, P1a, P2a), (x1, x2, P1, P2), (_, _, P1b, P2b) = states[m - 1 : m + 2]
         x = (x1, x2)
-        em, c1, c2, K, u1, u2 = _checked(carried[m] or frame_fields(surface, x), x, kappa_min)
-        c_values = (((0.0, c1), (-c1, 0.0)), ((0.0, c2), (-c2, 0.0)))
-        gamma = connection.koszul_values(c_values, 2)
-        P, J = (P1, P2), (-P2, P1)
+        em, c1, c2, K, u1, u2 = _checked(carried[m] or frame_fields(surface, x), x)
+        gamma_PP = _christoffel_contraction(c1, c2, P1, P2)
+        J = (-P2, P1)
         dP = (
             _three_point_derivative(t[m - 1], P1a, t[m], P1, t[m + 1], P1b),
             _three_point_derivative(t[m - 1], P2a, t[m], P2, t[m + 1], P2b),
@@ -472,8 +435,8 @@ def wong_residual(
         grad = (u1 * K, u2 * K)  # (e1 K, e2 K)
         r = [
             dP[a]
-            + sum(gamma[a][b][c] * P[b] * P[c] for b in range(2) for c in range(2))
-            - rotation_sign * C * K * J[a]
+            + gamma_PP[a]
+            - WONG_ROTATION_SIGN * C * K * J[a]
             + C * C * K * grad[a]
             for a in range(2)
         ]

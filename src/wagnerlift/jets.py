@@ -149,8 +149,8 @@ class Jet:
         """All raw derivatives, in the canonical monomial order of ``MONOMIALS``."""
         return tuple(map(mul, self._t, _SCALE[self.order]))
 
-    def is_constant(self, tol: float = 0.0) -> bool:
-        return all(abs(c) <= tol for c in self._t[1:])
+    def is_constant(self) -> bool:
+        return all(c == 0.0 for c in self._t[1:])
 
     def truncate(self, order: int) -> "Jet":
         if order == self.order:

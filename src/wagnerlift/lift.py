@@ -53,11 +53,11 @@ from .surface import (
 )
 
 
-def _checked_jets(surface: ConformalSurface, x: Point, kappa_min: float) -> ConformalJets:
+def _checked_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
     p = surface_jets(surface, x, 4)
     K = p.K.value
-    if abs(K) < kappa_min or p.u1 is None:
-        raise SingularCurvature(x, K, kappa_min)
+    if abs(K) < KAPPA_MIN or p.u1 is None:
+        raise SingularCurvature(x, K)
     # A finite K bounds c1 and c2, and finite u_i bound e_i(K).
     (a, b), (c, d) = p.ddlogK
     require_finite((K, p.u1.value, p.u2.value, a, b, c, d), x)
@@ -88,11 +88,9 @@ class LiftedFrame:
         )
 
 
-def lifted_frame(
-    surface: ConformalSurface, x: Point, kappa_min: float = KAPPA_MIN
-) -> LiftedFrame:
+def lifted_frame(surface: ConformalSurface, x: Point) -> LiftedFrame:
     """The g-hat-orthonormal frame over ``x``; raises ``SingularCurvature`` if K ~ 0."""
-    p = _checked_jets(surface, x, kappa_min)
+    p = _checked_jets(surface, x)
     em = p.em.value
     return LiftedFrame(
         point=x,
@@ -167,30 +165,14 @@ class LiftedStructure:
     base: BaseGeometry
 
     def table(self) -> tuple:
-        """Full antisymmetric table chat[k][i][j] (0-based indices)."""
-        independent = {
-            (0, 0, 1): self.c112,
-            (0, 0, 2): self.c113,
-            (0, 1, 2): self.c123,
-            (1, 0, 1): self.c212,
-            (1, 0, 2): self.c213,
-            (1, 1, 2): self.c223,
-            (2, 0, 1): self.c312,
-            (2, 0, 2): self.c313,
-            (2, 1, 2): self.c323,
-        }
-        table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-        for (k, i, j), value in independent.items():
-            table[k][i][j] = value
-            table[k][j][i] = -value
-        return tuple(tuple(tuple(row) for row in plane) for plane in table)
+        """Full antisymmetric table chat[k][i][j] (0-based indices); c113, c123,
+        c213 and c223 vanish for every lift and fill as zeros."""
+        return _lifted_table(self.c112, self.c212, self.c312, self.c313, self.c323)
 
 
-def lifted_structure(
-    surface: ConformalSurface, x: Point, kappa_min: float = KAPPA_MIN
-) -> LiftedStructure:
+def lifted_structure(surface: ConformalSurface, x: Point) -> LiftedStructure:
     """Closed-form structure functions of the lifted frame at ``x``."""
-    p = _checked_jets(surface, x, kappa_min)
+    p = _checked_jets(surface, x)
     return LiftedStructure(
         c112=p.c1.value,
         c113=0.0,
@@ -205,13 +187,11 @@ def lifted_structure(
     )
 
 
-def bracket_structure(
-    surface: ConformalSurface, x: Point, kappa_min: float = KAPPA_MIN
-) -> tuple:
+def bracket_structure(surface: ConformalSurface, x: Point) -> tuple:
     """Oracle for the structure functions: numerically bracket the frame
     coefficient fields and re-expand in the lifted frame (3x3 linear solve).
     Returns the full table chat[k][i][j]."""
-    p = _checked_jets(surface, x, kappa_min)
+    p = _checked_jets(surface, x)
     rows = _coefficient_rows(p)
     frame_matrix = np.array(
         [[rows[k][mu][0] for k in range(3)] for mu in range(3)]
@@ -241,9 +221,7 @@ def _lifted_table(c1: float, c2: float, c312: float, u1: float, u2: float) -> tu
     )
 
 
-def lift_frame_sampler(
-    surface: ConformalSurface, kappa_min: float = KAPPA_MIN
-) -> FrameSampler:
+def lift_frame_sampler(surface: ConformalSurface) -> FrameSampler:
     """The lifted orthonormal frame as a generic FrameSampler (dim 3).
 
     Scalar fields on the bundle built from the base geometry are
@@ -251,7 +229,7 @@ def lift_frame_sampler(
     """
 
     def at(x: Point) -> FramePoint:
-        p = _checked_jets(surface, x, kappa_min)
+        p = _checked_jets(surface, x)
         em = p.em.value
         c1, c2 = first_partials(p.c1), first_partials(p.c2)
         u1, u2 = first_partials(p.u1), first_partials(p.u2)
@@ -270,12 +248,10 @@ def lift_frame_sampler(
     return FrameSampler(dim=3, at=at)
 
 
-def lifted_connection(
-    surface: ConformalSurface, x: Point, kappa_min: float = KAPPA_MIN
-) -> ConnectionTable:
+def lifted_connection(surface: ConformalSurface, x: Point) -> ConnectionTable:
     """Levi-Civita coefficients of the lifted metric, via the Koszul formula
     applied to the closed-form structure functions."""
-    return connection.koszul(lift_frame_sampler(surface, kappa_min), x)
+    return connection.koszul(lift_frame_sampler(surface), x)
 
 
 # -- lifted curvature ----------------------------------------------------------
@@ -310,26 +286,20 @@ def table_from_pair_components(components: dict) -> CurvatureTable:
     return CurvatureTable(dim=3, R=tuple(tuple(tuple(map(tuple, t)) for t in r) for r in R))
 
 
-def lifted_curvature_closed(
-    surface: ConformalSurface, x: Point, kappa_min: float = KAPPA_MIN
-) -> CurvatureTable:
+def lifted_curvature_closed(surface: ConformalSurface, x: Point) -> CurvatureTable:
     """Closed-form curvature of the lifted metric at ``x`` (full lowered table)."""
-    p = _checked_jets(surface, x, kappa_min)
+    p = _checked_jets(surface, x)
     return table_from_pair_components(closed_pair_components(geometry_from_jets(p)))
 
 
-def lifted_curvature_oracle(
-    surface: ConformalSurface, x: Point, kappa_min: float = KAPPA_MIN
-) -> CurvatureTable:
+def lifted_curvature_oracle(surface: ConformalSurface, x: Point) -> CurvatureTable:
     """Generic frame-calculus route to the same table; the cross-check."""
-    return connection.curvature(lift_frame_sampler(surface, kappa_min), x)
+    return connection.curvature(lift_frame_sampler(surface), x)
 
 
-def lifted_sectional(
-    surface: ConformalSurface, x: Point, i: int, j: int, kappa_min: float = KAPPA_MIN
-) -> float:
+def lifted_sectional(surface: ConformalSurface, x: Point, i: int, j: int) -> float:
     """Sectional curvature of the frame plane (E_i, E_j), 1-based indices."""
-    return connection.sectional(lifted_curvature_closed(surface, x, kappa_min), i, j)
+    return connection.sectional(lifted_curvature_closed(surface, x), i, j)
 
 
 # ``verify_lift`` belongs to the verify report; this binding keeps the name

@@ -24,6 +24,8 @@ Point = tuple[float, float]
 
 DEFAULT_WINDOW = ((-1.0, 1.0), (-1.0, 1.0))
 
+_MAX_SAMPLE_ATTEMPTS = 10000
+
 
 class SamplingError(RuntimeError):
     """The chart guard held at too few points of the sampling window."""
@@ -115,10 +117,10 @@ class SingularCurvature(Exception):
     """The Gaussian curvature vanishes (or nearly so) at the queried point,
     so the lifted metric is singular along the fiber above it."""
 
-    def __init__(self, point: Point, curvature_value: float, kappa_min: float = KAPPA_MIN):
+    def __init__(self, point: Point, curvature_value: float):
         super().__init__(
             f"Gaussian curvature {curvature_value!r} at point "
-            f"({point[0]!r}, {point[1]!r}) is below the singularity threshold {kappa_min!r}"
+            f"({point[0]!r}, {point[1]!r}) is below the singularity threshold {KAPPA_MIN!r}"
         )
         self.point = point
         self.curvature = curvature_value
@@ -335,18 +337,16 @@ def catalog_names() -> tuple[str, ...]:
     return tuple(sorted(_CATALOG_CONFIGS))
 
 
-def sample_points(
-    surface: ConformalSurface, count: int, rng: random.Random, max_attempts: int = 10000
-) -> list[Point]:
+def sample_points(surface: ConformalSurface, count: int, rng: random.Random) -> list[Point]:
     """Uniform random chart points from the surface window; guarded points only."""
     (x1_lo, x1_hi), (x2_lo, x2_hi) = surface.window
     points: list[Point] = []
     attempts = 0
     while len(points) < count:
         attempts += 1
-        if attempts > max_attempts:
+        if attempts > _MAX_SAMPLE_ATTEMPTS:
             raise SamplingError(
-                f"could not sample {count} guarded points in {max_attempts} attempts"
+                f"could not sample {count} guarded points in {_MAX_SAMPLE_ATTEMPTS} attempts"
             )
         x = (rng.uniform(x1_lo, x1_hi), rng.uniform(x2_lo, x2_hi))
         if surface.contains(x):

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 
 from . import connection, geodesic
 from .lift import (
-    KAPPA_MIN,
     bracket_structure,
     lifted_connection,
     lifted_curvature_closed,
@@ -88,11 +87,7 @@ def _deviation(a: tuple, b: tuple) -> float:
 
 
 def verify_lift(
-    surface: ConformalSurface,
-    sample_count: int,
-    seed: int,
-    tol: float,
-    kappa_min: float = KAPPA_MIN,
+    surface: ConformalSurface, sample_count: int, seed: int, tol: float
 ) -> VerifyReport:
     """Cross-validate the closed-form lift against the generic oracles at
     random chart points: (a) structure functions vs numerical brackets,
@@ -117,14 +112,14 @@ def verify_lift(
     }
 
     for x in points:
-        structure = lifted_structure(surface, x, kappa_min)
-        bracket_table = bracket_structure(surface, x, kappa_min)
-        gamma_closed = lifted_connection(surface, x, kappa_min).gamma
-        closed_curv = lifted_curvature_closed(surface, x, kappa_min)
+        structure = lifted_structure(surface, x)
+        bracket_table = bracket_structure(surface, x)
+        gamma_closed = lifted_connection(surface, x).gamma
+        closed_curv = lifted_curvature_closed(surface, x)
         at_x = (
             _deviation(structure.table(), bracket_table),
             _deviation(gamma_closed, connection.koszul_values(bracket_table, 3)),
-            _deviation(closed_curv.R, lifted_curvature_oracle(surface, x, kappa_min).R),
+            _deviation(closed_curv.R, lifted_curvature_oracle(surface, x).R),
             abs(nonholonomity(surface, x) + structure.base.K),
         )
         deviations = [max(worst, value) for worst, value in zip(deviations, at_x)]

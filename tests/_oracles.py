@@ -339,11 +339,11 @@ def jet_base_frame(surface, order: int = 4) -> connection.FrameSampler:
     return connection.FrameSampler(dim=2, at=at)
 
 
-def jet_lift_frame(surface, kappa_min: float = lift.KAPPA_MIN) -> connection.FrameSampler:
+def jet_lift_frame(surface) -> connection.FrameSampler:
     """The lifted frame, sampled as jets; E3 = K d_phi kills phi-independent fields."""
 
     def at(x) -> JetFramePoint:
-        p = lift._checked_jets(surface, x, kappa_min)
+        p = lift._checked_jets(surface, x)
         order = p.c1.order
         zero = jets.Jet.constant(0.0, order)
         minus_one = jets.Jet.constant(-1.0, order)
@@ -448,9 +448,9 @@ def _bracket_components_jets(rows: tuple, i: int, j: int) -> list[float]:
     return out
 
 
-def bracket_structure_jets(surface, x, kappa_min: float = lift.KAPPA_MIN) -> tuple:
+def bracket_structure_jets(surface, x) -> tuple:
     """``lift.bracket_structure`` with the frame coefficients differentiated as jets."""
-    p = lift._checked_jets(surface, x, kappa_min)
+    p = lift._checked_jets(surface, x)
     rows = _coefficient_jets(p)
     frame_matrix = np.array([[rows[k][mu].value for k in range(3)] for mu in range(3)])
     table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]

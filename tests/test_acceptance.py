@@ -223,13 +223,7 @@ def test_criterion_07_projection_theorem():
         worst = max(
             worst,
             max(
-                max(
-                    abs(p.state.x1 - q.state.x1),
-                    abs(p.state.x2 - q.state.x2),
-                    abs(p.state.P1 - q.state.P1),
-                    abs(p.state.P2 - q.state.P2),
-                )
-                for p, q in zip(projected.samples, base.samples)
+                abs(a - b) for p, q in zip(projected.states, base.states) for a, b in zip(p, q)
             ),
         )
     ok = worst <= 1e-6
@@ -245,7 +239,7 @@ def test_criterion_08_wong_equation():
     sphere = catalog("sphere")
     start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)  # conserved C = 0.5
     projected = geo.project(geo.integrate_lift(sphere, start, t_max=6.0, h=1e-3))
-    assert projected.samples[0].q3_over_k == pytest.approx(0.5, abs=1e-12)
+    assert projected.q3_over_k[0] == pytest.approx(0.5, abs=1e-12)
     sphere_residual = max(
         r for r in geo.wong_residual(sphere, projected) if r is not None
     )

@@ -520,6 +520,18 @@ def test_step_count_that_is_not_finite_exits_two(capsys, command, method):
     assert "--t-max / --step must be finite" in captured.err
 
 
+@pytest.mark.parametrize("command", ["geodesic", "base-geodesic"])
+def test_more_than_a_million_steps_exits_two(capsys, command):
+    # 10^9 samples would need about 1.7 TB; the run must stop before it starts.
+    start, velocity = ("0,0,0", "1,0,0") if command == "geodesic" else ("0,0", "1,0")
+    code = run([command, "--surface", "sphere", "--start", start, "--velocity", velocity,
+                "--t-max", "1e6", "--step", "1e-3"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert "at most 1e+06, got 1000000.0 / 0.001" in captured.err
+
+
 @pytest.mark.parametrize(
     "argv",
     [

@@ -11,9 +11,10 @@ import pytest
 
 from wagnerlift import expr as expr_module
 from wagnerlift import geodesic as geo
+from wagnerlift.connection import koszul_values
 from wagnerlift.expr import COMPILE_AFTER, Tape
 from wagnerlift.jets import DomainError
-from wagnerlift.lift import KAPPA_MIN, SingularCurvature, lifted_connection
+from wagnerlift.lift import SingularCurvature, lifted_connection
 from wagnerlift.surface import (
     ChartDomainError,
     ConformalSurface,
@@ -30,6 +31,8 @@ BUMP = catalog("bump")
 DISK = ConformalSurface.from_config(
     {"name": "disk", "lambda": "x1^2 + x2^2", "guard": "1 - x1^2 - x2^2 > 0"}
 )
+# |K| ~ 4e-9 near the origin: nonzero, but below the threshold KAPPA_MIN = 1e-8.
+FAINT = ConformalSurface.from_config({"name": "faint", "lambda": "1e-9*(x1^2 + x2^2)"})
 
 
 # -- right-hand side ---------------------------------------------------------------
@@ -115,7 +118,7 @@ def test_integration_validates_parameters():
 def test_rk4_run_ends_at_t_max(t_max, h, times):
     state = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)
     trajectory = geo.integrate_lift(SPHERE, state, t_max=t_max, h=h)
-    assert trajectory.times == times
+    assert trajectory.t == times
 
 
 @pytest.mark.parametrize(
@@ -130,15 +133,15 @@ def test_conservation_and_speed_over_short_runs(surface, start):
     trajectory = geo.integrate_lift(surface, start, t_max=3.0, h=1e-3)
     assert trajectory.conservation_drift() <= 1e-6
     assert trajectory.speed_drift() <= 1e-8
-    times = trajectory.times
+    times = trajectory.t
     assert all(b > a for a, b in zip(times, times[1:]))
 
 
 def test_horizontality_persists_exactly():
     start = geo.LiftState(0.0, 0.0, 0.0, 1.0, 0.0, 0.0)
     trajectory = geo.integrate_lift(SPHERE, start, t_max=1.0, h=1e-3)
-    assert max(abs(s.state.Q3) for s in trajectory.samples) == 0.0
-    assert max(abs(s.q3_over_k) for s in trajectory.samples) == 0.0
+    assert max(abs(y[5]) for y in trajectory.states) == 0.0
+    assert max(abs(v) for v in trajectory.q3_over_k) == 0.0
     assert trajectory.speed_drift() <= 1e-10
 
 
@@ -156,16 +159,16 @@ def test_halfplane_vertical_ray():
     trajectory = geo.integrate_base(
         HALFPLANE, geo.BaseState(0.0, 1.0, 0.0, 1.0), t_max=2.0, h=1e-3
     )
-    for sample in trajectory.samples[:: len(trajectory.samples) // 7]:
-        assert sample.state.x1 == 0.0
-        assert sample.state.x2 == pytest.approx(math.exp(sample.t), rel=1e-9)
-        assert sample.state.P2 == pytest.approx(1.0, abs=1e-12)
+    rows = list(zip(trajectory.t, trajectory.states))
+    for t, (x1, x2, _, P2) in rows[:: len(rows) // 7]:
+        assert x1 == 0.0
+        assert x2 == pytest.approx(math.exp(t), rel=1e-9)
+        assert P2 == pytest.approx(1.0, abs=1e-12)
 
 
 def test_zero_velocity_stays_put():
     trajectory = geo.integrate_base(BUMP, geo.BaseState(0.4, -0.2, 0.0, 0.0), t_max=1.0, h=1e-2)
-    last = trajectory.samples[-1].state
-    assert (last.x1, last.x2) == (0.4, -0.2)
+    assert trajectory.states[-1][:2] == (0.4, -0.2)
 
 
 def test_sphere_great_circle_closes_with_period_two_pi():
@@ -176,31 +179,32 @@ def test_sphere_great_circle_closes_with_period_two_pi():
     trajectory = geo.integrate_base(
         SPHERE, geo.BaseState(0.5, 0.0, 0.0, 1.0), t_max=2.0 * math.pi, h=h
     )
-    last = trajectory.samples[-1]
-    assert last.t == pytest.approx(2.0 * math.pi, abs=1e-12)
-    assert last.state.x1 == pytest.approx(0.5, abs=1e-5)
-    assert last.state.x2 == pytest.approx(0.0, abs=1e-5)
-    assert last.state.P1 == pytest.approx(0.0, abs=1e-5)
-    assert last.state.P2 == pytest.approx(1.0, abs=1e-5)
+    assert trajectory.t[-1] == pytest.approx(2.0 * math.pi, abs=1e-12)
+    x1, x2, P1, P2 = trajectory.states[-1]
+    assert x1 == pytest.approx(0.5, abs=1e-5)
+    assert x2 == pytest.approx(0.0, abs=1e-5)
+    assert P1 == pytest.approx(0.0, abs=1e-5)
+    assert P2 == pytest.approx(1.0, abs=1e-5)
 
 
 def test_rk45_matches_rk4_and_records_actual_steps():
     start = geo.LiftState(0.5, 0.0, 0.0, 0.0, 0.8, 0.6)
     adaptive = geo.integrate_lift(SPHERE, start, t_max=2.0, h=0.1, method="rk45")
     fixed = geo.integrate_lift(SPHERE, start, t_max=2.0, h=1e-3, method="rk4")
-    a, b = adaptive.samples[-1].state, fixed.samples[-1].state
-    assert a.x1 == pytest.approx(b.x1, abs=1e-7)
-    assert a.x2 == pytest.approx(b.x2, abs=1e-7)
-    assert adaptive.samples[-1].t == pytest.approx(2.0, abs=1e-12)
-    steps = [q.t - p.t for p, q in zip(adaptive.samples, adaptive.samples[1:])]
+    a, b = adaptive.states[-1], fixed.states[-1]
+    assert a[0] == pytest.approx(b[0], abs=1e-7)
+    assert a[1] == pytest.approx(b[1], abs=1e-7)
+    assert adaptive.t[-1] == pytest.approx(2.0, abs=1e-12)
+    steps = [q - p for p, q in zip(adaptive.t, adaptive.t[1:])]
     assert len(set(round(s, 15) for s in steps)) > 1  # genuinely adaptive
     assert adaptive.conservation_drift() <= 1e-8
 
 
-def test_rk45_step_underflow_raises():
+def test_rk45_step_underflow_raises(monkeypatch):
+    monkeypatch.setattr(geo, "_RK45_ATOL", 0.0)  # no step is accurate enough
     start = geo.LiftState(0.5, 0.0, 0.0, 0.0, 1.0, 0.0)
     with pytest.raises(geo.StepFailure):
-        geo.integrate_lift(SPHERE, start, t_max=1.0, h=0.1, method="rk45", atol=0.0)
+        geo.integrate_lift(SPHERE, start, t_max=1.0, h=0.1, method="rk45")
 
 
 def test_guard_violation_mid_flight_reports_last_valid_time():
@@ -211,10 +215,10 @@ def test_guard_violation_mid_flight_reports_last_valid_time():
 
 
 def test_singular_curvature_mid_flight_reports_last_valid_time():
-    # raise the threshold so the K-window is wider than one step
-    start = geo.LiftState(0.0, 1.0, 0.0, 0.6, 0.0, 0.8)
+    # |K| stays below the threshold over a window much wider than one step
+    start = geo.LiftState(0.1, 0.2, 0.0, 0.6, 0.0, 0.8)
     with pytest.raises(SingularCurvature) as err:
-        geo.integrate_lift(HALFPLANE, start, t_max=1.0, h=1e-2, kappa_min=2.0)
+        geo.integrate_lift(FAINT, start, t_max=1.0, h=1e-2)
     assert err.value.last_valid_t == 0.0
 
 
@@ -325,23 +329,23 @@ def _outcome(call):
         return type(err), str(err)
 
 
-def _stage_one_route(surface, y, kappa_min):
+def _stage_one_route(surface, y):
     """Stage 1 of an accepted sample on the ``lambda_jet`` route."""
     x = (y[0], y[1])
     l = surface.lambda_jet(x, 3).coeffs
-    fields = geo._checked(frame_fields_from(l, x), x, kappa_min)
+    fields = geo._checked(frame_fields_from(l, x), x)
     return geo._lift_derivative(fields, *y[3:]), (l, fields)
 
 
-def _assert_stage_matches(surface, states, kappa_min=KAPPA_MIN):
+def _assert_stage_matches(surface, states):
     """The fused stage against ``lift_rhs`` (stages 2-4) and the stage-1 route."""
-    stage = geo._lift_stage(surface, kappa_min)
+    stage = geo._lift_stage(surface)
     for y in states:
-        expected = _outcome(lambda: geo.lift_rhs(surface, geo.LiftState(*y), kappa_min))
+        expected = _outcome(lambda: geo.lift_rhs(surface, geo.LiftState(*y)))
         assert _outcome(lambda: stage(y)) == expected, y
         kept = []
         first = _outcome(lambda: (stage(y, kept.append), *kept))
-        assert first == _outcome(lambda: _stage_one_route(surface, y, kappa_min)), y
+        assert first == _outcome(lambda: _stage_one_route(surface, y)), y
 
 
 def _states(surface, count, seed):
@@ -373,30 +377,31 @@ def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, conf
 
     states = _states(surface, 5, "again")
     monkeypatch.setattr(Tape, "_run", refuse)
-    stage = geo._lift_stage(surface, KAPPA_MIN)
+    stage = geo._lift_stage(surface)
     for y in states:
         stage(y)
         stage(y, [].append)
 
 
 @pytest.mark.parametrize(
-    "lam, guard, point, kappa_min",
+    "lam, guard, point, scale",  # the surface's lambda is scale*(lam)
     [
-        ("x1^2 + x2^2", "1 - x1^2 - x2^2 > 0", (0.8, 0.8), KAPPA_MIN),  # guard false
-        ("x1^2 + x2^2", "all", (0.1, 0.2), 10.0),  # |K| < kappa_min
-        ("x1^2 - x2^2", "all", (0.1, 0.2), KAPPA_MIN),  # Lap(lambda) = 0
-        ("log(x1)", "x1 > 0", (1e-103, 0.5), KAPPA_MIN),  # a NaN order-3 jet
-        ("-1000*x1^2", "all", (1.0, 0.0), KAPPA_MIN),  # exp overflows
+        ("x1^2 + x2^2", "1 - x1^2 - x2^2 > 0", (0.8, 0.8), "1e0"),  # guard false
+        ("x1^2 + x2^2", "all", (0.1, 0.2), "1e-9"),  # |K| ~ 4e-9 < KAPPA_MIN
+        ("x1^2 - x2^2", "all", (0.1, 0.2), "1e0"),  # Lap(lambda) = 0
+        ("log(x1)", "x1 > 0", (1e-103, 0.5), "1e0"),  # a NaN order-3 jet
+        ("-1000*x1^2", "all", (1.0, 0.0), "1e0"),  # exp overflows
     ],
 )
-def test_fused_stage_reruns_each_fallback_on_the_jet_route(lam, guard, point, kappa_min):
-    surface = ConformalSurface.from_config({"name": "case", "lambda": lam, "guard": guard})
+def test_fused_stage_reruns_each_fallback_on_the_jet_route(lam, guard, point, scale):
+    config = {"name": "case", "lambda": f"{scale}*({lam})", "guard": guard}
+    surface = ConformalSurface.from_config(config)
     warm = [(0.1 + 0.01 * k, 0.3, 0.0, 0.6, 0.1, 0.8) for k in range(COMPILE_AFTER + 5)]
-    _assert_stage_matches(surface, warm, kappa_min)
+    _assert_stage_matches(surface, warm)
     assert surface._lam_tape.compiled[3] is not None
-    _assert_stage_matches(surface, [(*point, 0.0, 0.6, 0.1, 0.8)], kappa_min)
+    _assert_stage_matches(surface, [(*point, 0.0, 0.6, 0.1, 0.8)])
     with pytest.raises((SingularCurvature, ChartDomainError, DomainError)):
-        geo._lift_stage(surface, kappa_min)((*point, 0.0, 0.6, 0.1, 0.8))
+        geo._lift_stage(surface)((*point, 0.0, 0.6, 0.1, 0.8))
 
 
 def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):
@@ -412,7 +417,7 @@ def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):
     monkeypatch.setattr(Tape, "_run_jets", counting)
     start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.8)
     trajectory = geo.integrate_lift(surface, start, t_max=1.0, h=1e-3)
-    assert len(trajectory.samples) == 1001
+    assert len(trajectory.t) == 1001
     # 4000 order-3 runs, of which the first COMPILE_AFTER run on jets, and
     # the final sample's single order-2 run.
     assert Counter(runs) == {3: COMPILE_AFTER, 2: 1}
@@ -436,13 +441,7 @@ def test_horizontal_lift_projects_onto_base_geodesic(surface, start):
         surface, geo.BaseState(start.x1, start.x2, start.Q1, start.Q2), t_max=5.0, h=1e-3
     )
     sup = max(
-        max(
-            abs(p.state.x1 - q.state.x1),
-            abs(p.state.x2 - q.state.x2),
-            abs(p.state.P1 - q.state.P1),
-            abs(p.state.P2 - q.state.P2),
-        )
-        for p, q in zip(projected.samples, base.samples)
+        abs(a - b) for p, q in zip(projected.states, base.states) for a, b in zip(p, q)
     )
     assert sup <= 1e-6
 
@@ -450,9 +449,9 @@ def test_horizontal_lift_projects_onto_base_geodesic(surface, start):
 def test_fiber_geodesic_projects_to_constant_point():
     start = geo.LiftState(0.2, 1.5, 0.0, 0.0, 0.0, 0.9)
     projected = geo.project(geo.integrate_lift(HALFPLANE, start, t_max=2.0, h=1e-2))
-    for sample in projected.samples:
-        assert (sample.state.x1, sample.state.x2) == (0.2, 1.5)
-        assert sample.state.P1 == sample.state.P2 == 0.0
+    for x1, x2, P1, P2 in projected.states:
+        assert (x1, x2) == (0.2, 1.5)
+        assert P1 == P2 == 0.0
 
 
 def test_projection_with_vertical_momentum_is_not_a_base_geodesic():
@@ -471,8 +470,14 @@ def test_project_requires_lift_trajectory():
 
 def test_project_carries_conserved_ratio():
     start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)
-    projected = geo.project(geo.integrate_lift(SPHERE, start, t_max=0.5, h=1e-2))
-    assert projected.samples[0].q3_over_k == pytest.approx(0.5, abs=1e-12)
+    trajectory = geo.integrate_lift(SPHERE, start, t_max=0.5, h=1e-2)
+    projected = geo.project(trajectory)
+    assert projected.q3_over_k[0] == pytest.approx(0.5, abs=1e-12)
+    # The projection shares the times and frame fields and keeps (x1, x2, Q1, Q2).
+    assert projected.t is trajectory.t and projected.fields is trajectory.fields
+    assert projected.states == [(y[0], y[1], y[3], y[4]) for y in trajectory.states]
+    assert trajectory.speed == [geo.LiftState(*y).speed for y in trajectory.states]
+    assert projected.speed == [geo.BaseState(*y).speed for y in projected.states]
 
 
 # -- Wong equation ---------------------------------------------------------------
@@ -489,7 +494,7 @@ def test_wong_residual_horizontal_reduces_to_geodesic_residual():
 def test_wong_residual_sphere_with_charge_half():
     start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)  # C = Q3/K = 0.5
     projected = geo.project(geo.integrate_lift(SPHERE, start, t_max=6.0, h=1e-3))
-    assert projected.samples[0].q3_over_k == pytest.approx(0.5, abs=1e-12)
+    assert projected.q3_over_k[0] == pytest.approx(0.5, abs=1e-12)
     residuals = geo.wong_residual(SPHERE, projected)
     assert max(r for r in residuals if r is not None) <= 1e-5
 
@@ -501,12 +506,30 @@ def test_wong_residual_bump_full_equation():
     assert max(r for r in residuals if r is not None) <= 1e-4
 
 
-def test_wong_opposite_rotation_sign_is_rejected_by_the_data():
+def test_wong_opposite_rotation_sign_is_rejected_by_the_data(monkeypatch):
     start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)
     projected = geo.project(geo.integrate_lift(SPHERE, start, t_max=2.0, h=1e-3))
-    wrong = geo.wong_residual(SPHERE, projected, rotation_sign=+1.0)
+    monkeypatch.setattr(geo, "WONG_ROTATION_SIGN", +1.0)
+    wrong = geo.wong_residual(SPHERE, projected)
     # flipping the magnetic orientation leaves 2|C K| |P| of residual
     assert max(r for r in wrong if r is not None) > 0.5
+
+
+def test_christoffel_contraction_keeps_the_bits_of_the_summed_form():
+    # The sum form base_rhs and wong_residual used before they shared the
+    # unrolled contraction; signed zeros in the inputs test its +0.0 start.
+    def summed(c1, c2, P1, P2):
+        gamma = koszul_values((((0.0, c1), (-c1, 0.0)), ((0.0, c2), (-c2, 0.0))), 2)
+        P = (P1, P2)
+        return [sum(gamma[k][i][j] * P[i] * P[j] for i in range(2) for j in range(2))
+                for k in range(2)]
+
+    rng = random.Random(5)
+    special = (0.0, -0.0, 1.0, -1.0, 1e300, -1e-300)
+    for _ in range(5000):
+        args = [rng.choice(special) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
+                for _ in range(4)]
+        assert _bits(tuple(geo._christoffel_contraction(*args))) == _bits(tuple(summed(*args)))
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
@@ -524,14 +547,15 @@ def test_wong_residual_from_carried_fields_matches_fresh_evaluation(method):
 def test_wong_residual_applies_its_own_kappa_min():
     start = geo.LiftState(0.3, 0.1, 0.0, 0.6, 0.0, 0.8)
     projected = geo.project(geo.integrate_lift(BUMP, start, t_max=0.1, h=1e-2))
+    # Another name, so the fields are evaluated afresh, where |K| < KAPPA_MIN.
     with pytest.raises(SingularCurvature):
-        geo.wong_residual(BUMP, projected, kappa_min=10.0)
+        geo.wong_residual(FAINT, projected)
 
 
 def test_wong_residual_needs_three_samples():
     start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)
     projected = geo.project(geo.integrate_lift(SPHERE, start, t_max=0.01, h=0.01))
-    assert len(projected.samples) == 2
+    assert len(projected.t) == 2
     with pytest.raises(ValueError):
         geo.wong_residual(SPHERE, projected)
 
@@ -554,7 +578,7 @@ def test_csv_layout():
     geo.write_csv(trajectory, buffer)
     lines = buffer.getvalue().splitlines()
     assert lines[0] == "t,x1,x2,phi,Q1,Q2,Q3,speed,Q3_over_K,wong_residual"
-    assert len(lines) == len(trajectory.samples) + 1
+    assert len(lines) == len(trajectory.t) + 1
     first = lines[1].split(",")
     assert first[0] == "0"
     assert first[9] == ""  # wong column empty unless requested
@@ -575,7 +599,7 @@ def test_csv_base_rows_leave_lift_columns_empty():
 def test_csv_phi_reduced_modulo_two_pi():
     start = geo.LiftState(0.2, 1.0, 0.0, 0.0, 0.0, 1.0)  # fast fiber rotation
     trajectory = geo.integrate_lift(HALFPLANE, start, t_max=30.0, h=1e-2)
-    assert abs(trajectory.samples[-1].state.phi) > 2.0 * math.pi  # unreduced inside
+    assert abs(trajectory.states[-1][2]) > 2.0 * math.pi  # unreduced inside
     buffer = io.StringIO()
     geo.write_csv(trajectory, buffer)
     last = buffer.getvalue().splitlines()[-1].split(",")
@@ -602,7 +626,7 @@ def test_json_round_trip():
     data = json.loads(json.dumps(geo.to_json_dict(trajectory)))
     assert data["columns"][0] == "t"
     assert data["kind"] == "lift"
-    assert len(data["rows"]) == len(trajectory.samples)
+    assert len(data["rows"]) == len(trajectory.t)
     assert data["rows"][0][9] is None
 
 
@@ -614,21 +638,3 @@ def test_integrate_rejects_a_step_count_that_is_not_finite(method):
     with pytest.raises(ValueError, match="t_max / step must be finite"):
         geo.integrate_base(SPHERE, geo.BaseState(0.5, 0.0, 0.0, 1.0), t_max=1e308, h=1e-308)
 
-
-def test_samples_materialise_the_columns():
-    start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)
-    trajectory = geo.integrate_lift(SPHERE, start, t_max=0.05, h=1e-2)
-    samples = trajectory.samples
-    assert [s.t for s in samples] == trajectory.t
-    assert [s.state for s in samples] == [geo.LiftState(*y) for y in trajectory.states]
-    assert [s.speed for s in samples] == [s.state.speed for s in samples]
-    assert [s.q3_over_k for s in samples] == trajectory.q3_over_k
-    assert [s.fields for s in samples] == trajectory.fields
-    with pytest.raises(AttributeError):
-        trajectory.samples = samples  # read-only
-    projected = geo.project(trajectory)
-    assert projected.t is trajectory.t and projected.fields is trajectory.fields
-    assert [s.state for s in projected.samples] == [
-        geo.BaseState(s.state.x1, s.state.x2, s.state.Q1, s.state.Q2) for s in samples
-    ]
-    assert [s.speed for s in projected.samples] == [s.state.speed for s in projected.samples]

@@ -1,8 +1,10 @@
-"""Module layering, read from the source with ``ast``.
+"""Module layering and the public keywords, read from the source with ``ast``.
 
 ``verify`` owns the whole verify report: the geometry modules do not import
 it, ``lift`` binds only ``verify_lift`` from it, and ``cli`` only parses
-arguments and prints what ``verify.report`` returns.
+arguments and prints what ``verify.report`` returns.  A value that only one
+caller ever sets is a module constant, not a keyword, so the public
+functions keep exactly the defaulted parameters listed here.
 """
 
 import ast
@@ -13,6 +15,15 @@ import wagnerlift
 
 SRC = Path(wagnerlift.__file__).parent
 DATA = Path(__file__).parent / "data"
+
+# Each has two values in use in the library, or is the physical charge C.
+PUBLIC_DEFAULTS = {
+    "geodesic.integrate_lift:method",
+    "geodesic.integrate_base:method",
+    "geodesic.wong_residual:C",
+    "surface.surface_jets:order",
+    "surface.require_finite:what",
+}
 
 
 def _tree(module: str) -> ast.Module:
@@ -64,3 +75,29 @@ def test_cli_builds_no_checks_and_samples_no_points():
         getattr(node, "id", None) or getattr(node, "attr", None) for node in ast.walk(_tree("cli"))
     }
     assert not identifiers & {"CheckResult", "VerifyReport", "verify_lift"}
+
+
+def _defaulted_parameters() -> set[str]:
+    """``module[.Class].function:parameter`` for every defaulted parameter of a
+    public function or of a method (dunders included) of a public class."""
+    found = set()
+    for path in SRC.glob("*.py"):
+        scopes = [(path.stem, ast.parse(path.read_text()).body)]
+        for prefix, body in scopes:  # grows with the classes met
+            for node in body:
+                name = getattr(node, "name", "_")
+                if name.startswith("_") and not name.endswith("__"):
+                    continue
+                if isinstance(node, ast.ClassDef):
+                    scopes.append((f"{prefix}.{name}", node.body))
+                elif isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                    args = node.args
+                    positional = args.posonlyargs + args.args
+                    named = positional[len(positional) - len(args.defaults) :]
+                    named += [a for a, d in zip(args.kwonlyargs, args.kw_defaults) if d]
+                    found |= {f"{prefix}.{name}:{arg.arg}" for arg in named}
+    return found
+
+
+def test_public_functions_keep_only_the_pinned_defaulted_parameters():
+    assert _defaulted_parameters() == PUBLIC_DEFAULTS

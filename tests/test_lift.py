@@ -99,9 +99,10 @@ def test_flat_surface_raises_everywhere():
 
 
 def test_kappa_threshold_is_configurable():
-    hp = catalog("halfplane")
-    with pytest.raises(SingularCurvature):
-        lifted_frame(hp, (0.0, 1.0), kappa_min=2.0)
+    # |K| ~ 4e-9 is nonzero but below the fixed threshold KAPPA_MIN = 1e-8.
+    faint = ConformalSurface.from_config({"name": "faint", "lambda": "1e-9*(x1^2 + x2^2)"})
+    with pytest.raises(SingularCurvature, match="below the singularity threshold 1e-08"):
+        lifted_frame(faint, (0.1, 0.2))
 
 
 # -- nonholonomity ------------------------------------------------------------------
