@@ -1,12 +1,12 @@
 """Frame-based Levi-Civita calculus in dimension 2 or 3.
 
 Everything here works for an arbitrary orthonormal frame described only by its
-structure functions c^k_ij and a directional-derivative operator.  A
-``FramePoint`` carries the values of c and their first chart partials, read
-once from the jets of the base geometry, and ``d`` turns the chart partials of
-a scalar into its frame derivative e_a; frame derivatives are therefore exact,
-and the whole calculus runs on plain floats.  Conventions, used consistently
-everywhere:
+structure functions c^k_ij and its frame derivatives.  A ``FramePoint``
+carries the values of c and their first chart partials, read once from the
+jets of the base geometry, and the factor e^(-lambda); its ``d`` turns the
+chart partials of a scalar into its frame derivative e_a.  Frame derivatives
+are therefore exact, and the whole calculus runs on plain floats.
+Conventions, used consistently everywhere:
 
     Gamma^k_ij = <nabla_{e_i} e_j, e_k> = (c^k_ij + c^j_ki + c^i_kj) / 2
     R(X, Y) Z  = nabla_X nabla_Y Z - nabla_Y nabla_X Z - nabla_[X,Y] Z
@@ -20,9 +20,6 @@ curvature comes from c and e_a alone, never from the closed forms.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
-
-from .surface import ConformalSurface, Point, surface_jets
 
 FloatTable3 = tuple  # c[k][i][j]
 FloatTable4 = tuple  # R[l][i][j][k]
@@ -30,27 +27,25 @@ FloatTable4 = tuple  # R[l][i][j][k]
 
 @dataclass(frozen=True)
 class FramePoint:
-    """Structure functions, their chart partials and the frame-derivative
-    operator at one point."""
+    """Structure functions and their chart partials at one point of the
+    conformal frame e_a = e^(-lambda) d_a (dim 2) or of its lift (dim 3),
+    with em = e^(-lambda) there."""
 
     dim: int
     c: FloatTable3  # c[k][i][j] values; antisymmetric in (i, j)
     dc: tuple  # (d_1 c, d_2 c), each laid out like c
-    d: Callable[[int, float, float], float]  # frame index (0-based), d_1 f, d_2 f -> e_i(f)
+    em: float
 
+    def d(self, a: int, f1: float, f2: float) -> float:
+        """e_a(f) from the chart partials d_1 f, d_2 f (0-based frame index).
 
-def first_partials(jet) -> tuple[float, float, float]:
-    """(value, d_1, d_2) of a jet of order >= 1.  These are slots 0-2 of
-    ``coeffs``, whose Taylor scale is 1, so they are the jet's own bits."""
-    return jet.coeffs[:3]
-
-
-@dataclass(frozen=True)
-class FrameSampler:
-    """An orthonormal frame field, sampled pointwise."""
-
-    dim: int
-    at: Callable[[Point], FramePoint]
+        E3 = K d_phi kills the phi-independent fields of the lift.
+        """
+        if a == 2:
+            return 0.0
+        # 0.0 + em*f is slot 0 of the jet product em * d_a(f): the sum
+        # starts at +0.0, so a -0.0 product comes out as +0.0.
+        return 0.0 + self.em * (f2 if a else f1)
 
 
 @dataclass(frozen=True)
@@ -63,26 +58,6 @@ class ConnectionTable:
     def entry(self, k: int, i: int, j: int) -> float:
         """Gamma^k_ij with 1-based frame indices."""
         return self.gamma[k - 1][i - 1][j - 1]
-
-    def compatibility_residual(self) -> float:
-        """max |Gamma^k_ij + Gamma^j_ik| (zero for a metric connection)."""
-        n = self.dim
-        return max(
-            abs(self.gamma[k][i][j] + self.gamma[j][i][k])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
-    def torsion_residual(self, c_values) -> float:
-        """max |Gamma^k_ij - Gamma^k_ji - c^k_ij| (zero when torsion-free)."""
-        n = self.dim
-        return max(
-            abs(self.gamma[k][i][j] - self.gamma[k][j][i] - c_values[k][i][j])
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
 
 
 @dataclass(frozen=True)
@@ -99,46 +74,6 @@ class CurvatureTable:
     def pair_component(self, a: int, b: int, c: int, d: int) -> float:
         """<R(e_a, e_b) e_c, e_d> with 1-based indices."""
         return self.R[d - 1][a - 1][b - 1][c - 1]
-
-    def antisymmetry_ij_residual(self) -> float:
-        n = self.dim
-        return max(
-            abs(self.R[l][i][j][k] + self.R[l][j][i][k])
-            for l in range(n)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
-    def antisymmetry_lk_residual(self) -> float:
-        n = self.dim
-        return max(
-            abs(self.R[l][i][j][k] + self.R[k][i][j][l])
-            for l in range(n)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
-    def bianchi_residual(self) -> float:
-        n = self.dim
-        return max(
-            abs(self.R[l][i][j][k] + self.R[l][j][k][i] + self.R[l][k][i][j])
-            for l in range(n)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
-
-    def pair_symmetry_residual(self) -> float:
-        n = self.dim
-        return max(
-            abs(self.R[l][i][j][k] - self.R[j][k][l][i])
-            for l in range(n)
-            for i in range(n)
-            for j in range(n)
-            for k in range(n)
-        )
 
 
 def sectional(table: CurvatureTable, i: int, j: int) -> float:
@@ -170,17 +105,16 @@ def koszul_values(c_values, dim: int):
     ])
 
 
-def koszul(frame: FrameSampler, x: Point) -> ConnectionTable:
-    """The unique metric-compatible torsion-free connection of the frame at ``x``."""
-    n = frame.dim
-    return ConnectionTable(dim=n, gamma=koszul_values(frame.at(x).c, n))
+def koszul(point: FramePoint) -> ConnectionTable:
+    """The unique metric-compatible torsion-free connection of the frame at the point."""
+    return ConnectionTable(dim=point.dim, gamma=koszul_values(point.c, point.dim))
 
 
 # -- curvature -----------------------------------------------------------------
 
 
-def curvature(frame: FrameSampler, x: Point) -> CurvatureTable:
-    """Full lowered curvature table from the structure functions at ``x``.
+def curvature(point: FramePoint) -> CurvatureTable:
+    """Full lowered curvature table from the structure functions at the point.
 
     R^l_ijk = e_i Gamma^l_jk - e_j Gamma^l_ik
               + Gamma^l_is Gamma^s_jk - Gamma^l_js Gamma^s_ik
@@ -189,8 +123,7 @@ def curvature(frame: FrameSampler, x: Point) -> CurvatureTable:
     with e_i Gamma = d(i, d_1 Gamma, d_2 Gamma), from the chart partials of
     Gamma that the Koszul formula gives on the chart partials of c.
     """
-    point = frame.at(x)
-    n, c, d = frame.dim, point.c, point.d
+    n, c, d = point.dim, point.c, point.d
     gamma = koszul_values(c, n)
     g1, g2 = (koszul_values(dc, n) for dc in point.dc)
     dgamma = [
@@ -214,27 +147,3 @@ def curvature(frame: FrameSampler, x: Point) -> CurvatureTable:
         for l in range(n)
     )
     return CurvatureTable(dim=n, R=frozen)
-
-
-# -- frame samplers --------------------------------------------------------------
-
-
-def base_frame_sampler(surface: ConformalSurface) -> FrameSampler:
-    """The conformal orthonormal frame e_a = e^(-lambda) d_a as a FrameSampler."""
-
-    def at(x: Point) -> FramePoint:
-        p = surface_jets(surface, x, 4)
-        em = p.em.value
-        c1, c2 = first_partials(p.c1), first_partials(p.c2)
-        c, d1c, d2c = (
-            (((0.0, c1[s]), (-c1[s], 0.0)), ((0.0, c2[s]), (-c2[s], 0.0))) for s in range(3)
-        )
-
-        def d(i: int, f1: float, f2: float) -> float:
-            # 0.0 + em*f is slot 0 of the jet product em * d_i(f): the sum
-            # starts at +0.0, so a -0.0 product comes out as +0.0.
-            return 0.0 + em * (f2 if i else f1)
-
-        return FramePoint(dim=2, c=c, dc=(d1c, d2c), d=d)
-
-    return FrameSampler(dim=2, at=at)

@@ -107,7 +107,7 @@ class Trajectory:
     projections."""
 
     kind: str  # "lift" or "base"
-    surface: str
+    surface: ConformalSurface
     method: str
     step: float
     t: list[float] = field(default_factory=list)
@@ -354,7 +354,7 @@ def integrate_lift(
         monitor.append(y[5] / K)
     fields = [info[1] for info in kept] + [None]
     wong = [None] * len(states)
-    return Trajectory("lift", surface.name, method, h, times, states, speed, monitor, wong, fields)
+    return Trajectory("lift", surface, method, h, times, states, speed, monitor, wong, fields)
 
 
 def integrate_base(
@@ -370,7 +370,7 @@ def integrate_base(
     speed = [math.hypot(y[2], y[3]) for y in states]
     n = len(states)
     return Trajectory(
-        "base", surface.name, method, h, times, states, speed, [None] * n, [None] * n, [None] * n
+        "base", surface, method, h, times, states, speed, [None] * n, [None] * n, [None] * n
     )
 
 
@@ -410,7 +410,7 @@ def wong_residual(
     connection from the generic Koszul coefficients.  Endpoint entries are
     None (no centered difference there).  C defaults to the trajectory's
     conserved Q3/K monitor.  Frame fields carried by the samples are used
-    when the trajectory's surface has this surface's name.
+    when the trajectory was integrated on an equal surface.
     """
     t, states = trajectory.t, trajectory.states
     if len(t) < 3:
@@ -420,7 +420,7 @@ def wong_residual(
         if C is None:
             raise ValueError("no Q3/K monitor on the trajectory; pass C explicitly")
 
-    carried = trajectory.fields if trajectory.surface == surface.name else [None] * len(t)
+    carried = trajectory.fields if trajectory.surface == surface else [None] * len(t)
     residuals: list[float | None] = [None] * len(t)
     for m in range(1, len(t) - 1):
         (_, _, P1a, P2a), (x1, x2, P1, P2), (_, _, P1b, P2b) = states[m - 1 : m + 2]
@@ -498,7 +498,7 @@ def to_json_dict(trajectory: Trajectory) -> dict:
     rows = [[float(c) if c else None for c in line[:-1].split(",")] for line in _lines(trajectory)]
     return {
         "kind": trajectory.kind,
-        "surface": trajectory.surface,
+        "surface": trajectory.surface.name,
         "method": trajectory.method,
         "step": trajectory.step,
         "columns": list(CSV_COLUMNS),

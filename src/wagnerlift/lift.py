@@ -33,13 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import connection
-from .connection import (
-    ConnectionTable,
-    CurvatureTable,
-    FramePoint,
-    FrameSampler,
-    first_partials,
-)
+from .connection import ConnectionTable, CurvatureTable, FramePoint
 from .surface import (
     KAPPA_MIN,
     BaseGeometry,
@@ -64,6 +58,12 @@ def _checked_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
     return p
 
 
+def first_partials(jet) -> tuple[float, float, float]:
+    """(value, d_1, d_2) of a jet of order >= 1.  These are slots 0-2 of
+    ``coeffs``, whose Taylor scale is 1, so they are the jet's own bits."""
+    return jet.coeffs[:3]
+
+
 # -- lifted frame ---------------------------------------------------------------
 
 
@@ -78,14 +78,6 @@ class LiftedFrame:
     point: Point
     K: float
     matrix: tuple[tuple[float, float, float], ...]
-
-    def determinant(self) -> float:
-        m = self.matrix
-        return (
-            m[0][0] * (m[1][1] * m[2][2] - m[1][2] * m[2][1])
-            - m[0][1] * (m[1][0] * m[2][2] - m[1][2] * m[2][0])
-            + m[0][2] * (m[1][0] * m[2][1] - m[1][1] * m[2][0])
-        )
 
 
 def lifted_frame(surface: ConformalSurface, x: Point) -> LiftedFrame:
@@ -151,22 +143,18 @@ def nonholonomity(surface: ConformalSurface, x: Point) -> float:
 
 @dataclass(frozen=True)
 class LiftedStructure:
-    """The nine independent chat^k_ij values plus the base geometry record."""
+    """The five chat^k_ij values that can be nonzero plus the base geometry
+    record; c113, c123, c213 and c223 vanish for every lift."""
 
     c112: float
-    c113: float
-    c123: float
     c212: float
-    c213: float
-    c223: float
     c312: float
     c313: float
     c323: float
     base: BaseGeometry
 
     def table(self) -> tuple:
-        """Full antisymmetric table chat[k][i][j] (0-based indices); c113, c123,
-        c213 and c223 vanish for every lift and fill as zeros."""
+        """Full antisymmetric table chat[k][i][j] (0-based indices), zeros filled."""
         return _lifted_table(self.c112, self.c212, self.c312, self.c313, self.c323)
 
 
@@ -175,11 +163,7 @@ def lifted_structure(surface: ConformalSurface, x: Point) -> LiftedStructure:
     p = _checked_jets(surface, x)
     return LiftedStructure(
         c112=p.c1.value,
-        c113=0.0,
-        c123=0.0,
         c212=p.c2.value,
-        c213=0.0,
-        c223=0.0,
         c312=-1.0,
         c313=p.u1.value,
         c323=p.u2.value,
@@ -221,37 +205,21 @@ def _lifted_table(c1: float, c2: float, c312: float, u1: float, u2: float) -> tu
     )
 
 
-def lift_frame_sampler(surface: ConformalSurface) -> FrameSampler:
-    """The lifted orthonormal frame as a generic FrameSampler (dim 3).
-
-    Scalar fields on the bundle built from the base geometry are
-    phi-independent, so E3 = K d_phi differentiates them to zero.
-    """
-
-    def at(x: Point) -> FramePoint:
-        p = _checked_jets(surface, x)
-        em = p.em.value
-        c1, c2 = first_partials(p.c1), first_partials(p.c2)
-        u1, u2 = first_partials(p.u1), first_partials(p.u2)
-        # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
-        c = _lifted_table(c1[0], c2[0], -1.0, u1[0], u2[0])
-        dc = tuple(_lifted_table(c1[s], c2[s], 0.0, u1[s], u2[s]) for s in (1, 2))
-
-        def d(i: int, f1: float, f2: float) -> float:
-            if i == 2:
-                return 0.0
-            # Slot 0 of the jet product em * d_i(f), +0.0 sum start included.
-            return 0.0 + em * (f2 if i else f1)
-
-        return FramePoint(dim=3, c=c, dc=dc, d=d)
-
-    return FrameSampler(dim=3, at=at)
+def lift_frame_point(surface: ConformalSurface, x: Point) -> FramePoint:
+    """The lifted orthonormal frame at ``x`` as a generic FramePoint (dim 3)."""
+    p = _checked_jets(surface, x)
+    c1, c2 = first_partials(p.c1), first_partials(p.c2)
+    u1, u2 = first_partials(p.u1), first_partials(p.u2)
+    # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
+    c = _lifted_table(c1[0], c2[0], -1.0, u1[0], u2[0])
+    dc = tuple(_lifted_table(c1[s], c2[s], 0.0, u1[s], u2[s]) for s in (1, 2))
+    return FramePoint(dim=3, c=c, dc=dc, em=p.em.value)
 
 
 def lifted_connection(surface: ConformalSurface, x: Point) -> ConnectionTable:
     """Levi-Civita coefficients of the lifted metric, via the Koszul formula
     applied to the closed-form structure functions."""
-    return connection.koszul(lift_frame_sampler(surface), x)
+    return connection.koszul(lift_frame_point(surface, x))
 
 
 # -- lifted curvature ----------------------------------------------------------
@@ -294,7 +262,7 @@ def lifted_curvature_closed(surface: ConformalSurface, x: Point) -> CurvatureTab
 
 def lifted_curvature_oracle(surface: ConformalSurface, x: Point) -> CurvatureTable:
     """Generic frame-calculus route to the same table; the cross-check."""
-    return connection.curvature(lift_frame_sampler(surface), x)
+    return connection.curvature(lift_frame_point(surface, x))
 
 
 def lifted_sectional(surface: ConformalSurface, x: Point, i: int, j: int) -> float:

@@ -7,8 +7,9 @@ plain loops and the recursive AST interpreter that the library's kernels and
 tapes replace, and the frame calculus and bracket oracle as they ran on whole
 jets before they ran on first partials, and the entry-by-entry expansion of
 the six curvature components, kept here to pin those bit for bit.
-The linear-system connection and the constant frames are oracles that only
-the tests need.
+The linear-system connection, the base and constant frame points and the
+consistency residuals of the connection and curvature tables are oracles that
+only the tests need.
 """
 
 from __future__ import annotations
@@ -16,7 +17,6 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
-from typing import Callable
 
 import mpmath as mp
 import numpy as np
@@ -300,82 +300,76 @@ def solve_connection(c_values, dim: int) -> connection.ConnectionTable:
     return connection.ConnectionTable(dim=n, gamma=gamma)
 
 
-def constant_frame_sampler(c_values, dim: int) -> connection.FrameSampler:
-    """Frame with constant structure functions (e.g. a left-invariant frame)."""
-
+def constant_frame_point(c_values, dim: int) -> connection.FramePoint:
+    """Frame with constant structure functions (e.g. a left-invariant frame);
+    its chart partials are zero, so with em = 0.0 every e_a gives +0.0."""
     zero = tuple(tuple((0.0,) * dim for _ in range(dim)) for _ in range(dim))
+    return connection.FramePoint(dim=dim, c=c_values, dc=(zero, zero), em=0.0)
 
-    def at(_) -> connection.FramePoint:
-        return connection.FramePoint(dim, c_values, (zero, zero), lambda _i, _f1, _f2: 0.0)
 
-    return connection.FrameSampler(dim=dim, at=at)
+def base_frame_point(surface, x) -> connection.FramePoint:
+    """The conformal orthonormal frame e_a = e^(-lambda) d_a at ``x`` (dim 2)."""
+    p = surface_jets(surface, x, 4)
+    c1, c2 = lift.first_partials(p.c1), lift.first_partials(p.c2)
+    c, d1c, d2c = (
+        (((0.0, c1[s]), (-c1[s], 0.0)), ((0.0, c2[s]), (-c2[s], 0.0))) for s in range(3)
+    )
+    return connection.FramePoint(dim=2, c=c, dc=(d1c, d2c), em=p.em.value)
 
 
 @dataclass(frozen=True)
 class JetFramePoint:
-    """Structure functions as jets and a frame derivative of jets."""
+    """Structure functions as jets, and em = e^(-lambda) as a jet."""
 
     dim: int
     c: tuple  # c[k][i][j], jets
-    d: Callable[[int, jets.Jet], jets.Jet]
+    em: jets.Jet
+
+    def d(self, a: int, f: jets.Jet) -> jets.Jet:
+        """e_a(f) as a jet; E3 = K d_phi kills phi-independent fields."""
+        if a == 2:
+            return jets.Jet.constant(0.0, max(f.order - 1, 0))
+        return self.em * jets.diff(f, a + 1)
 
 
-def jet_base_frame(surface, order: int = 4) -> connection.FrameSampler:
-    """The conformal frame e_a = e^(-lambda) d_a, sampled as jets."""
-
-    def at(x) -> JetFramePoint:
-        p = surface_jets(surface, x, order)
-        zero = jets.Jet.constant(0.0, p.c1.order)
-        c = (
-            ((zero, p.c1), (-p.c1, zero)),
-            ((zero, p.c2), (-p.c2, zero)),
-        )
-
-        def d(i: int, f: jets.Jet) -> jets.Jet:
-            return p.em * jets.diff(f, i + 1)
-
-        return JetFramePoint(dim=2, c=c, d=d)
-
-    return connection.FrameSampler(dim=2, at=at)
+def jet_base_frame(surface, x) -> JetFramePoint:
+    """The conformal frame e_a = e^(-lambda) d_a at ``x``, as jets."""
+    p = surface_jets(surface, x, 4)
+    zero = jets.Jet.constant(0.0, p.c1.order)
+    c = (
+        ((zero, p.c1), (-p.c1, zero)),
+        ((zero, p.c2), (-p.c2, zero)),
+    )
+    return JetFramePoint(dim=2, c=c, em=p.em)
 
 
-def jet_lift_frame(surface) -> connection.FrameSampler:
-    """The lifted frame, sampled as jets; E3 = K d_phi kills phi-independent fields."""
+def jet_lift_frame(surface, x) -> JetFramePoint:
+    """The lifted frame at ``x``, as jets."""
+    p = lift._checked_jets(surface, x)
+    order = p.c1.order
+    zero = jets.Jet.constant(0.0, order)
+    minus_one = jets.Jet.constant(-1.0, order)
 
-    def at(x) -> JetFramePoint:
-        p = lift._checked_jets(surface, x)
-        order = p.c1.order
-        zero = jets.Jet.constant(0.0, order)
-        minus_one = jets.Jet.constant(-1.0, order)
+    def entry(k: int, i: int, j: int) -> jets.Jet:
+        if (i, j) == (0, 1):
+            return (p.c1, p.c2, minus_one)[k]
+        if (i, j) == (1, 0):
+            return (-p.c1, -p.c2, -minus_one)[k]
+        if k == 2 and (i, j) == (0, 2):
+            return p.u1
+        if k == 2 and (i, j) == (2, 0):
+            return -p.u1
+        if k == 2 and (i, j) == (1, 2):
+            return p.u2
+        if k == 2 and (i, j) == (2, 1):
+            return -p.u2
+        return zero
 
-        def entry(k: int, i: int, j: int) -> jets.Jet:
-            if (i, j) == (0, 1):
-                return (p.c1, p.c2, minus_one)[k]
-            if (i, j) == (1, 0):
-                return (-p.c1, -p.c2, -minus_one)[k]
-            if k == 2 and (i, j) == (0, 2):
-                return p.u1
-            if k == 2 and (i, j) == (2, 0):
-                return -p.u1
-            if k == 2 and (i, j) == (1, 2):
-                return p.u2
-            if k == 2 and (i, j) == (2, 1):
-                return -p.u2
-            return zero
-
-        c = tuple(
-            tuple(tuple(entry(k, i, j) for j in range(3)) for i in range(3))
-            for k in range(3)
-        )
-
-        def d(i: int, f: jets.Jet) -> jets.Jet:
-            if i == 2:
-                return jets.Jet.constant(0.0, max(f.order - 1, 0))
-            return p.em * jets.diff(f, i + 1)
-
-        return JetFramePoint(dim=3, c=c, d=d)
-
-    return connection.FrameSampler(dim=3, at=at)
+    c = tuple(
+        tuple(tuple(entry(k, i, j) for j in range(3)) for i in range(3))
+        for k in range(3)
+    )
+    return JetFramePoint(dim=3, c=c, em=p.em)
 
 
 def koszul_jets(point: JetFramePoint) -> tuple:
@@ -395,10 +389,9 @@ def jet_values(table) -> tuple:
     return tuple(tuple(tuple(f.value for f in row) for row in plane) for plane in table)
 
 
-def curvature_jets(frame: connection.FrameSampler, x) -> connection.CurvatureTable:
+def curvature_jets(point: JetFramePoint) -> connection.CurvatureTable:
     """``connection.curvature`` with e_i Gamma taken from jets of Gamma."""
-    point = frame.at(x)
-    n = frame.dim
+    n = point.dim
     gamma_jets = koszul_jets(point)
     gamma = [[[gamma_jets[k][i][j].value for j in range(n)] for i in range(n)] for k in range(n)]
     dgamma = [
@@ -508,3 +501,61 @@ def table_from_pair_form(components: dict) -> connection.CurvatureTable:
         for l in range(3)
     )
     return connection.CurvatureTable(dim=3, R=R)
+
+
+# -- consistency residuals of the connection and curvature tables ----------------
+
+
+def compatibility_residual(table: connection.ConnectionTable) -> float:
+    """max |Gamma^k_ij + Gamma^j_ik| (zero for a metric connection)."""
+    n, gamma = table.dim, table.gamma
+    return max(
+        abs(gamma[k][i][j] + gamma[j][i][k])
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
+def torsion_residual(table: connection.ConnectionTable, c_values) -> float:
+    """max |Gamma^k_ij - Gamma^k_ji - c^k_ij| (zero when torsion-free)."""
+    n, gamma = table.dim, table.gamma
+    return max(
+        abs(gamma[k][i][j] - gamma[k][j][i] - c_values[k][i][j])
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
+def _curvature_residual(table: connection.CurvatureTable, term) -> float:
+    n = table.dim
+    return max(
+        abs(term(table.R, l, i, j, k))
+        for l in range(n)
+        for i in range(n)
+        for j in range(n)
+        for k in range(n)
+    )
+
+
+def antisymmetry_ij_residual(table: connection.CurvatureTable) -> float:
+    """max |R_lijk + R_ljik|."""
+    return _curvature_residual(table, lambda R, l, i, j, k: R[l][i][j][k] + R[l][j][i][k])
+
+
+def antisymmetry_lk_residual(table: connection.CurvatureTable) -> float:
+    """max |R_lijk + R_kijl|."""
+    return _curvature_residual(table, lambda R, l, i, j, k: R[l][i][j][k] + R[k][i][j][l])
+
+
+def bianchi_residual(table: connection.CurvatureTable) -> float:
+    """max |R_lijk + R_ljki + R_lkij| (first Bianchi identity)."""
+    return _curvature_residual(
+        table, lambda R, l, i, j, k: R[l][i][j][k] + R[l][j][k][i] + R[l][k][i][j]
+    )
+
+
+def pair_symmetry_residual(table: connection.CurvatureTable) -> float:
+    """max |R_lijk - R_jkli|."""
+    return _curvature_residual(table, lambda R, l, i, j, k: R[l][i][j][k] - R[j][k][l][i])

@@ -22,10 +22,13 @@ from wagnerlift import jets
 from wagnerlift.surface import ConformalSurface, catalog, sample_points
 
 from _oracles import (
+    base_frame_point,
+    compatibility_residual,
     fd_agrees,
     polynomial_partial,
     random_polynomial,
     random_smooth_expr,
+    torsion_residual,
 )
 
 SEED = 20240809
@@ -137,22 +140,21 @@ def test_criterion_04_nonholonomity_equals_minus_curvature():
 
 
 def test_criterion_05_connection_invariants():
-    from wagnerlift.connection import base_frame_sampler, koszul
+    from wagnerlift.connection import koszul
 
     worst = 0.0
     for name in ("sphere", "halfplane", "bump"):
         surface = catalog(name)
-        frame = base_frame_sampler(surface)
         rng = random.Random(SEED + 4)
         for x in sample_points(surface, 50, rng):
-            table = koszul(frame, x)
-            c_values = frame.at(x).c
-            worst = max(worst, table.compatibility_residual())
-            worst = max(worst, table.torsion_residual(c_values))
+            point = base_frame_point(surface, x)
+            table = koszul(point)
+            worst = max(worst, compatibility_residual(table))
+            worst = max(worst, torsion_residual(table, point.c))
             lifted = lift.lifted_connection(surface, x)
-            worst = max(worst, lifted.compatibility_residual())
+            worst = max(worst, compatibility_residual(lifted))
             worst = max(
-                worst, lifted.torsion_residual(lift.lifted_structure(surface, x).table())
+                worst, torsion_residual(lifted, lift.lifted_structure(surface, x).table())
             )
     ok = worst <= 1e-12
     assert _report(

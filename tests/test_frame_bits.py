@@ -12,6 +12,7 @@ import struct
 import pytest
 
 from _oracles import (
+    base_frame_point,
     bracket_structure_jets,
     curvature_jets,
     jet_base_frame,
@@ -24,9 +25,8 @@ from _oracles import (
 )
 from wagnerlift import connection, lift
 from wagnerlift import expr as ex
-from wagnerlift.connection import base_frame_sampler, first_partials
 from wagnerlift.jets import Jet
-from wagnerlift.lift import lift_frame_sampler
+from wagnerlift.lift import first_partials, lift_frame_point
 from wagnerlift.surface import ConformalSurface, catalog, sample_points
 
 SIGNED_ZERO_POINTS = (
@@ -77,17 +77,21 @@ def _outcome(fn, *args):
     return struct.pack(f"<{len(values)}d", *values)
 
 
-def _koszul_jets_values(jet_frame, x):
-    return jet_values(koszul_jets(jet_frame.at(x)))
+# Each frame pairs its point with its jet reference, both built from (surface, x).
+FRAMES = ((base_frame_point, jet_base_frame), (lift_frame_point, jet_lift_frame))
 
 
-def _tables(frame, x):
-    point = frame.at(x)
+def _at(route, frame_point):
+    """``route`` applied to the frame point built at (surface, x)."""
+    return lambda surface, x: route(frame_point(surface, x))
+
+
+def _tables(point):
     return point.c, point.dc
 
 
-def _jet_tables(jet_frame, x):
-    c = jet_frame.at(x).c
+def _jet_tables(jet_point):
+    c = jet_point.c
     slot = lambda s: tuple(  # noqa: E731
         tuple(tuple(f.coeffs[s] for f in row) for row in plane) for plane in c
     )
@@ -96,21 +100,19 @@ def _jet_tables(jet_frame, x):
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.name)
 def test_frame_calculus_matches_the_jet_route_bit_for_bit(surface):
-    frames = (
-        (base_frame_sampler(surface), jet_base_frame(surface)),
-        (lift_frame_sampler(surface), jet_lift_frame(surface)),
-    )
     raised = 0
-    for frame, jet_frame in frames:
+    for frame, jet_frame in FRAMES:
         for x in _points(surface):
-            expected = _outcome(curvature_jets, jet_frame, x)
-            assert _outcome(connection.curvature, frame, x) == expected, x
+            expected = _outcome(_at(curvature_jets, jet_frame), surface, x)
+            assert _outcome(_at(connection.curvature, frame), surface, x) == expected, x
             raised += isinstance(expected, tuple)
-            assert _outcome(_tables, frame, x) == _outcome(_jet_tables, jet_frame, x), x
-            assert _outcome(connection.koszul, frame, x) == _outcome(
-                _koszul_jets_values, jet_frame, x
+            assert _outcome(_at(_tables, frame), surface, x) == _outcome(
+                _at(_jet_tables, jet_frame), surface, x
             ), x
-    assert raised < len(frames) * len(_points(surface))
+            assert _outcome(_at(connection.koszul, frame), surface, x) == _outcome(
+                _at(lambda p: jet_values(koszul_jets(p)), jet_frame), surface, x
+            ), x
+    assert raised < len(FRAMES) * len(_points(surface))
 
 
 @pytest.mark.parametrize("surface", SURFACES, ids=lambda s: s.name)
@@ -134,17 +136,13 @@ def test_frame_derivative_matches_the_jet_product_on_signed_zeros(name):
     # +0.0: a partial of -0.0 must give +0.0, not em * -0.0 = -0.0.
     surface = catalog(name)
     x = (0.2, 0.7)
-    pairs = (
-        (base_frame_sampler(surface), jet_base_frame(surface)),
-        (lift_frame_sampler(surface), jet_lift_frame(surface)),
-    )
-    for frame, jet_frame in pairs:
-        point, jet_point = frame.at(x), jet_frame.at(x)
+    for frame, jet_frame in FRAMES:
+        point, jet_point = frame(surface, x), jet_frame(surface, x)
         for f1 in (0.0, -0.0, 1.5, -2.25):
             for f2 in (0.0, -0.0, 0.75):
                 jet = Jet(2, (0.3, f1, f2, 0.1, -0.2, 0.4))
                 partials = first_partials(jet)
-                for a in range(frame.dim):
+                for a in range(point.dim):
                     expected = jet_point.d(a, jet).value
                     assert _bits(point.d(a, partials[1], partials[2])) == _bits(expected)
 

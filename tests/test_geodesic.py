@@ -540,14 +540,26 @@ def test_wong_residual_from_carried_fields_matches_fresh_evaluation(method):
     bare = replace(projected, fields=[None] * len(projected.t))
     assert bare == projected  # the carried fields are outside ==
     assert geo.wong_residual(BUMP, projected) == geo.wong_residual(BUMP, bare)
-    # A surface of another name never uses them.
+    # Another surface never uses them.
     assert geo.wong_residual(SPHERE, projected) == geo.wong_residual(SPHERE, bare)
+
+
+def test_wong_residual_evaluates_a_same_named_surface_afresh():
+    # Another metric under the sphere's name must not reuse the sphere's
+    # carried fields: its residual is the one it gets from its own fields.
+    impostor = ConformalSurface.from_config({"name": "sphere", "lambda": "x1^2 + x2^2"})
+    start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.5)
+    projected = geo.project(geo.integrate_lift(SPHERE, start, t_max=1.0, h=1e-2))
+    bare = replace(projected, fields=[None] * len(projected.t))
+    own = geo.wong_residual(impostor, bare)
+    assert geo.wong_residual(impostor, projected) == own
+    assert max(r for r in own if r is not None) > 1.0
 
 
 def test_wong_residual_applies_its_own_kappa_min():
     start = geo.LiftState(0.3, 0.1, 0.0, 0.6, 0.0, 0.8)
     projected = geo.project(geo.integrate_lift(BUMP, start, t_max=0.1, h=1e-2))
-    # Another name, so the fields are evaluated afresh, where |K| < KAPPA_MIN.
+    # Another surface, so the fields are evaluated afresh, where |K| < KAPPA_MIN.
     with pytest.raises(SingularCurvature):
         geo.wong_residual(FAINT, projected)
 

@@ -52,6 +52,18 @@ def test_geometry_modules_import_neither_lift_nor_verify():
         assert not _imports(module).keys() & {"lift", "verify"}, module
 
 
+def test_no_module_defines_a_frame_sampler():
+    # The frame calculus takes one FramePoint; no closure layer builds it.
+    for path in SRC.glob("*.py"):
+        defined = {
+            getattr(node, "name", None) or getattr(node, "id", None)
+            for node in ast.walk(ast.parse(path.read_text()))
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef))
+            or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
+        }
+        assert "FrameSampler" not in defined, path.name
+
+
 def test_lift_takes_only_verify_lift_from_verify():
     imported = _imports("lift")
     assert not imported.keys() & {"json", "random"}, imported
