@@ -3,9 +3,10 @@
 Everything here works for an arbitrary orthonormal frame described only by its
 structure functions c^k_ij and its frame derivatives.  A ``FramePoint``
 carries the values of c and their first chart partials, read once from the
-jets of the base geometry, and the factor e^(-lambda); its ``d`` turns the
-chart partials of a scalar into its frame derivative e_a.  Frame derivatives
-are therefore exact, and the whole calculus runs on plain floats.
+jets of the base geometry, and em = e^(-lambda).  The frame derivative of a
+scalar is e_a(f) = 0.0 + em * d_a f for a = 1, 2 (slot 0 of the jet product
+em * d_a f) and 0.0 along E3 = K d_phi, which kills phi-independent fields.
+Frame derivatives are therefore exact, and the whole calculus runs on floats.
 Conventions, used consistently everywhere:
 
     Gamma^k_ij = <nabla_{e_i} e_j, e_k> = (c^k_ij + c^j_ki + c^i_kj) / 2
@@ -14,15 +15,17 @@ Conventions, used consistently everywhere:
     sectional(i, j) = <R(e_i, e_j) e_j, e_i>
 
 This module is the generic oracle for the closed-form lift formulas: the
-curvature comes from c and e_a alone, never from the closed forms.
+curvature comes from c and e_a alone, never from the closed forms.  The
+Koszul and curvature formulas run as straight-line kernels generated per
+frame dimension on first use.  Each writes every entry as one left-to-right
+expression in the order of the index loops it replaces, so it rounds as they
+did, signed zeros included; the loops are the bit references of the tests.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-FloatTable3 = tuple  # c[k][i][j]
-FloatTable4 = tuple  # R[l][i][j][k]
+from itertools import product
 
 
 @dataclass(frozen=True)
@@ -32,20 +35,9 @@ class FramePoint:
     with em = e^(-lambda) there."""
 
     dim: int
-    c: FloatTable3  # c[k][i][j] values; antisymmetric in (i, j)
+    c: tuple  # c[k][i][j] values; antisymmetric in (i, j)
     dc: tuple  # (d_1 c, d_2 c), each laid out like c
     em: float
-
-    def d(self, a: int, f1: float, f2: float) -> float:
-        """e_a(f) from the chart partials d_1 f, d_2 f (0-based frame index).
-
-        E3 = K d_phi kills the phi-independent fields of the lift.
-        """
-        if a == 2:
-            return 0.0
-        # 0.0 + em*f is slot 0 of the jet product em * d_a(f): the sum
-        # starts at +0.0, so a -0.0 product comes out as +0.0.
-        return 0.0 + self.em * (f2 if a else f1)
 
 
 @dataclass(frozen=True)
@@ -53,7 +45,7 @@ class ConnectionTable:
     """Levi-Civita coefficients Gamma^k_ij in an orthonormal frame."""
 
     dim: int
-    gamma: FloatTable3  # gamma[k][i][j]
+    gamma: tuple  # gamma[k][i][j]
 
     def entry(self, k: int, i: int, j: int) -> float:
         """Gamma^k_ij with 1-based frame indices."""
@@ -65,11 +57,7 @@ class CurvatureTable:
     """Lowered curvature components R[l][i][j][k] = <R(e_i,e_j)e_k, e_l>."""
 
     dim: int
-    R: FloatTable4
-
-    def entry(self, l: int, i: int, j: int, k: int) -> float:
-        """R_lijk with 1-based frame indices."""
-        return self.R[l - 1][i - 1][j - 1][k - 1]
+    R: tuple  # R[l][i][j][k]
 
     def pair_component(self, a: int, b: int, c: int, d: int) -> float:
         """<R(e_a, e_b) e_c, e_d> with 1-based indices."""
@@ -86,6 +74,57 @@ def sectional(table: CurvatureTable, i: int, j: int) -> float:
     return table.R[i - 1][i - 1][j - 1][j - 1]
 
 
+# -- generated kernels ------------------------------------------------------------
+
+_KERNELS: dict = {}  # (source builder, dim) -> generated function
+
+
+def _nested(leaf, n: int, depth: int, index: tuple = ()) -> str:
+    """Source of a depth-deep nested tuple over 0..n-1 of ``leaf(*index)``."""
+    if len(index) == depth:
+        return leaf(*index)
+    return "(" + "".join(_nested(leaf, n, depth, index + (i,)) + ", " for i in range(n)) + ")"
+
+
+def _koszul(c: str, k: int, i: int, j: int) -> str:
+    return f"0.5 * ({c}{k}{i}{j} + {c}{j}{k}{i} + {c}{i}{k}{j})"
+
+
+def _unpack(c: str, n: int) -> str:
+    return f"{_nested(lambda k, i, j: f'{c}{k}{i}{j}', n, 3)} = {c}"
+
+
+def _koszul_source(n: int) -> str:
+    body = f"return {_nested(lambda k, i, j: _koszul('c', k, i, j), n, 3)}"
+    return f"def kernel(c):\n    {_unpack('c', n)}\n    {body}\n"
+
+
+def _curvature_source(n: int) -> str:
+    lines = [_unpack(c, n) for c in "cpq"]  # c and its chart partials d_1 c, d_2 c
+    for k, i, j in product(range(n), repeat=3):  # Gamma, e_1 Gamma and e_2 Gamma
+        lines.append(f"G{k}{i}{j} = {_koszul('c', k, i, j)}")
+        lines += (f"E{a}{k}{i}{j} = 0.0 + em * ({_koszul(d, k, i, j)})" for a, d in enumerate("pq"))
+
+    def entry(l: int, i: int, j: int, k: int) -> str:  # e_a Gamma is 0.0 along E3, a = 2
+        ei, ej = ("0.0" if a == 2 else f"E{a}{l}{b}{k}" for a, b in ((i, j), (j, i)))
+        return f"{ei} - {ej}" + "".join(
+            f" + G{l}{i}{s}*G{s}{j}{k} - G{l}{j}{s}*G{s}{i}{k} - c{s}{i}{j}*G{l}{s}{k}"
+            for s in range(n)
+        )
+
+    lines.append(f"return {_nested(entry, n, 4)}")
+    return "def kernel(c, p, q, em):\n    " + "\n    ".join(lines) + "\n"
+
+
+def _kernel(source, n: int):
+    """The kernel that ``source(n)`` defines, generated on first use."""
+    kernel = _KERNELS.get((source, n))
+    if kernel is None:
+        exec(source(n), namespace := {})
+        kernel = _KERNELS[source, n] = namespace["kernel"]
+    return kernel
+
+
 # -- connection -----------------------------------------------------------------
 
 
@@ -93,16 +132,7 @@ def koszul_values(c_values, dim: int):
     """Koszul coefficients Gamma^k_ij = (c^k_ij + c^j_ki + c^i_kj)/2 of a
     table of numbers; applied to the chart partials of c, it gives the chart
     partials of Gamma."""
-    return tuple([
-        tuple([
-            tuple([
-                0.5 * (c_values[k][i][j] + c_values[j][k][i] + c_values[i][k][j])
-                for j in range(dim)
-            ])
-            for i in range(dim)
-        ])
-        for k in range(dim)
-    ])
+    return _kernel(_koszul_source, dim)(c_values)
 
 
 def koszul(point: FramePoint) -> ConnectionTable:
@@ -120,30 +150,9 @@ def curvature(point: FramePoint) -> CurvatureTable:
               + Gamma^l_is Gamma^s_jk - Gamma^l_js Gamma^s_ik
               - c^s_ij Gamma^l_sk
 
-    with e_i Gamma = d(i, d_1 Gamma, d_2 Gamma), from the chart partials of
-    Gamma that the Koszul formula gives on the chart partials of c.
+    with e_i Gamma from the chart partials of Gamma that the Koszul formula
+    gives on the chart partials of c, and the s terms added in turn.
     """
-    n, c, d = point.dim, point.c, point.d
-    gamma = koszul_values(c, n)
-    g1, g2 = (koszul_values(dc, n) for dc in point.dc)
-    dgamma = [
-        [[[d(a, g1[l][j][k], g2[l][j][k]) for k in range(n)] for j in range(n)] for l in range(n)]
-        for a in range(n)
-    ]
-
-    R = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
-    for l in range(n):
-        for i in range(n):
-            for j in range(n):
-                for k in range(n):
-                    total = dgamma[i][l][j][k] - dgamma[j][l][i][k]
-                    for s in range(n):
-                        total += gamma[l][i][s] * gamma[s][j][k]
-                        total -= gamma[l][j][s] * gamma[s][i][k]
-                        total -= c[s][i][j] * gamma[l][s][k]
-                    R[l][i][j][k] = total
-    frozen = tuple(
-        tuple(tuple(tuple(R[l][i][j][k] for k in range(n)) for j in range(n)) for i in range(n))
-        for l in range(n)
+    return CurvatureTable(
+        dim=point.dim, R=_kernel(_curvature_source, point.dim)(point.c, *point.dc, point.em)
     )
-    return CurvatureTable(dim=n, R=frozen)

@@ -65,7 +65,6 @@ __all__ = [
 
 VARIABLES = ("x1", "x2")
 CONSTANTS = {"pi": math.pi, "e": math.e}
-FUNCTION_NAMES = tuple(sorted(jets.FUNCTIONS))
 
 _MAX_DEPTH = 200
 _MAX_INT_POWER = 8

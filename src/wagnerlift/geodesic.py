@@ -29,8 +29,8 @@ kept for ``wong_residual`` and the Q3/K monitor -e^(-2 lambda) Lap(lambda),
 which keeps the bits of an order-2 evaluation because the order-2
 coefficients are a prefix of the order-3 ones; the final sample, which has no
 next step, is evaluated at order 2.  Frame fields that are not finite (a
-third derivative that overflowed leaves the whole order-3 jet NaN) stop the
-run with a ``DomainError``.
+third derivative that overflowed leaves the third partials inf or NaN) stop
+the run with a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -79,10 +79,6 @@ class LiftState:
     Q2: float
     Q3: float
 
-    @property
-    def speed(self) -> float:
-        return math.sqrt(self.Q1**2 + self.Q2**2 + self.Q3**2)
-
 
 @dataclass(frozen=True)
 class BaseState:
@@ -92,10 +88,6 @@ class BaseState:
     x2: float
     P1: float
     P2: float
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.P1, self.P2)
 
 
 @dataclass

@@ -73,21 +73,24 @@ _SCALE = {
 }
 
 
-def _product_kernel(n: int):
-    """Straight-line product of two order-``n`` coefficient tuples."""
+def _product_kernel(n: int, name: str = "_mul", first_b: int = 0):
+    """Straight-line product of two order-``n`` coefficient tuples, less the
+    terms of ``b``'s slots below ``first_b``."""
     size = _SIZE[n]
     sums = [["0.0"] for _ in range(size)]
     for i, j, k in _MUL_TABLE[n]:
-        sums[k].append(f"a{i}*b{j}")
+        if j >= first_b:
+            sums[k].append(f"a{i}*b{j}")
     a = ", ".join(f"a{i}" for i in range(size))
     b = ", ".join(f"b{i}" for i in range(size))
     slots = ", ".join(" + ".join(terms) for terms in sums)
     namespace: dict = {}
-    exec(f"def _mul{n}(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
-    return namespace[f"_mul{n}"]
+    exec(f"def {name}{n}(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
+    return namespace[f"{name}{n}"]
 
 
 _MUL_KERNELS = tuple(_product_kernel(n) for n in range(MAX_ORDER + 1))
+_PERTURB_KERNELS = tuple(_product_kernel(n, "_perturb", 1) for n in range(MAX_ORDER + 1))
 
 
 def _new(order: int, taylor: tuple[float, ...]) -> "Jet":
@@ -245,16 +248,16 @@ def diff(jet: Jet, axis: int) -> Jet:
 def compose(jet: Jet, derivs: list[float]) -> Jet:
     """Jet of h(f) given the jet of f and [h(f0), h'(f0), ..., h^(n)(f0)]."""
     n = jet.order
-    kernel = _MUL_KERNELS[n]
+    kernel, f = _PERTURB_KERNELS[n], jet._t
     taylor = [derivs[k] / _FACTORIALS[k] for k in range(n + 1)]
-    p = (0.0,) + jet._t[1:]  # perturbation: f minus its value term
-    # Horner's rule from the zero jet: the leading term is added to +0.0, so
-    # the value is a +0.0 sum plus the Taylor term at every order, order 0
-    # included.  Kernel outputs are never -0.0, so adding 0.0 past slot 0
-    # would be a no-op.
+    # Horner's rule from the zero jet in the perturbation f - f0, whose 0.0
+    # value slot the kernel leaves out: its +-0.0 products change no kernel
+    # sum (each starts at +0.0), and an overflowed Taylor term would make them
+    # NaN.  The leading term is added to +0.0, so the value is a +0.0 sum plus
+    # the Taylor term at every order, and adding 0.0 past slot 0 is a no-op.
     result = (taylor[n] + 0.0,) + (0.0,) * (_SIZE[n] - 1)
     for k in range(n - 1, -1, -1):
-        result = kernel(result, p)
+        result = kernel(result, f)
         result = (result[0] + taylor[k],) + result[1:]
     return _new(n, result)
 

@@ -5,11 +5,14 @@ precision, so central differences of 3rd/4th derivatives are limited by
 truncation only, never by float cancellation.  The jet references are the
 plain loops and the recursive AST interpreter that the library's kernels and
 tapes replace, and the frame calculus and bracket oracle as they ran on whole
-jets before they ran on first partials, and the entry-by-entry expansion of
-the six curvature components, kept here to pin those bit for bit.
-The linear-system connection, the base and constant frame points and the
-consistency residuals of the connection and curvature tables are oracles that
-only the tests need.
+jets before they ran on first partials, the Koszul and curvature index
+loops and the frame derivative that the generated frame kernels replace,
+``jets.compose`` as it multiplied by the perturbation's zero value slot, and
+the entry-by-entry expansion of the six curvature components, kept here to
+pin those bit for bit.
+The linear-system connection, the base and constant frame points, the
+consistency residuals of the connection and curvature tables and the speeds
+of lifted and base states are oracles that only the tests need.
 """
 
 from __future__ import annotations
@@ -169,6 +172,19 @@ def polynomial_partial(monomials, point, a: int, b: int) -> float:
     return total
 
 
+# -- state speeds -----------------------------------------------------------------
+
+
+def lift_state_speed(y: tuple) -> float:
+    """|Q| of a lifted state (x1, x2, phi, Q1, Q2, Q3)."""
+    return math.sqrt(y[3] ** 2 + y[4] ** 2 + y[5] ** 2)
+
+
+def base_state_speed(y: tuple) -> float:
+    """|P| of a base state (x1, x2, P1, P2)."""
+    return math.hypot(y[2], y[3])
+
+
 # -- jet arithmetic references ---------------------------------------------------
 
 
@@ -194,6 +210,21 @@ def compose_reference(jet: jets.Jet, derivs: list[float]) -> tuple:
             result = mul_reference(result, p, n)
         constant = jets.Jet.constant(taylor[k], n)._t
         result = tuple(x + y for x, y in zip(result, constant))
+    return result
+
+
+def compose_through_value_slot(jet: jets.Jet, derivs: list[float]) -> tuple:
+    """Taylor coefficients of h(f) as ``jets.compose`` formed them before it
+    left out the perturbation's zero value slot: the product kernels also
+    multiply by that 0.0, which turns an overflowed Taylor term into NaN."""
+    n = jet.order
+    kernel = jets._MUL_KERNELS[n]
+    taylor = [derivs[k] / jets._FACTORIALS[k] for k in range(n + 1)]
+    p = (0.0,) + jet._t[1:]
+    result = (taylor[n] + 0.0,) + (0.0,) * (len(jets.MONOMIALS[n]) - 1)
+    for k in range(n - 1, -1, -1):
+        result = kernel(result, p)
+        result = (result[0] + taylor[k],) + result[1:]
     return result
 
 
@@ -398,8 +429,12 @@ def curvature_jets(point: JetFramePoint) -> connection.CurvatureTable:
         [[[point.d(a, gamma_jets[l][j][k]).value for k in range(n)] for j in range(n)] for l in range(n)]
         for a in range(n)
     ]
-    c = jet_values(point.c)
+    return _curvature_sum(n, jet_values(point.c), gamma, dgamma)
 
+
+def _curvature_sum(n: int, c, gamma, dgamma) -> connection.CurvatureTable:
+    """R[l][i][j][k] from c, Gamma and dgamma[a] = e_a Gamma, by the index
+    loops, the s terms added in turn."""
     R = [[[[0.0] * n for _ in range(n)] for _ in range(n)] for _ in range(n)]
     for l in range(n):
         for i in range(n):
@@ -416,6 +451,50 @@ def curvature_jets(point: JetFramePoint) -> connection.CurvatureTable:
         for l in range(n)
     )
     return connection.CurvatureTable(dim=n, R=frozen)
+
+
+# -- frame calculus loops --------------------------------------------------------
+
+
+def frame_derivative(point: connection.FramePoint, a: int, f1: float, f2: float) -> float:
+    """e_a(f) from the chart partials d_1 f, d_2 f (0-based frame index).
+
+    E3 = K d_phi kills the phi-independent fields of the lift.
+    """
+    if a == 2:
+        return 0.0
+    # 0.0 + em*f is slot 0 of the jet product em * d_a(f): the sum
+    # starts at +0.0, so a -0.0 product comes out as +0.0.
+    return 0.0 + point.em * (f2 if a else f1)
+
+
+def koszul_values_loop(c_values, dim: int):
+    """``connection.koszul_values`` by the index loops its kernels replace."""
+    return tuple([
+        tuple([
+            tuple([
+                0.5 * (c_values[k][i][j] + c_values[j][k][i] + c_values[i][k][j])
+                for j in range(dim)
+            ])
+            for i in range(dim)
+        ])
+        for k in range(dim)
+    ])
+
+
+def curvature_loop(point: connection.FramePoint) -> connection.CurvatureTable:
+    """``connection.curvature`` by the index loops its kernels replace."""
+    n, c = point.dim, point.c
+    gamma = koszul_values_loop(c, n)
+    g1, g2 = (koszul_values_loop(dc, n) for dc in point.dc)
+    dgamma = [
+        [
+            [[frame_derivative(point, a, g1[l][j][k], g2[l][j][k]) for k in range(n)] for j in range(n)]
+            for l in range(n)
+        ]
+        for a in range(n)
+    ]
+    return _curvature_sum(n, c, gamma, dgamma)
 
 
 # -- bracket oracle on jets ------------------------------------------------------

@@ -385,7 +385,8 @@ def test_verify_reports_a_geodesic_leaving_the_chart(tmp_path, capsys):
 
 
 def test_base_geodesic_non_finite_frame_fields_exit_three(tmp_path, capsys):
-    # The order-2 jet of log(x1) at x1 = 1e-155 is all NaN.
+    # The second x1 partial of log(x1) at x1 = 1e-155 overflows, and the
+    # other second partials of its order-2 jet are NaN.
     surface = _config_path(tmp_path, "log", "log(x1)")
     code = run(["base-geodesic", "--surface", surface, "--start", "1e-155,0.5",
                 "--velocity", "1,0", "--t-max", "0.002", "--step", "0.001"])
@@ -437,7 +438,8 @@ def test_pointwise_failure_prints_no_time(capsys):
 
 
 def test_non_finite_frame_fields_exit_three(tmp_path, capsys):
-    # The order-3 jet of log(x1) at x1 = 1e-103 is all NaN.
+    # The third x1 partial of log(x1) at x1 = 1e-103 overflows, and the
+    # other third partials of its order-3 jet are NaN.
     surface = _config_path(tmp_path, "log", "log(x1)")
     code = run(["geodesic", "--surface", surface, "--start", "1e-103,0.5,0",
                 "--velocity", "0.6,0,0.8", "--t-max", "0.002", "--step", "0.001"])

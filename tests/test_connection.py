@@ -141,7 +141,7 @@ def test_halfplane_lowered_component():
     hp = catalog("halfplane")
     table = curvature(base_frame_point(hp, (0.7, 2.0)))
     # <R(e1,e2)e2, e1> is the Gaussian curvature
-    assert table.entry(1, 1, 2, 2) == pytest.approx(-1.0, abs=1e-12)
+    assert table.R[0][0][1][1] == pytest.approx(-1.0, abs=1e-12)
 
 
 @pytest.mark.parametrize("name", ALL_SURFACES)

@@ -136,7 +136,7 @@ _ast = st.recursive(
         st.builds(Mul, inner, inner),
         st.builds(Div, inner, inner),
         st.builds(Pow, inner, inner),
-        st.builds(Call, st.sampled_from(ex.FUNCTION_NAMES), inner),
+        st.builds(Call, st.sampled_from(sorted(jets.FUNCTIONS)), inner),
     ),
     max_leaves=25,
 )
@@ -244,7 +244,7 @@ def test_polynomial_exactness_200_cases():
                 assert jet.deriv(a, b) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-@pytest.mark.parametrize("func", sorted(ex.FUNCTION_NAMES))
+@pytest.mark.parametrize("func", sorted(jets.FUNCTIONS))
 def test_named_functions_match_finite_differences(func):
     # 0.37 keeps every function inside its real domain; the small step is fine
     # because the oracle works at 40 digits (truncation-only error).

@@ -3,7 +3,10 @@
 Each test compares a library route with its jet-based reference in
 ``_oracles`` bit for bit (``struct.pack``), or by the type and message of the
 exception both raise.  Points include signed zeros, where a sum that starts
-from -0.0 instead of +0.0 would show.
+from -0.0 instead of +0.0 would show.  The generated Koszul and curvature
+kernels are also compared with the index loops they replace on random
+tables, where infinities, huge and subnormal entries and NaN results show any
+change in the order of the roundings.
 """
 
 import random
@@ -15,10 +18,13 @@ from _oracles import (
     base_frame_point,
     bracket_structure_jets,
     curvature_jets,
+    curvature_loop,
+    frame_derivative,
     jet_base_frame,
     jet_lift_frame,
     jet_values,
     koszul_jets,
+    koszul_values_loop,
     nonholonomity_jets,
     random_smooth_expr,
     table_from_pair_form,
@@ -144,7 +150,7 @@ def test_frame_derivative_matches_the_jet_product_on_signed_zeros(name):
                 partials = first_partials(jet)
                 for a in range(point.dim):
                     expected = jet_point.d(a, jet).value
-                    assert _bits(point.d(a, partials[1], partials[2])) == _bits(expected)
+                    assert _bits(frame_derivative(point, a, partials[1], partials[2])) == _bits(expected)
 
 
 def test_curvature_table_fill_matches_the_pair_form_expansion():
@@ -163,3 +169,40 @@ def test_curvature_table_fill_matches_the_pair_form_expansion():
         assert _outcome(lift.table_from_pair_components, components) == _outcome(
             table_from_pair_form, components
         )
+
+
+KERNEL_ENTRIES = (0.0, -0.0, float("inf"), float("-inf"), 1e300, -1e300, 5e-324, -5e-324)
+KERNEL_EMS = (0.0, -0.0, float("inf"))
+
+
+def _random_table(rng: random.Random, n: int, zeros: float) -> tuple:
+    """A c[k][i][j]-shaped table: a share ``zeros`` of signed zeros, then two
+    in five of the other entries special values and the rest uniform."""
+
+    def entry() -> float:
+        if rng.random() < zeros:
+            return rng.choice((0.0, -0.0))
+        return rng.choice(KERNEL_ENTRIES) if rng.random() < 0.4 else rng.uniform(-3.0, 3.0)
+
+    return tuple(tuple(tuple(entry() for _ in range(n)) for _ in range(n)) for _ in range(n))
+
+
+@pytest.mark.parametrize("dim", (2, 3))
+def test_frame_kernels_match_the_index_loops_bit_for_bit(dim):
+    # 2000 points of three tables each.  Mostly-zero tables, like the lifted
+    # frame's, let a sum's signed zero reach the output; NaN results are
+    # compared too, as struct.pack keeps a NaN's sign and payload.
+    rng = random.Random(1200 + dim)
+    for _ in range(2000):
+        em = rng.choice(KERNEL_EMS) if rng.random() < 0.5 else rng.uniform(-2.0, 2.0)
+        zeros = rng.choice((0.0, 0.6, 0.9))
+        tables = [_random_table(rng, dim, zeros) for _ in range(3)]
+        point = connection.FramePoint(dim=dim, c=tables[0], dc=(tables[1], tables[2]), em=em)
+        assert _outcome(connection.curvature, point) == _outcome(curvature_loop, point), point
+        assert _outcome(connection.koszul, point) == _outcome(
+            koszul_values_loop, point.c, dim
+        ), point
+        for table in tables[1:]:
+            assert _outcome(connection.koszul_values, table, dim) == _outcome(
+                koszul_values_loop, table, dim
+            ), table

@@ -9,6 +9,7 @@ from dataclasses import replace
 
 import pytest
 
+from _oracles import base_state_speed, lift_state_speed
 from wagnerlift import expr as expr_module
 from wagnerlift import geodesic as geo
 from wagnerlift.connection import koszul_values
@@ -242,7 +243,8 @@ def test_lift_failure_time_and_point_are_pinned(method, last_valid_t, point):
 @pytest.mark.parametrize("method", ["rk4", "rk45"])
 def test_non_finite_frame_fields_stop_the_run(method):
     # At x1 = 1e-103 the third derivative of log(x1) overflows, which leaves
-    # the whole order-3 jet NaN; the run stops before any state goes NaN.
+    # the order-3 jet's third partials inf or NaN; the run stops before any
+    # state goes NaN.
     surface = ConformalSurface.from_config({"name": "log", "lambda": "log(x1)"})
     start = geo.LiftState(1e-103, 0.0, 0.0, 0.6, 0.0, 0.8)
     with pytest.raises(DomainError, match=r"non-finite frame fields at point \(1e-103, 0.0\)") as err:
@@ -389,7 +391,7 @@ def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, conf
         ("x1^2 + x2^2", "1 - x1^2 - x2^2 > 0", (0.8, 0.8), "1e0"),  # guard false
         ("x1^2 + x2^2", "all", (0.1, 0.2), "1e-9"),  # |K| ~ 4e-9 < KAPPA_MIN
         ("x1^2 - x2^2", "all", (0.1, 0.2), "1e0"),  # Lap(lambda) = 0
-        ("log(x1)", "x1 > 0", (1e-103, 0.5), "1e0"),  # a NaN order-3 jet
+        ("log(x1)", "x1 > 0", (1e-103, 0.5), "1e0"),  # third partials inf or NaN
         ("-1000*x1^2", "all", (1.0, 0.0), "1e0"),  # exp overflows
     ],
 )
@@ -476,8 +478,8 @@ def test_project_carries_conserved_ratio():
     # The projection shares the times and frame fields and keeps (x1, x2, Q1, Q2).
     assert projected.t is trajectory.t and projected.fields is trajectory.fields
     assert projected.states == [(y[0], y[1], y[3], y[4]) for y in trajectory.states]
-    assert trajectory.speed == [geo.LiftState(*y).speed for y in trajectory.states]
-    assert projected.speed == [geo.BaseState(*y).speed for y in projected.states]
+    assert trajectory.speed == [lift_state_speed(y) for y in trajectory.states]
+    assert projected.speed == [base_state_speed(y) for y in projected.states]
 
 
 # -- Wong equation ---------------------------------------------------------------

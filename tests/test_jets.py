@@ -5,6 +5,8 @@ so a kernel that sums in a different order, or loses a signed zero, fails
 even where ``==`` would pass.
 """
 
+import math
+import random
 import struct
 
 import pytest
@@ -12,9 +14,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from wagnerlift import jets
+from wagnerlift.expr import Tape, eval_jet, parse
 from wagnerlift.jets import Jet
 
-from _oracles import compose_reference, mul_reference
+from _oracles import compose_reference, compose_through_value_slot, mul_reference
 
 # Mixed magnitudes make rounding depend on the summation order; explicit
 # signed zeros check that no slot turns -0.0 into +0.0 or back.
@@ -94,3 +97,38 @@ def test_overflow_is_a_domain_error(fn):
 def test_power_overflow_in_derivatives_is_a_domain_error():
     with pytest.raises(jets.DomainError, match="overflows"):
         jets.log(Jet.variable(1e200, 1, 4))
+
+
+@pytest.mark.parametrize("name", sorted(jets.DERIVS))
+def test_compose_matches_the_value_slot_products_on_finite_jets(name):
+    # Leaving out the products with the perturbation's 0.0 value slot keeps
+    # every bit while they are finite: a +-0.0 term changes no +0.0-based sum.
+    rng = random.Random(name)
+    for n in range(jets.MAX_ORDER + 1):
+        for _ in range(200):
+            value = rng.uniform(0.05, 2.0)  # inside every function's domain
+            tail = [
+                rng.choice((0.0, -0.0, 1.0)) if rng.random() < 0.3 else rng.uniform(-50.0, 50.0)
+                for _ in range(len(jets.MONOMIALS[n]) - 1)
+            ]
+            jet = Jet(n, (value, *tail))
+            derivs = jets.DERIVS[name](value, n)
+            assert _bits(jets.compose(jet, derivs)._t) == _bits(
+                compose_through_value_slot(jet, derivs)
+            ), (n, jet)
+
+
+def test_an_overflowed_taylor_term_leaves_the_finite_partials():
+    # At x1 = 1e-103 the third derivative 2/x1^3 of log(x1) overflows.  It
+    # used to reach every slot as inf * 0.0 = NaN through the perturbation's
+    # value slot; now the value and the partials below order 3 are exact.
+    jet = eval_jet(Tape(parse("log(x1)")), (1e-103, 0.0), 3)
+    partials = dict(zip(jets.MONOMIALS[3], jet.coeffs))
+    assert partials[(0, 0)] == math.log(1e-103)
+    assert partials[(1, 0)] == 1e103
+    assert partials[(2, 0)] == -1e206
+    assert all(partials[ab] == 0.0 for ab in ((0, 1), (1, 1), (0, 2)))
+    assert [ab for ab, v in partials.items() if math.isinf(v)] == [(3, 0)]
+    # The old route turns all of them into NaN.
+    old = compose_through_value_slot(Jet.variable(1e-103, 1, 3), jets.DERIVS["log"](1e-103, 3))
+    assert all(math.isnan(v) for v in old)

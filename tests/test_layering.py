@@ -4,11 +4,16 @@
 it, ``lift`` binds only ``verify_lift`` from it, and ``cli`` only parses
 arguments and prints what ``verify.report`` returns.  A value that only one
 caller ever sets is a module constant, not a keyword, so the public
-functions keep exactly the defaulted parameters listed here.
+functions keep exactly the defaulted parameters listed here.  The frame
+kernels are generated on first use, so a command that needs none of them
+pays for none at setup.
 """
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import wagnerlift
@@ -113,3 +118,29 @@ def _defaulted_parameters() -> set[str]:
 
 def test_public_functions_keep_only_the_pinned_defaulted_parameters():
     assert _defaulted_parameters() == PUBLIC_DEFAULTS
+
+
+_KERNEL_PROBE = """
+import contextlib, io
+from wagnerlift import cli, connection
+assert connection._KERNELS == {}, connection._KERNELS
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["surface", "info", "--surface", "sphere", "--at", "0.3,0.2"]) == 0
+    assert cli.run(["geodesic", "--surface", "bump", "--start", "0.1,0.2,0",
+                    "--velocity", "0.6,0,0.8", "--t-max", "0.05", "--step", "0.01",
+                    "--wong"]) == 0
+print(sorted((source.__name__, dim) for source, dim in connection._KERNELS))
+"""
+
+
+def test_surface_info_and_geodesic_build_no_curvature_kernel():
+    # A fresh process, since this one may have built every kernel already.
+    # The Wong residual takes the dim-2 Koszul kernel; nothing takes the
+    # dim-3 curvature kernel, whose compile would land in their setup time.
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    probe = subprocess.run(
+        [sys.executable, "-c", _KERNEL_PROBE], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    assert probe.stdout.strip() == "[('_koszul_source', 2)]"

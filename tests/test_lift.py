@@ -12,6 +12,7 @@ from _oracles import (
     antisymmetry_lk_residual,
     bianchi_residual,
     compatibility_residual,
+    frame_derivative,
     pair_symmetry_residual,
     solve_connection,
     structure_functions,
@@ -373,9 +374,9 @@ def test_lift_frame_point_vertical_derivative_is_zero():
     sph = catalog("sphere")
     point = lift_frame_point(sph, (0.2, 0.1))
     f1, f2 = point.dc[0][0][0][1], point.dc[1][0][0][1]  # chart partials of c^1_12
-    assert point.d(2, f1, f2) == 0.0
+    assert frame_derivative(point, 2, f1, f2) == 0.0
     # e_i takes first partials to a plain number: nothing of order >= 1 is left.
-    assert type(point.d(2, f1, f2)) is float
+    assert type(frame_derivative(point, 2, f1, f2)) is float
 
 
 # -- verify ------------------------------------------------------------------------
@@ -454,7 +455,8 @@ def test_verify_report_curvature_summary():
 @pytest.mark.parametrize("x", [(1e-80, 0.5), (1e-60, 0.5)])
 def test_non_finite_geometry_raises_domain_error(route, x):
     # log(x1) near x1 = 0: at 1e-80 a fourth derivative overflows and leaves
-    # the whole jet NaN; at 1e-60 K is finite but u1 and e1(u1) are not.
+    # the fourth partials inf or NaN; at 1e-60 K is finite but u1 and e1(u1)
+    # are not.
     surface = ConformalSurface.from_config({"name": "log", "lambda": "log(x1)"})
     with pytest.raises(DomainError, match=r"non-finite geometry at point"):
         route(surface, x)

@@ -166,7 +166,7 @@ def test_compiled_tape_matches_reference_at_every_order(node, pts):
         "log(2) - log(1 + x1^2 + x2^2)",
         "-log(x2)",
         "x1^2 + x2^2",
-        "log(x1)",  # all NaN at order 3 for x1 = 1e-103
+        "log(x1)",  # third partials inf or NaN at order 3 for x1 = 1e-103
         "exp(x1)*cos(x2)/tan(x1 + x2) - sqrt(x1^2 + 1)^-3",
         "x1^0.5*atan(x2) + sinh(x1)*cosh(x2)*tanh(x1 - x2)",
         "-(x1 - x2)",
