@@ -25,6 +25,7 @@ did, signed zeros included; the loops are the bit references of the tests.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 from itertools import product
 
 
@@ -76,8 +77,6 @@ def sectional(table: CurvatureTable, i: int, j: int) -> float:
 
 # -- generated kernels ------------------------------------------------------------
 
-_KERNELS: dict = {}  # (source builder, dim) -> generated function
-
 
 def _nested(leaf, n: int, depth: int, index: tuple = ()) -> str:
     """Source of a depth-deep nested tuple over 0..n-1 of ``leaf(*index)``."""
@@ -94,12 +93,15 @@ def _unpack(c: str, n: int) -> str:
     return f"{_nested(lambda k, i, j: f'{c}{k}{i}{j}', n, 3)} = {c}"
 
 
-def _koszul_source(n: int) -> str:
+@cache
+def _koszul_kernel(n: int):
     body = f"return {_nested(lambda k, i, j: _koszul('c', k, i, j), n, 3)}"
-    return f"def kernel(c):\n    {_unpack('c', n)}\n    {body}\n"
+    exec(f"def kernel(c):\n    {_unpack('c', n)}\n    {body}\n", namespace := {})
+    return namespace["kernel"]
 
 
-def _curvature_source(n: int) -> str:
+@cache
+def _curvature_kernel(n: int):
     lines = [_unpack(c, n) for c in "cpq"]  # c and its chart partials d_1 c, d_2 c
     for k, i, j in product(range(n), repeat=3):  # Gamma, e_1 Gamma and e_2 Gamma
         lines.append(f"G{k}{i}{j} = {_koszul('c', k, i, j)}")
@@ -113,16 +115,8 @@ def _curvature_source(n: int) -> str:
         )
 
     lines.append(f"return {_nested(entry, n, 4)}")
-    return "def kernel(c, p, q, em):\n    " + "\n    ".join(lines) + "\n"
-
-
-def _kernel(source, n: int):
-    """The kernel that ``source(n)`` defines, generated on first use."""
-    kernel = _KERNELS.get((source, n))
-    if kernel is None:
-        exec(source(n), namespace := {})
-        kernel = _KERNELS[source, n] = namespace["kernel"]
-    return kernel
+    exec("def kernel(c, p, q, em):\n    " + "\n    ".join(lines) + "\n", namespace := {})
+    return namespace["kernel"]
 
 
 # -- connection -----------------------------------------------------------------
@@ -132,7 +126,7 @@ def koszul_values(c_values, dim: int):
     """Koszul coefficients Gamma^k_ij = (c^k_ij + c^j_ki + c^i_kj)/2 of a
     table of numbers; applied to the chart partials of c, it gives the chart
     partials of Gamma."""
-    return _kernel(_koszul_source, dim)(c_values)
+    return _koszul_kernel(dim)(c_values)
 
 
 def koszul(point: FramePoint) -> ConnectionTable:
@@ -153,6 +147,5 @@ def curvature(point: FramePoint) -> CurvatureTable:
     with e_i Gamma from the chart partials of Gamma that the Koszul formula
     gives on the chart partials of c, and the s terms added in turn.
     """
-    return CurvatureTable(
-        dim=point.dim, R=_kernel(_curvature_source, point.dim)(point.c, *point.dc, point.em)
-    )
+    R = _curvature_kernel(point.dim)(point.c, *point.dc, point.em)
+    return CurvatureTable(dim=point.dim, R=R)

@@ -511,11 +511,12 @@ class _Source:
                 return a  # x + -0.0 and x - 0.0 are x
         return self.local(f"{self.text(a)} {sign} {self.text(b)}")
 
-    def mul(self, a: list, b: list) -> list:
+    def mul(self, a: list, b: list, first_b: int = 0) -> list:
+        """``a * b`` less the terms of ``b``'s slots below ``first_b``."""
         out = []
         for pairs in self.terms:
             acc, chain = 0.0, ""  # the known leading partial sum, then the rest
-            for i, j in pairs:
+            for i, j in (pair for pair in pairs if pair[1] >= first_b):
                 x, y = a[i], b[j]
                 if not (isinstance(x, str) or isinstance(y, str)):
                     term = x * y
@@ -547,10 +548,9 @@ class _Source:
         else:
             d = derivs(f[0], n)
         taylor = d[:2] + [self.op(d[k], "/", jets._FACTORIALS[k]) for k in range(2, n + 1)]
-        p = [0.0, *f[1:]]
         result = [self.op(taylor[n], "+", 0.0), *[0.0] * (len(f) - 1)]
         for k in range(n - 1, -1, -1):
-            result = self.mul(result, p)
+            result = self.mul(result, f, 1)  # the perturbation f - f0, as jets.compose
             result[0] = self.op(result[0], "+", taylor[k])
         return result
 

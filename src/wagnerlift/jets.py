@@ -73,7 +73,7 @@ _SCALE = {
 }
 
 
-def _product_kernel(n: int, name: str = "_mul", first_b: int = 0):
+def _product_kernel(n: int, first_b: int):
     """Straight-line product of two order-``n`` coefficient tuples, less the
     terms of ``b``'s slots below ``first_b``."""
     size = _SIZE[n]
@@ -85,12 +85,12 @@ def _product_kernel(n: int, name: str = "_mul", first_b: int = 0):
     b = ", ".join(f"b{i}" for i in range(size))
     slots = ", ".join(" + ".join(terms) for terms in sums)
     namespace: dict = {}
-    exec(f"def {name}{n}(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
-    return namespace[f"{name}{n}"]
+    exec(f"def kernel(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
+    return namespace["kernel"]
 
 
-_MUL_KERNELS = tuple(_product_kernel(n) for n in range(MAX_ORDER + 1))
-_PERTURB_KERNELS = tuple(_product_kernel(n, "_perturb", 1) for n in range(MAX_ORDER + 1))
+_MUL_KERNELS = tuple(_product_kernel(n, 0) for n in range(MAX_ORDER + 1))
+_PERTURB_KERNELS = tuple(_product_kernel(n, 1) for n in range(MAX_ORDER + 1))
 
 
 def _new(order: int, taylor: tuple[float, ...]) -> "Jet":

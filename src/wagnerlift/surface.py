@@ -301,16 +301,19 @@ def frame_fields_from(l: tuple[float, ...], x: Point) -> tuple:
 
 _CATALOG_CONFIGS = {
     "sphere": {
+        "name": "sphere",
         "lambda": "log(2) - log(1 + x1^2 + x2^2)",
         "guard": "all",
         "window": ((-2.0, 2.0), (-2.0, 2.0)),
     },
     "halfplane": {
+        "name": "halfplane",
         "lambda": "-log(x2)",
         "guard": "x2 > 0",
         "window": ((-2.0, 2.0), (0.05, 3.0)),
     },
     "bump": {
+        "name": "bump",
         "lambda": "x1^2 + x2^2",
         "guard": "all",
         "window": ((-1.0, 1.0), (-1.0, 1.0)),
@@ -327,7 +330,7 @@ def catalog(name: str) -> ConformalSurface:
     except KeyError:
         known = ", ".join(sorted(_CATALOG_CONFIGS))
         raise KeyError(f"unknown catalog surface {name!r} (known: {known})") from None
-    return ConformalSurface.from_config({"name": name, **config})
+    return ConformalSurface.from_config(config)
 
 
 def catalog_names() -> tuple[str, ...]:

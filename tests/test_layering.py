@@ -123,13 +123,16 @@ def test_public_functions_keep_only_the_pinned_defaulted_parameters():
 _KERNEL_PROBE = """
 import contextlib, io
 from wagnerlift import cli, connection
-assert connection._KERNELS == {}, connection._KERNELS
+kernels = (connection._koszul_kernel, connection._curvature_kernel)
+assert [k.cache_info().currsize for k in kernels] == [0, 0]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["surface", "info", "--surface", "sphere", "--at", "0.3,0.2"]) == 0
     assert cli.run(["geodesic", "--surface", "bump", "--start", "0.1,0.2,0",
                     "--velocity", "0.6,0,0.8", "--t-max", "0.05", "--step", "0.01",
                     "--wong"]) == 0
-print(sorted((source.__name__, dim) for source, dim in connection._KERNELS))
+built = [k.cache_info().currsize for k in kernels]
+connection._koszul_kernel(2)  # a cache hit if the one Koszul kernel built is dim 2's
+print(built, connection._koszul_kernel.cache_info().currsize)
 """
 
 
@@ -143,4 +146,4 @@ def test_surface_info_and_geodesic_build_no_curvature_kernel():
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "[('_koszul_source', 2)]"
+    assert probe.stdout.strip() == "[1, 0] 1"
