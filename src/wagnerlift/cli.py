@@ -11,15 +11,17 @@ Subcommands:
     verify         --surface S --samples N --seed SEED --tol TOL
 
 ``--surface`` is a catalog name (sphere, halfplane, bump) or the path of a
-JSON config file with keys name, lambda, guard.  Exit codes: 0 success,
+JSON config file with keys name, lambda, guard; ``--at -0.4,0.25`` (so also
+``--start``, ``--velocity``) reads as ``--at=-0.4,0.25``.  Exit codes: 0 success,
 1 failed verification (a verify geodesic leaving the chart is a failed
 check), 2 argument or config errors (a non-finite number, a --t-max /
 --step that is not finite or above 10^6, a --tol <= 0, an --out that cannot
 be written, a guard that holds nowhere in the sampling window), 3 runtime
 evaluation errors (singular curvature, a chart-domain violation with the
 offending point printed to stderr, a value leaving the real domain or a
-non-finite value to write).  A geodesic that fails mid-flight also prints
-the time of its last valid sample; a failed run writes no output.
+non-finite value to write; from ``main``, also stdout closed before all
+output was written).  A geodesic that fails mid-flight also prints the time of
+its last valid sample; a failed run writes no output.
 """
 
 from __future__ import annotations
@@ -29,6 +31,8 @@ import functools
 import io
 import json
 import math
+import os
+import re
 import sys
 from pathlib import Path
 
@@ -109,6 +113,15 @@ def _load_surface(spec: str) -> ConformalSurface:
             f"{spec!r} is neither a catalog surface ({', '.join(catalog_names())}) "
             "nor a readable config file"
         ) from None
+
+
+def _join_negative_values(argv: list[str]) -> list[str]:
+    """``--at -0.4,0.25`` as ``--at=-0.4,0.25``: argparse takes -0.4,0.25 for an option."""
+    argv = list(argv)
+    for i in range(len(argv) - 1, 0, -1):
+        if argv[i - 1] in ("--at", "--start", "--velocity") and re.match(r"-[\d.]", argv[i]):
+            argv[i - 1 : i + 1] = [f"{argv[i - 1]}={argv[i]}"]
+    return argv
 
 
 @functools.cache
@@ -214,24 +227,16 @@ def _run_lift_table(ns) -> int:
         print(f"  {label}: {_num(value)}")
     print("connection Gamma-hat^k_ij (k-th block, rows i, columns j):")
     for k in range(1, 4):
-        rows = [
-            "  ".join(_num(gamma.entry(k, i, j)) for j in range(1, 4)) for i in range(1, 4)
-        ]
         print(f"  k={k}:")
-        for row in rows:
-            print(f"    {row}")
+        for i in range(1, 4):
+            print("    " + "  ".join(_num(gamma.entry(k, i, j)) for j in range(1, 4)))
     print("curvature components <R(Ea,Eb)Ec,Ed>:")
-    for (a, b), (c, d) in (
-        ((1, 2), (1, 2)),
-        ((1, 2), (1, 3)),
-        ((1, 2), (2, 3)),
-        ((1, 3), (1, 3)),
-        ((1, 3), (2, 3)),
-        ((2, 3), (2, 3)),
-    ):
-        print(f"  M({a}{b},{c}{d}): {_num(curv.pair_component(a, b, c, d))}")
+    planes = ((1, 2), (1, 3), (2, 3))
+    for n, (a, b) in enumerate(planes):
+        for c, d in planes[n:]:
+            print(f"  M({a}{b},{c}{d}): {_num(curv.pair_component(a, b, c, d))}")
     print("sectional curvatures of the frame planes:")
-    for i, j in ((1, 2), (1, 3), (2, 3)):
+    for i, j in planes:
         print(f"  K(E{i},E{j}): {_num(connection.sectional(curv, i, j))}")
     return EXIT_OK
 
@@ -286,7 +291,7 @@ def _run_verify(ns) -> int:
 def run(argv: list[str]) -> int:
     """Entry point returning the exit code (0/1/2/3, see module docstring)."""
     try:
-        ns = _build_parser().parse_args(argv)
+        ns = _build_parser().parse_args(_join_negative_values(argv))
     except SystemExit as leave:
         return int(leave.code or 0)
 
@@ -313,7 +318,13 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        sys.stdout.flush()
+    except BrokenPipeError:  # stdout closed early (``| head``); the exit flush goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_RUNTIME
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -22,7 +22,8 @@ leaf and one per operation in post-order.  After ``COMPILE_AFTER``
 successful runs at an order, the tape compiles that order by source
 transformation (as Tapenade does; Hascoet & Pascual, ACM TOMS 39(3), 2013)
 into one function over float locals, which folds the registers that do not
-depend on x1/x2 (``_compile``).
+depend on x1/x2 and runs the derivative sequences of log and exp inline, in
+``jets._log``'s and ``jets._exp``'s operation order (``_compile``).
 
 The results are bit-identical to evaluating the tree recursively: the tape
 applies the same jet operations to the same operands in the same order
@@ -488,7 +489,7 @@ class _Source:
         for i, j, k in jets._MUL_TABLE[order]:
             self.terms[k].append((i, j))
         self.lines: list[str] = []
-        self.names: dict = {}
+        self.names: dict = {"log": math.log, "exp": math.exp}
         self.tested: dict[str, None] = {}
 
     def text(self, s) -> str:
@@ -539,9 +540,17 @@ class _Source:
         return out
 
     def compose(self, f: list, derivs) -> list:
-        """``jets.compose`` of ``f`` with ``derivs(f[0], order)``."""
+        """``jets.compose`` of ``f`` with ``derivs(f[0], order)``; ``jets._log``
+        and ``jets._exp`` run inline, other sequences by name."""
         n = self.order
-        if isinstance(f[0], str):
+        if isinstance(f[0], str) and derivs is jets._log:
+            self.lines.append(f"if {f[0]} <= 0.0: raise FloatingPointError")
+            d = [self.local(f"log({f[0]})")]
+            for k in range(1, n + 1):  # sign * (k - 1)! / v**k
+                d.append(self.local(f"{(-1) ** (k - 1) * jets._FACTORIALS[k - 1]!r} / {f[0]}**{k}"))
+        elif isinstance(f[0], str) and derivs is jets._exp:
+            d = [self.local(f"exp({f[0]})")] * (n + 1)
+        elif isinstance(f[0], str):
             d = [f"v{len(self.lines)}_{k}" for k in range(n + 1)]
             self.names[derivs.__name__] = derivs
             self.lines.append(f"{', '.join(d)}, = {derivs.__name__}({f[0]}, {n})")

@@ -28,9 +28,12 @@ sample, stage 1 (which every rk45 retry reuses) also gives the frame fields
 kept for ``wong_residual`` and the Q3/K monitor -e^(-2 lambda) Lap(lambda),
 which keeps the bits of an order-2 evaluation because the order-2
 coefficients are a prefix of the order-3 ones; the final sample, which has no
-next step, is evaluated at order 2.  Frame fields that are not finite (a
-third derivative that overflowed leaves the third partials inf or NaN) stop
-the run with a ``DomainError``.
+next step, is evaluated at order 2.  An rk4 step runs stages 2-4 straight on
+the compiled lambda (``_lift_rk4_step``); a step it cannot vouch for (lambda
+not compiled, a guard that fails, a fallback, fields ``_checked`` rejects)
+reruns on the stage, so a fresh surface starts on the jets; no bit changes.
+Frame fields that are not finite (a third derivative that overflowed leaves
+the third partials inf or NaN) stop the run with a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -189,6 +192,53 @@ def _lift_stage(surface: ConformalSurface) -> Callable:
     return stage
 
 
+def _fast_stage(surface: ConformalSurface) -> Callable:
+    """The stage's compiled branch as ``fast(x1, x2, Q1, Q2, Q3)``, with
+    ``Jet.coeffs``, ``frame_fields_from``, ``_checked`` and ``_lift_derivative``
+    inline in their order; it raises a ``_FALLBACK`` error where that is left."""
+    lam = surface._lam_tape.compiled
+    guard = surface._guard_tape and surface._guard_tape.compiled
+
+    def fast(x1: float, x2: float, Q1: float, Q2: float, Q3: float) -> tuple:
+        if not (lam[3] and (not guard or guard[0] and guard[0](x1, x2)[0] > 0.0)):
+            raise FloatingPointError
+        t0, t1, t2, t3, _, t5, t6, t7, t8, t9 = lam[3](x1, x2)
+        lap, em = 2.0 * t3 + 2.0 * t5, math.exp(-t0)
+        c1, c2, K = em * t2, -em * t1, -em * em * lap
+        if lap == 0.0 or abs(K) < KAPPA_MIN:
+            raise FloatingPointError
+        u1 = em * ((6.0 * t6 + 2.0 * t8) / lap - 2.0 * t1)
+        u2 = em * ((2.0 * t7 + 6.0 * t9) / lap - 2.0 * t2)
+        if (em - em) + (c1 - c1) + (c2 - c2) + (K - K) + (u1 - u1) + (u2 - u2) != 0.0:
+            raise FloatingPointError
+        return (em * Q1, em * Q2, -Q1 * c1 - Q2 * c2 + Q3 * K,
+                -c1 * Q1 * Q2 - c2 * Q2 * Q2 + Q2 * Q3 - u1 * Q3 * Q3,
+                c1 * Q1 * Q1 + c2 * Q1 * Q2 - Q1 * Q3 - u2 * Q3 * Q3, u1 * Q1 * Q3 + u2 * Q2 * Q3)
+
+    return fast
+
+
+def _lift_rk4_step(surface: ConformalSurface) -> Callable:
+    """``_rk4_step`` with k2-k4 on ``_fast_stage`` and the combination in its
+    term order; a step where that raises reruns whole on ``_rk4_step``."""
+    rhs = _fast_stage(surface)
+
+    def step(f: Callable, y: tuple, h: float, k1: tuple) -> tuple:
+        (y0, y1, y2, y3, y4, y5), (a0, a1, a2, a3, a4, a5) = y, k1
+        h2, h3, h6 = h / 2.0, h / 3.0, h / 6.0
+        try:
+            b0, b1, b2, b3, b4, b5 = rhs(y0 + h2*a0, y1 + h2*a1, y3 + h2*a3, y4 + h2*a4, y5 + h2*a5)
+            c0, c1, c2, c3, c4, c5 = rhs(y0 + h2*b0, y1 + h2*b1, y3 + h2*b3, y4 + h2*b4, y5 + h2*b5)
+            d0, d1, d2, d3, d4, d5 = rhs(y0 + h*c0, y1 + h*c1, y3 + h*c3, y4 + h*c4, y5 + h*c5)
+        except _FALLBACK:
+            return _rk4_step(f, y, h, k1)
+        return (y0 + h6*a0 + h3*b0 + h3*c0 + h6*d0, y1 + h6*a1 + h3*b1 + h3*c1 + h6*d1,
+                y2 + h6*a2 + h3*b2 + h3*c2 + h6*d2, y3 + h6*a3 + h3*b3 + h3*c3 + h6*d3,
+                y4 + h6*a4 + h3*b4 + h3*c4 + h6*d4, y5 + h6*a5 + h3*b5 + h3*c5 + h6*d5)
+
+    return step
+
+
 def base_rhs(
     surface: ConformalSurface, b: BaseState
 ) -> tuple[float, float, float, float]:
@@ -249,13 +299,14 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 
 
 def _integrate(
-    f: Callable, y0: tuple, t_max: float, h: float, method: str, first: Callable
+    f: Callable, y0: tuple, t_max: float, h: float, method: str, first: Callable,
+    rk4_step: Callable = _rk4_step,
 ) -> tuple[list[float], list[tuple]]:
     """Times and states of the samples from (0, y0) to t_max.
 
     ``first(y)`` gives ``f(y)`` at each accepted sample but the last, once
-    (rk45 retries reuse it).  Evaluation failures carry the last accepted
-    time as ``last_valid_t``.
+    (rk45 retries reuse it).  An rk4 step is ``rk4_step(f, y, h, k1)``.
+    Evaluation failures carry the last accepted time as ``last_valid_t``.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -281,7 +332,7 @@ def _integrate(
                 k1 = first(y)
                 samples.append((t, y))
                 whole = n <= steps
-                y = _rk4_step(f, y, h if whole else t_max - t, k1)
+                y = rk4_step(f, y, h if whole else t_max - t, k1)
                 t = n * h if whole else t_max
         else:
             # The floor is at most the first trial step min(h, t_max), so that
@@ -329,7 +380,8 @@ def integrate_lift(
     stage = _lift_stage(surface)
     kept: list[tuple] = []  # stage 1's (partials, fields) per sample but the last
     y0 = (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3)
-    times, states = _integrate(stage, y0, t_max, h, method, lambda y: stage(y, kept.append))
+    step = _lift_rk4_step(surface)
+    times, states = _integrate(stage, y0, t_max, h, method, lambda y: stage(y, kept.append), step)
     speed, monitor = [], []
     for y, info in zip(states, kept + [None]):
         x = (y[0], y[1])
@@ -383,15 +435,6 @@ def project(trajectory: Trajectory) -> Trajectory:
     return replace(trajectory, kind="base", states=states, speed=speed, wong=[None] * len(states))
 
 
-def _three_point_derivative(t0, f0, t1, f1, t2, f2) -> float:
-    """Derivative at t1 through three (possibly non-uniform) samples."""
-    return (
-        f0 * (t1 - t2) / ((t0 - t1) * (t0 - t2))
-        + f1 * (2 * t1 - t0 - t2) / ((t1 - t0) * (t1 - t2))
-        + f2 * (t1 - t0) / ((t2 - t0) * (t2 - t1))
-    )
-
-
 def wong_residual(
     surface: ConformalSurface, trajectory: Trajectory, C: float | None = None
 ) -> list[float | None]:
@@ -414,25 +457,22 @@ def wong_residual(
 
     carried = trajectory.fields if trajectory.surface == surface else [None] * len(t)
     residuals: list[float | None] = [None] * len(t)
+    sC, CC = WONG_ROTATION_SIGN * C, C * C  # the leading products of s C K and C^2 K
     for m in range(1, len(t) - 1):
         (_, _, P1a, P2a), (x1, x2, P1, P2), (_, _, P1b, P2b) = states[m - 1 : m + 2]
         x = (x1, x2)
         em, c1, c2, K, u1, u2 = _checked(carried[m] or frame_fields(surface, x), x)
-        gamma_PP = _christoffel_contraction(c1, c2, P1, P2)
-        J = (-P2, P1)
-        dP = (
-            _three_point_derivative(t[m - 1], P1a, t[m], P1, t[m + 1], P1b),
-            _three_point_derivative(t[m - 1], P2a, t[m], P2, t[m + 1], P2b),
-        )
-        grad = (u1 * K, u2 * K)  # (e1 K, e2 K)
-        r = [
-            dP[a]
-            + gamma_PP[a]
-            - WONG_ROTATION_SIGN * C * K * J[a]
-            + C * C * K * grad[a]
-            for a in range(2)
-        ]
-        residuals[m] = math.hypot(r[0], r[1])
+        g1, g2 = _christoffel_contraction(c1, c2, P1, P2)
+        t0, t1, t2 = t[m - 1 : m + 2]  # three-point derivatives at t1, any spacing
+        w0, w1, w2 = t1 - t2, 2 * t1 - t0 - t2, t1 - t0
+        d0, d1, d2 = (t0 - t1) * (t0 - t2), (t1 - t0) * (t1 - t2), (t2 - t0) * (t2 - t1)
+        dP1 = P1a * w0 / d0 + P1 * w1 / d1 + P1b * w2 / d2
+        dP2 = P2a * w0 / d0 + P2 * w1 / d1 + P2b * w2 / d2
+        # dP + Gamma PP - s C K J(P) + C^2 K grad K, with J(P) = (-P2, P1)
+        sCK, CCK = sC * K, CC * K
+        r1 = dP1 + g1 - sCK * -P2 + CCK * (u1 * K)
+        r2 = dP2 + g2 - sCK * P1 + CCK * (u2 * K)
+        residuals[m] = math.hypot(r1, r2)
     return residuals
 
 

@@ -290,7 +290,7 @@ def reciprocal(jet: Jet) -> Jet:
 #
 # Each function h is its derivative sequence ``derivs(v, n)`` = [h(v), h'(v),
 # ..., h^(n)(v)] composed with the argument jet.  Compiled tapes call the
-# same sequences, so both routes round alike.
+# same sequences, or inline those of log and exp, so both routes round alike.
 
 
 def _exp(v: float, n: int) -> list[float]:

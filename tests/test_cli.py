@@ -644,3 +644,60 @@ def test_wong_on_a_trajectory_too_short_exits_two(capsys):
     assert code == 2
     assert captured.out == ""
     assert "--wong needs a trajectory of at least 3 samples" in captured.err
+
+
+def _joined(argv):
+    """``argv`` with each number list written as ``--at=...``."""
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--at", "--start", "--velocity"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lift", "table", "--surface", "bump", "--at", "-0.4,0.25"],
+        ["surface", "info", "--surface", "bump", "--at", "-.4,-0.25"],
+        ["geodesic", "--surface", "bump", "--start", "-0.1,-0.2,-1", "--velocity", "-0.6,0,-0.8",
+         "--t-max", "0.05", "--step", "0.01", "--wong"],
+        ["base-geodesic", "--surface", "sphere", "--start", "-1e-1,0.2", "--velocity", "-1,0",
+         "--t-max", "0.05", "--step", "0.01", "--format", "json"],
+    ],
+)
+def test_a_negative_number_list_may_follow_its_option(argv, capsys):
+    assert run(argv) == 0
+    separate = capsys.readouterr()
+    assert run(_joined(argv)) == 0
+    assert capsys.readouterr() == separate
+    assert separate.err == ""
+
+
+@pytest.mark.parametrize("value", ["-0.4", "-0.4,0.25,1", "-x,0.25", "-0.4,zero", "-", "--0.4,1"])
+def test_a_malformed_negative_number_list_exits_two(value, capsys):
+    assert run(["lift", "table", "--surface", "bump", "--at", value]) == 2
+    assert capsys.readouterr().out == ""
+
+
+def test_a_closed_stdout_exits_three_without_a_traceback():
+    env = dict(os.environ)
+    src = str(Path(wagnerlift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    # Unbuffered, stdout is a raw file whose partial write to a closed pipe
+    # goes unreported; the child runs with Python's default buffering.
+    env.pop("PYTHONUNBUFFERED", None)
+    # About 0.9 MB of CSV, far more than a pipe holds, so the write meets the
+    # pipe after the reader has closed it.
+    argv = ["geodesic", "--surface", "bump", "--start", "0.1,0.2,0", "--velocity", "0.6,0,0.8",
+            "--t-max", "5", "--step", "0.001"]
+    with subprocess.Popen([sys.executable, "-m", "wagnerlift.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline().startswith(b"t,x1,x2,phi,")
+        proc.stdout.close()
+        stderr = proc.stderr.read()
+        code = proc.wait()
+    assert code == 3
+    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr

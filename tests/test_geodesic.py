@@ -340,14 +340,20 @@ def _stage_one_route(surface, y):
 
 
 def _assert_stage_matches(surface, states):
-    """The fused stage against ``lift_rhs`` (stages 2-4) and the stage-1 route."""
-    stage = geo._lift_stage(surface)
+    """The fused stage against ``lift_rhs`` (stages 2-4) and the stage-1 route,
+    and its fast branch against ``lift_rhs`` wherever that branch returns."""
+    stage, fast = geo._lift_stage(surface), geo._fast_stage(surface)
     for y in states:
         expected = _outcome(lambda: geo.lift_rhs(surface, geo.LiftState(*y)))
         assert _outcome(lambda: stage(y)) == expected, y
         kept = []
         first = _outcome(lambda: (stage(y, kept.append), *kept))
         assert first == _outcome(lambda: _stage_one_route(surface, y)), y
+        try:
+            quick = "returned", _bits(fast(float(y[0]), float(y[1]), *y[3:]))
+        except expr_module._FALLBACK:
+            continue  # the stage leaves the fast branch here
+        assert quick == expected, y
 
 
 def _states(surface, count, seed):
@@ -379,10 +385,11 @@ def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, conf
 
     states = _states(surface, 5, "again")
     monkeypatch.setattr(Tape, "_run", refuse)
-    stage = geo._lift_stage(surface)
+    stage, fast = geo._lift_stage(surface), geo._fast_stage(surface)
     for y in states:
         stage(y)
         stage(y, [].append)
+        fast(y[0], y[1], *y[3:])  # the fast branch vouches for every point here
 
 
 @pytest.mark.parametrize(
@@ -393,6 +400,8 @@ def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, conf
         ("x1^2 - x2^2", "all", (0.1, 0.2), "1e0"),  # Lap(lambda) = 0
         ("log(x1)", "x1 > 0", (1e-103, 0.5), "1e0"),  # third partials inf or NaN
         ("-1000*x1^2", "all", (1.0, 0.0), "1e0"),  # exp overflows
+        # u1 = e^(-lambda) (d1 Lap / Lap - 2 d1 lambda) overflows; K, c1, c2 are finite.
+        ("x1^3 + 1e-290*(x1^2 + x2^2) - 345", "all", (0.0, 0.2), "1e0"),
     ],
 )
 def test_fused_stage_reruns_each_fallback_on_the_jet_route(lam, guard, point, scale):
@@ -404,6 +413,83 @@ def test_fused_stage_reruns_each_fallback_on_the_jet_route(lam, guard, point, sc
     _assert_stage_matches(surface, [(*point, 0.0, 0.6, 0.1, 0.8)])
     with pytest.raises((SingularCurvature, ChartDomainError, DomainError)):
         geo._lift_stage(surface)((*point, 0.0, 0.6, 0.1, 0.8))
+
+
+# |K| = 4s e^(-2 s r^2) falls below KAPPA_MIN past r = 0.1.
+_THRESHOLD = {"name": "threshold", "lambda": "2.500000000125e-9*(x1^2 + x2^2)"}
+_GENERATED = [  # catalog lambdas plus 0.005 times generated terms, as in surface-churn
+    {"name": "gen-a", "lambda": "log(2) - log(1 + x1^2 + x2^2) + 0.005*(sin(x1)*exp(x2))",
+     "window": ((-2.0, 2.0), (-2.0, 2.0))},
+    {"name": "gen-b", "lambda": "-log(x2) + 0.005*(atan(x1)*x2^1.5 + tanh(x1 - x2))",
+     "guard": "x2 > 0", "window": ((-2.0, 2.0), (0.05, 3.0))},
+]
+
+
+def _step_cases(surface, count, seed):
+    """Seeded states with their steps; a third take the largest step."""
+    rng = random.Random(seed)
+    return [(y, rng.choice([1e-3, 1e-2, 0.1])) for y in _states(surface, count, seed)]
+
+
+def _assert_step_matches(monkeypatch, surface, cases):
+    """The unrolled rk4 step against ``_rk4_step`` on the same stage, by bits
+    or by exception; returns the outcomes with whether each fell back."""
+    stage, step, reruns = geo._lift_stage(surface), geo._lift_rk4_step(surface), []
+    rk4_step = geo._rk4_step
+
+    def rerun(*args):
+        reruns.append(args)
+        return rk4_step(*args)
+
+    outcomes = []
+    for y, h in cases:
+        try:
+            k1 = stage(y)
+        except (SingularCurvature, ChartDomainError, DomainError):
+            continue  # stage 1 fails: no step is taken
+        monkeypatch.setattr(geo, "_rk4_step", rerun)
+        reruns.clear()
+        got = _outcome(lambda: step(stage, y, h, k1))
+        monkeypatch.setattr(geo, "_rk4_step", rk4_step)
+        assert got == _outcome(lambda: rk4_step(stage, y, h, k1)), (y, h)
+        outcomes.append((got[0], bool(reruns)))
+    return outcomes
+
+
+@pytest.mark.parametrize("config", ["sphere", "halfplane", "bump", *_GENERATED], ids=str)
+def test_unrolled_rk4_step_keeps_the_bits_of_rk4_step(monkeypatch, config):
+    surface = catalog(config) if isinstance(config, str) else ConformalSurface.from_config(config)
+    # The first steps run on a tape not yet compiled, so every one reruns.
+    cases = _step_cases(surface, 3 * COMPILE_AFTER, str(config))
+    outcomes = _assert_step_matches(monkeypatch, surface, cases)
+    assert ("returned", True) in outcomes[:3] and ("returned", False) in outcomes
+
+
+@pytest.mark.parametrize(
+    "config, cases",
+    [
+        # Halfplane near x2 = 0: a later stage leaves the guard.
+        ("halfplane", [((0.1, 4e-3, 0.0, 0.0, -1.0, 0.1), 3.0),
+                       ((0.1, 4e-3, 0.0, 0.0, -1.0, 0.1), 1.9)]),
+        # |K| crosses KAPPA_MIN within the step.
+        (_THRESHOLD, [((0.098, 0.0, 0.0, 1.0, 0.0, 0.0), 0.01),
+                      ((0.096, 0.0, 0.0, 1.0, 0.0, 0.0), 0.01)]),
+        # A later stage's e^(-lambda) overflows, or its K = -e^(-2 lambda) Lap does.
+        ({"name": "steep", "lambda": "-1000*x1^2"},
+         [((0.59, 0.0, 0.0, 1.0, 0.0, 0.0), 1e-150), ((0.59, 0.0, 0.0, 1.0, 0.0, 0.0), 2e-154)]),
+        # k2 lands near x1 = 1e-80, where the partials of log(x1) overflow.
+        ({"name": "log", "lambda": "log(x1)", "guard": "x1 > 0"},
+         [((1e-70, 0.5, 0.0, -1.0, 0.0, 0.0), 2e-140 * (1.0 - 1e-10))]),
+    ],
+    ids=["halfplane-edge", "kappa-min", "exp-overflow", "log-partials"],
+)
+def test_unrolled_rk4_step_reruns_each_fallback_on_rk4_step(monkeypatch, config, cases):
+    surface = catalog(config) if isinstance(config, str) else ConformalSurface.from_config(config)
+    warm = [((0.1 + 0.01 * k, 0.3, 0.0, 0.6, 0.1, 0.8), 1e-3) for k in range(COMPILE_AFTER)]
+    _assert_step_matches(monkeypatch, surface, warm)
+    assert surface._lam_tape.compiled[3] is not None
+    outcomes = _assert_step_matches(monkeypatch, surface, cases)
+    assert outcomes and all(fell_back for _, fell_back in outcomes), outcomes
 
 
 def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):

@@ -299,3 +299,51 @@ def test_lower_order_jet_is_the_prefix_of_the_higher(seed, x1, x2):
     surface = ConformalSurface(name="random", lam=node)
     monitor = laplacian_curvature_from(eval_jet(tape, point, 3).coeffs, point)
     assert _bits([monitor]) == _bits([conformal_laplacian_curvature(surface, point)])
+
+
+# Arguments of log and exp at the edges of their inline sequences: signed
+# zeros, the smallest subnormal (its square underflows), a tiny normal, a
+# value whose square overflows, inf, nan and a negative value.
+_INLINE_EDGES = [0.0, -0.0, 5e-324, 1e-160, 1e200, float("inf"), float("nan"), -2.5]
+_INLINE_RAISES = (FloatingPointError, OverflowError, ZeroDivisionError)
+
+
+@pytest.mark.parametrize(
+    "source", ["log(x1)", "exp(x1)", "log(x1)*x2 + exp(x1*x2)", "x1^0.5*x2", "exp(log(x1) - x2)"]
+)
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+def test_inline_log_and_exp_keep_the_jet_bits(source, order):
+    tape = Tape(parse(source))
+    assert _run_past_threshold(tape, order, [(0.3, 0.7), (1.5, 0.25), (2.0, 1.0)])
+    compiled = tape._compiled[order]
+    # The sequences run inline: the generated code calls no jets._log or _exp.
+    assert {"_log", "_exp"}.isdisjoint(compiled.__code__.co_names)
+    for v in _INLINE_EDGES + [0.7]:
+        for point in [(v, 0.5), (0.5, v), (v, v)]:
+            expected = _outcome(lambda: tape._run_jets(*point, order))
+            try:
+                got = ("jet", order, _bits(compiled(*point)))
+            except _INLINE_RAISES:  # the point reruns on the jets
+                got = None
+            assert got is None or got == expected, (point, order)
+            assert _outcome(lambda: eval_jet(tape, point, order)) == expected, (point, order)
+
+
+def test_inline_log_raises_where_jets_log_does():
+    # Each raise below sends the point back to the jets, whose own exception
+    # the caller then sees: log of a non-positive value, the square of the
+    # smallest subnormal (0.0) as a divisor, and the square of 1e200.
+    tape = Tape(parse("log(x1)"))
+    assert _run_past_threshold(tape, 2, [(0.3, 0.7), (1.5, 0.25)])
+    for v, error in [(0.0, FloatingPointError), (-0.0, FloatingPointError),
+                     (-2.5, FloatingPointError), (5e-324, ZeroDivisionError),
+                     (1e200, OverflowError)]:
+        with pytest.raises(error):
+            tape._compiled[2](v, 0.5)
+        with pytest.raises(jets.DomainError):
+            eval_jet(tape, (v, 0.5), 2)
+    exp_tape = Tape(parse("exp(x1)"))
+    assert _run_past_threshold(exp_tape, 1, [(0.3, 0.7), (1.5, 0.25)])
+    with pytest.raises(OverflowError):
+        exp_tape._compiled[1](1e200, 0.5)
+    assert _bits(exp_tape._compiled[1](float("-inf"), 0.5)) == _bits((0.0, 0.0, 0.0))

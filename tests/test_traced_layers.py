@@ -1,13 +1,19 @@
 """Every layer the benchmark's tracer wraps is still a binding of the library,
-so a refactor that drops one fails here, not only in a traced benchmark run."""
+and a fresh geodesic job still calls the layers the tracer's coverage check
+needs on it, so a refactor that drops one fails here, not only in a traced
+benchmark run."""
 
 import importlib.util
+import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 import wagnerlift
 import wagnerlift.cli  # noqa: F401  (imports every module a layer names)
+from wagnerlift import cli, expr, geodesic, jets, surface
+from wagnerlift.expr import COMPILE_AFTER
 
 
 def _load_tracing():
@@ -25,3 +31,31 @@ tracing = _load_tracing()
 def test_traced_layer_resolves_in_the_library(name):
     binding = tracing._resolve(wagnerlift, name)
     assert callable(binding) or isinstance(binding, classmethod)
+
+
+def test_a_fresh_geodesic_job_reaches_the_dominant_layers_then_steps_fast(monkeypatch, capsys):
+    # perfbench's dominant_layers_called check needs these layers called on
+    # geodesic-long; a fresh surface reaches them before its tape compiles.
+    counts = Counter()
+    modules = [m for name, m in sys.modules.items() if name.startswith("wagnerlift")]
+    for module, name in [(geodesic, "lift_rhs"), (surface, "frame_fields"), (expr, "eval_jet"),
+                         (jets, "compose"), (geodesic, "_rk4_step")]:
+        original = getattr(module, name)
+
+        def counted(*args, _fn=original, _key=f"{module.__name__}.{name}"):
+            counts[_key] += 1
+            return _fn(*args)
+
+        for m in modules:  # every binding, as the tracer wraps them
+            for key, value in list(vars(m).items()):
+                if value is original:
+                    monkeypatch.setattr(m, key, counted)
+    argv = ["geodesic", "--surface", "sphere", "--start=0.3,0.2,0", "--velocity=0.6,0,0.8",
+            "--t-max", "0.1", "--step", "0.001", "--wong"]
+    assert cli.run(argv) == 0
+    assert len(capsys.readouterr().out.splitlines()) == 1 + 101
+    for layer in ["geodesic.lift_rhs", "surface.frame_fields", "expr.eval_jet", "jets.compose"]:
+        assert counts[f"wagnerlift.{layer}"] > 0, layer
+    # Stage 1 and three more stages per step reach the COMPILE_AFTER jet runs
+    # in five steps; the unrolled step serves the other 95 without rerunning.
+    assert counts["wagnerlift.geodesic._rk4_step"] == COMPILE_AFTER // 4
