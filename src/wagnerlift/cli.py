@@ -318,6 +318,11 @@ def run(argv: list[str]) -> int:
 
 
 def main() -> None:
+    out = sys.stdout
+    if isinstance(getattr(out, "buffer", None), io.RawIOBase):  # python -u
+        # A raw stdout drops the rest of a short write to a closed pipe unreported.
+        sys.stdout = open(out.fileno(), "w", encoding=out.encoding, errors=out.errors,
+                          closefd=False)
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()

@@ -29,6 +29,7 @@ point and records the resolution); sectional curvatures use K(X,Y) = <R(X,Y)Y,X>
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cache
 
 import numpy as np
 
@@ -59,9 +60,9 @@ def _checked_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
 
 
 def first_partials(jet) -> tuple[float, float, float]:
-    """(value, d_1, d_2) of a jet of order >= 1.  These are slots 0-2 of
-    ``coeffs``, whose Taylor scale is 1, so they are the jet's own bits."""
-    return jet.coeffs[:3]
+    """(value, d_1, d_2) of a jet of order >= 1.  These are Taylor slots 0-2,
+    whose scale is 1, so they are ``coeffs[:3]`` without its products."""
+    return jet._t[:3]
 
 
 # -- lifted frame ---------------------------------------------------------------
@@ -112,14 +113,9 @@ def _bracket_components(rows: tuple, i: int, j: int) -> list[float]:
 
     The coefficients are phi-independent, so only d_1 and d_2 act.
     """
-    out = []
-    for mu in range(3):
-        total = 0.0
-        for nu in range(2):
-            total += rows[i][nu][0] * rows[j][mu][nu + 1]
-            total -= rows[j][nu][0] * rows[i][mu][nu + 1]
-        out.append(total)
-    return out
+    ri, rj = rows[i], rows[j]
+    p, q, r, s = ri[0][0], rj[0][0], ri[1][0], rj[1][0]
+    return [0.0 + p * b1 - q * a1 + r * b2 - s * a2 for (_, a1, a2), (_, b1, b2) in zip(ri, rj)]
 
 
 def nonholonomity(surface: ConformalSurface, x: Point) -> float:
@@ -175,20 +171,15 @@ def bracket_structure(surface: ConformalSurface, x: Point) -> tuple:
     """Oracle for the structure functions: numerically bracket the frame
     coefficient fields and re-expand in the lifted frame (3x3 linear solve).
     Returns the full table chat[k][i][j]."""
-    p = _checked_jets(surface, x)
-    rows = _coefficient_rows(p)
-    frame_matrix = np.array(
-        [[rows[k][mu][0] for k in range(3)] for mu in range(3)]
-    )
-    table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
-    for i, j in ((0, 1), (0, 2), (1, 2)):
-        coefficients = np.linalg.solve(
-            frame_matrix, np.array(_bracket_components(rows, i, j))
-        )
-        for k in range(3):
-            table[k][i][j] = float(coefficients[k])
-            table[k][j][i] = -float(coefficients[k])
-    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+    rows = _coefficient_rows(_checked_jets(surface, x))
+    frame_matrix = [rows[k][mu][0] for mu in range(3) for k in range(3)]
+    brackets = [v for i, j in ((0, 1), (0, 2), (1, 2)) for v in _bracket_components(rows, i, j)]
+    # The three systems in one stacked (3, 3, 1) solve: LAPACK runs each matrix
+    # of a stack as it runs a lone one (a (3, 3) right-hand side rounds apart).
+    stack = np.array(frame_matrix * 3).reshape(3, 3, 3)  # three copies
+    s = np.linalg.solve(stack, np.array(brackets).reshape(3, 3, 1)).ravel().tolist()
+    planes = zip(s[:3], s[3:6], s[6:])  # per k, the [E1,E2], [E1,E3], [E2,E3] coefficients
+    return tuple(((0.0, a, b), (-a, 0.0, c), (-b, -c, 0.0)) for a, b, c in planes)
 
 
 # -- lifted connection ----------------------------------------------------------
@@ -242,16 +233,32 @@ def closed_pair_components(geometry: BaseGeometry) -> dict:
     }
 
 
+_PLANES = ((1, 2), (1, 3), (2, 3))
+# The keys of ``closed_pair_components``, in its order.
+_PAIR_KEYS = tuple((p, q) for n, p in enumerate(_PLANES) for q in _PLANES[n:])
+
+
+@cache
+def _closed_table_kernel():
+    """(m0, ..., m5) -> R[l][i][j][k] for the components in ``_PAIR_KEYS``
+    order: the symmetric fill run once on their names, so every entry is
+    ``mN``, ``-mN`` or 0.0 (i = j or k = l) in one nested return."""
+    R = {}
+    for n, ((a, b), (c, d)) in enumerate(_PAIR_KEYS):
+        for i, j, k, l in ((a - 1, b - 1, c - 1, d - 1), (c - 1, d - 1, a - 1, b - 1)):
+            R[l, i, j, k] = R[k, j, i, l] = f"m{n}"
+            R[k, i, j, l] = R[l, j, i, k] = f"-m{n}"
+    body = connection._nested(lambda *index: R.get(index, "0.0"), 3, 4)
+    exec(f"def kernel(m0, m1, m2, m3, m4, m5):\n    return {body}\n", namespace := {})
+    return namespace["kernel"]
+
+
 def table_from_pair_components(components: dict) -> CurvatureTable:
     """The full lowered table R[l][i][j][k] = <R(E_i,E_j)E_k, E_l>, filled
     from the six components by the pair symmetry and the antisymmetries in
-    (i,j) and (k,l); entries with i = j or k = l stay 0.0."""
-    R = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
-    for ((a, b), (c, d)), value in components.items():
-        for i, j, k, l in ((a - 1, b - 1, c - 1, d - 1), (c - 1, d - 1, a - 1, b - 1)):
-            R[l][i][j][k] = R[k][j][i][l] = value
-            R[k][i][j][l] = R[l][j][i][k] = -value
-    return CurvatureTable(dim=3, R=tuple(tuple(tuple(map(tuple, t)) for t in r) for r in R))
+    (i,j) and (k,l); entries with i = j or k = l are 0.0."""
+    m = map(components.__getitem__, _PAIR_KEYS)
+    return CurvatureTable(dim=3, R=_closed_table_kernel()(*m))
 
 
 def lifted_curvature_closed(surface: ConformalSurface, x: Point) -> CurvatureTable:

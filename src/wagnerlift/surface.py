@@ -171,14 +171,14 @@ def conformal_pipeline(lam: Jet) -> ConformalJets:
     e2K = e(2, K)
     if K.value == 0.0:
         return ConformalJets(lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K)
-    u1 = e1K / K
-    u2 = e2K / K
+    inverse_K = jets.reciprocal(K)  # what e1K / K and e2K / K would each compute
+    u1 = e1K * inverse_K
+    u2 = e2K * inverse_K
     ddlogK = None
     if lam.order >= 4:
-        ddlogK = (
-            (e(1, u1).value, e(1, u2).value),
-            (e(2, u1).value, e(2, u2).value),
-        )
+        # e_i(u_j).value is the order-0 product em * d_i(u_j): 0.0 + em0 * u_j's slot i.
+        em0, (_, u11, u12), (_, u21, u22) = em.value, u1._t, u2._t
+        ddlogK = ((0.0 + em0 * u11, 0.0 + em0 * u21), (0.0 + em0 * u12, 0.0 + em0 * u22))
     return ConformalJets(
         lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K, u1=u1, u2=u2, ddlogK=ddlogK
     )

@@ -13,6 +13,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
+from itertools import chain
+from operator import sub
 
 from . import connection, geodesic
 from .lift import (
@@ -79,11 +81,11 @@ def _sign(value: float) -> int:
     return 1 if value > 0 else -1
 
 
-def _deviation(a: tuple, b: tuple) -> float:
-    """max |a - b| over two nested tables of one shape, in index order."""
-    while isinstance(a[0], tuple):
-        a, b = [v for row in a for v in row], [v for row in b for v in row]
-    return max(abs(x - y) for x, y in zip(a, b))
+def _deviation(a: tuple, b: tuple, depth: int) -> float:
+    """max |a - b| over two nested tables of ``depth`` levels, in index order."""
+    for _ in range(depth - 1):
+        a, b = chain.from_iterable(a), chain.from_iterable(b)
+    return max(map(abs, map(sub, a, b)))
 
 
 def verify_lift(
@@ -117,18 +119,18 @@ def verify_lift(
         gamma_closed = lifted_connection(surface, x).gamma
         closed_curv = lifted_curvature_closed(surface, x)
         at_x = (
-            _deviation(structure.table(), bracket_table),
-            _deviation(gamma_closed, connection.koszul_values(bracket_table, 3)),
-            _deviation(closed_curv.R, lifted_curvature_oracle(surface, x).R),
+            _deviation(structure.table(), bracket_table, 3),
+            _deviation(gamma_closed, connection.koszul_values(bracket_table, 3), 3),
+            _deviation(closed_curv.R, lifted_curvature_oracle(surface, x).R, 4),
             abs(nonholonomity(surface, x) + structure.base.K),
         )
-        deviations = [max(worst, value) for worst, value in zip(deviations, at_x)]
+        deviations = list(map(max, deviations, at_x))
 
         values["pair_1212"].append(closed_curv.pair_component(1, 2, 1, 2))
-        for i, j in ((1, 2), (1, 3), (2, 3)):
+        for name, i, j in (("sectional_12", 1, 2), ("sectional_13", 1, 3), ("sectional_23", 2, 3)):
             value = connection.sectional(closed_curv, i, j)
-            signs[f"sectional_{i}{j}"].add(_sign(value))
-            values[f"sectional_{i}{j}"].append(value)
+            signs[name].add(_sign(value))
+            values[name].append(value)
         u1, u2 = structure.base.dlogK
         if abs(u1) > 1e-6:
             signs["mixed_1213_vs_plus_u1"].add(_sign(closed_curv.pair_component(1, 2, 1, 3) / u1))

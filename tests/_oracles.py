@@ -9,7 +9,10 @@ jets before they ran on first partials, the Koszul and curvature index
 loops and the frame derivative that the generated frame kernels replace,
 ``jets.compose`` as it multiplied by the perturbation's zero value slot, and
 the entry-by-entry expansion of the six curvature components, kept here to
-pin those bit for bit.
+pin those bit for bit.  So are the per-point steps of ``verify_lift`` as they
+ran before they were straight-line code: the curvature table's fill loop,
+the nested deviation walk and the conformal pipeline that divides by K
+twice; the jet bracket oracle still solves one system per bracket.
 The linear-system connection, the base and constant frame points, the
 consistency residuals of the connection and curvature tables and the speeds
 of lifted and base states are oracles that only the tests need.
@@ -28,7 +31,7 @@ from wagnerlift import connection
 from wagnerlift import expr as ex
 from wagnerlift import jets
 from wagnerlift import lift
-from wagnerlift.surface import surface_jets
+from wagnerlift.surface import ConformalJets, surface_jets
 
 mp.mp.dps = 40
 
@@ -547,6 +550,39 @@ def nonholonomity_jets(surface, x) -> float:
     return bracket[2] - (a1 * rows[0][2].value + a2 * rows[1][2].value)
 
 
+def deviation_nested(a: tuple, b: tuple) -> float:
+    """``verify._deviation`` over flattened lists instead of iterators."""
+    while isinstance(a[0], tuple):
+        a, b = [v for row in a for v in row], [v for row in b for v in row]
+    return max(abs(x - y) for x, y in zip(a, b))
+
+
+def conformal_pipeline_two_reciprocals(lam: jets.Jet) -> ConformalJets:
+    """``surface.conformal_pipeline`` of an order-4 lambda jet, with
+    u_i = e_i(K) / K as two jet quotients and e_i(u_j) as jet products."""
+    em = jets.exp(-lam)
+    c1 = em * jets.diff(lam, 2)
+    c2 = -(em * jets.diff(lam, 1))
+
+    def e(axis: int, f: jets.Jet) -> jets.Jet:
+        return em * jets.diff(f, axis)
+
+    K = e(1, c2) - e(2, c1) - c1 * c1 - c2 * c2
+    e1K = e(1, K)
+    e2K = e(2, K)
+    if K.value == 0.0:
+        return ConformalJets(lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K)
+    u1 = e1K / K
+    u2 = e2K / K
+    ddlogK = (
+        (e(1, u1).value, e(1, u2).value),
+        (e(2, u1).value, e(2, u2).value),
+    )
+    return ConformalJets(
+        lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K, u1=u1, u2=u2, ddlogK=ddlogK
+    )
+
+
 # -- curvature table entry by entry ----------------------------------------------
 
 
@@ -580,6 +616,19 @@ def table_from_pair_form(components: dict) -> connection.CurvatureTable:
         for l in range(3)
     )
     return connection.CurvatureTable(dim=3, R=R)
+
+
+def table_from_pair_loop(components: dict) -> connection.CurvatureTable:
+    """``lift.table_from_pair_components`` as the fill loop over the six
+    components that the generated table function replaces."""
+    R = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
+    for ((a, b), (c, d)), value in components.items():
+        for i, j, k, l in ((a - 1, b - 1, c - 1, d - 1), (c - 1, d - 1, a - 1, b - 1)):
+            R[l][i][j][k] = R[k][j][i][l] = value
+            R[k][i][j][l] = R[l][j][i][k] = -value
+    return connection.CurvatureTable(
+        dim=3, R=tuple(tuple(tuple(map(tuple, t)) for t in r) for r in R)
+    )
 
 
 # -- consistency residuals of the connection and curvature tables ----------------

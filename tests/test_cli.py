@@ -686,18 +686,38 @@ def test_a_closed_stdout_exits_three_without_a_traceback():
     env = dict(os.environ)
     src = str(Path(wagnerlift.__file__).resolve().parents[1])
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    # Unbuffered, stdout is a raw file whose partial write to a closed pipe
-    # goes unreported; the child runs with Python's default buffering.
-    env.pop("PYTHONUNBUFFERED", None)
     # About 0.9 MB of CSV, far more than a pipe holds, so the write meets the
     # pipe after the reader has closed it.
     argv = ["geodesic", "--surface", "bump", "--start", "0.1,0.2,0", "--velocity", "0.6,0,0.8",
             "--t-max", "5", "--step", "0.001"]
-    with subprocess.Popen([sys.executable, "-m", "wagnerlift.cli", *argv], env=env,
-                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
-        assert proc.stdout.readline().startswith(b"t,x1,x2,phi,")
-        proc.stdout.close()
-        stderr = proc.stderr.read()
-        code = proc.wait()
-    assert code == 3
-    assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr
+    # Unbuffered (python -u), stdout is a raw file, whose short write to a
+    # closed pipe would go unreported; buffered, the flush meets the pipe.
+    for unbuffered in (True, False):
+        env.pop("PYTHONUNBUFFERED", None)
+        if unbuffered:
+            env["PYTHONUNBUFFERED"] = "1"
+        with subprocess.Popen([sys.executable, "-m", "wagnerlift.cli", *argv], env=env,
+                              stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+            assert proc.stdout.readline().startswith(b"t,x1,x2,phi,")
+            proc.stdout.close()
+            stderr = proc.stderr.read()
+            code = proc.wait()
+        assert code == 3, unbuffered
+        assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, unbuffered
+
+
+@pytest.mark.parametrize("unbuffered", ("1", None))
+def test_main_writes_the_whole_output_buffered_or_not(unbuffered, tmp_path):
+    # The stdout of ``main`` holds the bytes that ``--out`` writes, under python -u too.
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    src = str(Path(wagnerlift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    argv = ["geodesic", "--surface", "bump", "--start", "0.1,0.2,0", "--velocity", "0.6,0,0.8",
+            "--t-max", "0.2", "--step", "0.001", "--out", str(tmp_path / "out.csv")]
+    done = subprocess.run([sys.executable, "-m", "wagnerlift.cli", *argv[:-2]], env=env,
+                          capture_output=True, timeout=120)
+    assert done.returncode == 0 and done.stderr == b""
+    assert run(argv) == 0
+    assert done.stdout == (tmp_path / "out.csv").read_bytes()

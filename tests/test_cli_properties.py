@@ -6,6 +6,11 @@ one of its checks failed.
 Every generated case stays small: a fixed-step run takes at most 10^3 steps,
 an adaptive run integrates a velocity with components of size <= 1 over
 t <= 2, and verify samples at most 5 points.
+
+Generated surface configs cover the parser's grammar: sums, products and
+integer and real powers of x1, x2 and constants, inside the ten functions,
+nested to depth 3.  ``surface info`` and ``lift table`` at a point of the
+window exit 0, 2 or 3 on each, and print only finite numbers on exit 0.
 """
 
 import contextlib
@@ -18,6 +23,7 @@ from hypothesis import strategies as st
 import pytest
 
 from wagnerlift.cli import run
+from wagnerlift.jets import FUNCTIONS
 
 _SPECIAL = ["-0", "1e-308", "5e-324", "1e200", "1e308", "-1e308", "nan", "inf", "-inf", "1e", "x"]
 # Mostly ordinary values, so that most runs get past argument checking.
@@ -117,3 +123,48 @@ def test_every_argument_vector_keeps_the_exit_contract(files, data):
     if code == 0 and args[0] != "verify":
         text = out.getvalue().lower()
         assert "nan" not in text and "inf" not in text, args
+
+
+_LEAVES = st.sampled_from(["x1", "x2", "pi", "e", "0", "0.5", "2", "3.7", "0.001"])
+_EXPONENTS = st.sampled_from(["2", "3", "-1", "0", "0.5", "1.5", "-2.5"])
+_FUNCTIONS = st.sampled_from(sorted(FUNCTIONS))
+# A flat or linear lambda has K = 0 (exit 3); on the bump most configs are curved.
+_ON_BUMP = "x1^2 + x2^2 + 0.1 * {}"
+
+
+def _lambda_text(depth: int):
+    """Expression text in the parser's grammar, nested at most ``depth`` deep."""
+    if depth == 0:
+        return _LEAVES
+    inner = _lambda_text(depth - 1)
+    return st.one_of(
+        _LEAVES,
+        st.tuples(inner, st.sampled_from(["+", "-"]), inner).map(" ".join).map("({})".format),
+        st.tuples(inner, inner).map("({0[0]}) * ({0[1]})".format),
+        st.tuples(inner, _EXPONENTS).map("({0[0]})^{0[1]}".format),
+        st.tuples(_FUNCTIONS, inner).map("{0[0]}({0[1]})".format),
+    )
+
+
+@pytest.fixture(scope="module")
+def config_path(tmp_path_factory):
+    return tmp_path_factory.mktemp("generated_surfaces") / "surface.json"
+
+
+@settings(max_examples=150, deadline=None, derandomize=True, database=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(text=st.one_of(_lambda_text(3), _lambda_text(3).map(_ON_BUMP.format)),
+       at=st.tuples(st.floats(-1.0, 1.0), st.floats(-1.0, 1.0)))
+def test_generated_surface_configs_keep_the_exit_contract(config_path, text, at):
+    config_path.write_text(json.dumps({"name": "generated", "lambda": text, "guard": "all"}))
+    for command in (["surface", "info"], ["lift", "table"]):
+        args = [*command, "--surface", str(config_path), f"--at={at[0]!r},{at[1]!r}"]
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = run(args)  # an exception escaping here is a traceback
+        assert code in (0, 2, 3), (text, args)
+        assert "Traceback" not in err.getvalue(), (text, args)
+        if code == 0:
+            printed = [line for line in out.getvalue().lower().splitlines()
+                       if not line.startswith("lambda_expr:")]
+            assert not any("nan" in line or "inf" in line for line in printed), (text, args)

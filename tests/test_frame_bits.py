@@ -6,19 +6,27 @@ exception both raise.  Points include signed zeros, where a sum that starts
 from -0.0 instead of +0.0 would show.  The generated Koszul and curvature
 kernels are also compared with the index loops they replace on random
 tables, where infinities, huge and subnormal entries and NaN results show any
-change in the order of the roundings.
+change in the order of the roundings.  The straight-line steps of
+``verify_lift`` (the stacked bracket solve, the generated curvature table,
+the flat deviation, the shared reciprocal of K and ``first_partials``) are
+compared with the code they replace on 2000 random inputs each.
 """
 
+import math
 import random
 import struct
 
 import pytest
 
 from _oracles import (
+    _bracket_components_jets,
+    _coefficient_jets,
     base_frame_point,
     bracket_structure_jets,
+    conformal_pipeline_two_reciprocals,
     curvature_jets,
     curvature_loop,
+    deviation_nested,
     frame_derivative,
     jet_base_frame,
     jet_lift_frame,
@@ -28,12 +36,19 @@ from _oracles import (
     nonholonomity_jets,
     random_smooth_expr,
     table_from_pair_form,
+    table_from_pair_loop,
 )
-from wagnerlift import connection, lift
+from wagnerlift import connection, lift, verify
 from wagnerlift import expr as ex
 from wagnerlift.jets import Jet
 from wagnerlift.lift import first_partials, lift_frame_point
-from wagnerlift.surface import ConformalSurface, catalog, sample_points
+from wagnerlift.surface import (
+    ConformalJets,
+    ConformalSurface,
+    catalog,
+    conformal_pipeline,
+    sample_points,
+)
 
 SIGNED_ZERO_POINTS = (
     (0.0, 0.0),
@@ -206,3 +221,119 @@ def test_frame_kernels_match_the_index_loops_bit_for_bit(dim):
             assert _outcome(connection.koszul_values, table, dim) == _outcome(
                 koszul_values_loop, table, dim
             ), table
+
+
+# -- the straight-line steps of verify_lift against the code they replace --------
+
+STEP_SPECIAL = (0.0, -0.0, float("inf"), float("-inf"), float("nan"), 1e300, -1e300, 5e-324)
+
+
+def _special_or_uniform(rng: random.Random, share: float, scale: float = 3.0) -> float:
+    return rng.choice(STEP_SPECIAL) if rng.random() < share else rng.uniform(-scale, scale)
+
+
+def _served(p: ConformalJets):
+    """A surface whose last-point memo already holds ``p`` at its point, so
+    every lift route at that point reads ``p``."""
+    surface, x = ConformalSurface(name="served", lam=ex.Literal(0.0)), (0.25, 0.5)
+    object.__setattr__(surface, "_last_jets", (x, 4, p))
+    return surface, x
+
+
+def _frame_jets(rng: random.Random) -> ConformalJets:
+    """Frame coefficients with first partials only.  em may exceed |c1| and
+    |c2| or fall below them (row pivoting), or have underflowed to 0.0
+    (a singular frame matrix); the partials hold signed zeros and specials.
+    K, u and ddlogK stay finite, as ``_checked_jets`` requires."""
+    em = rng.choice((0.0, 5e-324, 1e-300, rng.uniform(0.01, 0.2), rng.uniform(0.5, 3.0)))
+    partial = lambda: _special_or_uniform(rng, 0.3)  # noqa: E731
+    jet = lambda value: Jet(1, (value, partial(), partial()))  # noqa: E731
+    K = rng.choice((1.0, -1.0)) * rng.choice((1e-8, rng.uniform(0.01, 5.0), 1e6))
+    u = Jet(1, (rng.uniform(-2.0, 2.0), 0.0, 0.0))
+    return ConformalJets(
+        lam=u, em=jet(em), c1=jet(rng.uniform(-8.0, 8.0)), c2=jet(rng.choice((-0.0, 0.3, -6.0))),
+        K=jet(K), e1K=u, e2K=u, u1=u, u2=u, ddlogK=((0.5, -0.0), (0.0, 1.5)),
+    )
+
+
+def test_stacked_bracket_solve_matches_three_lone_solves_bit_for_bit():
+    rng = random.Random(1401)
+    raised = pivoted = 0
+    for _ in range(2000):
+        p = _frame_jets(rng)
+        surface, x = _served(p)
+        # The jet route solves each bracket alone and sums its components in
+        # a loop; on order-1 jets its partials are the same bits.
+        expected = _outcome(bracket_structure_jets, surface, x)
+        assert _outcome(lift.bracket_structure, surface, x) == expected, p
+        raised += isinstance(expected, tuple)
+        pivoted += max(abs(p.c1.value), abs(p.c2.value)) > p.em.value > 0.0
+        rows, jet_rows = lift._coefficient_rows(p), _coefficient_jets(p)
+        for i, j in ((0, 1), (0, 2), (1, 2)):
+            assert _outcome(lift._bracket_components, rows, i, j) == _outcome(
+                _bracket_components_jets, jet_rows, i, j
+            )
+    assert raised > 100 and pivoted > 500  # singular frames raise LinAlgError alike
+
+
+def test_generated_curvature_table_matches_the_fill_loop_bit_for_bit():
+    # NaN included: both negate the component itself.
+    rng = random.Random(1402)
+    for _ in range(2000):
+        components = {key: _special_or_uniform(rng, 0.3, 5.0) for key in lift._PAIR_KEYS}
+        assert _outcome(lift.table_from_pair_components, components) == _outcome(
+            table_from_pair_loop, components
+        )
+
+
+def _nested_table(rng: random.Random, depth: int) -> tuple:
+    if depth == 0:
+        return _special_or_uniform(rng, 0.05)
+    return tuple(_nested_table(rng, depth - 1) for _ in range(3))
+
+
+@pytest.mark.parametrize("depth", (3, 4))
+def test_flat_deviation_matches_the_nested_walk_bit_for_bit(depth):
+    # A NaN difference does not compare, so where it falls in the walk
+    # decides the result: both must visit the entries in index order.
+    rng = random.Random(1403 + depth)
+    for _ in range(2000):
+        a, b = _nested_table(rng, depth), _nested_table(rng, depth)
+        assert _outcome(verify._deviation, a, b, depth) == _outcome(deviation_nested, a, b)
+
+
+def test_conformal_pipeline_matches_the_two_reciprocal_route_bit_for_bit():
+    rng = random.Random(1404)
+    size = len(Jet.constant(0.0, 4).coeffs)
+    non_finite_u = 0
+    for _ in range(2000):
+        scale = rng.choice((1.0, 1e100, 1e160))
+        taylor = tuple(
+            rng.choice(STEP_SPECIAL) if rng.random() < 0.04 else rng.uniform(-scale, scale)
+            for _ in range(size)
+        )
+        lam = Jet(4, (rng.uniform(-2.0, 2.0),) + taylor[1:])
+        outcomes = []
+        for pipeline in (conformal_pipeline, conformal_pipeline_two_reciprocals):
+            try:
+                p = pipeline(lam)
+            except Exception as err:  # noqa: BLE001 - both routes must fail alike
+                outcomes.append((type(err), str(err)))
+                continue
+            names = ("em", "c1", "c2", "K", "e1K", "e2K", "u1", "u2")
+            fields = [getattr(p, name) for name in names]
+            values = [c for f in fields if f is not None for c in f._t] + _flat(p.ddlogK or ())
+            outcomes.append(struct.pack(f"<{len(values)}d", *values))
+        assert outcomes[0] == outcomes[1], lam
+        if isinstance(outcomes[0], bytes):
+            u = p.u1._t + p.u2._t if p.u1 is not None else ()
+            non_finite_u += not all(map(math.isfinite, u))
+    assert non_finite_u > 200
+
+
+def test_first_partials_are_the_first_three_raw_partials():
+    rng = random.Random(1405)
+    for _ in range(2000):
+        order = rng.randint(1, 4)
+        jet = Jet(order, tuple(_special_or_uniform(rng, 0.3) for _ in Jet.constant(0.0, order)._t))
+        assert struct.pack("<3d", *first_partials(jet)) == struct.pack("<3d", *jet.coeffs[:3])

@@ -5,8 +5,8 @@ it, ``lift`` binds only ``verify_lift`` from it, and ``cli`` only parses
 arguments and prints what ``verify.report`` returns.  A value that only one
 caller ever sets is a module constant, not a keyword, so the public
 functions keep exactly the defaulted parameters listed here.  The frame
-kernels are generated on first use, so a command that needs none of them
-pays for none at setup.
+kernels and the closed curvature table are generated on first use, so a
+command that needs none of them pays for none at setup.
 """
 
 import ast
@@ -122,9 +122,9 @@ def test_public_functions_keep_only_the_pinned_defaulted_parameters():
 
 _KERNEL_PROBE = """
 import contextlib, io
-from wagnerlift import cli, connection
-kernels = (connection._koszul_kernel, connection._curvature_kernel)
-assert [k.cache_info().currsize for k in kernels] == [0, 0]
+from wagnerlift import cli, connection, lift
+kernels = (connection._koszul_kernel, connection._curvature_kernel, lift._closed_table_kernel)
+assert [k.cache_info().currsize for k in kernels] == [0, 0, 0]
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["surface", "info", "--surface", "sphere", "--at", "0.3,0.2"]) == 0
     assert cli.run(["geodesic", "--surface", "bump", "--start", "0.1,0.2,0",
@@ -133,17 +133,22 @@ with contextlib.redirect_stdout(io.StringIO()):
 built = [k.cache_info().currsize for k in kernels]
 connection._koszul_kernel(2)  # a cache hit if the one Koszul kernel built is dim 2's
 print(built, connection._koszul_kernel.cache_info().currsize)
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["lift", "table", "--surface", "bump", "--at", "0.3,0.2"]) == 0
+print([k.cache_info().currsize for k in kernels])
 """
 
 
 def test_surface_info_and_geodesic_build_no_curvature_kernel():
     # A fresh process, since this one may have built every kernel already.
     # The Wong residual takes the dim-2 Koszul kernel; nothing takes the
-    # dim-3 curvature kernel, whose compile would land in their setup time.
+    # dim-3 curvature kernel or the closed curvature table, whose compiles
+    # would land in their setup time.  ``lift table`` builds the dim-3
+    # Koszul kernel and the closed table, and still no curvature kernel.
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     probe = subprocess.run(
         [sys.executable, "-c", _KERNEL_PROBE], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.strip() == "[1, 0] 1"
+    assert probe.stdout.split("\n")[:2] == ["[1, 0, 0] 1", "[2, 0, 1]"]

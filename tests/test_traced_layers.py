@@ -12,7 +12,7 @@ import pytest
 
 import wagnerlift
 import wagnerlift.cli  # noqa: F401  (imports every module a layer names)
-from wagnerlift import cli, expr, geodesic, jets, surface
+from wagnerlift import cli, connection, expr, geodesic, jets, lift, surface
 from wagnerlift.expr import COMPILE_AFTER
 
 
@@ -33,23 +33,31 @@ def test_traced_layer_resolves_in_the_library(name):
     assert callable(binding) or isinstance(binding, classmethod)
 
 
-def test_a_fresh_geodesic_job_reaches_the_dominant_layers_then_steps_fast(monkeypatch, capsys):
-    # perfbench's dominant_layers_called check needs these layers called on
-    # geodesic-long; a fresh surface reaches them before its tape compiles.
+def _count_calls(monkeypatch, layers) -> Counter:
+    """Count the calls of each (module, name) in ``layers`` through every
+    binding of it in the library, as the tracer wraps them."""
     counts = Counter()
     modules = [m for name, m in sys.modules.items() if name.startswith("wagnerlift")]
-    for module, name in [(geodesic, "lift_rhs"), (surface, "frame_fields"), (expr, "eval_jet"),
-                         (jets, "compose"), (geodesic, "_rk4_step")]:
+    for module, name in layers:
         original = getattr(module, name)
 
         def counted(*args, _fn=original, _key=f"{module.__name__}.{name}"):
             counts[_key] += 1
             return _fn(*args)
 
-        for m in modules:  # every binding, as the tracer wraps them
+        for m in modules:
             for key, value in list(vars(m).items()):
                 if value is original:
                     monkeypatch.setattr(m, key, counted)
+    return counts
+
+
+def test_a_fresh_geodesic_job_reaches_the_dominant_layers_then_steps_fast(monkeypatch, capsys):
+    # perfbench's dominant_layers_called check needs these layers called on
+    # geodesic-long; a fresh surface reaches them before its tape compiles.
+    counts = _count_calls(monkeypatch, [(geodesic, "lift_rhs"), (surface, "frame_fields"),
+                                        (expr, "eval_jet"), (jets, "compose"),
+                                        (geodesic, "_rk4_step")])
     argv = ["geodesic", "--surface", "sphere", "--start=0.3,0.2,0", "--velocity=0.6,0,0.8",
             "--t-max", "0.1", "--step", "0.001", "--wong"]
     assert cli.run(argv) == 0
@@ -59,3 +67,23 @@ def test_a_fresh_geodesic_job_reaches_the_dominant_layers_then_steps_fast(monkey
     # Stage 1 and three more stages per step reach the COMPILE_AFTER jet runs
     # in five steps; the unrolled step serves the other 95 without rerunning.
     assert counts["wagnerlift.geodesic._rk4_step"] == COMPILE_AFTER // 4
+
+
+def test_a_second_verify_run_still_reaches_the_dominant_layers(monkeypatch):
+    # perfbench's traced pass reruns the untraced pass's jobs, so verify-sweep's
+    # traced jobs run on compiled tapes; its dominant_layers_called check then
+    # needs these layers called all the same.
+    routes = ["lifted_structure", "bracket_structure", "lifted_connection",
+              "lifted_curvature_closed", "lifted_curvature_oracle", "nonholonomity"]
+    layers = [(jets, "diff"), (surface, "surface_jets"), (connection, "koszul"),
+              (connection, "curvature"), (connection, "koszul_values")]
+    layers += [(lift, name) for name in routes]
+    custom = surface.ConformalSurface(
+        name="custom", lam=expr.parse("x1^2 + x2^2 + 0.05*sin(x1 - 2*x2)")
+    )
+    lift.verify_lift(custom, 30, 1, 1e-8)  # the untraced pass compiles the tapes
+    assert custom._lam_tape.compiled[4] is not None
+    counts = _count_calls(monkeypatch, layers)
+    assert lift.verify_lift(custom, 30, 1, 1e-8).passed
+    for module, name in layers:
+        assert counts[f"{module.__name__}.{name}"] > 0, name
