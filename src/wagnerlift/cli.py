@@ -19,8 +19,8 @@ check), 2 argument or config errors (a non-finite number, a --t-max /
 be written, a guard that holds nowhere in the sampling window), 3 runtime
 evaluation errors (singular curvature, a chart-domain violation with the
 offending point printed to stderr, a value leaving the real domain or a
-non-finite value to write; from ``main``, also stdout closed before all
-output was written).  A geodesic that fails mid-flight also prints the time of
+non-finite value to write; from ``main``, also stdout closed or full before
+all output was written).  A geodesic that fails mid-flight also prints the time of
 its last valid sample; a failed run writes no output.
 """
 
@@ -97,11 +97,12 @@ def _positive(what: str):
 
 def _load_surface(spec: str) -> ConformalSurface:
     path = Path(spec)
-    if path.is_file():
-        try:
-            config = json.loads(path.read_text())
-        except json.JSONDecodeError as err:
-            raise _UsageError(f"surface config {spec!r} is not valid JSON: {err}") from None
+    try:
+        is_file = path.is_file()
+        config = json.loads(path.read_text()) if is_file else None
+    except (OSError, ValueError, RecursionError) as err:  # a name too long, not UTF-8 or JSON
+        raise _UsageError(f"cannot read surface config {spec!r}: {err}") from None
+    if is_file:
         try:
             return ConformalSurface.from_config(config)
         except (ValueError, KeyError) as err:
@@ -326,7 +327,7 @@ def main() -> None:
     try:
         code = run(sys.argv[1:])
         sys.stdout.flush()
-    except BrokenPipeError:  # stdout closed early (``| head``); the exit flush goes to devnull
+    except OSError:  # stdout closed early (``| head``) or full; the exit flush goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         code = EXIT_RUNTIME
     sys.exit(code)

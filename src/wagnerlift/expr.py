@@ -11,8 +11,11 @@ Grammar (whitespace-insensitive)::
 ``^`` binds tightest; unary minus binds tighter than ``*``/``/`` but looser
 than ``^`` (so ``-x1^2`` is ``-(x1^2)``).  Identifiers are the variables
 ``x1``/``x2``, the constants ``pi``/``e``, and the functions sin, cos, tan,
-exp, log, sqrt, sinh, cosh, tanh, atan.  Evaluation happens over the truncated
-Taylor jet algebra, yielding exact partial derivatives at a point.
+exp, log, sqrt, sinh, cosh, tanh, atan.  Text nested past ``_MAX_DEPTH`` raises
+``ParseError``: a parenthesis or call costs five levels, and an operand of a
+chain the height of the tree to its left, so ``x1 + x2 + ...`` is one level per
+``+``.  Evaluation happens over the truncated Taylor jet algebra, yielding
+exact partial derivatives at a point.
 
 Evaluation runs on a ``Tape``: the AST lowered once, with no jet arithmetic,
 to a straight line of jet operations (Taylor propagation along a tape,
@@ -211,45 +214,44 @@ class _Parser:
         return self.advance()
 
     def parse_expr(self, depth: int = 0) -> Expr:
-        if depth > _MAX_DEPTH:
-            raise ParseError("expression too deeply nested", self.peek().pos)
         node = self.parse_term(depth + 1)
         while self.peek().kind in ("+", "-"):
-            op = self.advance()
-            rhs = self.parse_term(depth + 1)
-            node = Add(node, rhs) if op.kind == "+" else Sub(node, rhs)
+            kind, height = self.advance().kind, self.height
+            rhs = self.parse_term(depth + height + 1)  # the tree so far is its left sibling
+            node = Add(node, rhs) if kind == "+" else Sub(node, rhs)
+            self.height = max(height, self.height) + 1  # the height of the node parsed last
         return node
 
     def parse_term(self, depth: int) -> Expr:
-        if depth > _MAX_DEPTH:
-            raise ParseError("expression too deeply nested", self.peek().pos)
         node = self.parse_factor(depth + 1)
         while self.peek().kind in ("*", "/"):
-            op = self.advance()
-            rhs = self.parse_factor(depth + 1)
-            node = Mul(node, rhs) if op.kind == "*" else Div(node, rhs)
+            kind, height = self.advance().kind, self.height
+            rhs = self.parse_factor(depth + height + 1)
+            node = Mul(node, rhs) if kind == "*" else Div(node, rhs)
+            self.height = max(height, self.height) + 1
         return node
 
     def parse_factor(self, depth: int) -> Expr:
-        if depth > _MAX_DEPTH:
+        if depth > _MAX_DEPTH:  # every recursive cycle of the grammar passes here
             raise ParseError("expression too deeply nested", self.peek().pos)
-        if self.peek().kind == "-":
-            self.advance()
-            return Neg(self.parse_factor(depth + 1))
-        return self.parse_power(depth + 1)
+        if self.peek().kind != "-":
+            return self.parse_power(depth + 1)
+        self.advance()
+        node = Neg(self.parse_factor(depth + 1))
+        self.height += 1
+        return node
 
     def parse_power(self, depth: int) -> Expr:
-        if depth > _MAX_DEPTH:
-            raise ParseError("expression too deeply nested", self.peek().pos)
         base = self.parse_atom(depth + 1)
-        if self.peek().kind == "^":
-            self.advance()
-            exponent = self.parse_factor(depth + 1)
-            return Pow(base, exponent)
-        return base
+        if self.peek().kind != "^":
+            return base
+        self.advance()
+        height, exponent = self.height, self.parse_factor(depth + 1)
+        self.height = max(height, self.height) + 1
+        return Pow(base, exponent)
 
     def parse_atom(self, depth: int) -> Expr:
-        tok = self.peek()
+        tok, self.height = self.peek(), 1
         if tok.kind == "num":
             self.advance()
             value = float(tok.text)
@@ -267,6 +269,7 @@ class _Parser:
                 self.expect("(", f"'(' after function {name!r}")
                 arg = self.parse_expr(depth + 1)
                 self.expect(")", "')'")
+                self.height += 1
                 return Call(name, arg)
             raise UnknownIdentifierError(f"unknown identifier {name!r}", tok.pos)
         if tok.kind == "(":

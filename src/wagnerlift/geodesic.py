@@ -28,12 +28,13 @@ sample, stage 1 (which every rk45 retry reuses) also gives the frame fields
 kept for ``wong_residual`` and the Q3/K monitor -e^(-2 lambda) Lap(lambda),
 which keeps the bits of an order-2 evaluation because the order-2
 coefficients are a prefix of the order-3 ones; the final sample, which has no
-next step, is evaluated at order 2.  An rk4 step runs stages 2-4 straight on
-the compiled lambda (``_lift_rk4_step``); a step it cannot vouch for (lambda
-not compiled, a guard that fails, a fallback, fields ``_checked`` rejects)
-reruns on the stage, so a fresh surface starts on the jets; no bit changes.
-Frame fields that are not finite (a third derivative that overflowed leaves
-the third partials inf or NaN) stop the run with a ``DomainError``.
+next step, is evaluated at order 2.  Every stage runs on one compiled branch,
+``_fast_stage``; a point it cannot vouch for (lambda not compiled, a guard
+that fails, a fallback, fields ``_checked`` rejects) reruns on the jets, and
+an rk4 step (``_lift_rk4_step``) reruns whole, so a fresh surface starts on
+the jets; no bit changes.  Frame fields that are not finite (a third
+derivative that overflowed leaves the third partials inf or NaN) stop the run
+with a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -157,52 +158,41 @@ def _lift_derivative(fields: tuple, Q1: float, Q2: float, Q3: float) -> tuple:
     )
 
 
-def _lift_stage(surface: ConformalSurface) -> Callable:
+def _lift_stage(surface: ConformalSurface, fast: Callable) -> Callable:
     """``lift_rhs`` on raw state tuples as ``stage(y, keep=None)``; ``keep``, at
-    stage 1 of an accepted sample, receives ``(partials, fields)``.  It calls
-    the compiled guard (order 0) and lambda (order 3) functions directly; a
-    point they do not vouch for (not compiled yet, guard <= 0.0, a fallback,
-    fields ``_checked`` rejects) reruns on the ``lambda_jet`` route, which
-    gives the same bits or the same exception."""
-    lam = surface._lam_tape.compiled
-    guard = surface._guard_tape and surface._guard_tape.compiled
+    stage 1 of an accepted sample, receives ``(partials, fields)``.  A point
+    ``fast`` does not vouch for reruns on the ``lambda_jet`` route, which gives
+    the same bits or the same exception."""
 
     def stage(y: tuple, keep: Callable | None = None) -> tuple:
         x1, x2, _, Q1, Q2, Q3 = y
-        x = (x1, x2)
-        fields = None
-        p1, p2 = float(x1), float(x2)  # as eval_jet passes them
         try:
-            if lam[3] and (not guard or guard[0] and guard[0](p1, p2)[0] > 0.0):
-                t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = lam[3](p1, p2)
-                # Jet.coeffs's products at order 3 (a scale of 1.0 is exact).
-                l = (t0, t1, t2, 2.0 * t3, t4, 2.0 * t5, 6.0 * t6, 2.0 * t7, 2.0 * t8, 6.0 * t9)
-                fields = _checked(frame_fields_from(l, x), x)
-        except (*_FALLBACK, SingularCurvature):
-            pass  # fields stays None
-        if fields is None:
-            if keep is None:
-                return lift_rhs(surface, LiftState(*y))
-            l = surface.lambda_jet(x, 3).coeffs
-            fields = _checked(frame_fields_from(l, x), x)
-        if keep is not None:
-            keep((l, fields))
+            return fast(float(x1), float(x2), Q1, Q2, Q3, keep)  # as eval_jet passes them
+        except _FALLBACK:
+            pass
+        if keep is None:
+            return lift_rhs(surface, LiftState(*y))
+        x = (x1, x2)
+        l = surface.lambda_jet(x, 3).coeffs
+        fields = _checked(frame_fields_from(l, x), x)
+        keep((l, fields))
         return _lift_derivative(fields, Q1, Q2, Q3)
 
     return stage
 
 
 def _fast_stage(surface: ConformalSurface) -> Callable:
-    """The stage's compiled branch as ``fast(x1, x2, Q1, Q2, Q3)``, with
-    ``Jet.coeffs``, ``frame_fields_from``, ``_checked`` and ``_lift_derivative``
-    inline in their order; it raises a ``_FALLBACK`` error where that is left."""
+    """The stage's compiled branch as ``fast(x1, x2, Q1, Q2, Q3, keep=None)``: the
+    compiled guard and order-3 lambda with ``Jet.coeffs``, ``frame_fields_from``,
+    ``_checked`` and ``_lift_derivative`` inline in their order.  It raises a
+    ``_FALLBACK`` error where that is left and passes ``keep`` the partials last."""
     lam = surface._lam_tape.compiled
     guard = surface._guard_tape and surface._guard_tape.compiled
 
-    def fast(x1: float, x2: float, Q1: float, Q2: float, Q3: float) -> tuple:
+    def fast(x1: float, x2: float, Q1: float, Q2: float, Q3: float, keep=None) -> tuple:
         if not (lam[3] and (not guard or guard[0] and guard[0](x1, x2)[0] > 0.0)):
             raise FloatingPointError
-        t0, t1, t2, t3, _, t5, t6, t7, t8, t9 = lam[3](x1, x2)
+        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = lam[3](x1, x2)
         lap, em = 2.0 * t3 + 2.0 * t5, math.exp(-t0)
         c1, c2, K = em * t2, -em * t1, -em * em * lap
         if lap == 0.0 or abs(K) < KAPPA_MIN:
@@ -211,6 +201,9 @@ def _fast_stage(surface: ConformalSurface) -> Callable:
         u2 = em * ((2.0 * t7 + 6.0 * t9) / lap - 2.0 * t2)
         if (em - em) + (c1 - c1) + (c2 - c2) + (K - K) + (u1 - u1) + (u2 - u2) != 0.0:
             raise FloatingPointError
+        if keep is not None:  # Jet.coeffs's products at order 3 (a scale of 1.0 is exact)
+            keep(((t0, t1, t2, 2.0 * t3, t4, 2.0 * t5, 6.0 * t6, 2.0 * t7, 2.0 * t8, 6.0 * t9),
+                  (em, c1, c2, K, u1, u2)))
         return (em * Q1, em * Q2, -Q1 * c1 - Q2 * c2 + Q3 * K,
                 -c1 * Q1 * Q2 - c2 * Q2 * Q2 + Q2 * Q3 - u1 * Q3 * Q3,
                 c1 * Q1 * Q1 + c2 * Q1 * Q2 - Q1 * Q3 - u2 * Q3 * Q3, u1 * Q1 * Q3 + u2 * Q2 * Q3)
@@ -218,10 +211,9 @@ def _fast_stage(surface: ConformalSurface) -> Callable:
     return fast
 
 
-def _lift_rk4_step(surface: ConformalSurface) -> Callable:
-    """``_rk4_step`` with k2-k4 on ``_fast_stage`` and the combination in its
-    term order; a step where that raises reruns whole on ``_rk4_step``."""
-    rhs = _fast_stage(surface)
+def _lift_rk4_step(rhs: Callable) -> Callable:
+    """``_rk4_step`` with k2-k4 on ``rhs``, a ``_fast_stage``, and the combination
+    in its term order; a step where that raises reruns whole on ``_rk4_step``."""
 
     def step(f: Callable, y: tuple, h: float, k1: tuple) -> tuple:
         (y0, y1, y2, y3, y4, y5), (a0, a1, a2, a3, a4, a5) = y, k1
@@ -377,10 +369,10 @@ def integrate_lift(
     (chart guard, |K| below ``KAPPA_MIN``) abort the run with the last valid
     time attached to the exception.
     """
-    stage = _lift_stage(surface)
+    fast = _fast_stage(surface)
+    stage, step = _lift_stage(surface, fast), _lift_rk4_step(fast)
     kept: list[tuple] = []  # stage 1's (partials, fields) per sample but the last
     y0 = (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3)
-    step = _lift_rk4_step(surface)
     times, states = _integrate(stage, y0, t_max, h, method, lambda y: stage(y, kept.append), step)
     speed, monitor = [], []
     for y, info in zip(states, kept + [None]):

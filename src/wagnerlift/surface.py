@@ -80,7 +80,9 @@ class ConformalSurface:
 
     @classmethod
     def from_config(cls, config: dict) -> "ConformalSurface":
-        """Build a surface from a config mapping with keys name, lambda, guard."""
+        """Build a surface from a config mapping with keys name, lambda, guard, window."""
+        if not isinstance(config, dict):
+            raise ValueError(f"surface config must be a mapping, got {type(config).__name__}")
         try:
             name = str(config["name"])
             lam = parse(str(config["lambda"]))
@@ -88,12 +90,14 @@ class ConformalSurface:
             raise ValueError(f"surface config missing key {missing}") from None
         guard = _parse_guard(str(config.get("guard", "all")))
         window = config.get("window")
-        if window is not None:
-            (a, b), (c, d) = window
-            window = ((float(a), float(b)), (float(c), float(d)))
-        else:
-            window = DEFAULT_WINDOW
-        return cls(name=name, lam=lam, guard=guard, window=window)
+        try:
+            (a, b), (c, d) = DEFAULT_WINDOW if window is None else window
+            bounds = (float(a), float(b), float(c), float(d))
+            if not all(map(math.isfinite, bounds)):
+                raise ValueError
+        except (TypeError, ValueError):
+            raise ValueError(f"window needs two pairs of finite numbers, got {window!r}") from None
+        return cls(name=name, lam=lam, guard=guard, window=(bounds[:2], bounds[2:]))
 
 
 def _parse_guard(text: str) -> Expr | None:

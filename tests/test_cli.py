@@ -706,6 +706,26 @@ def test_a_closed_stdout_exits_three_without_a_traceback():
         assert b"Traceback" not in stderr and b"BrokenPipeError" not in stderr, unbuffered
 
 
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("unbuffered", ("1", None))
+@pytest.mark.parametrize("argv", [
+    ["lift", "table", "--surface", "bump", "--at", "0,0"],  # a few hundred bytes
+    ["geodesic", "--surface", "bump", "--start", "0.1,0.2,0", "--velocity", "0.6,0,0.8",
+     "--t-max", "0.2", "--step", "0.001"],  # about 36 KB
+], ids=["lift-table", "geodesic"])
+def test_a_full_stdout_exits_three_without_a_traceback(argv, unbuffered):
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    if unbuffered:
+        env["PYTHONUNBUFFERED"] = unbuffered
+    src = str(Path(wagnerlift.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    with open("/dev/full", "w") as full:
+        done = subprocess.run([sys.executable, "-m", "wagnerlift.cli", *argv], env=env,
+                              stdout=full, stderr=subprocess.PIPE, timeout=120)
+    assert done.returncode == 3
+    assert b"Traceback" not in done.stderr and b"Exception ignored" not in done.stderr
+
+
 @pytest.mark.parametrize("unbuffered", ("1", None))
 def test_main_writes_the_whole_output_buffered_or_not(unbuffered, tmp_path):
     # The stdout of ``main`` holds the bytes that ``--out`` writes, under python -u too.

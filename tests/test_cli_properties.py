@@ -42,6 +42,20 @@ _CONFIGS = {
 }
 
 
+# Surface configs that exit 2: not JSON, not UTF-8, nested past the JSON
+# decoder, not a mapping, a window that is not two pairs of finite numbers,
+# and a lambda too deep to lower.
+_MALFORMED = {
+    "long_sum": json.dumps({"name": "s", "lambda": "x1^2" + " + x2" * 3000}),
+    "long_product": json.dumps({"name": "p", "lambda": "x1^2" + " * x2" * 3000}),
+    "broken": "{not json", "undecodable": b"\xff\xfe", "deep": "[" * 10**5 + "]" * 10**5,
+    "list": "[1, 2]", "string": '"sphere"',
+    "window5": '{"name": "w", "lambda": "x1^2 + x2^2", "window": 5}',
+    "window_null": '{"name": "w", "lambda": "x1^2 + x2^2", "window": [[-1, 1], [0, null]]}',
+    "window_inf": '{"name": "w", "lambda": "x1^2 + x2^2", "window": [[-1e400, 1], [-1, 1]]}',
+}
+
+
 @pytest.fixture(scope="module")
 def files(tmp_path_factory):
     root = tmp_path_factory.mktemp("cli_properties")
@@ -50,9 +64,11 @@ def files(tmp_path_factory):
         path = root / f"{name}.json"
         path.write_text(json.dumps(config))
         surfaces.append(str(path))
-    broken = root / "broken.json"
-    broken.write_text("{not json")
-    surfaces.append(str(broken))
+    for name, content in _MALFORMED.items():
+        path = root / f"{name}.json"
+        path.write_bytes(content if isinstance(content, bytes) else content.encode())
+        surfaces.append(str(path))
+    surfaces.append("s" * 5000)  # a name too long for the file system
     outs = [None, str(root / "out.txt"), str(root / "missing" / "out.txt"), str(root)]
     return surfaces, outs
 
@@ -102,6 +118,15 @@ def argv(draw, surfaces, outs):
     args += ["--format", draw(st.sampled_from(["csv", "json"]))]
     out = draw(st.sampled_from(outs))
     return args if out is None else args + ["--out", out]
+
+
+def test_every_malformed_surface_exits_two(files):
+    for spec in files[0][-len(_MALFORMED) - 1 :]:
+        for args in (["surface", "info", "--at=0,0"], ["verify", "--samples", "2"]):
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                code = run([*args, "--surface", spec])
+            assert code == 2 and err.getvalue().startswith("error: "), spec[:80]
 
 
 @settings(max_examples=200, deadline=None, derandomize=True, database=None,

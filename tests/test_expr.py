@@ -117,6 +117,39 @@ def test_parse_rejects_excessive_nesting():
         parse("(" * 500 + "x1" + ")" * 500)
 
 
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_parse_rejects_a_chain_too_long_to_lower(op):
+    # A left-associative chain of n operators is a tree n deep.
+    with pytest.raises(ParseError):
+        parse("x1^2" + f" {op} x2" * 3000)
+
+
+def _nested_chains(levels: int, length: int, wrap: str) -> str:
+    text = "x1"
+    for _ in range(levels):
+        text = wrap.format(text + " + x2" * length)
+    return text
+
+
+@pytest.mark.parametrize("wrap", ["({})", "-({})", "sin({})", "({})^2"])
+def test_the_longest_accepted_chains_lower_print_and_hash(wrap):
+    # A chain's first operand may end in a chain of its own: the depth of the
+    # next operand counts the height of the tree to its left, so the deepest
+    # tree the parser accepts stays clear of the recursion limit.
+    for levels in (1, 5, 10, 20, 30):
+        low, high = 0, 300  # the longest accepted chain length, by bisection
+        while low < high:
+            mid = (low + high + 1) // 2
+            try:
+                parse(_nested_chains(levels, mid, wrap))
+                low = mid
+            except ParseError:
+                high = mid - 1
+        node = parse(_nested_chains(levels, low, wrap))
+        ex.Tape(node)  # lowering, printing, == and hash all recurse over the tree
+        assert parse(format_expr(node)) == node and hash(node) == hash(parse(format_expr(node)))
+
+
 # -- printer round trip -----------------------------------------------------------
 
 _leaves = st.one_of(

@@ -339,10 +339,17 @@ def _stage_one_route(surface, y):
     return geo._lift_derivative(fields, *y[3:]), (l, fields)
 
 
+def _stages(surface):
+    """The stage on a fresh fast branch, and that branch, as ``integrate_lift``
+    pairs them."""
+    fast = geo._fast_stage(surface)
+    return geo._lift_stage(surface, fast), fast
+
+
 def _assert_stage_matches(surface, states):
     """The fused stage against ``lift_rhs`` (stages 2-4) and the stage-1 route,
     and its fast branch against ``lift_rhs`` wherever that branch returns."""
-    stage, fast = geo._lift_stage(surface), geo._fast_stage(surface)
+    stage, fast = _stages(surface)
     for y in states:
         expected = _outcome(lambda: geo.lift_rhs(surface, geo.LiftState(*y)))
         assert _outcome(lambda: stage(y)) == expected, y
@@ -376,6 +383,11 @@ def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, conf
     outside = [(0.3, -0.5, 0.0, 0.6, 0.1, 0.8), (0.9, 0.9, 1.0, 0.6, 0.1, 0.8)]
     _assert_stage_matches(surface, _states(surface, 3 * COMPILE_AFTER, str(config)) + outside)
     assert surface._lam_tape.compiled[3] is not None
+    # The stage passes the compiled branch floats, as eval_jet passes the jets;
+    # 2^53 + 1 rounds (on the halfplane, 1/x2 tells).
+    integers = [(0, 0, 0, 0.6, 0.1, 0.8), (-0.0, 0.0, 0.0, 0.6, 0.1, 0.8),
+                (1, 2**53 + 1, 0, 0.6, 0.1, 0.8)]
+    _assert_stage_matches(surface, integers)
     # On the happy path a compiled stage never reaches the jet route.
     run = Tape._run
 
@@ -385,7 +397,7 @@ def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, conf
 
     states = _states(surface, 5, "again")
     monkeypatch.setattr(Tape, "_run", refuse)
-    stage, fast = geo._lift_stage(surface), geo._fast_stage(surface)
+    stage, fast = _stages(surface)
     for y in states:
         stage(y)
         stage(y, [].append)
@@ -412,7 +424,7 @@ def test_fused_stage_reruns_each_fallback_on_the_jet_route(lam, guard, point, sc
     assert surface._lam_tape.compiled[3] is not None
     _assert_stage_matches(surface, [(*point, 0.0, 0.6, 0.1, 0.8)])
     with pytest.raises((SingularCurvature, ChartDomainError, DomainError)):
-        geo._lift_stage(surface)((*point, 0.0, 0.6, 0.1, 0.8))
+        _stages(surface)[0]((*point, 0.0, 0.6, 0.1, 0.8))
 
 
 # |K| = 4s e^(-2 s r^2) falls below KAPPA_MIN past r = 0.1.
@@ -434,7 +446,8 @@ def _step_cases(surface, count, seed):
 def _assert_step_matches(monkeypatch, surface, cases):
     """The unrolled rk4 step against ``_rk4_step`` on the same stage, by bits
     or by exception; returns the outcomes with whether each fell back."""
-    stage, step, reruns = geo._lift_stage(surface), geo._lift_rk4_step(surface), []
+    stage, fast = _stages(surface)
+    step, reruns = geo._lift_rk4_step(fast), []
     rk4_step = geo._rk4_step
 
     def rerun(*args):
@@ -509,6 +522,27 @@ def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):
     # 4000 order-3 runs, of which the first COMPILE_AFTER run on jets, and
     # the final sample's single order-2 run.
     assert Counter(runs) == {3: COMPILE_AFTER, 2: 1}
+
+
+@pytest.mark.parametrize("method, h", [("rk4", 1e-2), ("rk45", 0.1)])
+@pytest.mark.parametrize("name, start", [("sphere", (0.3, 0.2)), ("halfplane", (0.2, 1.5)),
+                                         ("bump", (0.3, -0.1))])
+def test_a_compiled_run_keeps_the_bits_of_a_run_on_the_jets(monkeypatch, method, h, name, start):
+    def run():
+        surface = catalog(name)  # a fresh tape
+        state = geo.LiftState(*start, 0.0, 0.6, 0.1, 0.8)
+        trajectory = geo.integrate_lift(surface, state, t_max=2.0, h=h, method=method)
+        return surface._lam_tape.compiled[3], {
+            key: _bits(tuple(value) if isinstance(value, list) else value)
+            for key, value in vars(trajectory).items()  # every field, ``fields`` too
+        }
+
+    compiled, columns = run()
+    monkeypatch.setattr(expr_module, "COMPILE_AFTER", 10**9)  # every stage on the jets
+    on_jets, jet_columns = run()
+    assert compiled is not None and on_jets is None
+    assert len(columns["t"]) > 20
+    assert columns == jet_columns
 
 
 # -- projection ---------------------------------------------------------------

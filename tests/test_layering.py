@@ -116,6 +116,18 @@ def _defaulted_parameters() -> set[str]:
     return found
 
 
+def test_only_the_fast_stage_reads_compiled_tapes_in_geodesic():
+    # One compiled branch for the lifted right-hand side; the rest runs on it.
+    readers = {
+        function.name
+        for function in _tree("geodesic").body
+        if isinstance(function, ast.FunctionDef)
+        for node in ast.walk(function)
+        if isinstance(node, ast.Attribute) and node.attr == "compiled"
+    }
+    assert readers == {"_fast_stage"}
+
+
 def test_public_functions_keep_only_the_pinned_defaulted_parameters():
     assert _defaulted_parameters() == PUBLIC_DEFAULTS
 
