@@ -15,12 +15,12 @@ JSON config file with keys name, lambda, guard; ``--at -0.4,0.25`` (so also
 ``--start``, ``--velocity``) reads as ``--at=-0.4,0.25``.  Exit codes: 0 success,
 1 failed verification (a verify geodesic leaving the chart is a failed
 check), 2 argument or config errors (a non-finite number, a --t-max /
---step that is not finite or above 10^6, a --tol <= 0, an --out that cannot
-be written, a guard that holds nowhere in the sampling window), 3 runtime
-evaluation errors (singular curvature, a chart-domain violation with the
-offending point printed to stderr, a value leaving the real domain or a
-non-finite value to write; from ``main``, also stdout closed or full before
-all output was written).  A geodesic that fails mid-flight also prints the time of
+--step that is not finite or above 10^6, a --samples below 1 or above 10^6,
+a --tol <= 0, an --out that cannot be written, a guard that holds nowhere in
+the sampling window), 3 runtime evaluation errors (singular curvature, a
+chart-domain violation with the offending point printed to stderr, a value
+leaving the real domain or a non-finite value to write; from ``main``, also
+stdout closed or full before all output was written).  A geodesic that fails mid-flight also prints the time of
 its last valid sample; a failed run writes no output.
 """
 
@@ -56,6 +56,9 @@ EXIT_RUNTIME = 3
 
 # A run keeps about 1.7 KB per sample, so 10^6 steps take about 1.7 GB.
 MAX_STEP_RATIO = 1e6
+# verify keeps about 0.26 KB per sample and spends about 0.3 ms on it, so
+# 10^6 samples take about 0.26 GB and five minutes.
+MAX_SAMPLES = 10**6
 
 
 class _UsageError(ValueError):
@@ -282,8 +285,8 @@ def _run_geodesic(ns) -> int:  # also base-geodesic
 
 def _run_verify(ns) -> int:
     surf = _load_surface(ns.surface)
-    if ns.samples < 1:
-        raise _UsageError("--samples must be at least 1")
+    if not 1 <= ns.samples <= MAX_SAMPLES:
+        raise _UsageError(f"--samples must be between 1 and {MAX_SAMPLES}, got {ns.samples}")
     report = verify.report(surf, ns.samples, ns.seed, ns.tol)
     print(json.dumps(report, indent=2, sort_keys=True))
     return EXIT_OK if report["pass"] else EXIT_VERIFY_FAILED

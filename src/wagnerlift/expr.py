@@ -11,11 +11,16 @@ Grammar (whitespace-insensitive)::
 ``^`` binds tightest; unary minus binds tighter than ``*``/``/`` but looser
 than ``^`` (so ``-x1^2`` is ``-(x1^2)``).  Identifiers are the variables
 ``x1``/``x2``, the constants ``pi``/``e``, and the functions sin, cos, tan,
-exp, log, sqrt, sinh, cosh, tanh, atan.  Text nested past ``_MAX_DEPTH`` raises
-``ParseError``: a parenthesis or call costs five levels, and an operand of a
-chain the height of the tree to its left, so ``x1 + x2 + ...`` is one level per
-``+``.  Evaluation happens over the truncated Taylor jet algebra, yielding
-exact partial derivatives at a point.
+exp, log, sqrt, sinh, cosh, tanh, atan.  Whitespace and digits are Unicode's
+(U+3000 separates tokens, and ``\u0663`` reads as 3).  One regex splits the
+text into tokens, and two methods parse them: ``_Parser.chain`` serves both
+left-associative levels (``expr`` and ``term``), and ``_Parser.factor`` the
+rules ``factor``, ``power`` and ``atom``.  Text nested past ``_MAX_DEPTH``
+raises ``ParseError``, with each rule counting one level as if it had its own
+method: a parenthesis or call costs five levels, and an operand of a chain the
+height of the tree to its left, so ``x1 + x2 + ...`` is one level per ``+``.
+Evaluation happens over the truncated Taylor jet algebra, yielding exact
+partial derivatives at a point.
 
 Evaluation runs on a ``Tape``: the AST lowered once, with no jet arithmetic,
 to a straight line of jet operations (Taylor propagation along a tape,
@@ -75,7 +80,7 @@ _MAX_INT_POWER = 8
 
 
 class ParseError(ValueError):
-    """Source text could not be parsed; ``position`` is the byte offset."""
+    """Source text could not be parsed; ``position`` is the character offset."""
 
     def __init__(self, message: str, position: int):
         super().__init__(f"{message} (at offset {position})")
@@ -149,147 +154,100 @@ class Call(Expr):
     arg: Expr
 
 
-# -- lexer ---------------------------------------------------------------------
+# -- parser ---------------------------------------------------------------------
 
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
-_OPERATORS = "+-*/^()"
-
-
-@dataclass(frozen=True, slots=True)
-class _Token:
-    kind: str  # "num", "ident", one of the operator characters, or "end"
-    text: str
-    pos: int
+_NUMBER = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+_IDENT = r"[A-Za-z_][A-Za-z0-9_]*"
+# Groups: 1 whitespace, 2 number, 3 identifier, 4 operator, 5 any other character.
+_TOKEN_RE = re.compile(rf"(\s+)|({_NUMBER})|({_IDENT})|([-+*/^()])|(.)", re.S)
+_KINDS = {2: "num", 3: "ident"}  # an operator's kind is its text
+_CHAINS = ({"+": Add, "-": Sub}, {"*": Mul, "/": Div})  # by precedence level
 
 
-def _tokenize(source: str) -> list[_Token]:
+def _tokenize(source: str) -> list[tuple[str, str, int]]:
+    """``(kind, text, pos)`` triples; kind is "num", "ident", the operator, or "end"."""
     tokens = []
-    i, n = 0, len(source)
-    while i < n:
-        ch = source[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in _OPERATORS:
-            tokens.append(_Token(ch, ch, i))
-            i += 1
-            continue
-        m = _NUMBER_RE.match(source, i)
-        if m:
-            tokens.append(_Token("num", m.group(), i))
-            i = m.end()
-            continue
-        m = _IDENT_RE.match(source, i)
-        if m:
-            tokens.append(_Token("ident", m.group(), i))
-            i = m.end()
-            continue
-        raise ParseError(f"unexpected character {ch!r}", i)
-    tokens.append(_Token("end", "", n))
+    for m in _TOKEN_RE.finditer(source):
+        group, text = m.lastindex, m.group()
+        if group == 5:
+            raise ParseError(f"unexpected character {text!r}", m.start())
+        if group > 1:
+            tokens.append((_KINDS.get(group, text), text, m.start()))
+    tokens.append(("end", "", len(source)))
     return tokens
 
 
-# -- parser ---------------------------------------------------------------------
-
-
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.i = 0
+    def __init__(self, source: str):
+        self.tokens, self.i = _tokenize(source), 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.i]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.i]
+    def expect(self, kind: str, what: str) -> None:
+        got, text, pos = self.tokens[self.i]
+        if got != kind:
+            raise ParseError(f"expected {what}, got {text or 'end of input'!r}", pos)
         self.i += 1
-        return tok
 
-    def expect(self, kind: str, what: str) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            got = tok.text or "end of input"
-            raise ParseError(f"expected {what}, got {got!r}", tok.pos)
-        return self.advance()
-
-    def parse_expr(self, depth: int = 0) -> Expr:
-        node = self.parse_term(depth + 1)
-        while self.peek().kind in ("+", "-"):
-            kind, height = self.advance().kind, self.height
-            rhs = self.parse_term(depth + height + 1)  # the tree so far is its left sibling
-            node = Add(node, rhs) if kind == "+" else Sub(node, rhs)
+    def chain(self, level: int, depth: int) -> Expr:
+        """Level 0 is ``+ -`` over terms, level 1 ``* /`` over factors."""
+        node = self.chain(1, depth + 1) if level == 0 else self.factor(depth + 1)
+        ops = _CHAINS[level]
+        while op := ops.get(self.tokens[self.i][0]):
+            self.i, height = self.i + 1, self.height
+            depth_rhs = depth + height + 1  # the tree so far is its left sibling
+            rhs = self.chain(1, depth_rhs) if level == 0 else self.factor(depth_rhs)
+            node = op(node, rhs)
             self.height = max(height, self.height) + 1  # the height of the node parsed last
         return node
 
-    def parse_term(self, depth: int) -> Expr:
-        node = self.parse_factor(depth + 1)
-        while self.peek().kind in ("*", "/"):
-            kind, height = self.advance().kind, self.height
-            rhs = self.parse_factor(depth + height + 1)
-            node = Mul(node, rhs) if kind == "*" else Div(node, rhs)
-            self.height = max(height, self.height) + 1
-        return node
-
-    def parse_factor(self, depth: int) -> Expr:
+    def factor(self, depth: int) -> Expr:
+        """Unary minus, an atom, and its ``^`` exponent."""
+        kind, text, pos = self.tokens[self.i]
         if depth > _MAX_DEPTH:  # every recursive cycle of the grammar passes here
-            raise ParseError("expression too deeply nested", self.peek().pos)
-        if self.peek().kind != "-":
-            return self.parse_power(depth + 1)
-        self.advance()
-        node = Neg(self.parse_factor(depth + 1))
-        self.height += 1
-        return node
-
-    def parse_power(self, depth: int) -> Expr:
-        base = self.parse_atom(depth + 1)
-        if self.peek().kind != "^":
-            return base
-        self.advance()
-        height, exponent = self.height, self.parse_factor(depth + 1)
-        self.height = max(height, self.height) + 1
-        return Pow(base, exponent)
-
-    def parse_atom(self, depth: int) -> Expr:
-        tok, self.height = self.peek(), 1
-        if tok.kind == "num":
-            self.advance()
-            value = float(tok.text)
-            if not math.isfinite(value):
-                raise ParseError(f"number {tok.text!r} out of range", tok.pos)
-            return Literal(value)
-        if tok.kind == "ident":
-            self.advance()
-            name = tok.text
-            if name in VARIABLES:
-                return Var(name)
-            if name in CONSTANTS:
-                return Const(name)
-            if name in jets.FUNCTIONS:
-                self.expect("(", f"'(' after function {name!r}")
-                arg = self.parse_expr(depth + 1)
-                self.expect(")", "')'")
-                self.height += 1
-                return Call(name, arg)
-            raise UnknownIdentifierError(f"unknown identifier {name!r}", tok.pos)
-        if tok.kind == "(":
-            self.advance()
-            node = self.parse_expr(depth + 1)
-            self.expect(")", "')'")
+            raise ParseError("expression too deeply nested", pos)
+        self.i += 1
+        if kind == "-":
+            node = Neg(self.factor(depth + 1))
+            self.height += 1
             return node
-        got = tok.text or "end of input"
-        raise ParseError(f"expected a number, identifier, or '(', got {got!r}", tok.pos)
+        self.height = 1
+        if kind == "num":
+            node = Literal(float(text))
+            if not math.isfinite(node.value):
+                raise ParseError(f"number {text!r} out of range", pos)
+        elif kind == "(":
+            node = self.chain(0, depth + 3)
+            self.expect(")", "')'")
+        elif kind != "ident":
+            got = text or "end of input"
+            raise ParseError(f"expected a number, identifier, or '(', got {got!r}", pos)
+        elif text in VARIABLES:
+            node = Var(text)
+        elif text in CONSTANTS:
+            node = Const(text)
+        elif text in jets.FUNCTIONS:
+            self.expect("(", f"'(' after function {text!r}")
+            node = Call(text, self.chain(0, depth + 3))
+            self.expect(")", "')'")
+            self.height += 1
+        else:
+            raise UnknownIdentifierError(f"unknown identifier {text!r}", pos)
+        if self.tokens[self.i][0] != "^":
+            return node
+        self.i += 1
+        height, exponent = self.height, self.factor(depth + 2)
+        self.height = max(height, self.height) + 1
+        return Pow(node, exponent)
 
 
 def parse(source: str) -> Expr:
     """Parse expression text into an AST."""
     if not isinstance(source, str) or not source.strip():
         raise ParseError("empty expression", 0)
-    parser = _Parser(_tokenize(source))
-    node = parser.parse_expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    parser = _Parser(source)
+    node = parser.chain(0, 0)
+    kind, text, pos = parser.tokens[parser.i]
+    if kind != "end":
+        raise ParseError(f"unexpected trailing input {text!r}", pos)
     return node
 
 
@@ -332,7 +290,9 @@ def _fmt(e: Expr, min_prec: int) -> str:
 
 
 def format_expr(e: Expr) -> str:
-    """Render an AST back to source text; re-parsing yields an identical tree."""
+    """Render an AST back to source text; re-parsing a tree that ``parse``
+    returned yields an identical tree (a negative or infinite ``Literal``
+    does not come back)."""
     return _fmt(e, _PREC_ADD)
 
 

@@ -24,7 +24,7 @@ Point = tuple[float, float]
 
 DEFAULT_WINDOW = ((-1.0, 1.0), (-1.0, 1.0))
 
-_MAX_SAMPLE_ATTEMPTS = 10000
+_MAX_REJECTED_DRAWS = 10000
 
 
 class SamplingError(RuntimeError):
@@ -342,17 +342,19 @@ def catalog_names() -> tuple[str, ...]:
 
 
 def sample_points(surface: ConformalSurface, count: int, rng: random.Random) -> list[Point]:
-    """Uniform random chart points from the surface window; guarded points only."""
+    """Uniform random chart points from the surface window; guarded points only.
+
+    Raises ``SamplingError`` once ``_MAX_REJECTED_DRAWS`` draws failed the guard.
+    """
     (x1_lo, x1_hi), (x2_lo, x2_hi) = surface.window
     points: list[Point] = []
-    attempts = 0
+    rejected = 0
     while len(points) < count:
-        attempts += 1
-        if attempts > _MAX_SAMPLE_ATTEMPTS:
-            raise SamplingError(
-                f"could not sample {count} guarded points in {_MAX_SAMPLE_ATTEMPTS} attempts"
-            )
         x = (rng.uniform(x1_lo, x1_hi), rng.uniform(x2_lo, x2_hi))
         if surface.contains(x):
             points.append(x)
+        elif (rejected := rejected + 1) == _MAX_REJECTED_DRAWS:
+            raise SamplingError(
+                f"could not sample {count} guarded points: {rejected} draws failed the guard"
+            )
     return points

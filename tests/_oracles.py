@@ -16,12 +16,16 @@ twice; the jet bracket oracle still solves one system per bracket.
 The linear-system connection, the base and constant frame points, the
 consistency residuals of the connection and curvature tables and the speeds
 of lifted and base states are oracles that only the tests need.
+``parse_reference`` is ``expr.parse`` as it ran on a per-character lexer
+and one grammar method per precedence level; ``expr.parse`` must give the
+same tree, or the same exception at the same position, for every text.
 """
 
 from __future__ import annotations
 
 import math
 import random
+import re
 from dataclasses import dataclass
 
 import mpmath as mp
@@ -687,3 +691,144 @@ def bianchi_residual(table: connection.CurvatureTable) -> float:
 def pair_symmetry_residual(table: connection.CurvatureTable) -> float:
     """max |R_lijk - R_jkli|."""
     return _curvature_residual(table, lambda R, l, i, j, k: R[l][i][j][k] - R[j][k][l][i])
+
+
+# -- the per-character lexer and five-method parser ------------------------------
+
+_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
+_IDENT_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+_OPERATORS = "+-*/^()"
+
+
+@dataclass(frozen=True, slots=True)
+class _Token:
+    kind: str  # "num", "ident", one of the operator characters, or "end"
+    text: str
+    pos: int
+
+
+def _tokenize(source: str) -> list[_Token]:
+    tokens = []
+    i, n = 0, len(source)
+    while i < n:
+        ch = source[i]
+        if ch.isspace():
+            i += 1
+            continue
+        if ch in _OPERATORS:
+            tokens.append(_Token(ch, ch, i))
+            i += 1
+            continue
+        m = _NUMBER_RE.match(source, i)
+        if m:
+            tokens.append(_Token("num", m.group(), i))
+            i = m.end()
+            continue
+        m = _IDENT_RE.match(source, i)
+        if m:
+            tokens.append(_Token("ident", m.group(), i))
+            i = m.end()
+            continue
+        raise ex.ParseError(f"unexpected character {ch!r}", i)
+    tokens.append(_Token("end", "", n))
+    return tokens
+
+
+class _Parser:
+    def __init__(self, tokens: list[_Token]):
+        self.tokens = tokens
+        self.i = 0
+
+    def peek(self) -> _Token:
+        return self.tokens[self.i]
+
+    def advance(self) -> _Token:
+        tok = self.tokens[self.i]
+        self.i += 1
+        return tok
+
+    def expect(self, kind: str, what: str) -> _Token:
+        tok = self.peek()
+        if tok.kind != kind:
+            got = tok.text or "end of input"
+            raise ex.ParseError(f"expected {what}, got {got!r}", tok.pos)
+        return self.advance()
+
+    def parse_expr(self, depth: int = 0) -> ex.Expr:
+        node = self.parse_term(depth + 1)
+        while self.peek().kind in ("+", "-"):
+            kind, height = self.advance().kind, self.height
+            rhs = self.parse_term(depth + height + 1)  # the tree so far is its left sibling
+            node = ex.Add(node, rhs) if kind == "+" else ex.Sub(node, rhs)
+            self.height = max(height, self.height) + 1  # the height of the node parsed last
+        return node
+
+    def parse_term(self, depth: int) -> ex.Expr:
+        node = self.parse_factor(depth + 1)
+        while self.peek().kind in ("*", "/"):
+            kind, height = self.advance().kind, self.height
+            rhs = self.parse_factor(depth + height + 1)
+            node = ex.Mul(node, rhs) if kind == "*" else ex.Div(node, rhs)
+            self.height = max(height, self.height) + 1
+        return node
+
+    def parse_factor(self, depth: int) -> ex.Expr:
+        if depth > ex._MAX_DEPTH:  # every recursive cycle of the grammar passes here
+            raise ex.ParseError("expression too deeply nested", self.peek().pos)
+        if self.peek().kind != "-":
+            return self.parse_power(depth + 1)
+        self.advance()
+        node = ex.Neg(self.parse_factor(depth + 1))
+        self.height += 1
+        return node
+
+    def parse_power(self, depth: int) -> ex.Expr:
+        base = self.parse_atom(depth + 1)
+        if self.peek().kind != "^":
+            return base
+        self.advance()
+        height, exponent = self.height, self.parse_factor(depth + 1)
+        self.height = max(height, self.height) + 1
+        return ex.Pow(base, exponent)
+
+    def parse_atom(self, depth: int) -> ex.Expr:
+        tok, self.height = self.peek(), 1
+        if tok.kind == "num":
+            self.advance()
+            value = float(tok.text)
+            if not math.isfinite(value):
+                raise ex.ParseError(f"number {tok.text!r} out of range", tok.pos)
+            return ex.Literal(value)
+        if tok.kind == "ident":
+            self.advance()
+            name = tok.text
+            if name in ex.VARIABLES:
+                return ex.Var(name)
+            if name in ex.CONSTANTS:
+                return ex.Const(name)
+            if name in jets.FUNCTIONS:
+                self.expect("(", f"'(' after function {name!r}")
+                arg = self.parse_expr(depth + 1)
+                self.expect(")", "')'")
+                self.height += 1
+                return ex.Call(name, arg)
+            raise ex.UnknownIdentifierError(f"unknown identifier {name!r}", tok.pos)
+        if tok.kind == "(":
+            self.advance()
+            node = self.parse_expr(depth + 1)
+            self.expect(")", "')'")
+            return node
+        got = tok.text or "end of input"
+        raise ex.ParseError(f"expected a number, identifier, or '(', got {got!r}", tok.pos)
+
+
+def parse_reference(source: str) -> ex.Expr:
+    """``expr.parse`` as it ran on a per-character lexer and five grammar methods."""
+    if not isinstance(source, str) or not source.strip():
+        raise ex.ParseError("empty expression", 0)
+    parser = _Parser(_tokenize(source))
+    node = parser.parse_expr()
+    tok = parser.peek()
+    if tok.kind != "end":
+        raise ex.ParseError(f"unexpected trailing input {tok.text!r}", tok.pos)
+    return node

@@ -218,6 +218,7 @@ def test_verify_fails_with_impossible_tolerance(capsys):
         ["surface", "info", "--surface", "sphere", "--at", "zero,0"],
         ["verify", "--surface", "sphere", "--samples", "0"],
         ["nonsense"],
+        ["verify", "--surface", "sphere", "--samples", "1000001"],
     ],
 )
 def test_usage_errors_exit_two(argv, capsys):

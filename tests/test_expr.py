@@ -30,6 +30,7 @@ from wagnerlift.expr import (
 from _oracles import (
     fd_agrees,
     fd_partial,
+    parse_reference,
     polynomial_partial,
     random_polynomial,
     random_smooth_expr,
@@ -93,6 +94,7 @@ def test_parse_constants_and_functions():
         ("x1 x2", 3),
         ("$", 0),
         ("sin x1", 4),
+        ("\u3000$", 1),  # a character offset: the UTF-8 offset of '$' is 3
     ],
 )
 def test_parse_errors_carry_position(bad, position):
@@ -145,9 +147,79 @@ def test_the_longest_accepted_chains_lower_print_and_hash(wrap):
                 low = mid
             except ParseError:
                 high = mid - 1
-        node = parse(_nested_chains(levels, low, wrap))
+        accepted = _nested_chains(levels, low, wrap)
+        for text in (accepted, _nested_chains(levels, low + 1, wrap)):
+            assert _outcome(parse, text) == _outcome(parse_reference, text)
+        node = parse(accepted)
         ex.Tape(node)  # lowering, printing, == and hash all recurse over the tree
         assert parse(format_expr(node)) == node and hash(node) == hash(parse(format_expr(node)))
+
+
+# -- the parser against the reference parser ----------------------------------------
+
+
+def _outcome(parse_text, text):
+    """The tree, or the exception's type, message and position."""
+    try:
+        return parse_text(text)
+    except Exception as err:  # noqa: BLE001 - any exception must match too
+        return type(err), str(err), getattr(err, "position", None)
+
+
+# Unicode spaces and decimal digits: ``str.isspace`` and ``float`` accept them.
+_SPACES = " \t\n\u00a0\u2003\u3000"
+_DIGITS = "0123456789\u0663\uff17"
+_blank = st.text(_SPACES, max_size=2)
+_number = st.tuples(
+    st.text(_DIGITS, min_size=1, max_size=3),
+    st.sampled_from(["", "."]),
+    st.text(_DIGITS, max_size=2),
+    st.sampled_from(["", "e5", "E-2", "e+400", "e"]),
+).map("".join)
+_grammar = st.recursive(
+    st.one_of(_number, st.sampled_from(["x1", "x2", "pi", "e", "y", "sin", ".5"])),
+    lambda inner: st.one_of(
+        st.tuples(inner, _blank, st.sampled_from("+-*/^"), _blank, inner).map("".join),
+        inner.map("-{}".format),
+        st.tuples(st.sampled_from(["(", "sin(", "atan (", "exp( "]), inner).map("{0[0]}{0[1]})".format),
+    ),
+    max_leaves=12,
+)
+
+
+@st.composite
+def _mutated(draw):
+    text = draw(_grammar)
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(text)))
+        j = draw(st.integers(i, min(len(text), i + 3)))
+        text = text[:i] + draw(st.text("+-*/^()., x12e$\u3000\u0663", max_size=2)) + text[j:]
+    return text
+
+
+_arbitrary = st.text(st.one_of(st.characters(), st.sampled_from(_SPACES + _DIGITS)), max_size=30)
+
+
+@settings(max_examples=500, deadline=None, derandomize=True, database=None)
+@given(st.one_of(_grammar, _mutated(), _arbitrary))
+def test_parse_matches_the_reference_parser(text):
+    assert _outcome(parse, text) == _outcome(parse_reference, text)
+
+
+@pytest.mark.parametrize("wrap", ["({})", "-{}", "{}^x2", "sin({})"])
+def test_parse_matches_the_reference_parser_at_the_depth_limit(wrap):
+    # A parenthesis or call reaches the limit at about 40 levels, the others at about 200.
+    text = "x1"
+    for levels in range(1, 206):
+        text = wrap.format(text)
+        assert _outcome(parse, text) == _outcome(parse_reference, text), levels
+
+
+@pytest.mark.parametrize("op", ["+", "*"])
+def test_parse_matches_the_reference_parser_on_long_chains(op):
+    for terms in (100, 199, 200, 201, 3000):
+        text = "x1" + f" {op} x2" * (terms - 1)
+        assert _outcome(parse, text) == _outcome(parse_reference, text), terms
 
 
 # -- printer round trip -----------------------------------------------------------

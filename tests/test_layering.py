@@ -128,6 +128,17 @@ def test_only_the_fast_stage_reads_compiled_tapes_in_geodesic():
     assert readers == {"_fast_stage"}
 
 
+def test_the_parser_checks_its_depth_in_one_place():
+    # Every recursive cycle of the grammar passes the one check in ``factor``.
+    comparisons = [
+        node for node in ast.walk(_tree("expr"))
+        if isinstance(node, ast.Compare)
+        and any(isinstance(part, ast.Name) and part.id == "_MAX_DEPTH"
+                for part in (node.left, *node.comparators))
+    ]
+    assert len(comparisons) == 1
+
+
 def test_public_functions_keep_only_the_pinned_defaulted_parameters():
     assert _defaulted_parameters() == PUBLIC_DEFAULTS
 

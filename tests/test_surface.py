@@ -92,6 +92,13 @@ def test_sampling_respects_guard():
         assert point[1] > 0.0
 
 
+def test_sampling_caps_rejected_draws_not_total_draws():
+    # The sphere's guard holds everywhere: more than 10^4 points are no error.
+    points = sample_points(catalog("sphere"), 10001, random.Random(0))
+    assert len(points) == 10001
+    assert points[:100] == sample_points(catalog("sphere"), 100, random.Random(0))
+
+
 # -- structure functions -----------------------------------------------------------
 
 
