@@ -29,12 +29,14 @@ kept for ``wong_residual`` and the Q3/K monitor -e^(-2 lambda) Lap(lambda),
 which keeps the bits of an order-2 evaluation because the order-2
 coefficients are a prefix of the order-3 ones; the final sample, which has no
 next step, is evaluated at order 2.  Every stage runs on one compiled branch,
-``_fast_stage``; a point it cannot vouch for (lambda not compiled, a guard
-that fails, a fallback, fields ``_checked`` rejects) reruns on the jets, and
-an rk4 step (``_lift_rk4_step``) reruns whole, so a fresh surface starts on
-the jets; no bit changes.  Frame fields that are not finite (a third
-derivative that overflowed leaves the third partials inf or NaN) stop the run
-with a ``DomainError``.
+``_fast_stage``, which also runs a whole rk4 sample as one function; a point
+it cannot vouch for (lambda not compiled, a guard that fails, a fallback,
+fields ``_checked`` rejects) reruns on the jets and its sample on
+``_rk4_step``, so a fresh surface starts on the jets.  The Wong and base
+contractions write the dim-2 Koszul kernel out, and a CSV row with no empty
+column is one ``%``; no bit changes.  Frame fields that are not finite (a
+third derivative that overflowed leaves the third partials inf or NaN) stop
+the run with a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -43,7 +45,6 @@ import math
 from dataclasses import dataclass, field, replace
 from typing import Callable
 
-from . import connection
 from .expr import _FALLBACK
 from .jets import DomainError
 from .surface import (
@@ -181,11 +182,16 @@ def _lift_stage(surface: ConformalSurface, fast: Callable) -> Callable:
     return stage
 
 
-def _fast_stage(surface: ConformalSurface) -> Callable:
+def _fast_stage(surface: ConformalSurface, keep: Callable | None = None) -> tuple:
     """The stage's compiled branch as ``fast(x1, x2, Q1, Q2, Q3, keep=None)``: the
     compiled guard and order-3 lambda with ``Jet.coeffs``, ``frame_fields_from``,
-    ``_checked`` and ``_lift_derivative`` inline in their order.  It raises a
-    ``_FALLBACK`` error where that is left and passes ``keep`` the partials last."""
+    ``_checked`` and ``_lift_derivative`` inline in their order, the finiteness
+    test as one sum (whose overflow only sends the point to the jets).  It raises
+    a ``_FALLBACK`` error where that is left and passes ``keep`` the partials last.
+    ``sample(stage, y, h)`` is an accepted rk4 sample on ``fast``: stage 1 with
+    ``keep``, k2-k4 and ``_rk4_step``'s terms unrolled.  Where ``fast`` leaves
+    stage 1, ``stage`` runs it with ``keep``; where it leaves any, ``_rk4_step``
+    on ``stage`` runs the sample from k1."""
     lam = surface._lam_tape.compiled
     guard = surface._guard_tape and surface._guard_tape.compiled
 
@@ -199,7 +205,7 @@ def _fast_stage(surface: ConformalSurface) -> Callable:
             raise FloatingPointError
         u1 = em * ((6.0 * t6 + 2.0 * t8) / lap - 2.0 * t1)
         u2 = em * ((2.0 * t7 + 6.0 * t9) / lap - 2.0 * t2)
-        if (em - em) + (c1 - c1) + (c2 - c2) + (K - K) + (u1 - u1) + (u2 - u2) != 0.0:
+        if (c1 + c2 + K + u1 + u2) * 0.0 != 0.0:  # em is finite: exp raises, not inf
             raise FloatingPointError
         if keep is not None:  # Jet.coeffs's products at order 3 (a scale of 1.0 is exact)
             keep(((t0, t1, t2, 2.0 * t3, t4, 2.0 * t5, 6.0 * t6, 2.0 * t7, 2.0 * t8, 6.0 * t9),
@@ -208,27 +214,26 @@ def _fast_stage(surface: ConformalSurface) -> Callable:
                 -c1 * Q1 * Q2 - c2 * Q2 * Q2 + Q2 * Q3 - u1 * Q3 * Q3,
                 c1 * Q1 * Q1 + c2 * Q1 * Q2 - Q1 * Q3 - u2 * Q3 * Q3, u1 * Q1 * Q3 + u2 * Q2 * Q3)
 
-    return fast
-
-
-def _lift_rk4_step(rhs: Callable) -> Callable:
-    """``_rk4_step`` with k2-k4 on ``rhs``, a ``_fast_stage``, and the combination
-    in its term order; a step where that raises reruns whole on ``_rk4_step``."""
-
-    def step(f: Callable, y: tuple, h: float, k1: tuple) -> tuple:
-        (y0, y1, y2, y3, y4, y5), (a0, a1, a2, a3, a4, a5) = y, k1
+    def sample(stage: Callable, y: tuple, h: float) -> tuple:
+        y0, y1, y2, y3, y4, y5 = y
+        try:
+            k1 = a0, a1, a2, a3, a4, a5 = fast(float(y0), float(y1), y3, y4, y5, keep)
+        except _FALLBACK:
+            return _rk4_step(stage, y, h, stage(y, keep))
         h2, h3, h6 = h / 2.0, h / 3.0, h / 6.0
         try:
-            b0, b1, b2, b3, b4, b5 = rhs(y0 + h2*a0, y1 + h2*a1, y3 + h2*a3, y4 + h2*a4, y5 + h2*a5)
-            c0, c1, c2, c3, c4, c5 = rhs(y0 + h2*b0, y1 + h2*b1, y3 + h2*b3, y4 + h2*b4, y5 + h2*b5)
-            d0, d1, d2, d3, d4, d5 = rhs(y0 + h*c0, y1 + h*c1, y3 + h*c3, y4 + h*c4, y5 + h*c5)
+            b0, b1, b2, b3, b4, b5 = fast(
+                y0 + h2*a0, y1 + h2*a1, y3 + h2*a3, y4 + h2*a4, y5 + h2*a5)
+            c0, c1, c2, c3, c4, c5 = fast(
+                y0 + h2*b0, y1 + h2*b1, y3 + h2*b3, y4 + h2*b4, y5 + h2*b5)
+            d0, d1, d2, d3, d4, d5 = fast(y0 + h*c0, y1 + h*c1, y3 + h*c3, y4 + h*c4, y5 + h*c5)
         except _FALLBACK:
-            return _rk4_step(f, y, h, k1)
+            return _rk4_step(stage, y, h, k1)
         return (y0 + h6*a0 + h3*b0 + h3*c0 + h6*d0, y1 + h6*a1 + h3*b1 + h3*c1 + h6*d1,
                 y2 + h6*a2 + h3*b2 + h3*c2 + h6*d2, y3 + h6*a3 + h3*b3 + h3*c3 + h6*d3,
                 y4 + h6*a4 + h3*b4 + h3*c4 + h6*d4, y5 + h6*a5 + h3*b5 + h3*c5 + h6*d5)
 
-    return step
+    return fast, sample
 
 
 def base_rhs(
@@ -244,15 +249,14 @@ def base_rhs(
     return (em * b.P1, em * b.P2, -dP1, -dP2)
 
 
-def _christoffel_contraction(c1: float, c2: float, P1: float, P2: float) -> list[float]:
+def _christoffel_contraction(c1: float, c2: float, P1: float, P2: float) -> tuple:
     """Gamma^k_ij P^i P^j (k = 1, 2) from the generic Koszul coefficients of the
-    base frame with c112 = c1, c212 = c2, added in (i, j) order as ``sum`` adds
-    them (Gamma^k_kk is +0.0, so ``sum``'s +0.0 start would change no bit)."""
-    c_values = (((0.0, c1), (-c1, 0.0)), ((0.0, c2), (-c2, 0.0)))
-    return [
-        g[0][0] * P1 * P1 + g[0][1] * P1 * P2 + g[1][0] * P2 * P1 + g[1][1] * P2 * P2
-        for g in connection.koszul_values(c_values, 2)
-    ]
+    base frame with c112 = c1, c212 = c2: the dim-2 Koszul kernel's eight
+    entries (Gamma^k_kk = 0.0 among them) and its (i, j) sums written out."""
+    g001, g010, g011 = 0.5 * (c1 + 0.0 + c1), 0.5 * (-c1 + c1 + 0.0), 0.5 * (0.0 + c2 + c2)
+    g100, g101, g110 = 0.5 * (0.0 + -c1 + -c1), 0.5 * (c2 + -c2 + 0.0), 0.5 * (-c2 + 0.0 + -c2)
+    return (0.0 * P1 * P1 + g001 * P1 * P2 + g010 * P2 * P1 + g011 * P2 * P2,
+            g100 * P1 * P1 + g101 * P1 * P2 + g110 * P2 * P1 + 0.0 * P2 * P2)
 
 
 # -- integrators ---------------------------------------------------------------
@@ -292,12 +296,13 @@ _DP_B4 = (5179 / 57600, 0.0, 7571 / 16695, 393 / 640, -92097 / 339200, 187 / 210
 
 def _integrate(
     f: Callable, y0: tuple, t_max: float, h: float, method: str, first: Callable,
-    rk4_step: Callable = _rk4_step,
+    sample: Callable | None = None,
 ) -> tuple[list[float], list[tuple]]:
     """Times and states of the samples from (0, y0) to t_max.
 
     ``first(y)`` gives ``f(y)`` at each accepted sample but the last, once
-    (rk45 retries reuse it).  An rk4 step is ``rk4_step(f, y, h, k1)``.
+    (rk45 retries reuse it).  A whole rk4 step is ``sample(f, y, h)``, by
+    default ``_rk4_step(f, y, h, first(y))`` as a partial last step is.
     Evaluation failures carry the last accepted time as ``last_valid_t``.
     """
     if h <= 0.0:
@@ -320,12 +325,13 @@ def _integrate(
             exact = steps >= 1 and abs(ratio - steps) <= _RK4_WHOLE_STEPS_TOL
             if not exact:
                 steps = math.floor(ratio)
-            for n in range(1, steps + 1 + (not exact)):
-                k1 = first(y)
+            sample = sample or (lambda f, y, h: _rk4_step(f, y, h, first(y)))
+            for n in range(1, steps + 1):
                 samples.append((t, y))
-                whole = n <= steps
-                y = rk4_step(f, y, h if whole else t_max - t, k1)
-                t = n * h if whole else t_max
+                y, t = sample(f, y, h), n * h
+            if not exact:
+                samples.append((t, y))
+                y, t = _rk4_step(f, y, t_max - t, first(y)), t_max
         else:
             # The floor is at most the first trial step min(h, t_max), so that
             # step always runs: a t_max below the end slack is honoured, and a
@@ -369,11 +375,11 @@ def integrate_lift(
     (chart guard, |K| below ``KAPPA_MIN``) abort the run with the last valid
     time attached to the exception.
     """
-    fast = _fast_stage(surface)
-    stage, step = _lift_stage(surface, fast), _lift_rk4_step(fast)
     kept: list[tuple] = []  # stage 1's (partials, fields) per sample but the last
+    fast, sample = _fast_stage(surface, kept.append)
+    stage = _lift_stage(surface, fast)
     y0 = (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3)
-    times, states = _integrate(stage, y0, t_max, h, method, lambda y: stage(y, kept.append), step)
+    times, states = _integrate(stage, y0, t_max, h, method, lambda y: stage(y, kept.append), sample)
     speed, monitor = [], []
     for y, info in zip(states, kept + [None]):
         x = (y[0], y[1])
@@ -448,15 +454,14 @@ def wong_residual(
             raise ValueError("no Q3/K monitor on the trajectory; pass C explicitly")
 
     carried = trajectory.fields if trajectory.surface == surface else [None] * len(t)
-    residuals: list[float | None] = [None] * len(t)
+    residuals: list[float | None] = [None]
     sC, CC = WONG_ROTATION_SIGN * C, C * C  # the leading products of s C K and C^2 K
-    for m in range(1, len(t) - 1):
-        (_, _, P1a, P2a), (x1, x2, P1, P2), (_, _, P1b, P2b) = states[m - 1 : m + 2]
-        x = (x1, x2)
-        em, c1, c2, K, u1, u2 = _checked(carried[m] or frame_fields(surface, x), x)
+    samples = zip(zip(t, t[1:], t[2:]), states, states[1:], states[2:], carried[1:])
+    for (t0, t1, t2), (_, _, P1a, P2a), (x1, x2, P1, P2), (_, _, P1b, P2b), fields in samples:
+        x = (x1, x2)  # carried fields passed _checked when they were kept
+        em, c1, c2, K, u1, u2 = fields or _checked(frame_fields(surface, x), x)
         g1, g2 = _christoffel_contraction(c1, c2, P1, P2)
-        t0, t1, t2 = t[m - 1 : m + 2]  # three-point derivatives at t1, any spacing
-        w0, w1, w2 = t1 - t2, 2 * t1 - t0 - t2, t1 - t0
+        w0, w1, w2 = t1 - t2, 2 * t1 - t0 - t2, t1 - t0  # three-point, any spacing
         d0, d1, d2 = (t0 - t1) * (t0 - t2), (t1 - t0) * (t1 - t2), (t2 - t0) * (t2 - t1)
         dP1 = P1a * w0 / d0 + P1 * w1 / d1 + P1b * w2 / d2
         dP2 = P2a * w0 / d0 + P2 * w1 / d1 + P2b * w2 / d2
@@ -464,8 +469,8 @@ def wong_residual(
         sCK, CCK = sC * K, CC * K
         r1 = dP1 + g1 - sCK * -P2 + CCK * (u1 * K)
         r2 = dP2 + g2 - sCK * P1 + CCK * (u2 * K)
-        residuals[m] = math.hypot(r1, r2)
-    return residuals
+        residuals.append(math.hypot(r1, r2))
+    return residuals + [None]
 
 
 def with_wong(trajectory: Trajectory, residuals: list[float | None]) -> Trajectory:
@@ -495,31 +500,50 @@ def _fmt(value: float | None) -> str:
     return "" if value is None else format(value, ".17g")
 
 
-def _lines(trajectory: Trajectory):
-    """One CSV line per sample, 17 significant digits.  A value that is not
-    finite stops the output with a ``DomainError`` naming its sample."""
-    rows = zip(trajectory.t, trajectory.states, trajectory.speed, trajectory.q3_over_k)
-    for (t, y, speed, ratio), wong in zip(rows, trajectory.wong):
-        if trajectory.kind == "lift":
+_ROW = ",".join(["%.17g"] * len(CSV_COLUMNS)) + "\n"
+
+
+def _cells(trajectory: Trajectory):
+    """The ten column values per sample, phi reduced modulo 2 pi and None
+    where a column is empty."""
+    lift = trajectory.kind == "lift"
+    columns = (trajectory.t, trajectory.states, trajectory.speed, trajectory.q3_over_k)
+    for t, y, speed, ratio, wong in zip(*columns, trajectory.wong):
+        if lift:
             x1, x2, phi, Q1, Q2, Q3 = y
             phi = math.remainder(phi, 2.0 * math.pi) if phi - phi == 0.0 else phi
-            line = f"{t:.17g},{x1:.17g},{x2:.17g},{phi:.17g},{Q1:.17g},{Q2:.17g},{Q3:.17g},"
-        else:
-            x1, x2, P1, P2 = y
-            line = f"{t:.17g},{x1:.17g},{x2:.17g},,{P1:.17g},{P2:.17g},,"
-        line += f"{speed:.17g},{_fmt(ratio)},{_fmt(wong)}\n"
-        if "n" in line:  # nan or inf
-            raise DomainError(f"non-finite value in the sample at t={t!r}, point {(x1, x2)!r}")
-        yield line
+            yield t, x1, x2, phi, Q1, Q2, Q3, speed, ratio, wong
+        else:  # (x1, x2, P1, P2)
+            yield t, y[0], y[1], None, y[2], y[3], None, speed, ratio, wong
+
+
+def _non_finite(cells: tuple) -> DomainError:
+    return DomainError(f"non-finite value in the sample at t={cells[0]!r}, point {cells[1:3]!r}")
 
 
 def write_csv(trajectory: Trajectory, stream) -> None:
-    """Write the trajectory with the fixed column layout, 17 significant digits."""
-    stream.write(",".join(CSV_COLUMNS) + "\n" + "".join(_lines(trajectory)))
+    """Write the trajectory with the fixed column layout, 17 significant digits,
+    in one write; a row with no empty column is one ``%`` on ``_ROW``.  A value
+    that is not finite stops the output with a ``DomainError`` naming its
+    sample, before anything is written."""
+    lines = [",".join(CSV_COLUMNS) + "\n"]
+    for cells in _cells(trajectory):
+        if cells[9] is None or cells[8] is None or cells[3] is None:
+            line = ",".join(map(_fmt, cells)) + "\n"
+        else:
+            line = _ROW % cells
+        if "n" in line:  # nan or inf
+            raise _non_finite(cells)
+        lines.append(line)
+    stream.write("".join(lines))
 
 
 def to_json_dict(trajectory: Trajectory) -> dict:
-    rows = [[float(c) if c else None for c in line[:-1].split(",")] for line in _lines(trajectory)]
+    rows = []
+    for cells in _cells(trajectory):
+        rows.append([None if v is None else float(v) for v in cells])
+        if any(v - v != 0.0 for v in rows[-1] if v is not None):  # nan or inf
+            raise _non_finite(cells)
     return {
         "kind": trajectory.kind,
         "surface": trajectory.surface.name,

@@ -19,6 +19,9 @@ of lifted and base states are oracles that only the tests need.
 ``parse_reference`` is ``expr.parse`` as it ran on a per-character lexer
 and one grammar method per precedence level; ``expr.parse`` must give the
 same tree, or the same exception at the same position, for every text.
+``csv_lines_reference`` is ``geodesic``'s CSV row writer as it formatted
+every cell on its own, and ``json_rows_reference`` the JSON rows as they were
+parsed back from those lines; the serialisers must give the same bytes.
 """
 
 from __future__ import annotations
@@ -35,6 +38,7 @@ from wagnerlift import connection
 from wagnerlift import expr as ex
 from wagnerlift import jets
 from wagnerlift import lift
+from wagnerlift.jets import DomainError
 from wagnerlift.surface import ConformalJets, surface_jets
 
 mp.mp.dps = 40
@@ -190,6 +194,38 @@ def lift_state_speed(y: tuple) -> float:
 def base_state_speed(y: tuple) -> float:
     """|P| of a base state (x1, x2, P1, P2)."""
     return math.hypot(y[2], y[3])
+
+
+# -- trajectory serialisation ----------------------------------------------------
+
+
+def _fmt(value) -> str:
+    return "" if value is None else format(value, ".17g")
+
+
+def csv_lines_reference(trajectory):
+    """One CSV line per sample, each cell formatted on its own, 17 significant
+    digits.  A value that is not finite stops the output with a ``DomainError``
+    naming its sample."""
+    rows = zip(trajectory.t, trajectory.states, trajectory.speed, trajectory.q3_over_k)
+    for (t, y, speed, ratio), wong in zip(rows, trajectory.wong):
+        if trajectory.kind == "lift":
+            x1, x2, phi, Q1, Q2, Q3 = y
+            phi = math.remainder(phi, 2.0 * math.pi) if phi - phi == 0.0 else phi
+            line = f"{t:.17g},{x1:.17g},{x2:.17g},{phi:.17g},{Q1:.17g},{Q2:.17g},{Q3:.17g},"
+        else:
+            x1, x2, P1, P2 = y
+            line = f"{t:.17g},{x1:.17g},{x2:.17g},,{P1:.17g},{P2:.17g},,"
+        line += f"{speed:.17g},{_fmt(ratio)},{_fmt(wong)}\n"
+        if "n" in line:  # nan or inf
+            raise DomainError(f"non-finite value in the sample at t={t!r}, point {(x1, x2)!r}")
+        yield line
+
+
+def json_rows_reference(trajectory) -> list:
+    """The JSON rows as ``float`` of each CSV cell's text, None for an empty one."""
+    return [[float(c) if c else None for c in line[:-1].split(",")]
+            for line in csv_lines_reference(trajectory)]
 
 
 # -- jet arithmetic references ---------------------------------------------------

@@ -1,6 +1,7 @@
 """Geodesic-flow tests: right-hand sides, conservation, projection, Wong."""
 
 import io
+import json
 import math
 import random
 import struct
@@ -9,7 +10,7 @@ from dataclasses import replace
 
 import pytest
 
-from _oracles import base_state_speed, lift_state_speed
+from _oracles import base_state_speed, csv_lines_reference, json_rows_reference, lift_state_speed
 from wagnerlift import expr as expr_module
 from wagnerlift import geodesic as geo
 from wagnerlift.connection import koszul_values
@@ -342,7 +343,7 @@ def _stage_one_route(surface, y):
 def _stages(surface):
     """The stage on a fresh fast branch, and that branch, as ``integrate_lift``
     pairs them."""
-    fast = geo._fast_stage(surface)
+    fast, _ = geo._fast_stage(surface)
     return geo._lift_stage(surface, fast), fast
 
 
@@ -402,6 +403,7 @@ def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, conf
         stage(y)
         stage(y, [].append)
         fast(y[0], y[1], *y[3:])  # the fast branch vouches for every point here
+        geo._fast_stage(surface, [].append)[1](stage, y, 1e-6)
 
 
 @pytest.mark.parametrize(
@@ -427,6 +429,22 @@ def test_fused_stage_reruns_each_fallback_on_the_jet_route(lam, guard, point, sc
         _stages(surface)[0]((*point, 0.0, 0.6, 0.1, 0.8))
 
 
+def test_fused_stage_sends_a_field_sum_that_overflows_to_the_jets():
+    # At x1 = 0, c2 = 7e307 e^(-lambda) and u1 = 1.4e308 e^(-lambda) are finite
+    # but their sum is not: the fast branch leaves the point, and the jets
+    # return the finite fields.
+    surface = ConformalSurface.from_config({"name": "steep", "lambda": "-7e307*x1 + x1^2 + x2^2"})
+    warm = [(0.0, 0.5 + 0.01 * k, 0.0, 0.6, 0.1, 0.8) for k in range(COMPILE_AFTER + 5)]
+    _assert_stage_matches(surface, warm)
+    assert surface._lam_tape.compiled[3] is not None
+    y = (0.0, 0.1, 0.0, 0.6, 0.1, 0.8)
+    _assert_stage_matches(surface, [y])
+    stage, fast = _stages(surface)
+    with pytest.raises(FloatingPointError):
+        fast(0.0, 0.1, 0.6, 0.1, 0.8)
+    assert all(math.isfinite(v) for v in stage(y))
+
+
 # |K| = 4s e^(-2 s r^2) falls below KAPPA_MIN past r = 0.1.
 _THRESHOLD = {"name": "threshold", "lambda": "2.500000000125e-9*(x1^2 + x2^2)"}
 _GENERATED = [  # catalog lambdas plus 0.005 times generated terms, as in surface-churn
@@ -443,39 +461,49 @@ def _step_cases(surface, count, seed):
     return [(y, rng.choice([1e-3, 1e-2, 0.1])) for y in _states(surface, count, seed)]
 
 
-def _assert_step_matches(monkeypatch, surface, cases):
-    """The unrolled rk4 step against ``_rk4_step`` on the same stage, by bits
-    or by exception; returns the outcomes with whether each fell back."""
-    stage, fast = _stages(surface)
-    step, reruns = geo._lift_rk4_step(fast), []
-    rk4_step = geo._rk4_step
+def _assert_sample_matches(monkeypatch, surface, cases):
+    """The fused rk4 sample against stage 1 with ``keep`` and ``_rk4_step`` on
+    the same stage, by bits or by exception and by what each keeps; returns
+    per case the outcome, the entries kept and the k1 of each ``_rk4_step``."""
+    kept, reruns = [], []
+    fast, sample = geo._fast_stage(surface, kept.append)
+    stage, rk4_step = geo._lift_stage(surface, fast), geo._rk4_step
 
-    def rerun(*args):
-        reruns.append(args)
-        return rk4_step(*args)
+    def rerun(f, y, h, k1):
+        reruns.append(k1)
+        return rk4_step(f, y, h, k1)
 
     outcomes = []
     for y, h in cases:
-        try:
-            k1 = stage(y)
-        except (SingularCurvature, ChartDomainError, DomainError):
-            continue  # stage 1 fails: no step is taken
-        monkeypatch.setattr(geo, "_rk4_step", rerun)
+        kept.clear()
         reruns.clear()
-        got = _outcome(lambda: step(stage, y, h, k1))
+        monkeypatch.setattr(geo, "_rk4_step", rerun)
+        got = _outcome(lambda: sample(stage, y, h))
         monkeypatch.setattr(geo, "_rk4_step", rk4_step)
-        assert got == _outcome(lambda: rk4_step(stage, y, h, k1)), (y, h)
-        outcomes.append((got[0], bool(reruns)))
+        got_kept, expected_kept = tuple(kept), []
+        expected = _outcome(lambda: rk4_step(stage, y, h, stage(y, expected_kept.append)))
+        assert got == expected, (y, h)
+        assert _bits(got_kept) == _bits(tuple(expected_kept)), (y, h)
+        outcomes.append((got[0], len(got_kept), list(reruns)))
     return outcomes
 
 
 @pytest.mark.parametrize("config", ["sphere", "halfplane", "bump", *_GENERATED], ids=str)
 def test_unrolled_rk4_step_keeps_the_bits_of_rk4_step(monkeypatch, config):
     surface = catalog(config) if isinstance(config, str) else ConformalSurface.from_config(config)
-    # The first steps run on a tape not yet compiled, so every one reruns.
+    # The first samples run on a tape not yet compiled, so every one reruns.
     cases = _step_cases(surface, 3 * COMPILE_AFTER, str(config))
-    outcomes = _assert_step_matches(monkeypatch, surface, cases)
+    outcomes = [(kind, bool(k1s)) for kind, _, k1s in
+                _assert_sample_matches(monkeypatch, surface, cases)]
     assert ("returned", True) in outcomes[:3] and ("returned", False) in outcomes
+    # Integer and signed-zero starts, on the compiled tape.
+    x1, x2 = (0, 0) if surface.contains((0.0, 0.0)) else (1, 1)
+    starts = [(x1, x2, 0, 0.6, 0.1, 0.8), (x1, x2, 0, 1, 0, 0), (-0.0, x2, -0.0, 0.6, -0.0, 0.8),
+              (float(x1), float(x2), 0.0, -0.0, 0.0, -0.0)]
+    if config == "halfplane":  # 2^53 + 1 rounds (1/x2 tells)
+        starts.append((1, 2**53 + 1, 0, 0.6, 0.1, 0.8))
+    outcomes = _assert_sample_matches(monkeypatch, surface, [(y, 1e-3) for y in starts])
+    assert outcomes == [("returned", 1, [])] * len(starts)
 
 
 @pytest.mark.parametrize(
@@ -499,10 +527,48 @@ def test_unrolled_rk4_step_keeps_the_bits_of_rk4_step(monkeypatch, config):
 def test_unrolled_rk4_step_reruns_each_fallback_on_rk4_step(monkeypatch, config, cases):
     surface = catalog(config) if isinstance(config, str) else ConformalSurface.from_config(config)
     warm = [((0.1 + 0.01 * k, 0.3, 0.0, 0.6, 0.1, 0.8), 1e-3) for k in range(COMPILE_AFTER)]
-    _assert_step_matches(monkeypatch, surface, warm)
+    _assert_sample_matches(monkeypatch, surface, warm)
     assert surface._lam_tape.compiled[3] is not None
-    outcomes = _assert_step_matches(monkeypatch, surface, cases)
-    assert outcomes and all(fell_back for _, fell_back in outcomes), outcomes
+    outcomes = _assert_sample_matches(monkeypatch, surface, cases)
+    # Stage 1 passes and is kept once; _rk4_step reruns from its k1.
+    stage = _stages(surface)[0]
+    assert outcomes == [(kind, 1, [stage(y)]) for (y, _), (kind, _, _) in zip(cases, outcomes)]
+
+
+def test_fused_sample_runs_stage_one_on_the_jets_where_the_fast_branch_leaves_it(monkeypatch):
+    # Lambda compiles at order 3 through eval_jet alone, so the guard's tape
+    # has not compiled: stage 1 leaves the fast branch on a compiled lambda.
+    surface = ConformalSurface.from_config(_GUARDED)
+    for k in range(COMPILE_AFTER):
+        expr_module.eval_jet(surface._lam_tape, (0.1 + 0.01 * k, 0.3), 3)
+    assert surface._lam_tape.compiled[3] is not None and surface._guard_tape.compiled[0] is None
+    y = (0.2, 0.1, 0.0, 0.6, 0.1, 0.8)
+    outcomes = _assert_sample_matches(monkeypatch, surface, [(y, 1e-3)])
+    assert outcomes == [("returned", 1, [_stages(surface)[0](y)])]
+
+
+def test_fused_sample_reruns_rk4_step_from_its_k1_when_stage_3_raises(monkeypatch):
+    surface = catalog("sphere")
+    warm = [((0.1 + 0.01 * k, 0.3, 0.0, 0.6, 0.1, 0.8), 1e-3) for k in range(COMPILE_AFTER)]
+    _assert_sample_matches(monkeypatch, surface, warm)
+    compiled, calls = surface._lam_tape.compiled[3], []
+
+    def third_raises(x1, x2):  # the compiled lambda cannot vouch for stage 3's point
+        calls.append((x1, x2))
+        if len(calls) == 3:
+            raise FloatingPointError
+        return compiled(x1, x2)
+
+    y = (0.3, 0.2, 0.0, 0.6, 0.1, 0.8)
+    surface._lam_tape.compiled[3] = third_raises
+    try:
+        outcomes = _assert_sample_matches(monkeypatch, surface, [(y, 1e-2)])
+    finally:
+        surface._lam_tape.compiled[3] = compiled
+    # Three calls to the raise, three as _rk4_step reruns k2-k4 (stage 1 is
+    # not rerun), four on the reference route.
+    assert len(calls) == 10
+    assert outcomes == [("returned", 1, [_stages(surface)[0](y)])]
 
 
 def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):
@@ -753,8 +819,6 @@ def test_with_wong_attaches_series():
 
 
 def test_json_round_trip():
-    import json
-
     start = geo.LiftState(0.5, 0.0, 0.0, 0.0, 1.0, 0.0)
     trajectory = geo.integrate_lift(SPHERE, start, t_max=0.01, h=1e-3)
     data = json.loads(json.dumps(geo.to_json_dict(trajectory)))
@@ -762,6 +826,100 @@ def test_json_round_trip():
     assert data["kind"] == "lift"
     assert len(data["rows"]) == len(trajectory.t)
     assert data["rows"][0][9] is None
+
+
+def _serialised(trajectory):
+    """``write_csv``'s text and the CLI's ``--format json`` text, or for each
+    the exception's type and message."""
+    def csv():
+        buffer = io.StringIO()
+        geo.write_csv(trajectory, buffer)
+        return buffer.getvalue()
+
+    def as_json():
+        return json.dumps(geo.to_json_dict(trajectory), indent=2)
+
+    return _outcome(csv), _outcome(as_json)
+
+
+def _serialised_reference(trajectory):
+    def csv():
+        return ",".join(geo.CSV_COLUMNS) + "\n" + "".join(csv_lines_reference(trajectory))
+
+    def as_json():
+        data = {"kind": trajectory.kind, "surface": trajectory.surface.name,
+                "method": trajectory.method, "step": trajectory.step,
+                "columns": list(geo.CSV_COLUMNS), "rows": json_rows_reference(trajectory)}
+        return json.dumps(data, indent=2)
+
+    return _outcome(csv), _outcome(as_json)
+
+
+_LIFT_COLUMNS = {0: "t", 7: "speed", 8: "q3_over_k", 9: "wong"}
+
+
+def _with_cell(trajectory, row, column, value):
+    """A copy with the value behind one CSV cell replaced."""
+    if column in _LIFT_COLUMNS:
+        values = list(getattr(trajectory, _LIFT_COLUMNS[column]))
+        values[row] = value
+        return replace(trajectory, **{_LIFT_COLUMNS[column]: values})
+    index = column - 1 if trajectory.kind == "lift" else {1: 0, 2: 1, 4: 2, 5: 3}[column]
+    states = list(trajectory.states)
+    states[row] = tuple(value if i == index else v for i, v in enumerate(states[row]))
+    return replace(trajectory, states=states)
+
+
+def _wong(trajectory, surface, C=None):
+    base = geo.project(trajectory) if trajectory.kind == "lift" else trajectory
+    return geo.with_wong(trajectory, geo.wong_residual(surface, base, C))
+
+
+def _serialisation_cases():
+    start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.1, 0.8)
+    lift = geo.integrate_lift(SPHERE, start, t_max=0.1, h=1e-2)
+    base = geo.integrate_base(HALFPLANE, geo.BaseState(0.0, 1.0, 0.6, 0.8), t_max=0.1, h=1e-2)
+    rk45 = geo.integrate_lift(BUMP, replace(start, x2=-0.1), t_max=1.0, h=0.1, method="rk45")
+    partial = geo.integrate_lift(HALFPLANE, replace(start, x2=1.5), t_max=0.0255, h=1e-2)
+    integer = geo.integrate_lift(SPHERE, geo.LiftState(0, 0, 0, 0.6, 0.1, 0.8), t_max=0.05, h=1e-2)
+    special = _wong(lift, SPHERE)  # each value in each column, end rows included
+    for column in range(10):
+        for k, value in enumerate((-0.0, 5e-324, 1e300, -1e300)):
+            special = _with_cell(special, (3 * k + column) % len(lift.t), column, value)
+    return {
+        "lift": lift, "lift-wong": _wong(lift, SPHERE), "base": base,
+        "base-wong": _wong(base, HALFPLANE, 0.0), "rk45-wong": _wong(rk45, BUMP),
+        "partial-last-step-wong": _wong(partial, HALFPLANE), "integer-start": integer,
+        # Every row is full, so the integer row 0 takes the one-format path too.
+        "integer-start-full": geo.with_wong(integer, [0.5] * len(integer.t)),
+        "special-values": special,
+    }
+
+
+def test_csv_and_json_keep_the_bytes_of_the_cell_by_cell_writer():
+    cases = _serialisation_cases()
+    assert len(cases["rk45-wong"].t) > 3 and cases["partial-last-step-wong"].t[-1] == 0.0255
+    for name, trajectory in cases.items():
+        got = _serialised(trajectory)
+        assert got[0][0] == got[1][0] == "returned", name
+        assert got == _serialised_reference(trajectory), name
+    integer_json = _serialised(cases["integer-start"])[1][1]
+    assert '"rows": [\n    [\n      0.0,\n      0.0,\n      0.0,' in integer_json
+
+
+def test_csv_and_json_stop_at_the_first_non_finite_value_as_the_cell_by_cell_writer():
+    cases = _serialisation_cases()
+    for name in ("lift-wong", "base-wong", "integer-start"):
+        trajectory = cases[name]
+        for column in range(10):
+            if trajectory.kind == "base" and column in (3, 6):
+                continue  # no lifted state behind the cell
+            for row, value in ((0, math.nan), (2, math.inf), (len(trajectory.t) - 1, -math.inf)):
+                # The last row's speed is not finite either; the error names the first.
+                broken = _with_cell(_with_cell(trajectory, -1, 7, math.inf), row, column, value)
+                got = _serialised(broken)
+                assert got[0][0] is DomainError and got[1] == got[0], (name, column, row)
+                assert got == _serialised_reference(broken), (name, column, row)
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])

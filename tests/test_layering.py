@@ -154,8 +154,9 @@ with contextlib.redirect_stdout(io.StringIO()):
                     "--velocity", "0.6,0,0.8", "--t-max", "0.05", "--step", "0.01",
                     "--wong"]) == 0
 built = [k.cache_info().currsize for k in kernels]
-connection._koszul_kernel(2)  # a cache hit if the one Koszul kernel built is dim 2's
+connection._koszul_kernel(2)  # built here, so nothing above took it
 print(built, connection._koszul_kernel.cache_info().currsize)
+connection._koszul_kernel.cache_clear()
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["lift", "table", "--surface", "bump", "--at", "0.3,0.2"]) == 0
 print([k.cache_info().currsize for k in kernels])
@@ -164,14 +165,15 @@ print([k.cache_info().currsize for k in kernels])
 
 def test_surface_info_and_geodesic_build_no_curvature_kernel():
     # A fresh process, since this one may have built every kernel already.
-    # The Wong residual takes the dim-2 Koszul kernel; nothing takes the
-    # dim-3 curvature kernel or the closed curvature table, whose compiles
-    # would land in their setup time.  ``lift table`` builds the dim-3
-    # Koszul kernel and the closed table, and still no curvature kernel.
+    # Neither command builds a kernel: the Wong residual and the base flow
+    # contract a written-out dim-2 Koszul kernel, and nothing takes the dim-3
+    # curvature kernel or the closed curvature table, whose compiles would
+    # land in their setup time.  ``lift table`` builds the dim-3 Koszul
+    # kernel and the closed table, and still no curvature kernel.
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     probe = subprocess.run(
         [sys.executable, "-c", _KERNEL_PROBE], capture_output=True, text=True,
         env={**os.environ, "PYTHONPATH": path}, timeout=120,
     )
     assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.split("\n")[:2] == ["[1, 0, 0] 1", "[2, 0, 1]"]
+    assert probe.stdout.split("\n")[:2] == ["[0, 0, 0] 1", "[1, 0, 1]"]

@@ -64,8 +64,9 @@ def test_a_fresh_geodesic_job_reaches_the_dominant_layers_then_steps_fast(monkey
     assert len(capsys.readouterr().out.splitlines()) == 1 + 101
     for layer in ["geodesic.lift_rhs", "surface.frame_fields", "expr.eval_jet", "jets.compose"]:
         assert counts[f"wagnerlift.{layer}"] > 0, layer
-    # Stage 1 and three more stages per step reach the COMPILE_AFTER jet runs
-    # in five steps; the unrolled step serves the other 95 without rerunning.
+    # Stage 1 and three more stages per sample reach the COMPILE_AFTER jet
+    # runs in five samples; the fused sample serves the other 95 without
+    # rerunning.
     assert counts["wagnerlift.geodesic._rk4_step"] == COMPILE_AFTER // 4
 
 
