@@ -19,7 +19,8 @@ check), 2 argument or config errors (a non-finite number, a --t-max /
 a --tol <= 0, an --out that cannot be written, a guard that holds nowhere in
 the sampling window), 3 runtime evaluation errors (singular curvature, a
 chart-domain violation with the offending point printed to stderr, a value
-leaving the real domain or a non-finite value to write; from ``main``, also
+leaving the real domain or a non-finite value to write, an rk45 run whose
+step underflows or that needs more than 10^6 steps; from ``main``, also
 stdout closed or full before all output was written).  A geodesic that fails mid-flight also prints the time of
 its last valid sample; a failed run writes no output.
 """
@@ -54,8 +55,6 @@ EXIT_VERIFY_FAILED = 1
 EXIT_USAGE = 2
 EXIT_RUNTIME = 3
 
-# A run keeps about 1.7 KB per sample, so 10^6 steps take about 1.7 GB.
-MAX_STEP_RATIO = 1e6
 # verify keeps about 0.26 KB per sample and spends about 0.3 ms on it, so
 # 10^6 samples take about 0.26 GB and five minutes.
 MAX_SAMPLES = 10**6
@@ -262,9 +261,9 @@ def _write_trajectory(trajectory, ns) -> None:
 
 
 def _run_geodesic(ns) -> int:  # also base-geodesic
-    if not ns.t_max / ns.step <= MAX_STEP_RATIO:  # an inf ratio fails too
+    if not ns.t_max / ns.step <= geodesic.MAX_STEPS:  # an inf ratio fails too
         raise _UsageError(
-            f"--t-max / --step must be finite and at most {MAX_STEP_RATIO:g}, "
+            f"--t-max / --step must be finite and at most {geodesic.MAX_STEPS:g}, "
             f"got {ns.t_max!r} / {ns.step!r}"
         )
     surf = _load_surface(ns.surface)

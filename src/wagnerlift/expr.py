@@ -441,8 +441,9 @@ class _Source:
     result is known: known operands fold; x*1.0, x*-1.0 (as -x), x + -0.0 and
     x - 0.0 give x; and a product term with a +-0.0 factor is left out, which
     changes no kernel sum (they start at +0.0) unless the other factor is not
-    finite.  So the function tests those factors and its outputs, and raises
-    ``FloatingPointError`` when one is not finite (v - v is then NaN).
+    finite.  So the function sums those factors and its outputs, and raises
+    ``FloatingPointError`` when the sum t is not finite (t - t is then NaN;
+    a sum that overflows only sends the point to the jets).
     """
 
     def __init__(self, order: int):
@@ -541,12 +542,12 @@ class _Source:
         if any(s != s for s in out if not isinstance(s, str)):
             return None  # the sign of a folded NaN depends on how it was computed
         self.tested.update(dict.fromkeys(s for s in out if isinstance(s, str)))
-        tested = [f"({v} - {v})" for v in self.tested]
+        tested = list(self.tested)
         body = list(self.lines)
         for i in range(0, len(tested), 64):  # short sums keep Python's compiler shallow
             body.append("t = " + " + ".join(["t"] * (i > 0) + tested[i : i + 64]))
         if tested:
-            body.append("if t != 0.0: raise FloatingPointError")
+            body.append("if t - t != 0.0: raise FloatingPointError")
         body.append(f"return ({', '.join(map(self.text, out))},)")
         exec("def compiled(x1, x2):\n    " + "\n    ".join(body), self.names)
         return self.names["compiled"]

@@ -25,14 +25,14 @@ right-hand side.
 
 Lambda is evaluated once per RK stage (``_lift_stage``).  At an accepted
 sample, stage 1 (which every rk45 retry reuses) also gives the frame fields
-kept for ``wong_residual`` and the Q3/K monitor -e^(-2 lambda) Lap(lambda),
-which keeps the bits of an order-2 evaluation because the order-2
-coefficients are a prefix of the order-3 ones; the final sample, which has no
-next step, is evaluated at order 2.  Every stage runs on one compiled branch,
-``_fast_stage``, which also runs a whole rk4 sample as one function; a point
-it cannot vouch for (lambda not compiled, a guard that fails, a fallback,
-fields ``_checked`` rejects) reruns on the jets and its sample on
-``_rk4_step``, so a fresh surface starts on the jets.  The Wong and base
+kept for ``wong_residual`` and the Q3/K monitor's K = -e^(-2 lambda)
+Lap(lambda), which keeps the bits of an order-2 evaluation because the
+order-2 coefficients are a prefix of the order-3 ones; the final sample,
+which has no next step, is evaluated at order 2.  Each stage runs on a
+compiled branch and reruns on the jets where that branch cannot vouch for
+its point (lambda not compiled, a guard that fails, a fallback, fields
+``_checked`` rejects), so a fresh surface starts on the jets; an rk4 sample
+is the four stages and ``_rk4_step``'s sums written out.  The Wong and base
 contractions write the dim-2 Koszul kernel out, and a CSV row with no empty
 column is one ``%``; no bit changes.  Frame fields that are not finite (a
 third derivative that overflowed leaves the third partials inf or NaN) stop
@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import partial
 from typing import Callable
 
 from .expr import _FALLBACK
@@ -67,10 +68,14 @@ _RK4_WHOLE_STEPS_TOL = 1e-9
 _RK45_ATOL = 1e-9
 _RK45_MIN_STEP = 1e-12
 _RK45_SAFETY = 0.9
+# A run keeps about 1.7 KB per sample, so 10^6 steps take about 1.7 GB: the
+# CLI bounds an rk4 run's t_max / h by this, and rk45 stops past it.
+MAX_STEPS = 10**6
 
 
 class StepFailure(RuntimeError):
-    """The adaptive integrator's step size underflowed."""
+    """The adaptive integrator's step size underflowed, or it needed more than
+    ``MAX_STEPS`` steps."""
 
 
 @dataclass(frozen=True)
@@ -159,81 +164,62 @@ def _lift_derivative(fields: tuple, Q1: float, Q2: float, Q3: float) -> tuple:
     )
 
 
-def _lift_stage(surface: ConformalSurface, fast: Callable) -> Callable:
-    """``lift_rhs`` on raw state tuples as ``stage(y, keep=None)``; ``keep``, at
-    stage 1 of an accepted sample, receives ``(partials, fields)``.  A point
-    ``fast`` does not vouch for reruns on the ``lambda_jet`` route, which gives
-    the same bits or the same exception."""
+def _lift_stage(surface: ConformalSurface) -> Callable:
+    """``lift_rhs`` as ``stage(x1, x2, Q1, Q2, Q3, keep=None)``; ``keep``, at
+    stage 1 of an accepted sample, receives ``(K, fields)``, K with the bits of
+    ``laplacian_curvature_from``.  The compiled branch runs the guard and the
+    order-3 lambda with ``Jet.coeffs``, ``frame_fields_from``, ``_checked`` and
+    ``_lift_derivative`` inline in their order, the finiteness test as one sum
+    (whose overflow only sends the point to the jets).  Where it raises a
+    ``_FALLBACK`` error, the point reruns on the ``lambda_jet`` route, which
+    gives the same bits or the same exception."""
+    lam = surface._lam_tape.compiled
+    guard = surface._guard_tape and surface._guard_tape.compiled
 
-    def stage(y: tuple, keep: Callable | None = None) -> tuple:
-        x1, x2, _, Q1, Q2, Q3 = y
+    def stage(x1: float, x2: float, Q1: float, Q2: float, Q3: float, keep=None) -> tuple:
         try:
-            return fast(float(x1), float(x2), Q1, Q2, Q3, keep)  # as eval_jet passes them
+            u, v = float(x1), float(x2)  # as eval_jet passes them
+            if not (lam[3] and (not guard or guard[0] and guard[0](u, v)[0] > 0.0)):
+                raise FloatingPointError
+            t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = lam[3](u, v)
+            lap, em = 2.0 * t3 + 2.0 * t5, math.exp(-t0)
+            c1, c2, K = em * t2, -em * t1, -em * em * lap
+            if lap == 0.0 or abs(K) < KAPPA_MIN:
+                raise FloatingPointError
+            u1 = em * ((6.0 * t6 + 2.0 * t8) / lap - 2.0 * t1)
+            u2 = em * ((2.0 * t7 + 6.0 * t9) / lap - 2.0 * t2)
+            if (c1 + c2 + K + u1 + u2) * 0.0 != 0.0:  # em is finite: exp raises, not inf
+                raise FloatingPointError
+            if keep is not None:  # l20 + l02 is lap (a scale of 2.0 is exact)
+                keep((-math.exp(-2.0 * t0) * lap, (em, c1, c2, K, u1, u2)))
+            return (em * Q1, em * Q2, -Q1 * c1 - Q2 * c2 + Q3 * K,
+                    -c1 * Q1 * Q2 - c2 * Q2 * Q2 + Q2 * Q3 - u1 * Q3 * Q3,
+                    c1 * Q1 * Q1 + c2 * Q1 * Q2 - Q1 * Q3 - u2 * Q3 * Q3, u1 * Q1 * Q3 + u2 * Q2 * Q3)
         except _FALLBACK:
             pass
         if keep is None:
-            return lift_rhs(surface, LiftState(*y))
+            return lift_rhs(surface, LiftState(x1, x2, 0.0, Q1, Q2, Q3))  # phi is not read
         x = (x1, x2)
         l = surface.lambda_jet(x, 3).coeffs
         fields = _checked(frame_fields_from(l, x), x)
-        keep((l, fields))
+        keep((laplacian_curvature_from(l, x), fields))
         return _lift_derivative(fields, Q1, Q2, Q3)
 
     return stage
 
 
-def _fast_stage(surface: ConformalSurface, keep: Callable | None = None) -> tuple:
-    """The stage's compiled branch as ``fast(x1, x2, Q1, Q2, Q3, keep=None)``: the
-    compiled guard and order-3 lambda with ``Jet.coeffs``, ``frame_fields_from``,
-    ``_checked`` and ``_lift_derivative`` inline in their order, the finiteness
-    test as one sum (whose overflow only sends the point to the jets).  It raises
-    a ``_FALLBACK`` error where that is left and passes ``keep`` the partials last.
-    ``sample(stage, y, h)`` is an accepted rk4 sample on ``fast``: stage 1 with
-    ``keep``, k2-k4 and ``_rk4_step``'s terms unrolled.  Where ``fast`` leaves
-    stage 1, ``stage`` runs it with ``keep``; where it leaves any, ``_rk4_step``
-    on ``stage`` runs the sample from k1."""
-    lam = surface._lam_tape.compiled
-    guard = surface._guard_tape and surface._guard_tape.compiled
-
-    def fast(x1: float, x2: float, Q1: float, Q2: float, Q3: float, keep=None) -> tuple:
-        if not (lam[3] and (not guard or guard[0] and guard[0](x1, x2)[0] > 0.0)):
-            raise FloatingPointError
-        t0, t1, t2, t3, t4, t5, t6, t7, t8, t9 = lam[3](x1, x2)
-        lap, em = 2.0 * t3 + 2.0 * t5, math.exp(-t0)
-        c1, c2, K = em * t2, -em * t1, -em * em * lap
-        if lap == 0.0 or abs(K) < KAPPA_MIN:
-            raise FloatingPointError
-        u1 = em * ((6.0 * t6 + 2.0 * t8) / lap - 2.0 * t1)
-        u2 = em * ((2.0 * t7 + 6.0 * t9) / lap - 2.0 * t2)
-        if (c1 + c2 + K + u1 + u2) * 0.0 != 0.0:  # em is finite: exp raises, not inf
-            raise FloatingPointError
-        if keep is not None:  # Jet.coeffs's products at order 3 (a scale of 1.0 is exact)
-            keep(((t0, t1, t2, 2.0 * t3, t4, 2.0 * t5, 6.0 * t6, 2.0 * t7, 2.0 * t8, 6.0 * t9),
-                  (em, c1, c2, K, u1, u2)))
-        return (em * Q1, em * Q2, -Q1 * c1 - Q2 * c2 + Q3 * K,
-                -c1 * Q1 * Q2 - c2 * Q2 * Q2 + Q2 * Q3 - u1 * Q3 * Q3,
-                c1 * Q1 * Q1 + c2 * Q1 * Q2 - Q1 * Q3 - u2 * Q3 * Q3, u1 * Q1 * Q3 + u2 * Q2 * Q3)
-
-    def sample(stage: Callable, y: tuple, h: float) -> tuple:
-        y0, y1, y2, y3, y4, y5 = y
-        try:
-            k1 = a0, a1, a2, a3, a4, a5 = fast(float(y0), float(y1), y3, y4, y5, keep)
-        except _FALLBACK:
-            return _rk4_step(stage, y, h, stage(y, keep))
-        h2, h3, h6 = h / 2.0, h / 3.0, h / 6.0
-        try:
-            b0, b1, b2, b3, b4, b5 = fast(
-                y0 + h2*a0, y1 + h2*a1, y3 + h2*a3, y4 + h2*a4, y5 + h2*a5)
-            c0, c1, c2, c3, c4, c5 = fast(
-                y0 + h2*b0, y1 + h2*b1, y3 + h2*b3, y4 + h2*b4, y5 + h2*b5)
-            d0, d1, d2, d3, d4, d5 = fast(y0 + h*c0, y1 + h*c1, y3 + h*c3, y4 + h*c4, y5 + h*c5)
-        except _FALLBACK:
-            return _rk4_step(stage, y, h, k1)
-        return (y0 + h6*a0 + h3*b0 + h3*c0 + h6*d0, y1 + h6*a1 + h3*b1 + h3*c1 + h6*d1,
-                y2 + h6*a2 + h3*b2 + h3*c2 + h6*d2, y3 + h6*a3 + h3*b3 + h3*c3 + h6*d3,
-                y4 + h6*a4 + h3*b4 + h3*c4 + h6*d4, y5 + h6*a5 + h3*b5 + h3*c5 + h6*d5)
-
-    return fast, sample
+def _lift_sample(stage: Callable, keep: Callable, y: tuple, h: float) -> tuple:
+    """An rk4 sample of length ``h`` on ``stage``: stage 1 with ``keep``, k2-k4
+    and ``_rk4_step``'s terms unrolled in its order, so the bits match it."""
+    y0, y1, y2, y3, y4, y5 = y
+    h2, h3, h6 = h / 2.0, h / 3.0, h / 6.0
+    a0, a1, a2, a3, a4, a5 = stage(y0, y1, y3, y4, y5, keep)
+    b0, b1, b2, b3, b4, b5 = stage(y0 + h2*a0, y1 + h2*a1, y3 + h2*a3, y4 + h2*a4, y5 + h2*a5)
+    c0, c1, c2, c3, c4, c5 = stage(y0 + h2*b0, y1 + h2*b1, y3 + h2*b3, y4 + h2*b4, y5 + h2*b5)
+    d0, d1, d2, d3, d4, d5 = stage(y0 + h*c0, y1 + h*c1, y3 + h*c3, y4 + h*c4, y5 + h*c5)
+    return (y0 + h6*a0 + h3*b0 + h3*c0 + h6*d0, y1 + h6*a1 + h3*b1 + h3*c1 + h6*d1,
+            y2 + h6*a2 + h3*b2 + h3*c2 + h6*d2, y3 + h6*a3 + h3*b3 + h3*c3 + h6*d3,
+            y4 + h6*a4 + h3*b4 + h3*c4 + h6*d4, y5 + h6*a5 + h3*b5 + h3*c5 + h6*d5)
 
 
 def base_rhs(
@@ -300,9 +286,9 @@ def _integrate(
 ) -> tuple[list[float], list[tuple]]:
     """Times and states of the samples from (0, y0) to t_max.
 
-    ``first(y)`` gives ``f(y)`` at each accepted sample but the last, once
-    (rk45 retries reuse it).  A whole rk4 step is ``sample(f, y, h)``, by
-    default ``_rk4_step(f, y, h, first(y))`` as a partial last step is.
+    ``first(y)`` gives ``f(y)`` at each accepted rk45 sample but the last,
+    once (retries reuse it).  An rk4 step of length h, the partial last step
+    too, is ``sample(y, h)``, by default ``_rk4_step(f, y, h, first(y))``.
     Evaluation failures carry the last accepted time as ``last_valid_t``.
     """
     if h <= 0.0:
@@ -325,13 +311,13 @@ def _integrate(
             exact = steps >= 1 and abs(ratio - steps) <= _RK4_WHOLE_STEPS_TOL
             if not exact:
                 steps = math.floor(ratio)
-            sample = sample or (lambda f, y, h: _rk4_step(f, y, h, first(y)))
+            sample = sample or (lambda y, h: _rk4_step(f, y, h, first(y)))
             for n in range(1, steps + 1):
                 samples.append((t, y))
-                y, t = sample(f, y, h), n * h
+                y, t = sample(y, h), n * h
             if not exact:
                 samples.append((t, y))
-                y, t = _rk4_step(f, y, t_max - t, first(y)), t_max
+                y, t = sample(y, t_max - t), t_max
         else:
             # The floor is at most the first trial step min(h, t_max), so that
             # step always runs: a t_max below the end slack is honoured, and a
@@ -342,6 +328,8 @@ def _integrate(
                 if h_try < min(_RK45_MIN_STEP, t_max, h):
                     raise StepFailure(f"adaptive step underflow at t={t!r}")
                 if k1 is None:
+                    if len(samples) == MAX_STEPS:
+                        raise StepFailure(f"more than {MAX_STEPS} adaptive steps at t={t!r}")
                     k1 = first(y)
                     samples.append((t, y))
                 h_step = min(h_try, t_max - t)
@@ -375,20 +363,18 @@ def integrate_lift(
     (chart guard, |K| below ``KAPPA_MIN``) abort the run with the last valid
     time attached to the exception.
     """
-    kept: list[tuple] = []  # stage 1's (partials, fields) per sample but the last
-    fast, sample = _fast_stage(surface, kept.append)
-    stage = _lift_stage(surface, fast)
+    kept: list[tuple] = []  # stage 1's (K, fields) per sample but the last
+    stage, keep = _lift_stage(surface), kept.append
     y0 = (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3)
-    times, states = _integrate(stage, y0, t_max, h, method, lambda y: stage(y, kept.append), sample)
+    times, states = _integrate(lambda y: stage(y[0], y[1], *y[3:]), y0, t_max, h, method,
+                               lambda y: stage(y[0], y[1], *y[3:], keep),
+                               partial(_lift_sample, stage, keep))
+    x = (states[-1][0], states[-1][1])  # the final sample has no stage 1, nor its K test
+    K = conformal_laplacian_curvature(surface, x)
+    if abs(K) < KAPPA_MIN:
+        raise SingularCurvature(x, K)
     speed, monitor = [], []
-    for y, info in zip(states, kept + [None]):
-        x = (y[0], y[1])
-        if info:
-            K = laplacian_curvature_from(info[0], x)
-        else:  # the final sample has no order-3 evaluation, nor its K test
-            K = conformal_laplacian_curvature(surface, x)
-            if abs(K) < KAPPA_MIN:
-                raise SingularCurvature(x, K)
+    for y, K in zip(states, [info[0] for info in kept] + [K]):
         try:
             speed.append(math.sqrt(y[3] ** 2 + y[4] ** 2 + y[5] ** 2))
         except OverflowError:

@@ -291,6 +291,20 @@ def test_geodesic_honours_a_t_max_below_the_step_floor(t_max, step, method, caps
         assert times == [0.0, float(t_max)]
 
 
+def test_an_rk45_run_past_the_step_bound_exits_three(monkeypatch, capsys):
+    # The bound that caps rk4's --t-max / --step also caps rk45's steps; a
+    # lower one keeps the run short.
+    monkeypatch.setattr(wagnerlift.geodesic, "MAX_STEPS", 20)
+    argv = ["geodesic", "--surface", "sphere", "--start", "0.1,0.2,0", "--velocity",
+            "0.6,0.3,0.8", "--t-max", "20", "--step", "1", "--method", "rk45"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: more than 20 adaptive steps at t=")
+    assert run([*argv, "--t-max", "21"]) == 2  # the last --t-max counts
+    capsys.readouterr()
+
+
 def test_overflow_exits_three(tmp_path, capsys):
     config = tmp_path / "overflow.json"
     config.write_text(json.dumps({"name": "ee", "lambda": "exp(exp(x1))", "guard": "all"}))

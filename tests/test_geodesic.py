@@ -22,6 +22,7 @@ from wagnerlift.surface import (
     ConformalSurface,
     catalog,
     frame_fields_from,
+    laplacian_curvature_from,
     sample_points,
 )
 from wagnerlift.verify import coupling_sign_vs_reference
@@ -337,31 +338,24 @@ def _stage_one_route(surface, y):
     x = (y[0], y[1])
     l = surface.lambda_jet(x, 3).coeffs
     fields = geo._checked(frame_fields_from(l, x), x)
-    return geo._lift_derivative(fields, *y[3:]), (l, fields)
+    return geo._lift_derivative(fields, *y[3:]), (laplacian_curvature_from(l, x), fields)
 
 
-def _stages(surface):
-    """The stage on a fresh fast branch, and that branch, as ``integrate_lift``
-    pairs them."""
-    fast, _ = geo._fast_stage(surface)
-    return geo._lift_stage(surface, fast), fast
+def _tupled(stage):
+    """The stage on state tuples, as rk45 calls it."""
+    return lambda y, keep=None: stage(y[0], y[1], *y[3:], keep)
 
 
 def _assert_stage_matches(surface, states):
-    """The fused stage against ``lift_rhs`` (stages 2-4) and the stage-1 route,
-    and its fast branch against ``lift_rhs`` wherever that branch returns."""
-    stage, fast = _stages(surface)
+    """The stage against ``lift_rhs`` (stages 2-4) and the stage-1 route, by
+    bits or by exception type and message, and by what it keeps."""
+    stage = _tupled(geo._lift_stage(surface))
     for y in states:
         expected = _outcome(lambda: geo.lift_rhs(surface, geo.LiftState(*y)))
         assert _outcome(lambda: stage(y)) == expected, y
         kept = []
         first = _outcome(lambda: (stage(y, kept.append), *kept))
         assert first == _outcome(lambda: _stage_one_route(surface, y)), y
-        try:
-            quick = "returned", _bits(fast(float(y[0]), float(y[1]), *y[3:]))
-        except expr_module._FALLBACK:
-            continue  # the stage leaves the fast branch here
-        assert quick == expected, y
 
 
 def _states(surface, count, seed):
@@ -397,13 +391,15 @@ def test_fused_stage_keeps_the_bits_before_and_after_compiling(monkeypatch, conf
         return run(tape, *args)
 
     states = _states(surface, 5, "again")
+    expected = [(_outcome(lambda: geo.lift_rhs(surface, geo.LiftState(*y))),
+                 _outcome(lambda: _stage_one_route(surface, y))) for y in states]
     monkeypatch.setattr(Tape, "_run", refuse)
-    stage, fast = _stages(surface)
-    for y in states:
-        stage(y)
-        stage(y, [].append)
-        fast(y[0], y[1], *y[3:])  # the fast branch vouches for every point here
-        geo._fast_stage(surface, [].append)[1](stage, y, 1e-6)
+    stage = geo._lift_stage(surface)
+    for y, (rhs, first) in zip(states, expected):
+        kept = []
+        assert _outcome(lambda: stage(y[0], y[1], *y[3:])) == rhs, y
+        assert _outcome(lambda: (stage(y[0], y[1], *y[3:], kept.append), *kept)) == first, y
+        geo._lift_sample(stage, [].append, y, 1e-6)
 
 
 @pytest.mark.parametrize(
@@ -426,12 +422,12 @@ def test_fused_stage_reruns_each_fallback_on_the_jet_route(lam, guard, point, sc
     assert surface._lam_tape.compiled[3] is not None
     _assert_stage_matches(surface, [(*point, 0.0, 0.6, 0.1, 0.8)])
     with pytest.raises((SingularCurvature, ChartDomainError, DomainError)):
-        _stages(surface)[0]((*point, 0.0, 0.6, 0.1, 0.8))
+        geo._lift_stage(surface)(*point, 0.6, 0.1, 0.8)
 
 
-def test_fused_stage_sends_a_field_sum_that_overflows_to_the_jets():
+def test_fused_stage_sends_a_field_sum_that_overflows_to_the_jets(monkeypatch):
     # At x1 = 0, c2 = 7e307 e^(-lambda) and u1 = 1.4e308 e^(-lambda) are finite
-    # but their sum is not: the fast branch leaves the point, and the jets
+    # but their sum is not: the compiled branch leaves the point, and the jets
     # return the finite fields.
     surface = ConformalSurface.from_config({"name": "steep", "lambda": "-7e307*x1 + x1^2 + x2^2"})
     warm = [(0.0, 0.5 + 0.01 * k, 0.0, 0.6, 0.1, 0.8) for k in range(COMPILE_AFTER + 5)]
@@ -439,10 +435,24 @@ def test_fused_stage_sends_a_field_sum_that_overflows_to_the_jets():
     assert surface._lam_tape.compiled[3] is not None
     y = (0.0, 0.1, 0.0, 0.6, 0.1, 0.8)
     _assert_stage_matches(surface, [y])
-    stage, fast = _stages(surface)
-    with pytest.raises(FloatingPointError):
-        fast(0.0, 0.1, 0.6, 0.1, 0.8)
-    assert all(math.isfinite(v) for v in stage(y))
+    stage, reruns = geo._lift_stage(surface), _count_jet_reruns(monkeypatch, surface)
+    assert all(math.isfinite(v) for v in stage(0.0, 0.1, 0.6, 0.1, 0.8))
+    assert reruns == [(0.0, 0.1)]
+
+
+def _count_jet_reruns(monkeypatch, surface):
+    """The points at which ``surface`` evaluates lambda at order 3 on the
+    ``lambda_jet`` route, which every stage that leaves the compiled branch
+    takes once (``lift_rhs`` through ``frame_fields``, or stage 1's route)."""
+    points, lambda_jet = [], ConformalSurface.lambda_jet
+
+    def counting(self, x, order):
+        if self is surface and order == 3:
+            points.append(x)
+        return lambda_jet(self, x, order)
+
+    monkeypatch.setattr(ConformalSurface, "lambda_jet", counting)
+    return points
 
 
 # |K| = 4s e^(-2 s r^2) falls below KAPPA_MIN past r = 0.1.
@@ -461,41 +471,55 @@ def _step_cases(surface, count, seed):
     return [(y, rng.choice([1e-3, 1e-2, 0.1])) for y in _states(surface, count, seed)]
 
 
+def _stage_points(surface, y, h):
+    """The (x1, x2) of the stages of an rk4 sample up to one that raises, from
+    ``lift_rhs``."""
+    points, k = [], None
+    for scale in (0.0, h / 2.0, h / 2.0, h):
+        z = y if k is None else tuple([yi + scale * ki for yi, ki in zip(y, k)])
+        points.append((z[0], z[1]))
+        try:
+            k = geo.lift_rhs(surface, geo.LiftState(*z))
+        except (SingularCurvature, ChartDomainError, DomainError):
+            break
+    return points
+
+
 def _assert_sample_matches(monkeypatch, surface, cases):
     """The fused rk4 sample against stage 1 with ``keep`` and ``_rk4_step`` on
-    the same stage, by bits or by exception and by what each keeps; returns
-    per case the outcome, the entries kept and the k1 of each ``_rk4_step``."""
-    kept, reruns = [], []
-    fast, sample = geo._fast_stage(surface, kept.append)
-    stage, rk4_step = geo._lift_stage(surface, fast), geo._rk4_step
+    the same stage, by bits or by exception and by what each keeps; the
+    sample never calls ``_rk4_step``.  Returns per case the outcome, the
+    entries kept and the points its stages ran on the jets."""
+    stage = geo._lift_stage(surface)
+    rk4_step, lambda_jet = geo._rk4_step, ConformalSurface.lambda_jet
 
-    def rerun(f, y, h, k1):
-        reruns.append(k1)
-        return rk4_step(f, y, h, k1)
+    def refuse(*args):
+        raise AssertionError("the fused sample called _rk4_step")
 
     outcomes = []
     for y, h in cases:
-        kept.clear()
-        reruns.clear()
-        monkeypatch.setattr(geo, "_rk4_step", rerun)
-        got = _outcome(lambda: sample(stage, y, h))
+        kept, expected_kept = [], []
+        monkeypatch.setattr(geo, "_rk4_step", refuse)
+        reruns = _count_jet_reruns(monkeypatch, surface)
+        got = _outcome(lambda: geo._lift_sample(stage, kept.append, y, h))
         monkeypatch.setattr(geo, "_rk4_step", rk4_step)
-        got_kept, expected_kept = tuple(kept), []
-        expected = _outcome(lambda: rk4_step(stage, y, h, stage(y, expected_kept.append)))
+        monkeypatch.setattr(ConformalSurface, "lambda_jet", lambda_jet)
+        tupled = _tupled(stage)
+        expected = _outcome(lambda: rk4_step(tupled, y, h, tupled(y, expected_kept.append)))
         assert got == expected, (y, h)
-        assert _bits(got_kept) == _bits(tuple(expected_kept)), (y, h)
-        outcomes.append((got[0], len(got_kept), list(reruns)))
+        assert _bits(tuple(kept)) == _bits(tuple(expected_kept)), (y, h)
+        outcomes.append((got[0], len(kept), reruns))
     return outcomes
 
 
 @pytest.mark.parametrize("config", ["sphere", "halfplane", "bump", *_GENERATED], ids=str)
 def test_unrolled_rk4_step_keeps_the_bits_of_rk4_step(monkeypatch, config):
     surface = catalog(config) if isinstance(config, str) else ConformalSurface.from_config(config)
-    # The first samples run on a tape not yet compiled, so every one reruns.
+    # The first samples run on a tape not yet compiled, so on the jets.
     cases = _step_cases(surface, 3 * COMPILE_AFTER, str(config))
-    outcomes = [(kind, bool(k1s)) for kind, _, k1s in
+    outcomes = [(kind, len(points)) for kind, _, points in
                 _assert_sample_matches(monkeypatch, surface, cases)]
-    assert ("returned", True) in outcomes[:3] and ("returned", False) in outcomes
+    assert outcomes[:3] == [("returned", 4)] * 3 and ("returned", 0) in outcomes
     # Integer and signed-zero starts, on the compiled tape.
     x1, x2 = (0, 0) if surface.contains((0.0, 0.0)) else (1, 1)
     starts = [(x1, x2, 0, 0.6, 0.1, 0.8), (x1, x2, 0, 1, 0, 0), (-0.0, x2, -0.0, 0.6, -0.0, 0.8),
@@ -530,9 +554,11 @@ def test_unrolled_rk4_step_reruns_each_fallback_on_rk4_step(monkeypatch, config,
     _assert_sample_matches(monkeypatch, surface, warm)
     assert surface._lam_tape.compiled[3] is not None
     outcomes = _assert_sample_matches(monkeypatch, surface, cases)
-    # Stage 1 passes and is kept once; _rk4_step reruns from its k1.
-    stage = _stages(surface)[0]
-    assert outcomes == [(kind, 1, [stage(y)]) for (y, _), (kind, _, _) in zip(cases, outcomes)]
+    # Stage 1 passes and is kept once; the later stage that leaves the
+    # compiled branch runs on the jets once, and they raise.
+    points = [_stage_points(surface, y, h) for y, h in cases]
+    assert outcomes == [(kind, 1, p[-1:]) for (kind, _, _), p in zip(outcomes, points)]
+    assert all(kind != "returned" and len(p) > 1 for (kind, _, _), p in zip(outcomes, points))
 
 
 def test_fused_sample_runs_stage_one_on_the_jets_where_the_fast_branch_leaves_it(monkeypatch):
@@ -544,10 +570,11 @@ def test_fused_sample_runs_stage_one_on_the_jets_where_the_fast_branch_leaves_it
     assert surface._lam_tape.compiled[3] is not None and surface._guard_tape.compiled[0] is None
     y = (0.2, 0.1, 0.0, 0.6, 0.1, 0.8)
     outcomes = _assert_sample_matches(monkeypatch, surface, [(y, 1e-3)])
-    assert outcomes == [("returned", 1, [_stages(surface)[0](y)])]
+    # Each stage leaves the compiled branch once and runs on the jets once.
+    assert outcomes == [("returned", 1, _stage_points(surface, y, 1e-3))]
 
 
-def test_fused_sample_reruns_rk4_step_from_its_k1_when_stage_3_raises(monkeypatch):
+def test_fused_sample_reruns_only_stage_3_on_the_jets_when_it_raises(monkeypatch):
     surface = catalog("sphere")
     warm = [((0.1 + 0.01 * k, 0.3, 0.0, 0.6, 0.1, 0.8), 1e-3) for k in range(COMPILE_AFTER)]
     _assert_sample_matches(monkeypatch, surface, warm)
@@ -565,10 +592,59 @@ def test_fused_sample_reruns_rk4_step_from_its_k1_when_stage_3_raises(monkeypatc
         outcomes = _assert_sample_matches(monkeypatch, surface, [(y, 1e-2)])
     finally:
         surface._lam_tape.compiled[3] = compiled
-    # Three calls to the raise, three as _rk4_step reruns k2-k4 (stage 1 is
-    # not rerun), four on the reference route.
-    assert len(calls) == 10
-    assert outcomes == [("returned", 1, [_stages(surface)[0](y)])]
+    # Four calls on the fused sample, the third raising, one as stage 3 reruns
+    # through eval_jet, and four on the reference route; no other stage reruns.
+    assert len(calls) == 9
+    assert outcomes == [("returned", 1, [_stage_points(surface, y, 1e-2)[2]])]
+
+
+@pytest.mark.parametrize("t_max, h", [(0.37, 0.1), (0.305, 1e-2)], ids=["jets", "compiled"])
+@pytest.mark.parametrize("name", ["sphere", "halfplane", "bump"])
+def test_a_partial_last_step_keeps_the_bits_of_rk4_step(monkeypatch, name, t_max, h):
+    surface, rk4_step = catalog(name), geo._rk4_step
+    start = geo.LiftState(0.3, 1.1, 0.0, 0.6, 0.1, 0.8)
+    monkeypatch.setattr(geo, "_rk4_step", None)  # a lifted run never calls it
+    trajectory = geo.integrate_lift(surface, start, t_max=t_max, h=h)
+    monkeypatch.setattr(geo, "_rk4_step", rk4_step)
+    t, y = trajectory.t[-2], trajectory.states[-2]
+    assert t == math.floor(t_max / h) * h and trajectory.t[-1] == t_max
+    assert (surface._lam_tape.compiled[3] is not None) == (h == 1e-2)
+    tupled, kept = _tupled(geo._lift_stage(surface)), []
+    expected = rk4_step(tupled, y, t_max - t, tupled(y, kept.append))
+    assert _bits(trajectory.states[-1]) == _bits(expected)
+    (K, fields), = kept
+    assert _bits(trajectory.fields[-2]) == _bits(fields)
+    assert _bits(trajectory.q3_over_k[-2]) == _bits(y[5] / K)
+
+
+@pytest.mark.parametrize("name", ["sphere", "halfplane", "bump"])
+def test_the_kept_k_keeps_the_bits_of_laplacian_curvature_from(name):
+    surface = catalog(name)
+    stage, kept, routes = geo._lift_stage(surface), [], set()
+    for y in _states(surface, 2 * COMPILE_AFTER, name + "-K"):
+        routes.add(surface._lam_tape.compiled[3] is not None)  # the compiled branch or the jets
+        stage(y[0], y[1], *y[3:], kept.append)
+        x = (y[0], y[1])
+        assert _bits(kept[-1][0]) == _bits(laplacian_curvature_from(surface.lambda_jet(x, 3).coeffs, x))
+    assert routes == {False, True}
+
+
+@pytest.mark.parametrize("kind", ["lift", "base"])
+def test_rk45_stops_past_max_steps(monkeypatch, kind):
+    def run():
+        if kind == "lift":
+            start = geo.LiftState(0.1, 0.2, 0.0, 0.6, 0.3, 0.8)
+            return geo.integrate_lift(SPHERE, start, t_max=2.0, h=0.1, method="rk45")
+        return geo.integrate_base(SPHERE, geo.BaseState(0.1, 0.2, 0.6, 0.3), 2.0, 0.1, "rk45")
+
+    steps = len(run().t) - 1
+    assert steps > 10
+    monkeypatch.setattr(geo, "MAX_STEPS", steps)  # MAX_STEPS + 1 samples, as rk4 keeps
+    assert len(run().t) == steps + 1
+    monkeypatch.setattr(geo, "MAX_STEPS", steps - 1)
+    with pytest.raises(geo.StepFailure, match=rf"^more than {steps - 1} adaptive steps at t=") as err:
+        run()
+    assert 0.0 < float(str(err.value).rsplit("=", 1)[1]) < 2.0
 
 
 def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):

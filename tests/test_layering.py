@@ -116,16 +116,17 @@ def _defaulted_parameters() -> set[str]:
     return found
 
 
-def test_only_the_fast_stage_reads_compiled_tapes_in_geodesic():
-    # One compiled branch for the lifted right-hand side; the rest runs on it.
-    readers = {
-        function.name
-        for function in _tree("geodesic").body
-        if isinstance(function, ast.FunctionDef)
-        for node in ast.walk(function)
-        if isinstance(node, ast.Attribute) and node.attr == "compiled"
-    }
-    assert readers == {"_fast_stage"}
+def test_only_the_lift_stage_reads_compiled_tapes_in_geodesic():
+    # One compiled branch for the lifted right-hand side, and one place that
+    # sends a point it leaves to the jets; the rest runs on the stage.
+    def users(test):
+        return [function.name for function in _tree("geodesic").body
+                if isinstance(function, ast.FunctionDef)
+                for node in ast.walk(function) if test(node)]
+
+    compiled = users(lambda node: isinstance(node, ast.Attribute) and node.attr == "compiled")
+    fallback = users(lambda node: isinstance(node, ast.Name) and node.id == "_FALLBACK")
+    assert set(compiled) == {"_lift_stage"} and fallback == ["_lift_stage"]
 
 
 def test_the_parser_checks_its_depth_in_one_place():

@@ -196,6 +196,18 @@ def test_a_folded_nan_output_keeps_the_tape_on_the_jets():
     assert _outcome(lambda: eval_jet(tape, PTS[0], 1)) == expected
 
 
+def test_a_tested_sum_that_overflows_sends_the_point_to_the_jets():
+    # At (1, 1) the outputs 1e308, 1e308 and 1e308 are finite, but the one sum
+    # the compiled function tests is not: the point reruns on the jets.
+    tape = Tape(parse("1e308*x1*x2"))
+    assert _run_past_threshold(tape, 1, [(0.3, 0.7), (1.5, 0.25)])
+    with pytest.raises(FloatingPointError):
+        tape._compiled[1](1.0, 1.0)
+    expected = _outcome(lambda: tape._run_jets(1.0, 1.0, 1))
+    assert expected == ("jet", 1, _bits([1e308, 1e308, 1e308]))
+    assert _outcome(lambda: eval_jet(tape, (1.0, 1.0), 1)) == expected
+
+
 def test_compiled_tape_evaluates_constant_subtrees_at_compile_time(monkeypatch):
     tape = Tape(parse("log(2) - log(1 + x1^2 + x2^2)"))
     expected = _outcome(lambda: eval_jet(tape, PTS[1], 3))
