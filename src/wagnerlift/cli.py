@@ -47,7 +47,6 @@ from .surface import (
     catalog,
     catalog_names,
     gauss_curvature,
-    surface_jets,
 )
 
 EXIT_OK = 0
@@ -136,42 +135,30 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     commands = parser.add_subparsers(dest="command", required=True)
 
-    surface_cmd = commands.add_parser("surface", help="base-surface queries")
-    surface_sub = surface_cmd.add_subparsers(dest="subcommand", required=True)
-    info = surface_sub.add_parser("info", help="print frame geometry at a point")
-    info.add_argument("--surface", required=True)
-    info.add_argument("--at", required=True, type=_floats(2, "--at"), metavar="X1,X2")
+    for group, name, group_help, what in (
+        ("surface", "info", "base-surface queries", "print frame geometry at a point"),
+        ("lift", "table", "lifted-geometry queries", "print the lifted tables at a point"),
+    ):
+        parent = commands.add_parser(group, help=group_help)
+        query = parent.add_subparsers(dest="subcommand", required=True).add_parser(name, help=what)
+        query.add_argument("--surface", required=True)
+        query.add_argument("--at", required=True, type=_floats(2, "--at"), metavar="X1,X2")
 
-    lift_cmd = commands.add_parser("lift", help="lifted-geometry queries")
-    lift_sub = lift_cmd.add_subparsers(dest="subcommand", required=True)
-    table = lift_sub.add_parser("table", help="print the lifted tables at a point")
-    table.add_argument("--surface", required=True)
-    table.add_argument("--at", required=True, type=_floats(2, "--at"), metavar="X1,X2")
-
-    geo = commands.add_parser("geodesic", help="integrate a lifted geodesic")
-    geo.add_argument("--surface", required=True)
-    geo.add_argument("--start", required=True, type=_floats(3, "--start"), metavar="X1,X2,PHI")
-    geo.add_argument(
-        "--velocity", required=True, type=_floats(3, "--velocity"), metavar="Q1,Q2,Q3"
-    )
-    geo.add_argument("--t-max", required=True, type=_positive("--t-max"))
-    geo.add_argument("--step", required=True, type=_positive("--step"))
-    geo.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
-    geo.add_argument("--wong", action="store_true", help="attach the Wong residual column")
-    geo.add_argument("--format", choices=("csv", "json"), default="csv")
-    geo.add_argument("--out", default=None, help="output path (stdout when omitted)")
-
-    base = commands.add_parser("base-geodesic", help="integrate a base geodesic")
-    base.add_argument("--surface", required=True)
-    base.add_argument("--start", required=True, type=_floats(2, "--start"), metavar="X1,X2")
-    base.add_argument(
-        "--velocity", required=True, type=_floats(2, "--velocity"), metavar="P1,P2"
-    )
-    base.add_argument("--t-max", required=True, type=_positive("--t-max"))
-    base.add_argument("--step", required=True, type=_positive("--step"))
-    base.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
-    base.add_argument("--format", choices=("csv", "json"), default="csv")
-    base.add_argument("--out", default=None)
+    for name, what, n, start, velocity in (
+        ("geodesic", "lifted", 3, "X1,X2,PHI", "Q1,Q2,Q3"),
+        ("base-geodesic", "base", 2, "X1,X2", "P1,P2"),
+    ):
+        geo = commands.add_parser(name, help=f"integrate a {what} geodesic")
+        geo.add_argument("--surface", required=True)
+        for option, metavar in (("--start", start), ("--velocity", velocity)):
+            geo.add_argument(option, required=True, type=_floats(n, option), metavar=metavar)
+        geo.add_argument("--t-max", required=True, type=_positive("--t-max"))
+        geo.add_argument("--step", required=True, type=_positive("--step"))
+        geo.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
+        if name == "geodesic":
+            geo.add_argument("--wong", action="store_true", help="attach the Wong residual column")
+        geo.add_argument("--format", choices=("csv", "json"), default="csv")
+        geo.add_argument("--out", default=None, help="output path (stdout when omitted)")
 
     verify = commands.add_parser(
         "verify", help="cross-validate the lift and the geodesic invariants"
@@ -190,19 +177,19 @@ def _num(value: float) -> str:
 def _run_surface_info(ns) -> int:
     surf = _load_surface(ns.surface)
     x = ns.at
-    geom = gauss_curvature(surf, x)
-    lam = surface_jets(surf, x, 4).lam.value  # the evaluation gauss_curvature made
+    p = gauss_curvature(surf, x)
+    lam = p.lam.value
     if not math.isfinite(lam):
         raise DomainError(f"non-finite lambda at point {x!r}")
     print(f"surface: {surf.name}")
     print(f"point: ({_num(x[0])}, {_num(x[1])})")
     print(f"lambda_expr: {format_expr(surf.lam)}")
     print(f"lambda: {_num(lam)}")
-    print(f"c1_12: {_num(geom.c112)}")
-    print(f"c2_12: {_num(geom.c212)}")
-    print(f"K: {_num(geom.K)}")
-    print(f"e1K: {_num(geom.e1K)}")
-    print(f"e2K: {_num(geom.e2K)}")
+    print(f"c1_12: {_num(p.c1.value)}")
+    print(f"c2_12: {_num(p.c2.value)}")
+    print(f"K: {_num(p.K.value)}")
+    print(f"e1K: {_num(p.e1K.value)}")
+    print(f"e2K: {_num(p.e2K.value)}")
     return EXIT_OK
 
 

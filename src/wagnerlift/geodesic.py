@@ -289,7 +289,7 @@ def _integrate(
     ``first(y)`` gives ``f(y)`` at each accepted rk45 sample but the last,
     once (retries reuse it).  An rk4 step of length h, the partial last step
     too, is ``sample(y, h)``, by default ``_rk4_step(f, y, h, first(y))``.
-    Evaluation failures carry the last accepted time as ``last_valid_t``.
+    Evaluation and step failures carry the last accepted time as ``last_valid_t``.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -346,7 +346,7 @@ def _integrate(
                     h_try = h_step * max(growth, 0.2)
                 else:
                     h_try = h_step * max(0.2, _RK45_SAFETY * (atol / error) ** 0.2)
-    except (SingularCurvature, ChartDomainError, DomainError) as failure:
+    except (SingularCurvature, ChartDomainError, DomainError, StepFailure) as failure:
         failure.last_valid_t = t
         raise
     samples.append((t, y))

@@ -37,12 +37,10 @@ from . import connection
 from .connection import ConnectionTable, CurvatureTable, FramePoint
 from .surface import (
     KAPPA_MIN,
-    BaseGeometry,
     ConformalJets,
     ConformalSurface,
     Point,
     SingularCurvature,
-    geometry_from_jets,
     require_finite,
     surface_jets,
 )
@@ -139,15 +137,15 @@ def nonholonomity(surface: ConformalSurface, x: Point) -> float:
 
 @dataclass(frozen=True)
 class LiftedStructure:
-    """The five chat^k_ij values that can be nonzero plus the base geometry
-    record; c113, c123, c213 and c223 vanish for every lift."""
+    """The five chat^k_ij values that can be nonzero plus the base curvature
+    K; c113, c123, c213 and c223 vanish for every lift."""
 
     c112: float
     c212: float
     c312: float
     c313: float
     c323: float
-    base: BaseGeometry
+    K: float
 
     def table(self) -> tuple:
         """Full antisymmetric table chat[k][i][j] (0-based indices), zeros filled."""
@@ -163,7 +161,7 @@ def lifted_structure(surface: ConformalSurface, x: Point) -> LiftedStructure:
         c312=-1.0,
         c313=p.u1.value,
         c323=p.u2.value,
-        base=geometry_from_jets(p),
+        K=p.K.value,
     )
 
 
@@ -216,13 +214,12 @@ def lifted_connection(surface: ConformalSurface, x: Point) -> ConnectionTable:
 # -- lifted curvature ----------------------------------------------------------
 
 
-def closed_pair_components(geometry: BaseGeometry) -> dict:
+def closed_pair_components(p: ConformalJets) -> dict:
     """The six independent components M(ab, cd) = <R(E_a,E_b)E_c, E_d>."""
-    if geometry.dlogK is None or geometry.ddlogK is None:
+    if p.u1 is None or p.ddlogK is None:
         raise ValueError("curvature ratios unavailable: K vanishes at the point")
-    c1, c2, K = geometry.c112, geometry.c212, geometry.K
-    u1, u2 = geometry.dlogK
-    dd = geometry.ddlogK
+    c1, c2, K, u1, u2 = p.c1.value, p.c2.value, p.K.value, p.u1.value, p.u2.value
+    dd = p.ddlogK
     return {
         ((1, 2), (1, 2)): 0.75 - K,
         ((1, 2), (1, 3)): -u1,
@@ -263,8 +260,7 @@ def table_from_pair_components(components: dict) -> CurvatureTable:
 
 def lifted_curvature_closed(surface: ConformalSurface, x: Point) -> CurvatureTable:
     """Closed-form curvature of the lifted metric at ``x`` (full lowered table)."""
-    p = _checked_jets(surface, x)
-    return table_from_pair_components(closed_pair_components(geometry_from_jets(p)))
+    return table_from_pair_components(closed_pair_components(_checked_jets(surface, x)))
 
 
 def lifted_curvature_oracle(surface: ConformalSurface, x: Point) -> CurvatureTable:

@@ -3,8 +3,8 @@
 A surface is the metric g = e^(2*lambda) (dx1^2 + dx2^2) on a chart domain,
 with the canonical positively oriented orthonormal frame e_a = e^(-lambda) d_a.
 Everything downstream (structure functions, Gaussian curvature and its frame
-derivatives) is computed from jets of the conformal factor, so derivatives are
-exact up to roundoff:
+derivatives) is read from one ``ConformalJets`` record of jets of the conformal
+factor at the point, so derivatives are exact up to roundoff:
 
     c112 = e^(-lambda) d2(lambda)        c212 = -e^(-lambda) d1(lambda)
     K    = e1(c212) - e2(c112) - c112^2 - c212^2   ( = -e^(-2 lambda) Lap(lambda) )
@@ -132,7 +132,7 @@ class SingularCurvature(Exception):
 
 @dataclass(frozen=True)
 class ConformalJets:
-    """Jets of the frame geometry at a point; deeper fields need higher input order.
+    """The base geometry at a point, as jets; deeper fields need higher input order.
 
     ``u1``/``u2`` are the logarithmic frame derivatives e_i(K)/K; ``ddlogK``
     holds e_i(e_j(K)/K) values indexed [i][j].  They are None when K vanishes
@@ -188,23 +188,6 @@ def conformal_pipeline(lam: Jet) -> ConformalJets:
     )
 
 
-@dataclass(frozen=True)
-class BaseGeometry:
-    """Pointwise frame geometry of the base surface.
-
-    ``dlogK`` is (e1(K)/K, e2(K)/K) and ``ddlogK[i][j]`` is e_i(e_j(K)/K);
-    both are None where K vanishes.
-    """
-
-    c112: float
-    c212: float
-    K: float
-    e1K: float
-    e2K: float
-    dlogK: tuple[float, float] | None
-    ddlogK: tuple[tuple[float, float], tuple[float, float]] | None
-
-
 def surface_jets(surface: ConformalSurface, x: Point, order: int = 4) -> ConformalJets:
     """``conformal_pipeline`` of the lambda jet at ``x``.  A surface keeps its
     last successful result, keyed by the point tuple itself (``is``: ``==``
@@ -218,28 +201,14 @@ def surface_jets(surface: ConformalSurface, x: Point, order: int = 4) -> Conform
     return p
 
 
-def geometry_from_jets(p: ConformalJets) -> BaseGeometry:
-    return BaseGeometry(
-        c112=p.c1.value,
-        c212=p.c2.value,
-        K=p.K.value,
-        e1K=p.e1K.value,
-        e2K=p.e2K.value,
-        dlogK=None if p.u1 is None else (p.u1.value, p.u2.value),
-        ddlogK=p.ddlogK,
-    )
-
-
-def gauss_curvature(surface: ConformalSurface, x: Point) -> BaseGeometry:
-    """Gaussian curvature and its frame derivatives at ``x``."""
-    geometry = geometry_from_jets(surface_jets(surface, x, 4))
-    values = [geometry.c112, geometry.c212, geometry.K, geometry.e1K, geometry.e2K]
-    if geometry.dlogK is not None:
-        values += list(geometry.dlogK)
-    if geometry.ddlogK is not None:
-        values += [v for row in geometry.ddlogK for v in row]
+def gauss_curvature(surface: ConformalSurface, x: Point) -> ConformalJets:
+    """The order-4 ``surface_jets`` record at ``x``, its values checked finite."""
+    p = surface_jets(surface, x, 4)
+    values = [p.c1.value, p.c2.value, p.K.value, p.e1K.value, p.e2K.value]
+    if p.u1 is not None:  # ddlogK is set with u1 at order 4
+        values += [p.u1.value, p.u2.value, *p.ddlogK[0], *p.ddlogK[1]]
     require_finite(values, x)
-    return geometry
+    return p
 
 
 def require_finite(values, x: Point, what: str = "geometry") -> None:

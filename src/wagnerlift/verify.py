@@ -122,7 +122,7 @@ def verify_lift(
             _deviation(structure.table(), bracket_table, 3),
             _deviation(gamma_closed, connection.koszul_values(bracket_table, 3), 3),
             _deviation(closed_curv.R, lifted_curvature_oracle(surface, x).R, 4),
-            abs(nonholonomity(surface, x) + structure.base.K),
+            abs(nonholonomity(surface, x) + structure.K),
         )
         deviations = list(map(max, deviations, at_x))
 
@@ -131,7 +131,7 @@ def verify_lift(
             value = connection.sectional(closed_curv, i, j)
             signs[name].add(_sign(value))
             values[name].append(value)
-        u1, u2 = structure.base.dlogK
+        u1, u2 = structure.c313, structure.c323
         if abs(u1) > 1e-6:
             signs["mixed_1213_vs_plus_u1"].add(_sign(closed_curv.pair_component(1, 2, 1, 3) / u1))
         if abs(u2) > 1e-6:

@@ -129,7 +129,8 @@ def test_criterion_04_nonholonomity_equals_minus_curvature():
         for x in sample_points(surface, 100, rng):
             from wagnerlift.surface import gauss_curvature
 
-            worst = max(worst, abs(lift.nonholonomity(surface, x) + gauss_curvature(surface, x).K))
+            K = gauss_curvature(surface, x).K.value
+            worst = max(worst, abs(lift.nonholonomity(surface, x) + K))
     ok = worst <= 1e-9
     assert _report(
         4,

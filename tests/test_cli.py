@@ -1,7 +1,9 @@
 """Command-line interface tests: subcommands, formats, exit codes, determinism."""
 
+import argparse
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -9,6 +11,7 @@ from pathlib import Path
 import pytest
 
 import wagnerlift
+from wagnerlift import cli
 from wagnerlift import surface as surface_module
 from wagnerlift.cli import run
 
@@ -300,9 +303,29 @@ def test_an_rk45_run_past_the_step_bound_exits_three(monkeypatch, capsys):
     assert run(argv) == 3
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: more than 20 adaptive steps at t=")
+    error, last = captured.err.splitlines()
+    assert error.startswith("error: more than 20 adaptive steps at t=")
+    # the failure time is that of the last accepted sample, mid-flight
+    t = error.rpartition("t=")[2]
+    assert last == f"last valid t: {t}" and 0.0 < float(t) < 20.0
     assert run([*argv, "--t-max", "21"]) == 2  # the last --t-max counts
     capsys.readouterr()
+
+
+@pytest.mark.parametrize("command, start, velocity", [
+    ("geodesic", "0.5,0,0", "0,1,0"), ("base-geodesic", "0.5,0", "0,1"),
+])
+def test_an_rk45_step_underflow_exits_three_with_its_time(monkeypatch, capsys, command, start,
+                                                          velocity):
+    monkeypatch.setattr(wagnerlift.geodesic, "_RK45_ATOL", 0.0)  # no step is accurate enough
+    argv = [command, "--surface", "sphere", "--start", start, "--velocity", velocity,
+            "--t-max", "1", "--step", "0.1", "--method", "rk45"]
+    assert run(argv) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, last = captured.err.splitlines()
+    assert error.startswith("error: adaptive step underflow at t=")
+    assert last == f"last valid t: {error.rpartition('t=')[2]}"
 
 
 def test_overflow_exits_three(tmp_path, capsys):
@@ -756,3 +779,112 @@ def test_main_writes_the_whole_output_buffered_or_not(unbuffered, tmp_path):
     assert done.returncode == 0 and done.stderr == b""
     assert run(argv) == 0
     assert done.stdout == (tmp_path / "out.csv").read_bytes()
+
+
+# -- parser definitions ---------------------------------------------------------------
+
+
+def _reference_parser():
+    """The parser as it was defined one command at a time, before the commands
+    of one shape shared a loop; its texts are the reference."""
+    from wagnerlift.cli import _floats, _positive
+
+    parser = argparse.ArgumentParser(
+        prog="wagnerlift",
+        description="Wagner lift of a 2-D metric: frame-bundle geometry and geodesics.",
+    )
+    commands = parser.add_subparsers(dest="command", required=True)
+    surface_sub = commands.add_parser("surface", help="base-surface queries").add_subparsers(
+        dest="subcommand", required=True)
+    info = surface_sub.add_parser("info", help="print frame geometry at a point")
+    info.add_argument("--surface", required=True)
+    info.add_argument("--at", required=True, type=_floats(2, "--at"), metavar="X1,X2")
+    lift_sub = commands.add_parser("lift", help="lifted-geometry queries").add_subparsers(
+        dest="subcommand", required=True)
+    table = lift_sub.add_parser("table", help="print the lifted tables at a point")
+    table.add_argument("--surface", required=True)
+    table.add_argument("--at", required=True, type=_floats(2, "--at"), metavar="X1,X2")
+    geo = commands.add_parser("geodesic", help="integrate a lifted geodesic")
+    geo.add_argument("--surface", required=True)
+    geo.add_argument("--start", required=True, type=_floats(3, "--start"), metavar="X1,X2,PHI")
+    geo.add_argument("--velocity", required=True, type=_floats(3, "--velocity"),
+                     metavar="Q1,Q2,Q3")
+    geo.add_argument("--t-max", required=True, type=_positive("--t-max"))
+    geo.add_argument("--step", required=True, type=_positive("--step"))
+    geo.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
+    geo.add_argument("--wong", action="store_true", help="attach the Wong residual column")
+    geo.add_argument("--format", choices=("csv", "json"), default="csv")
+    geo.add_argument("--out", default=None, help="output path (stdout when omitted)")
+    base = commands.add_parser("base-geodesic", help="integrate a base geodesic")
+    base.add_argument("--surface", required=True)
+    base.add_argument("--start", required=True, type=_floats(2, "--start"), metavar="X1,X2")
+    base.add_argument("--velocity", required=True, type=_floats(2, "--velocity"),
+                      metavar="P1,P2")
+    base.add_argument("--t-max", required=True, type=_positive("--t-max"))
+    base.add_argument("--step", required=True, type=_positive("--step"))
+    base.add_argument("--method", choices=("rk4", "rk45"), default="rk4")
+    base.add_argument("--format", choices=("csv", "json"), default="csv")
+    base.add_argument("--out", default=None)
+    verify = commands.add_parser(
+        "verify", help="cross-validate the lift and the geodesic invariants"
+    )
+    verify.add_argument("--surface", required=True)
+    verify.add_argument("--samples", type=int, default=100)
+    verify.add_argument("--seed", type=int, default=0)
+    verify.add_argument("--tol", type=_positive("--tol"), default=1e-8)
+    return parser
+
+
+def _geodesic_argvs():
+    full = {
+        "geodesic": ["--surface", "sphere", "--start", "0,0,0", "--velocity", "1,0,0",
+                     "--t-max", "1", "--step", "0.1"],
+        "base-geodesic": ["--surface", "sphere", "--start", "0,0", "--velocity", "1,0",
+                          "--t-max", "1", "--step", "0.1"],
+    }
+    for command, args in full.items():
+        yield [command, "--help"]
+        yield [command]
+        for k in range(0, len(args), 2):  # each required option left out
+            yield [command, *args[:k], *args[k + 2:]]
+        bad = {
+            "--start": ["0,0", "0,0,0,0", "a,0", "nan,0", "-0.5,inf"],
+            "--velocity": ["1", "1,0,0,0", "x,1", "1e999,0"],
+            "--t-max": ["-1", "0", "nan", "inf", "one"],
+            "--step": ["0", "-0.1", "x"],
+        }
+        for option, values in bad.items():
+            i = args.index(option) + 1
+            for value in values:
+                yield [command, *args[:i], value, *args[i + 1:]]
+        for extra in (["--method", "euler"], ["--format", "xml"], ["--out"], ["--bogus"],
+                      ["--wong"], ["--method", "rk45", "--format", "json", "--out", "o.csv"]):
+            yield [command, *args, *extra]
+    yield []
+    yield ["--help"]
+
+
+@pytest.mark.parametrize("argv", list(_geodesic_argvs()), ids=" ".join)
+def test_geodesic_parsers_keep_their_usage_and_error_texts(argv, monkeypatch, capsys):
+    monkeypatch.setenv("COLUMNS", "80")
+    argv = cli._join_negative_values(argv)
+    try:
+        expected = (0, vars(_reference_parser().parse_args(argv)))
+    except SystemExit as leave:
+        expected = (leave.code or 0, None)
+    expected_out, expected_err = capsys.readouterr()
+    try:
+        got = (0, vars(cli._build_parser().parse_args(argv)))
+    except SystemExit as leave:
+        got = (leave.code or 0, None)
+    out, err = capsys.readouterr()
+    assert got == expected
+    assert err == expected_err
+    if argv == ["base-geodesic", "--help"]:
+        # The one change: base-geodesic's --out shows the help text geodesic's has.
+        changed = [(a, b) for a, b in zip(expected_out.splitlines(), out.splitlines()) if a != b]
+        assert len(out.splitlines()) == len(expected_out.splitlines())
+        assert len(changed) == 1 and changed[0][0] == "  --out OUT"
+        assert re.fullmatch(r"  --out OUT +output path \(stdout when omitted\)", changed[0][1])
+    else:
+        assert out == expected_out

@@ -133,7 +133,7 @@ def test_dim2_sectional_reproduces_gauss_curvature(name):
     for x in sample_points(surface, 100, rng):
         table = curvature(base_frame_point(surface, x))
         assert sectional(table, 1, 2) == pytest.approx(
-            gauss_curvature(surface, x).K, rel=1e-9, abs=1e-9
+            gauss_curvature(surface, x).K.value, rel=1e-9, abs=1e-9
         )
 
 

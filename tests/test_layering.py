@@ -10,6 +10,7 @@ command that needs none of them pays for none at setup.
 """
 
 import ast
+import dataclasses
 import json
 import os
 import subprocess
@@ -17,6 +18,7 @@ import sys
 from pathlib import Path
 
 import wagnerlift
+import wagnerlift.lift
 
 SRC = Path(wagnerlift.__file__).parent
 DATA = Path(__file__).parent / "data"
@@ -67,6 +69,23 @@ def test_no_module_defines_a_frame_sampler():
             or isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store)
         }
         assert "FrameSampler" not in defined, path.name
+
+
+def test_conformal_jets_is_the_one_base_geometry_record():
+    # ``gauss_curvature`` returns the checked ``surface_jets`` record itself;
+    # no module keeps a second per-point copy of its values.
+    for path in SRC.glob("*.py"):
+        tree = ast.parse(path.read_text())
+        named = {
+            getattr(node, "name", None) or getattr(node, "id", None)
+            for node in ast.walk(tree)
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.Name))
+        }
+        named |= {alias.name for node in ast.walk(tree)
+                  if isinstance(node, ast.ImportFrom) for alias in node.names}
+        assert not named & {"BaseGeometry", "geometry_from_jets"}, path.name
+    fields = [field.name for field in dataclasses.fields(wagnerlift.lift.LiftedStructure)]
+    assert fields == ["c112", "c212", "c312", "c313", "c323", "K"]
 
 
 def test_lift_takes_only_verify_lift_from_verify():

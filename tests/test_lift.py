@@ -136,7 +136,7 @@ def test_nonholonomity_equals_minus_curvature(name):
     surface = catalog(name)
     rng = random.Random(name + "nonh")
     for x in sample_points(surface, 100, rng):
-        assert nonholonomity(surface, x) + gauss_curvature(surface, x).K == pytest.approx(
+        assert nonholonomity(surface, x) + gauss_curvature(surface, x).K.value == pytest.approx(
             0.0, abs=1e-9
         )
 
@@ -204,16 +204,16 @@ def test_structure_matches_bracket_oracle(name):
 
 def _golden_connection(base):
     values = {
-        "c1": base.c112,
-        "c2": base.c212,
-        "u1": base.dlogK[0],
-        "u2": base.dlogK[1],
+        "c1": base.c1.value,
+        "c2": base.c2.value,
+        "u1": base.u1.value,
+        "u2": base.u2.value,
         "1/2": 0.5,
         "-1/2": -0.5,
-        "-c1": -base.c112,
-        "-c2": -base.c212,
-        "-u1": -base.dlogK[0],
-        "-u2": -base.dlogK[1],
+        "-c1": -base.c1.value,
+        "-c2": -base.c2.value,
+        "-u1": -base.u1.value,
+        "-u2": -base.u2.value,
     }
     spec_path = Path(__file__).parent / "data" / "lifted_connection_golden.json"
     entries = json.loads(spec_path.read_text())["entries"]
@@ -315,7 +315,7 @@ def test_mixed_component_signs_pinned_by_oracle():
     rng = random.Random("signs")
     for x in sample_points(bump, 25, rng):
         base = gauss_curvature(bump, x)
-        u1, u2 = base.dlogK
+        u1, u2 = base.u1.value, base.u2.value
         oracle = lifted_curvature_oracle(bump, x)
         if abs(u1) > 1e-6:
             assert oracle.pair_component(1, 2, 1, 3) == pytest.approx(-u1, rel=1e-6)

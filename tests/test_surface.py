@@ -3,13 +3,15 @@
 import dataclasses
 import math
 import random
+import re
 import struct
 
 import pytest
 
 from _oracles import structure_functions
+from wagnerlift import surface as surface_module
 from wagnerlift.expr import parse
-from wagnerlift.jets import DomainError
+from wagnerlift.jets import DomainError, Jet
 from wagnerlift.surface import (
     ChartDomainError,
     ConformalSurface,
@@ -19,7 +21,6 @@ from wagnerlift.surface import (
     conformal_pipeline,
     frame_fields,
     gauss_curvature,
-    geometry_from_jets,
     sample_points,
     surface_jets,
 )
@@ -147,26 +148,26 @@ def test_structure_functions_vs_fd_lie_bracket(name):
 def test_sphere_curvature_is_one():
     sph = catalog("sphere")
     for x in ((0.0, 0.0), (1.0, 1.0)):
-        assert gauss_curvature(sph, x).K == pytest.approx(1.0, abs=1e-12)
+        assert gauss_curvature(sph, x).K.value == pytest.approx(1.0, abs=1e-12)
     rng = random.Random(7)
     for x in sample_points(sph, 20, rng):
-        assert gauss_curvature(sph, x).K == pytest.approx(1.0, abs=1e-10)
+        assert gauss_curvature(sph, x).K.value == pytest.approx(1.0, abs=1e-10)
 
 
 def test_halfplane_curvature_is_minus_one():
     hp = catalog("halfplane")
-    assert gauss_curvature(hp, (0.7, 2.0)).K == pytest.approx(-1.0, abs=1e-12)
+    assert gauss_curvature(hp, (0.7, 2.0)).K.value == pytest.approx(-1.0, abs=1e-12)
 
 
 def test_bump_curvature():
     bump = catalog("bump")
-    assert gauss_curvature(bump, (0.0, 0.0)).K == pytest.approx(-4.0, abs=1e-12)
+    assert gauss_curvature(bump, (0.0, 0.0)).K.value == pytest.approx(-4.0, abs=1e-12)
     rng = random.Random(8)
     for x in sample_points(bump, 20, rng):
-        geometry = gauss_curvature(bump, x)
+        K = gauss_curvature(bump, x).K.value
         r2 = x[0] ** 2 + x[1] ** 2
-        assert geometry.K == pytest.approx(-4.0 * math.exp(-2.0 * r2), rel=1e-12)
-        assert geometry.K < 0.0
+        assert K == pytest.approx(-4.0 * math.exp(-2.0 * r2), rel=1e-12)
+        assert K < 0.0
 
 
 @pytest.mark.parametrize("name", ALL_SURFACES)
@@ -174,7 +175,7 @@ def test_curvature_matches_conformal_laplacian(name):
     surface = catalog(name)
     rng = random.Random(name)
     for x in sample_points(surface, 100, rng):
-        assert gauss_curvature(surface, x).K == pytest.approx(
+        assert gauss_curvature(surface, x).K.value == pytest.approx(
             conformal_laplacian_curvature(surface, x), rel=1e-9, abs=1e-9
         )
 
@@ -193,16 +194,16 @@ def test_curvature_frame_derivatives_vs_fd(name):
         em = _em(surface, x)
         d1K = (k_at((x[0] + h, x[1])) - k_at((x[0] - h, x[1]))) / (2 * h)
         d2K = (k_at((x[0], x[1] + h)) - k_at((x[0], x[1] - h))) / (2 * h)
-        assert geometry.e1K == pytest.approx(em * d1K, rel=1e-5, abs=1e-6)
-        assert geometry.e2K == pytest.approx(em * d2K, rel=1e-5, abs=1e-6)
+        assert geometry.e1K.value == pytest.approx(em * d1K, rel=1e-5, abs=1e-6)
+        assert geometry.e2K.value == pytest.approx(em * d2K, rel=1e-5, abs=1e-6)
 
 
 def test_bump_log_derivative_frozen_point():
     # e1(K)/K at (1/2, 0) is -2 e^(-1/4) by hand
     bump = catalog("bump")
     geometry = gauss_curvature(bump, (0.5, 0.0))
-    assert geometry.dlogK[0] == pytest.approx(-2.0 * math.exp(-0.25), rel=1e-12)
-    assert geometry.dlogK[1] == pytest.approx(0.0, abs=1e-13)
+    assert geometry.u1.value == pytest.approx(-2.0 * math.exp(-0.25), rel=1e-12)
+    assert geometry.u2.value == pytest.approx(0.0, abs=1e-13)
 
 
 def test_constant_curvature_kills_log_derivatives():
@@ -211,8 +212,8 @@ def test_constant_curvature_kills_log_derivatives():
         rng = random.Random(2)
         for x in sample_points(surface, 10, rng):
             geometry = gauss_curvature(surface, x)
-            assert geometry.dlogK[0] == pytest.approx(0.0, abs=1e-9)
-            assert geometry.dlogK[1] == pytest.approx(0.0, abs=1e-9)
+            assert geometry.u1.value == pytest.approx(0.0, abs=1e-9)
+            assert geometry.u2.value == pytest.approx(0.0, abs=1e-9)
             for row in geometry.ddlogK:
                 for value in row:
                     assert value == pytest.approx(0.0, abs=1e-8)
@@ -221,8 +222,8 @@ def test_constant_curvature_kills_log_derivatives():
 def test_flat_surface_geometry_has_no_ratios():
     flat = ConformalSurface.from_config({"name": "flat", "lambda": "1", "guard": "all"})
     geometry = gauss_curvature(flat, (0.2, 0.4))
-    assert geometry.K == 0.0
-    assert geometry.dlogK is None
+    assert geometry.K.value == 0.0
+    assert geometry.u1 is None and geometry.u2 is None
     assert geometry.ddlogK is None
 
 
@@ -249,10 +250,26 @@ def test_pipeline_requires_order_two():
         conformal_pipeline(eval_jet(lam, (0.0, 0.0), 1))
 
 
-def test_geometry_from_jets_matches_gauss_curvature():
+def test_gauss_curvature_is_the_order_four_jets_record():
     bump = catalog("bump")
     x = (0.3, -0.4)
-    assert geometry_from_jets(surface_jets(bump, x, 4)) == gauss_curvature(bump, x)
+    assert gauss_curvature(bump, x) is surface_jets(bump, x, 4)
+
+
+@pytest.mark.parametrize("field", ["c1", "K", "u1", "ddlogK"])
+def test_gauss_curvature_rejects_a_non_finite_field(monkeypatch, field):
+    bump = catalog("bump")
+    x = (0.3, -0.4)
+    p = surface_jets(bump, x, 4)
+    if field == "ddlogK":
+        bad = ((p.ddlogK[0][0], math.inf), p.ddlogK[1])
+    else:
+        jet = getattr(p, field)
+        bad = Jet(jet.order, (math.nan, *jet._t[1:]))
+    poisoned = dataclasses.replace(p, **{field: bad})
+    monkeypatch.setattr(surface_module, "surface_jets", lambda surface, point, order: poisoned)
+    with pytest.raises(DomainError, match=re.escape(f"non-finite geometry at point {x!r}")):
+        gauss_curvature(bump, x)
 
 
 def test_lambda_domain_error_propagates():
