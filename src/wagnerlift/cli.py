@@ -204,7 +204,7 @@ def _run_lift_table(ns) -> int:
     print(f"surface: {surf.name}")
     print(f"point: ({_num(x[0])}, {_num(x[1])})")
     print("lifted frame (rows E1,E2,E3 in basis d1,d2,dphi):")
-    for row in frame.matrix:
+    for row in frame:
         print("  " + "  ".join(_num(v) for v in row))
     print("structure functions chat^k_ij:")
     for label, value in (

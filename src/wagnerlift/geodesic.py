@@ -32,11 +32,12 @@ which has no next step, is evaluated at order 2.  Each stage runs on a
 compiled branch and reruns on the jets where that branch cannot vouch for
 its point (lambda not compiled, a guard that fails, a fallback, fields
 ``_checked`` rejects), so a fresh surface starts on the jets; an rk4 sample
-is the four stages and ``_rk4_step``'s sums written out.  The Wong and base
-contractions write the dim-2 Koszul kernel out, and a CSV row with no empty
-column is one ``%``; no bit changes.  Frame fields that are not finite (a
-third derivative that overflowed leaves the third partials inf or NaN) stop
-the run with a ``DomainError``.
+is the four stages and ``_rk4_step``'s sums written out.  The base flow
+reads e^(-lambda), c112 and c212 from the order-3 ``frame_fields``.  The
+Wong and base contractions write the dim-2 Koszul kernel out, and a CSV row
+with no empty column is one ``%``; no bit changes.  Frame fields that are
+not finite (a third derivative that overflowed leaves the third partials
+inf or NaN) stop the run with a ``DomainError``.
 """
 
 from __future__ import annotations
@@ -59,7 +60,6 @@ from .surface import (
     frame_fields_from,
     laplacian_curvature_from,
     require_finite,
-    surface_jets,
 )
 
 WONG_ROTATION_SIGN = -1.0
@@ -225,11 +225,10 @@ def _lift_sample(stage: Callable, keep: Callable, y: tuple, h: float) -> tuple:
 def base_rhs(
     surface: ConformalSurface, b: BaseState
 ) -> tuple[float, float, float, float]:
-    """Base geodesic flow, via the generic Koszul coefficients (independent of
-    the closed-form lifted system)."""
+    """Base geodesic flow on the order-3 ``frame_fields``, via the generic
+    Koszul coefficients (independent of the closed-form lifted system)."""
     x = (b.x1, b.x2)
-    p = surface_jets(surface, x, 2)
-    em, c1, c2 = p.em.value, p.c1.value, p.c2.value
+    em, c1, c2 = frame_fields(surface, x)[:3]
     require_finite((em, c1, c2), x, "frame fields")
     dP1, dP2 = _christoffel_contraction(c1, c2, b.P1, b.P2)
     return (em * b.P1, em * b.P2, -dP1, -dP2)

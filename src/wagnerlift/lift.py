@@ -47,7 +47,7 @@ from .surface import (
 
 
 def _checked_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
-    p = surface_jets(surface, x, 4)
+    p = surface_jets(surface, x)
     K = p.K.value
     if abs(K) < KAPPA_MIN or p.u1 is None:
         raise SingularCurvature(x, K)
@@ -66,34 +66,6 @@ def first_partials(jet) -> tuple[float, float, float]:
 # -- lifted frame ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LiftedFrame:
-    """Coefficients of {E1, E2, E3} in the chart basis (d_1, d_2, d_phi).
-
-    ``matrix[i]`` is the i-th frame field; the coefficients depend only on the
-    base point, never on phi.
-    """
-
-    point: Point
-    K: float
-    matrix: tuple[tuple[float, float, float], ...]
-
-
-def lifted_frame(surface: ConformalSurface, x: Point) -> LiftedFrame:
-    """The g-hat-orthonormal frame over ``x``; raises ``SingularCurvature`` if K ~ 0."""
-    p = _checked_jets(surface, x)
-    em = p.em.value
-    return LiftedFrame(
-        point=x,
-        K=p.K.value,
-        matrix=(
-            (em, 0.0, -p.c1.value),
-            (0.0, em, -p.c2.value),
-            (0.0, 0.0, p.K.value),
-        ),
-    )
-
-
 def _coefficient_rows(p: ConformalJets) -> tuple:
     """Frame coefficient fields as (value, d_1, d_2) partials, rows E1, E2, E3,
     columns (d1, d2, d_phi)."""
@@ -104,6 +76,14 @@ def _coefficient_rows(p: ConformalJets) -> tuple:
         (zero, em, (-c2, -c21, -c22)),
         (zero, zero, first_partials(p.K)),
     )
+
+
+def lifted_frame(surface: ConformalSurface, x: Point) -> tuple:
+    """Rows E1, E2, E3 of the g-hat-orthonormal frame over ``x`` in the basis
+    (d_1, d_2, d_phi), the value slots of ``_coefficient_rows``; raises
+    ``SingularCurvature`` if K ~ 0."""
+    rows = _coefficient_rows(_checked_jets(surface, x))
+    return tuple([(d1[0], d2[0], dphi[0]) for d1, d2, dphi in rows])
 
 
 def _bracket_components(rows: tuple, i: int, j: int) -> list[float]:
@@ -122,7 +102,7 @@ def nonholonomity(surface: ConformalSurface, x: Point) -> float:
     Computed by expanding the bracket of the horizontal coefficient fields and
     subtracting their horizontal part, not by citing the curvature.
     """
-    p = surface_jets(surface, x, 4)
+    p = surface_jets(surface, x)
     rows = _coefficient_rows(p)
     bracket = _bracket_components(rows, 0, 1)
     em = p.em.value

@@ -2,9 +2,9 @@
 
 A surface is the metric g = e^(2*lambda) (dx1^2 + dx2^2) on a chart domain,
 with the canonical positively oriented orthonormal frame e_a = e^(-lambda) d_a.
-Everything downstream (structure functions, Gaussian curvature and its frame
-derivatives) is read from one ``ConformalJets`` record of jets of the conformal
-factor at the point, so derivatives are exact up to roundoff:
+Point queries read the structure functions, Gaussian curvature and its frame
+derivatives from one ``ConformalJets`` record of the order-4 jet of the
+conformal factor at the point, so derivatives are exact up to roundoff:
 
     c112 = e^(-lambda) d2(lambda)        c212 = -e^(-lambda) d1(lambda)
     K    = e1(c212) - e2(c112) - c112^2 - c212^2   ( = -e^(-2 lambda) Lap(lambda) )
@@ -132,11 +132,11 @@ class SingularCurvature(Exception):
 
 @dataclass(frozen=True)
 class ConformalJets:
-    """The base geometry at a point, as jets; deeper fields need higher input order.
+    """The base geometry at a point, as the jets that an order-4 lambda jet gives.
 
     ``u1``/``u2`` are the logarithmic frame derivatives e_i(K)/K; ``ddlogK``
     holds e_i(e_j(K)/K) values indexed [i][j].  They are None when K vanishes
-    at the point or the input jet is too shallow.
+    at the point.
     """
 
     lam: Jet
@@ -144,22 +144,21 @@ class ConformalJets:
     c1: Jet  # c^1_12
     c2: Jet  # c^2_12
     K: Jet
-    e1K: Jet | None = None
-    e2K: Jet | None = None
+    e1K: Jet
+    e2K: Jet
     u1: Jet | None = None
     u2: Jet | None = None
     ddlogK: tuple[tuple[float, float], tuple[float, float]] | None = None
 
 
 def conformal_pipeline(lam: Jet) -> ConformalJets:
-    """Structure functions, curvature, and curvature derivatives from a lambda jet.
-
-    With input order n: c's have order n-1, K order n-2, e_i(K) and u_i order
-    n-3, and ddlogK needs n = 4.  Jet operations auto-truncate, so the formulas
-    below read like the underlying math.
+    """Structure functions, curvature, and curvature derivatives from an
+    order-4 lambda jet: c's of order 3, K of order 2, e_i(K) and u_i of order
+    1, and ddlogK values.  Jet operations auto-truncate, so the formulas below
+    read like the underlying math.
     """
-    if lam.order < 2:
-        raise ValueError("conformal pipeline needs a lambda jet of order >= 2")
+    if lam.order != 4:
+        raise ValueError("conformal pipeline needs a lambda jet of order 4")
     em = jets.exp(-lam)
     c1 = em * jets.diff(lam, 2)
     c2 = -(em * jets.diff(lam, 1))
@@ -168,9 +167,6 @@ def conformal_pipeline(lam: Jet) -> ConformalJets:
         return em * jets.diff(f, axis)
 
     K = e(1, c2) - e(2, c1) - c1 * c1 - c2 * c2
-    if lam.order < 3:
-        return ConformalJets(lam=lam, em=em, c1=c1, c2=c2, K=K)
-
     e1K = e(1, K)
     e2K = e(2, K)
     if K.value == 0.0:
@@ -178,34 +174,32 @@ def conformal_pipeline(lam: Jet) -> ConformalJets:
     inverse_K = jets.reciprocal(K)  # what e1K / K and e2K / K would each compute
     u1 = e1K * inverse_K
     u2 = e2K * inverse_K
-    ddlogK = None
-    if lam.order >= 4:
-        # e_i(u_j).value is the order-0 product em * d_i(u_j): 0.0 + em0 * u_j's slot i.
-        em0, (_, u11, u12), (_, u21, u22) = em.value, u1._t, u2._t
-        ddlogK = ((0.0 + em0 * u11, 0.0 + em0 * u21), (0.0 + em0 * u12, 0.0 + em0 * u22))
+    # e_i(u_j).value is the order-0 product em * d_i(u_j): 0.0 + em0 * u_j's slot i.
+    em0, (_, u11, u12), (_, u21, u22) = em.value, u1._t, u2._t
+    ddlogK = ((0.0 + em0 * u11, 0.0 + em0 * u21), (0.0 + em0 * u12, 0.0 + em0 * u22))
     return ConformalJets(
         lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K, u1=u1, u2=u2, ddlogK=ddlogK
     )
 
 
-def surface_jets(surface: ConformalSurface, x: Point, order: int = 4) -> ConformalJets:
-    """``conformal_pipeline`` of the lambda jet at ``x``.  A surface keeps its
-    last successful result, keyed by the point tuple itself (``is``: ``==``
+def surface_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
+    """``conformal_pipeline`` of the order-4 lambda jet at ``x``.  A surface keeps
+    its last successful result, keyed by the point tuple itself (``is``: ``==``
     takes -0.0 for 0.0), so routes that query one point share one evaluation."""
     last = surface._last_jets
-    if last is not None and last[0] is x and last[1] == order:
-        return last[2]
-    p = conformal_pipeline(surface.lambda_jet(x, order))
+    if last is not None and last[0] is x:
+        return last[1]
+    p = conformal_pipeline(surface.lambda_jet(x, 4))
     if type(x) is tuple:  # a list or an array could change under the key
-        object.__setattr__(surface, "_last_jets", (x, order, p))
+        object.__setattr__(surface, "_last_jets", (x, p))
     return p
 
 
 def gauss_curvature(surface: ConformalSurface, x: Point) -> ConformalJets:
     """The order-4 ``surface_jets`` record at ``x``, its values checked finite."""
-    p = surface_jets(surface, x, 4)
+    p = surface_jets(surface, x)
     values = [p.c1.value, p.c2.value, p.K.value, p.e1K.value, p.e2K.value]
-    if p.u1 is not None:  # ddlogK is set with u1 at order 4
+    if p.u1 is not None:  # ddlogK is set with u1
         values += [p.u1.value, p.u2.value, *p.ddlogK[0], *p.ddlogK[1]]
     require_finite(values, x)
     return p

@@ -22,6 +22,10 @@ same tree, or the same exception at the same position, for every text.
 ``csv_lines_reference`` is ``geodesic``'s CSV row writer as it formatted
 every cell on its own, and ``json_rows_reference`` the JSON rows as they were
 parsed back from those lines; the serialisers must give the same bytes.
+``lifted_frame_reference`` is the lifted frame as the ``LiftedFrame`` record
+built its matrix from the checked order-4 values, and ``base_rhs_reference``
+the base flow as it read e^-lambda, c112 and c212 from an order-2 lambda jet;
+``lift.lifted_frame`` and ``geodesic.integrate_base`` must keep their bits.
 """
 
 from __future__ import annotations
@@ -36,10 +40,9 @@ import numpy as np
 
 from wagnerlift import connection
 from wagnerlift import expr as ex
-from wagnerlift import jets
-from wagnerlift import lift
+from wagnerlift import geodesic, jets, lift
 from wagnerlift.jets import DomainError
-from wagnerlift.surface import ConformalJets, surface_jets
+from wagnerlift.surface import ConformalJets, require_finite, surface_jets
 
 mp.mp.dps = 40
 
@@ -383,7 +386,7 @@ def constant_frame_point(c_values, dim: int) -> connection.FramePoint:
 
 def base_frame_point(surface, x) -> connection.FramePoint:
     """The conformal orthonormal frame e_a = e^(-lambda) d_a at ``x`` (dim 2)."""
-    p = surface_jets(surface, x, 4)
+    p = surface_jets(surface, x)
     c1, c2 = lift.first_partials(p.c1), lift.first_partials(p.c2)
     c, d1c, d2c = (
         (((0.0, c1[s]), (-c1[s], 0.0)), ((0.0, c2[s]), (-c2[s], 0.0))) for s in range(3)
@@ -408,7 +411,7 @@ class JetFramePoint:
 
 def jet_base_frame(surface, x) -> JetFramePoint:
     """The conformal frame e_a = e^(-lambda) d_a at ``x``, as jets."""
-    p = surface_jets(surface, x, 4)
+    p = surface_jets(surface, x)
     zero = jets.Jet.constant(0.0, p.c1.order)
     c = (
         ((zero, p.c1), (-p.c1, zero)),
@@ -581,7 +584,7 @@ def bracket_structure_jets(surface, x) -> tuple:
 
 def nonholonomity_jets(surface, x) -> float:
     """``lift.nonholonomity`` with the frame coefficients differentiated as jets."""
-    p = surface_jets(surface, x, 4)
+    p = surface_jets(surface, x)
     rows = _coefficient_jets(p)
     bracket = _bracket_components_jets(rows, 0, 1)
     em = p.em.value
@@ -621,6 +624,29 @@ def conformal_pipeline_two_reciprocals(lam: jets.Jet) -> ConformalJets:
     return ConformalJets(
         lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K, u1=u1, u2=u2, ddlogK=ddlogK
     )
+
+
+# -- the lifted frame and the base flow as they were built ------------------------
+
+
+def lifted_frame_reference(surface, x) -> tuple:
+    """``lift.lifted_frame``'s rows as ``LiftedFrame.matrix`` held them."""
+    p = lift._checked_jets(surface, x)
+    em = p.em.value
+    return ((em, 0.0, -p.c1.value), (0.0, em, -p.c2.value), (0.0, 0.0, p.K.value))
+
+
+def base_rhs_reference(surface, b) -> tuple:
+    """``geodesic.base_rhs`` on the order-2 jet pipeline's em, c1 and c2 (its
+    K, which the flow never read, left out)."""
+    x = (b.x1, b.x2)
+    lam = surface.lambda_jet(x, 2)
+    em = jets.exp(-lam)
+    c1, c2 = em * jets.diff(lam, 2), -(em * jets.diff(lam, 1))
+    em, c1, c2 = em.value, c1.value, c2.value
+    require_finite((em, c1, c2), x, "frame fields")
+    dP1, dP2 = geodesic._christoffel_contraction(c1, c2, b.P1, b.P2)
+    return (em * b.P1, em * b.P2, -dP1, -dP2)
 
 
 # -- curvature table entry by entry ----------------------------------------------

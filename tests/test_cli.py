@@ -422,19 +422,27 @@ def test_verify_reports_a_geodesic_leaving_the_chart(tmp_path, capsys):
     assert report["geodesic"]["pass"] is False
 
 
-def test_base_geodesic_non_finite_frame_fields_exit_three(tmp_path, capsys):
-    # The second x1 partial of log(x1) at x1 = 1e-155 overflows, and the
-    # other second partials of its order-2 jet are NaN.
-    surface = _config_path(tmp_path, "log", "log(x1)")
-    code = run(["base-geodesic", "--surface", surface, "--start", "1e-155,0.5",
+@pytest.mark.parametrize(
+    "lam, start, error",
+    [
+        # The base flow reads the order-3 frame fields, so it fails as
+        # ``geodesic`` does: the jet of log(x1) at x1 = 1e-155 underflows in
+        # its third partial, and an overflow of e^-lambda names the point.
+        ("log(x1)", "1e-155,0.5", "log underflows at value 1e-155"),
+        ("-1000 + 0*x1", "0,0", "exp overflows at value 1000.0 at point (0.0, 0.0)"),
+        # e^-lambda c112 = e^700 * 1e10 overflows while every partial is finite.
+        ("-700 + 1e10*x2", "0,0", "non-finite frame fields at point (0.0, 0.0)"),
+    ],
+    ids=["log", "exp", "steep"],
+)
+def test_base_geodesic_non_finite_frame_fields_exit_three(tmp_path, capsys, lam, start, error):
+    surface = _config_path(tmp_path, "frame", lam)
+    code = run(["base-geodesic", "--surface", surface, "--start", start,
                 "--velocity", "1,0", "--t-max", "0.002", "--step", "0.001"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
-    assert captured.err.splitlines() == [
-        "error: non-finite frame fields at point (1e-155, 0.5)",
-        "last valid t: 0.0",
-    ]
+    assert captured.err.splitlines() == [f"error: {error}", "last valid t: 0.0"]
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,13 @@ from dataclasses import replace
 
 import pytest
 
-from _oracles import base_state_speed, csv_lines_reference, json_rows_reference, lift_state_speed
+from _oracles import (
+    base_rhs_reference,
+    base_state_speed,
+    csv_lines_reference,
+    json_rows_reference,
+    lift_state_speed,
+)
 from wagnerlift import expr as expr_module
 from wagnerlift import geodesic as geo
 from wagnerlift.connection import koszul_values
@@ -794,6 +800,52 @@ def test_christoffel_contraction_keeps_the_bits_of_the_summed_form():
         args = [rng.choice(special) if rng.random() < 0.3 else rng.uniform(-2.0, 2.0)
                 for _ in range(4)]
         assert _bits(tuple(geo._christoffel_contraction(*args))) == _bits(tuple(summed(*args)))
+
+
+_BASE_STARTS = {
+    "sphere": [(0.0, 0.0), (-0.0, 0.0), (0.0, -0.0), (0.5, -0.3)],
+    "halfplane": [(0.0, 1.0), (-0.0, 0.5), (0.3, 1.2), (-0.4, 0.05)],
+    "bump": [(0.0, 0.0), (-0.0, -0.0), (0.3, -0.0), (-0.6, 0.4)],
+    # e^-lambda c112 = e^700 * 1e10 overflows: every run stops at its start.
+    "-700 + 1e10*x2": [(0.0, 0.0), (-0.0, 0.0)],
+}
+_BASE_VELOCITIES = [
+    (1.0, 0.0), (0.0, 1.0), (-0.0, 0.7), (0.6, -0.0), (0.0, 0.0), (-0.0, -0.0), (0.3, -0.8)
+]
+
+
+def _run_outcome(run):
+    """Bits of the times and states ``run()`` returns, or the type, message
+    and last valid time of what it raised."""
+    try:
+        times, states = run()
+    except Exception as err:  # the same type, message and time, or a mismatch
+        return type(err), str(err), getattr(err, "last_valid_t", None)
+    return _bits((tuple(times), tuple(states)))
+
+
+@pytest.mark.parametrize("method, h", [("rk4", 0.05), ("rk45", 0.1)])
+@pytest.mark.parametrize("config", list(_BASE_STARTS), ids=str)
+def test_base_run_keeps_the_bits_of_the_order_two_flow(config, method, h):
+    # One surface for every run, so most of them run lambda compiled.
+    on_catalog = config in ("sphere", "halfplane", "bump")
+    surface = catalog(config) if on_catalog else ConformalSurface.from_config(
+        {"name": "steep", "lambda": config}
+    )
+    reference = lambda y: base_rhs_reference(surface, geo.BaseState(*y))  # noqa: E731
+    raised = 0
+    for x in _BASE_STARTS[config]:
+        for P in _BASE_VELOCITIES:
+            def run():
+                trajectory = geo.integrate_base(surface, geo.BaseState(*x, *P), 0.6, h, method)
+                return trajectory.t, trajectory.states
+
+            expected = _run_outcome(
+                lambda: geo._integrate(reference, (*x, *P), 0.6, h, method, reference)
+            )
+            assert _run_outcome(run) == expected, (x, P)
+            raised += len(expected) == 3
+    assert raised == (0 if on_catalog else len(_BASE_STARTS[config]) * len(_BASE_VELOCITIES))
 
 
 @pytest.mark.parametrize("method", ["rk4", "rk45"])

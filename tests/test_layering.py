@@ -28,7 +28,6 @@ PUBLIC_DEFAULTS = {
     "geodesic.integrate_lift:method",
     "geodesic.integrate_base:method",
     "geodesic.wong_residual:C",
-    "surface.surface_jets:order",
     "surface.require_finite:what",
 }
 
@@ -73,7 +72,8 @@ def test_no_module_defines_a_frame_sampler():
 
 def test_conformal_jets_is_the_one_base_geometry_record():
     # ``gauss_curvature`` returns the checked ``surface_jets`` record itself;
-    # no module keeps a second per-point copy of its values.
+    # no module keeps a second per-point copy of its values, and the lifted
+    # frame is the value slots of ``lift._coefficient_rows``, not a record.
     for path in SRC.glob("*.py"):
         tree = ast.parse(path.read_text())
         named = {
@@ -83,7 +83,7 @@ def test_conformal_jets_is_the_one_base_geometry_record():
         }
         named |= {alias.name for node in ast.walk(tree)
                   if isinstance(node, ast.ImportFrom) for alias in node.names}
-        assert not named & {"BaseGeometry", "geometry_from_jets"}, path.name
+        assert not named & {"BaseGeometry", "geometry_from_jets", "LiftedFrame"}, path.name
     fields = [field.name for field in dataclasses.fields(wagnerlift.lift.LiftedStructure)]
     assert fields == ["c112", "c212", "c312", "c313", "c323", "K"]
 

@@ -65,17 +65,17 @@ def test_halfplane_frame_at_unit_point():
     hp = catalog("halfplane")
     frame = lifted_frame(hp, (0.0, 1.0))
     # E1 = e1 + d_phi, E2 = e2, E3 = -d_phi in this chart
-    assert frame.matrix[0] == pytest.approx((1.0, 0.0, 1.0))
-    assert frame.matrix[1] == pytest.approx((0.0, 1.0, 0.0))
-    assert frame.matrix[2] == pytest.approx((0.0, 0.0, -1.0))
+    assert frame[0] == pytest.approx((1.0, 0.0, 1.0))
+    assert frame[1] == pytest.approx((0.0, 1.0, 0.0))
+    assert frame[2] == pytest.approx((0.0, 0.0, -1.0))
 
 
 def test_sphere_frame_at_origin():
     sph = catalog("sphere")
     frame = lifted_frame(sph, (0.0, 0.0))
-    assert frame.matrix[0] == pytest.approx((0.5, 0.0, 0.0))
-    assert frame.matrix[1] == pytest.approx((0.0, 0.5, 0.0))
-    assert frame.matrix[2] == pytest.approx((0.0, 0.0, 1.0))
+    assert frame[0] == pytest.approx((0.5, 0.0, 0.0))
+    assert frame[1] == pytest.approx((0.0, 0.5, 0.0))
+    assert frame[2] == pytest.approx((0.0, 0.0, 1.0))
 
 
 @pytest.mark.parametrize("name", ALL_SURFACES)
@@ -85,15 +85,16 @@ def test_frame_projects_to_base_frame_and_is_invertible(name):
     for x in sample_points(surface, 25, rng):
         frame = lifted_frame(surface, x)
         em = math.exp(-surface.lambda_jet(x, 0).value)
-        assert frame.matrix[0][0] == pytest.approx(em, rel=1e-13)
-        assert frame.matrix[0][1] == 0.0
-        assert frame.matrix[1][0] == 0.0
-        assert frame.matrix[1][1] == pytest.approx(em, rel=1e-13)
-        assert frame.matrix[2][0] == frame.matrix[2][1] == 0.0
+        assert frame[0][0] == pytest.approx(em, rel=1e-13)
+        assert frame[0][1] == 0.0
+        assert frame[1][0] == 0.0
+        assert frame[1][1] == pytest.approx(em, rel=1e-13)
+        assert frame[2][0] == frame[2][1] == 0.0
         # Upper triangular, so the determinant is the diagonal's product.
-        determinant = frame.matrix[0][0] * frame.matrix[1][1] * frame.matrix[2][2]
+        determinant = frame[0][0] * frame[1][1] * frame[2][2]
         assert abs(determinant) > 0.0
-        assert determinant == pytest.approx(em * em * frame.K, rel=1e-12)
+        K = gauss_curvature(surface, x).K.value
+        assert determinant == pytest.approx(em * em * K, rel=1e-12)
 
 
 def test_flat_surface_raises_everywhere():

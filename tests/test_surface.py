@@ -232,7 +232,7 @@ def test_fast_fields_match_jet_pipeline(name):
     surface = catalog(name)
     rng = random.Random(name + "fast")
     for x in sample_points(surface, 50, rng):
-        p = surface_jets(surface, x, 3)
+        p = surface_jets(surface, x)
         em, c1, c2, K, u1, u2 = frame_fields(surface, x)
         assert em == pytest.approx(p.em.value, rel=1e-13)
         assert c1 == pytest.approx(p.c1.value, rel=1e-12, abs=1e-13)
@@ -242,32 +242,33 @@ def test_fast_fields_match_jet_pipeline(name):
         assert u2 == pytest.approx(p.u2.value, rel=1e-11, abs=1e-12)
 
 
-def test_pipeline_requires_order_two():
+@pytest.mark.parametrize("order", [1, 2, 3])
+def test_pipeline_requires_order_four(order):
     lam = parse("x1*x2")
     from wagnerlift.expr import eval_jet
 
-    with pytest.raises(ValueError):
-        conformal_pipeline(eval_jet(lam, (0.0, 0.0), 1))
+    with pytest.raises(ValueError, match="needs a lambda jet of order 4"):
+        conformal_pipeline(eval_jet(lam, (0.0, 0.0), order))
 
 
 def test_gauss_curvature_is_the_order_four_jets_record():
     bump = catalog("bump")
     x = (0.3, -0.4)
-    assert gauss_curvature(bump, x) is surface_jets(bump, x, 4)
+    assert gauss_curvature(bump, x) is surface_jets(bump, x)
 
 
 @pytest.mark.parametrize("field", ["c1", "K", "u1", "ddlogK"])
 def test_gauss_curvature_rejects_a_non_finite_field(monkeypatch, field):
     bump = catalog("bump")
     x = (0.3, -0.4)
-    p = surface_jets(bump, x, 4)
+    p = surface_jets(bump, x)
     if field == "ddlogK":
         bad = ((p.ddlogK[0][0], math.inf), p.ddlogK[1])
     else:
         jet = getattr(p, field)
         bad = Jet(jet.order, (math.nan, *jet._t[1:]))
     poisoned = dataclasses.replace(p, **{field: bad})
-    monkeypatch.setattr(surface_module, "surface_jets", lambda surface, point, order: poisoned)
+    monkeypatch.setattr(surface_module, "surface_jets", lambda surface, point: poisoned)
     with pytest.raises(DomainError, match=re.escape(f"non-finite geometry at point {x!r}")):
         gauss_curvature(bump, x)
 
@@ -297,9 +298,9 @@ LINE = {"name": "line", "lambda": "x1"}
 
 def test_memo_keeps_the_sign_of_a_zero_coordinate():
     surface = ConformalSurface.from_config(LINE)
-    assert math.copysign(1.0, surface_jets(surface, (-0.0, 0.0), 4).lam.value) == -1.0
-    after = surface_jets(surface, (0.0, 0.0), 4)
-    fresh = surface_jets(ConformalSurface.from_config(LINE), (0.0, 0.0), 4)
+    assert math.copysign(1.0, surface_jets(surface, (-0.0, 0.0)).lam.value) == -1.0
+    after = surface_jets(surface, (0.0, 0.0))
+    fresh = surface_jets(ConformalSurface.from_config(LINE), (0.0, 0.0))
     assert math.copysign(1.0, after.lam.value) == 1.0
     assert _bits(after) == _bits(fresh)
 
@@ -309,42 +310,34 @@ def test_memo_never_keeps_a_failing_point():
         {"name": "log", "lambda": "log(x1)", "guard": "x1 + 2 > 0"}
     )
     good, outside, negative = (1.5, 0.2), (-3.0, 0.0), (-1.0, 0.0)
-    expected = _bits(surface_jets(surface, good, 4))
+    expected = _bits(surface_jets(surface, good))
     for _ in range(3):
         with pytest.raises(ChartDomainError):
-            surface_jets(surface, outside, 4)
+            surface_jets(surface, outside)
         with pytest.raises(DomainError):
-            surface_jets(surface, negative, 4)
-    assert _bits(surface_jets(surface, good, 4)) == expected
+            surface_jets(surface, negative)
+    assert _bits(surface_jets(surface, good)) == expected
 
 
 def test_memo_leaves_equality_hash_repr_and_replace_alone():
     x = (0.3, -0.4)
     queried, fresh = catalog("bump"), catalog("bump")
-    surface_jets(queried, x, 4)
+    surface_jets(queried, x)
     assert queried == fresh
     assert hash(queried) == hash(fresh)
     assert repr(queried) == repr(fresh)
     assert dataclasses.replace(queried) == fresh
     steeper = dataclasses.replace(queried, lam=parse("2*x1^2 + x2^2"))
     config = {"name": "bump", "lambda": "2*x1^2 + x2^2", "window": list(fresh.window)}
-    assert _bits(surface_jets(steeper, x, 4)) == _bits(
-        surface_jets(ConformalSurface.from_config(config), x, 4)
+    assert _bits(surface_jets(steeper, x)) == _bits(
+        surface_jets(ConformalSurface.from_config(config), x)
     )
-
-
-def test_memo_keys_on_the_order():
-    surface, x = catalog("sphere"), (0.3, 0.2)
-    for order in (2, 4, 3, 4, 2):
-        p = surface_jets(surface, x, order)
-        assert p.lam.order == order
-        assert _bits(p) == _bits(surface_jets(catalog("sphere"), x, order))
 
 
 def test_memo_ignores_a_point_that_can_change():
     surface, x = catalog("bump"), [0.3, -0.4]
-    surface_jets(surface, x, 4)
+    surface_jets(surface, x)
     x[0] = 0.5
-    assert _bits(surface_jets(surface, x, 4)) == _bits(
-        surface_jets(catalog("bump"), (0.5, -0.4), 4)
+    assert _bits(surface_jets(surface, x)) == _bits(
+        surface_jets(catalog("bump"), (0.5, -0.4))
     )
