@@ -31,8 +31,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cache
 
-import numpy as np
-
 from . import connection
 from .connection import ConnectionTable, CurvatureTable, FramePoint
 from .surface import (
@@ -96,20 +94,22 @@ def _bracket_components(rows: tuple, i: int, j: int) -> list[float]:
     return [0.0 + p * b1 - q * a1 + r * b2 - s * a2 for (_, a1, a2), (_, b1, b2) in zip(ri, rj)]
 
 
+def _reexpand(rows: tuple, v) -> tuple[float, float, float]:
+    """(a1, a2, N) with the chart vector ``v`` = a1 E1 + a2 E2 + N d_phi, by
+    forward substitution: the frame is lower triangular in (d_1, d_2, d_phi)."""
+    a1 = v[0] / rows[0][0][0]
+    a2 = v[1] / rows[1][1][0]
+    return a1, a2, v[2] - (a1 * rows[0][2][0] + a2 * rows[1][2][0])
+
+
 def nonholonomity(surface: ConformalSurface, x: Point) -> float:
     """d_phi-component of the vertical projection of [E1, E2]; equals -K(x).
 
     Computed by expanding the bracket of the horizontal coefficient fields and
-    subtracting their horizontal part, not by citing the curvature.
+    subtracting their horizontal part (``_reexpand``), not citing the curvature.
     """
-    p = surface_jets(surface, x)
-    rows = _coefficient_rows(p)
-    bracket = _bracket_components(rows, 0, 1)
-    em = p.em.value
-    # dpi[E1, E2] = a1 e1 + a2 e2 fixes the horizontal part of the expansion.
-    a1 = bracket[0] / em
-    a2 = bracket[1] / em
-    return bracket[2] - (a1 * rows[0][2][0] + a2 * rows[1][2][0])
+    rows = _coefficient_rows(surface_jets(surface, x))
+    return _reexpand(rows, _bracket_components(rows, 0, 1))[2]
 
 
 # -- lifted structure functions ----------------------------------------------------
@@ -147,16 +147,14 @@ def lifted_structure(surface: ConformalSurface, x: Point) -> LiftedStructure:
 
 def bracket_structure(surface: ConformalSurface, x: Point) -> tuple:
     """Oracle for the structure functions: numerically bracket the frame
-    coefficient fields and re-expand in the lifted frame (3x3 linear solve).
-    Returns the full table chat[k][i][j]."""
+    coefficient fields and re-expand each bracket in the lifted frame
+    (``_reexpand``, whose N / K is on E3 = K d_phi).  Returns the full table
+    chat[k][i][j]."""
     rows = _coefficient_rows(_checked_jets(surface, x))
-    frame_matrix = [rows[k][mu][0] for mu in range(3) for k in range(3)]
-    brackets = [v for i, j in ((0, 1), (0, 2), (1, 2)) for v in _bracket_components(rows, i, j)]
-    # The three systems in one stacked (3, 3, 1) solve: LAPACK runs each matrix
-    # of a stack as it runs a lone one (a (3, 3) right-hand side rounds apart).
-    stack = np.array(frame_matrix * 3).reshape(3, 3, 3)  # three copies
-    s = np.linalg.solve(stack, np.array(brackets).reshape(3, 3, 1)).ravel().tolist()
-    planes = zip(s[:3], s[3:6], s[6:])  # per k, the [E1,E2], [E1,E3], [E2,E3] coefficients
+    K = rows[2][2][0]
+    pairs = ((0, 1), (0, 2), (1, 2))
+    brackets = [_reexpand(rows, _bracket_components(rows, i, j)) for i, j in pairs]
+    planes = zip(*[(a1, a2, N / K) for a1, a2, N in brackets])  # per k, the three brackets
     return tuple(((0.0, a, b), (-a, 0.0, c), (-b, -c, 0.0)) for a, b, c in planes)
 
 

@@ -183,13 +183,17 @@ def conformal_pipeline(lam: Jet) -> ConformalJets:
 
 
 def surface_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
-    """``conformal_pipeline`` of the order-4 lambda jet at ``x``.  A surface keeps
-    its last successful result, keyed by the point tuple itself (``is``: ``==``
-    takes -0.0 for 0.0), so routes that query one point share one evaluation."""
+    """``conformal_pipeline`` of the order-4 lambda jet at ``x``; the pipeline's
+    errors name ``x``.  A surface keeps its last successful result, keyed by the point
+    tuple (``is``: ``==`` takes -0.0 for 0.0), so routes at one point share one evaluation."""
     last = surface._last_jets
     if last is not None and last[0] is x:
         return last[1]
-    p = conformal_pipeline(surface.lambda_jet(x, 4))
+    lam = surface.lambda_jet(x, 4)
+    try:
+        p = conformal_pipeline(lam)
+    except DomainError as err:
+        raise DomainError(f"{err} at point {x!r}") from None
     if type(x) is tuple:  # a list or an array could change under the key
         object.__setattr__(surface, "_last_jets", (x, p))
     return p

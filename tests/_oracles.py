@@ -12,7 +12,10 @@ the entry-by-entry expansion of the six curvature components, kept here to
 pin those bit for bit.  So are the per-point steps of ``verify_lift`` as they
 ran before they were straight-line code: the curvature table's fill loop,
 the nested deviation walk and the conformal pipeline that divides by K
-twice; the jet bracket oracle still solves one system per bracket.
+twice.  The jet bracket oracle re-expands with the library's forward
+substitution, in the same order; ``bracket_structure_lapack`` is the
+bracket oracle as it solved with LAPACK before that substitution replaced it,
+kept as a reference within a bound.
 The linear-system connection, the base and constant frame points, the
 consistency residuals of the connection and curvature tables and the speeds
 of lifted and base states are oracles that only the tests need.
@@ -566,16 +569,36 @@ def _bracket_components_jets(rows: tuple, i: int, j: int) -> list[float]:
     return out
 
 
+def _reexpand_jets(rows: tuple, v: list[float]) -> tuple[float, float, float]:
+    """``lift._reexpand`` on the jets' values, in the same order."""
+    a1 = v[0] / rows[0][0].value
+    a2 = v[1] / rows[1][1].value
+    return a1, a2, v[2] - (a1 * rows[0][2].value + a2 * rows[1][2].value)
+
+
 def bracket_structure_jets(surface, x) -> tuple:
     """``lift.bracket_structure`` with the frame coefficients differentiated as jets."""
-    p = lift._checked_jets(surface, x)
-    rows = _coefficient_jets(p)
-    frame_matrix = np.array([[rows[k][mu].value for k in range(3)] for mu in range(3)])
+    rows = _coefficient_jets(lift._checked_jets(surface, x))
+    K = rows[2][2].value
     table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        coefficients = np.linalg.solve(
-            frame_matrix, np.array(_bracket_components_jets(rows, i, j))
-        )
+        a1, a2, N = _reexpand_jets(rows, _bracket_components_jets(rows, i, j))
+        for k, coefficient in enumerate((a1, a2, N / K)):
+            table[k][i][j] = coefficient
+            table[k][j][i] = -coefficient
+    return tuple(tuple(tuple(row) for row in plane) for plane in table)
+
+
+def bracket_structure_lapack(surface, x) -> tuple:
+    """The bracket oracle as it solved each bracket alone with LAPACK
+    (``np.linalg.solve``: LU with partial pivoting) on the full 3x3 matrix of
+    the library's frame rows, including the four zero slots that the
+    substitution never reads."""
+    rows = lift._coefficient_rows(lift._checked_jets(surface, x))
+    frame_matrix = np.array([[rows[k][mu][0] for k in range(3)] for mu in range(3)])
+    table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        coefficients = np.linalg.solve(frame_matrix, np.array(lift._bracket_components(rows, i, j)))
         for k in range(3):
             table[k][i][j] = float(coefficients[k])
             table[k][j][i] = -float(coefficients[k])
@@ -584,13 +607,8 @@ def bracket_structure_jets(surface, x) -> tuple:
 
 def nonholonomity_jets(surface, x) -> float:
     """``lift.nonholonomity`` with the frame coefficients differentiated as jets."""
-    p = surface_jets(surface, x)
-    rows = _coefficient_jets(p)
-    bracket = _bracket_components_jets(rows, 0, 1)
-    em = p.em.value
-    a1 = bracket[0] / em
-    a2 = bracket[1] / em
-    return bracket[2] - (a1 * rows[0][2].value + a2 * rows[1][2].value)
+    rows = _coefficient_jets(surface_jets(surface, x))
+    return _reexpand_jets(rows, _bracket_components_jets(rows, 0, 1))[2]
 
 
 def deviation_nested(a: tuple, b: tuple) -> float:

@@ -358,13 +358,28 @@ def _config_path(tmp_path, name, lam, guard="all"):
     return str(path)
 
 
-def test_frame_exp_overflow_exits_three(tmp_path, capsys):
-    surface = _config_path(tmp_path, "steep", "-1000*x1^2")
-    code = run(["geodesic", "--surface", surface, "--start", "1,0,0", "--velocity", "1,0,0",
-                "--t-max", "0.1", "--step", "0.1"])
+# Each command with the point it evaluates first: verify's is its first
+# sampled point at the default seed.
+OVERFLOW_RUNS = {
+    "surface-info": (["surface", "info", "--at", "0,0"], "(0.0, 0.0)"),
+    "lift-table": (["lift", "table", "--at", "0,0"], "(0.0, 0.0)"),
+    "geodesic": (["geodesic", "--start", "0,0,0", "--velocity", "1,0,0",
+                  "--t-max", "0.1", "--step", "0.1"], "(0.0, 0.0)"),
+    "base-geodesic": (["base-geodesic", "--start", "0,0", "--velocity", "1,0",
+                       "--t-max", "0.1", "--step", "0.1"], "(0.0, 0.0)"),
+    "verify": (["verify", "--samples", "2"], "(0.6888437030500962, 0.515908805880605)"),
+}
+
+
+@pytest.mark.parametrize("command", OVERFLOW_RUNS)
+def test_frame_exp_overflow_exits_three(command, tmp_path, capsys):
+    # e^-lambda overflows where lambda's own jet is finite: point queries,
+    # verify and the flows word it alike, naming the point.
+    argv, point = OVERFLOW_RUNS[command]
+    code = run(argv + ["--surface", _config_path(tmp_path, "ovf", "-1000 + 0*x1")])
     captured = capsys.readouterr()
     assert code == 3
-    assert "exp overflows" in captured.err
+    assert captured.err.splitlines()[0] == f"error: exp overflows at value 1000.0 at point {point}"
     assert "Traceback" not in captured.err
 
 

@@ -7,17 +7,19 @@ from -0.0 instead of +0.0 would show.  The generated Koszul and curvature
 kernels are also compared with the index loops they replace on random
 tables, where infinities, huge and subnormal entries and NaN results show any
 change in the order of the roundings.  The straight-line steps of
-``verify_lift`` (the stacked bracket solve, the generated curvature table,
-the flat deviation, the shared reciprocal of K and ``first_partials``) are
-compared with the code they replace on 2000 random inputs each.  The lifted
-frame's rows are compared with the matrix its record used to hold.
+``verify_lift`` (the generated curvature table, the flat deviation, the
+shared reciprocal of K and ``first_partials``) are compared with the code
+they replace on 2000 random inputs each.  On 2000 random frame records the
+bracket oracle's forward substitution keeps the jet route's bits and agrees
+with the LAPACK solve it replaced within a stated backward-error bound.  The
+lifted frame's rows are compared with the matrix its record used to hold.
 """
 
 import math
 import random
 import struct
+import sys
 
-import numpy as np
 import pytest
 
 from _oracles import (
@@ -25,6 +27,7 @@ from _oracles import (
     _coefficient_jets,
     base_frame_point,
     bracket_structure_jets,
+    bracket_structure_lapack,
     conformal_pipeline_two_reciprocals,
     curvature_jets,
     curvature_loop,
@@ -282,24 +285,73 @@ def _frame_jets(rng: random.Random) -> ConformalJets:
     )
 
 
-def test_stacked_bracket_solve_matches_three_lone_solves_bit_for_bit():
+def test_bracket_substitution_matches_the_jet_route_bit_for_bit():
     rng = random.Random(1401)
-    raised = pivoted = 0
     for _ in range(2000):
         p = _frame_jets(rng)
         surface, x = _served(p)
-        # The jet route solves each bracket alone and sums its components in
-        # a loop; on order-1 jets its partials are the same bits.
-        expected = _outcome(bracket_structure_jets, surface, x)
-        assert _outcome(lift.bracket_structure, surface, x) == expected, p
-        raised += isinstance(expected, tuple) and expected[0] is np.linalg.LinAlgError
-        pivoted += max(abs(p.c1.value), abs(p.c2.value)) > p.em.value > 0.0
+        # The jet route sums each bracket's components in a loop and
+        # re-expands on the jets' values; on order-1 jets its partials are
+        # the same bits.
+        assert _outcome(lift.bracket_structure, surface, x) == _outcome(
+            bracket_structure_jets, surface, x
+        ), p
         rows, jet_rows = lift._coefficient_rows(p), _coefficient_jets(p)
         for i, j in ((0, 1), (0, 2), (1, 2)):
             assert _outcome(lift._bracket_components, rows, i, j) == _outcome(
                 _bracket_components_jets, jet_rows, i, j
             )
-    assert raised > 100 and pivoted > 500  # singular frames raise LinAlgError alike
+
+
+# Both solves are backward stable for the frame matrix M (Higham, "Accuracy
+# and Stability of Numerical Algorithms", 2nd ed., ch. 8 and 9), so each lies
+# within c * eps * kappa(M) * |s| of the exact solution s (infinity norms),
+# c a small multiple of n = 3 times LU's growth factor (at most 4 for n = 3).
+# Gradual underflow adds up to half of ulp(0.0) per operation, the same
+# multiple of kappa(M) * ulp(0.0).  32 covers both; the worst of these
+# records comes to 0.6.
+LAPACK_BOUND = 32 * sys.float_info.epsilon
+
+
+def test_bracket_substitution_matches_the_lapack_solve_within_its_bound():
+    # The reference solves on the full matrix of ``_coefficient_rows``, so a
+    # nonzero in one of its zero slots, which the substitution never reads,
+    # shows.
+    rng = random.Random(1401)
+    compared = pivoted = 0
+    for _ in range(2000):
+        p = _frame_jets(rng)
+        surface, x = _served(p)
+        em, c1, c2, K = p.em.value, p.c1.value, p.c2.value, p.K.value
+        outcome = _outcome(lift.bracket_structure, surface, x)
+        if em == 0.0:
+            # LAPACK raised LinAlgError.  No surface reaches em = 0: every term
+            # of K carries em^2, so K underflows first and ``_checked_jets``
+            # raises SingularCurvature.
+            assert outcome == (ZeroDivisionError, "float division by zero"), p
+            continue
+        # A subnormal em (5e-324, 416 of these records) gives a table: finite
+        # on 160, holding inf or NaN on 256.  LAPACK raised LinAlgError on 345.
+        assert isinstance(outcome, bytes), p
+        kappa = max(em, abs(c1) + abs(c2) + abs(K)) * max(
+            1.0 / em, (abs(c1) + abs(c2)) / em / abs(K) + 1.0 / abs(K)
+        )
+        if not math.isfinite(kappa):  # every subnormal em, and some em = 1e-300
+            continue
+        table, reference = lift.bracket_structure(surface, x), bracket_structure_lapack(surface, x)
+        solutions = [[(table[k][i][j], reference[k][i][j]) for k in range(3)]
+                     for i, j in ((0, 1), (0, 2), (1, 2))]
+        # An inf or NaN partial reaches components through LU's elimination
+        # (inf - inf, 0 * inf) that the triangular system keeps finite, so only
+        # finite tables compare; the jet test above pins the others' bits.
+        if not all(map(math.isfinite, _flat(solutions))):
+            continue
+        for solution in solutions:
+            bound = kappa * (LAPACK_BOUND * max(abs(s) for s, _ in solution) + 32 * math.ulp(0.0))
+            assert all(abs(s - r) <= bound for s, r in solution), (p, solution)
+        compared += 1
+        pivoted += max(abs(c1), abs(c2)) > em  # LAPACK swaps the rows
+    assert compared > 350 and pivoted > 300
 
 
 def test_generated_curvature_table_matches_the_fill_loop_bit_for_bit():

@@ -164,7 +164,7 @@ def test_public_functions_keep_only_the_pinned_defaulted_parameters():
 
 
 _KERNEL_PROBE = """
-import contextlib, io
+import contextlib, io, sys
 from wagnerlift import cli, connection, lift
 kernels = (connection._koszul_kernel, connection._curvature_kernel, lift._closed_table_kernel)
 assert [k.cache_info().currsize for k in kernels] == [0, 0, 0]
@@ -180,6 +180,9 @@ connection._koszul_kernel.cache_clear()
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["lift", "table", "--surface", "bump", "--at", "0.3,0.2"]) == 0
 print([k.cache_info().currsize for k in kernels])
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["verify", "--surface", "sphere", "--samples", "2"]) == 0
+print("numpy" in sys.modules)
 """
 
 
@@ -197,3 +200,5 @@ def test_surface_info_and_geodesic_build_no_curvature_kernel():
     )
     assert probe.returncode == 0, probe.stderr
     assert probe.stdout.split("\n")[:2] == ["[0, 0, 0] 1", "[1, 0, 1]"]
+    # The library needs only the standard library: no command imports numpy.
+    assert probe.stdout.split("\n")[2] == "False"
