@@ -33,6 +33,7 @@ from functools import cache
 
 from . import connection
 from .connection import ConnectionTable, CurvatureTable, FramePoint
+from .jets import DomainError
 from .surface import (
     KAPPA_MIN,
     ConformalJets,
@@ -109,6 +110,8 @@ def nonholonomity(surface: ConformalSurface, x: Point) -> float:
     subtracting their horizontal part (``_reexpand``), not citing the curvature.
     """
     rows = _coefficient_rows(surface_jets(surface, x))
+    if rows[0][0][0] == 0.0:  # the frame's e^-lambda, which _reexpand divides by
+        raise DomainError(f"e^-lambda underflows to 0.0 at point {x!r}")
     return _reexpand(rows, _bracket_components(rows, 0, 1))[2]
 
 

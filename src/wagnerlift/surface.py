@@ -8,6 +8,9 @@ conformal factor at the point, so derivatives are exact up to roundoff:
 
     c112 = e^(-lambda) d2(lambda)        c212 = -e^(-lambda) d1(lambda)
     K    = e1(c212) - e2(c112) - c112^2 - c212^2   ( = -e^(-2 lambda) Lap(lambda) )
+
+One float function, generated on first use, computes the record with every
+float operation of these formulas' ``Jet`` arithmetic in order, so it keeps their bits.
 """
 
 from __future__ import annotations
@@ -15,6 +18,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import jets
 from .expr import Expr, Tape, eval_jet, format_expr, parse
@@ -152,34 +156,67 @@ class ConformalJets:
 
 
 def conformal_pipeline(lam: Jet) -> ConformalJets:
-    """Structure functions, curvature, and curvature derivatives from an
-    order-4 lambda jet: c's of order 3, K of order 2, e_i(K) and u_i of order
-    1, and ddlogK values.  Jet operations auto-truncate, so the formulas below
-    read like the underlying math.
-    """
+    """The ``ConformalJets`` record of an order-4 lambda jet, by ``_pipeline_kernel``
+    on the Taylor slots of lambda and of its first partials."""
     if lam.order != 4:
         raise ValueError("conformal pipeline needs a lambda jet of order 4")
-    em = jets.exp(-lam)
-    c1 = em * jets.diff(lam, 2)
-    c2 = -(em * jets.diff(lam, 1))
+    try:
+        slots, ddlogK = _pipeline_kernel()(*lam._t, *jets.diff(lam, 1)._t, *jets.diff(lam, 2)._t)
+    except OverflowError:
+        raise DomainError(f"exp overflows at value {-lam.value!r}") from None
+    return ConformalJets(lam, *map(jets._new, (4, 3, 3, 2, 1, 1, 1, 1), slots), ddlogK=ddlogK)
 
-    def e(axis: int, f: Jet) -> Jet:
-        return em * jets.diff(f, axis)
 
-    K = e(1, c2) - e(2, c1) - c1 * c1 - c2 * c2
-    e1K = e(1, K)
-    e2K = e(2, K)
-    if K.value == 0.0:
-        return ConformalJets(lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K)
-    inverse_K = jets.reciprocal(K)  # what e1K / K and e2K / K would each compute
-    u1 = e1K * inverse_K
-    u2 = e2K * inverse_K
-    # e_i(u_j).value is the order-0 product em * d_i(u_j): 0.0 + em0 * u_j's slot i.
-    em0, (_, u11, u12), (_, u21, u22) = em.value, u1._t, u2._t
-    ddlogK = ((0.0 + em0 * u11, 0.0 + em0 * u21), (0.0 + em0 * u12, 0.0 + em0 * u22))
-    return ConformalJets(
-        lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K, u1=u1, u2=u2, ddlogK=ddlogK
-    )
+@cache
+def _pipeline_kernel():
+    """The module docstring's ``Jet`` formulas as one float function with every float op
+    in order (0.0*x terms, 1.0*x and /1.0 factors, sums from 0.0), so slots keep their bits."""
+    lines = []
+    order = {size: n for n, size in jets._SIZE.items()}
+
+    def let(expr: str) -> str:  # one local per slot
+        lines.append(f"v{len(lines)} = {expr}")
+        return f"v{len(lines) - 1}"
+
+    def each(template: str, *fields) -> tuple:
+        return tuple(let(template.format(*xs)) for xs in zip(*fields))
+
+    def mul(a, b, first_b=0):  # jets._MUL_KERNELS, or _PERTURB_KERNELS with first_b=1
+        sums = [["0.0"] for _ in range(min(len(a), len(b)))]
+        for i, j, k in jets._MUL_TABLE[order[len(sums)]]:
+            if j >= first_b:
+                sums[k].append(f"{a[i]}*{b[j]}")
+        return tuple(let(" + ".join(terms)) for terms in sums)
+
+    def e(axis, f):  # jets.diff's table lists the output slots in order
+        return mul(em, [let(f"{c!r}*{f[i]}") for i, c, _ in jets._DIFF_TABLE[order[len(f)], axis]])
+
+    def compose(f, derivs):
+        taylor = [let(f"{d} / {jets._FACTORIALS[k]!r}") for k, d in enumerate(derivs)]
+        result = (let(f"{taylor[-1]} + 0.0"),) + ("0.0",) * (len(f) - 1)
+        for t in reversed(taylor[:-1]):
+            result = mul(result, f, first_b=1)
+            result = (let(f"{result[0]} + {t}"),) + result[1:]
+        return result
+
+    lam, d1, d2 = ([f"{x}{i}" for i in range(n)] for x, n in (("l", 15), ("p", 10), ("q", 10)))
+    minus_lam = each("-{}", lam)
+    em = compose(minus_lam, [let(f"exp({minus_lam[0]})")] * 5)
+    c1, c2 = mul(em, d2), each("-{}", mul(em, d1))
+    # c1 and c2 are squared at order 2, the order of K, which drops the other slots.
+    K = each("{} - {}", each("{} - {}", e(1, c2), e(2, c1)), mul(c1[:6], c1[:6]))
+    K = each("{} - {}", K, mul(c2[:6], c2[:6]))
+    head = [em, c1, c2, K, e(1, K), e(2, K)]
+    lines.append(f"if {K[0]} == 0.0: return {head}, None")
+    lines.append(f"r0, r1, r2 = reciprocal_derivs({K[0]}, 2)")
+    inverse_K = compose(K, ["r0", "r1", "r2"])
+    u1, u2 = mul(head[4], inverse_K), mul(head[5], inverse_K)
+    ddlogK = tuple(tuple(f"0.0 + {em[0]}*{u[i]}" for u in (u1, u2)) for i in (1, 2))
+    lines.append(f"return {head + [u1, u2]}, {ddlogK}")
+    namespace = {"exp": math.exp, "reciprocal_derivs": jets.reciprocal_derivs}
+    source = f"def kernel({', '.join(lam + d1 + d2)}):\n    " + "\n    ".join(lines) + "\n"
+    exec(source.replace("'", ""), namespace)  # the return lines print slot names quoted
+    return namespace["kernel"]
 
 
 def surface_jets(surface: ConformalSurface, x: Point) -> ConformalJets:

@@ -29,6 +29,9 @@ parsed back from those lines; the serialisers must give the same bytes.
 built its matrix from the checked order-4 values, and ``base_rhs_reference``
 the base flow as it read e^-lambda, c112 and c212 from an order-2 lambda jet;
 ``lift.lifted_frame`` and ``geodesic.integrate_base`` must keep their bits.
+``conformal_pipeline_jets`` is the order-4 conformal pipeline as ``Jet``
+arithmetic, the formulas whose float operations ``surface._pipeline_kernel``
+writes out; the kernel must give the same bits, or the same exception.
 """
 
 from __future__ import annotations
@@ -616,6 +619,34 @@ def deviation_nested(a: tuple, b: tuple) -> float:
     while isinstance(a[0], tuple):
         a, b = [v for row in a for v in row], [v for row in b for v in row]
     return max(abs(x - y) for x, y in zip(a, b))
+
+
+def conformal_pipeline_jets(lam: jets.Jet) -> ConformalJets:
+    """``surface.conformal_pipeline`` as ``Jet`` arithmetic, the formulas its
+    generated kernel spells out float by float."""
+    if lam.order != 4:
+        raise ValueError("conformal pipeline needs a lambda jet of order 4")
+    em = jets.exp(-lam)
+    c1 = em * jets.diff(lam, 2)
+    c2 = -(em * jets.diff(lam, 1))
+
+    def e(axis: int, f: jets.Jet) -> jets.Jet:
+        return em * jets.diff(f, axis)
+
+    K = e(1, c2) - e(2, c1) - c1 * c1 - c2 * c2
+    e1K = e(1, K)
+    e2K = e(2, K)
+    if K.value == 0.0:
+        return ConformalJets(lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K)
+    inverse_K = jets.reciprocal(K)  # what e1K / K and e2K / K would each compute
+    u1 = e1K * inverse_K
+    u2 = e2K * inverse_K
+    # e_i(u_j).value is the order-0 product em * d_i(u_j): 0.0 + em0 * u_j's slot i.
+    em0, (_, u11, u12), (_, u21, u22) = em.value, u1._t, u2._t
+    ddlogK = ((0.0 + em0 * u11, 0.0 + em0 * u21), (0.0 + em0 * u12, 0.0 + em0 * u22))
+    return ConformalJets(
+        lam=lam, em=em, c1=c1, c2=c2, K=K, e1K=e1K, e2K=e2K, u1=u1, u2=u2, ddlogK=ddlogK
+    )
 
 
 def conformal_pipeline_two_reciprocals(lam: jets.Jet) -> ConformalJets:

@@ -13,12 +13,16 @@ they replace on 2000 random inputs each.  On 2000 random frame records the
 bracket oracle's forward substitution keeps the jet route's bits and agrees
 with the LAPACK solve it replaced within a stated backward-error bound.  The
 lifted frame's rows are compared with the matrix its record used to hold.
+The generated order-4 pipeline kernel is compared with the ``Jet`` formulas it
+writes out on 3000 random jets and at a zero curvature, an overflow of
+e^-lambda and a jet of the wrong order.
 """
 
 import math
 import random
 import struct
 import sys
+from collections import Counter
 
 import pytest
 
@@ -28,6 +32,7 @@ from _oracles import (
     base_frame_point,
     bracket_structure_jets,
     bracket_structure_lapack,
+    conformal_pipeline_jets,
     conformal_pipeline_two_reciprocals,
     curvature_jets,
     curvature_loop,
@@ -54,7 +59,21 @@ from wagnerlift.surface import (
     catalog,
     conformal_pipeline,
     sample_points,
+    surface_jets,
 )
+
+
+@pytest.fixture(autouse=True, scope="module")
+def _warm_pipelines():
+    """Until CPython specializes a float product or sum it returns the second
+    of two NaN operands, and after it the first.  So the pipeline kernel and
+    the jet routes it is compared with run a few times before any test here."""
+    warm = Jet(4, tuple(0.1 * k for k in range(1, 16)))
+    for _ in range(16):
+        for pipeline in (conformal_pipeline, conformal_pipeline_jets,
+                         conformal_pipeline_two_reciprocals):
+            pipeline(warm)
+
 
 SIGNED_ZERO_POINTS = (
     (0.0, 0.0),
@@ -407,6 +426,83 @@ def test_conformal_pipeline_matches_the_two_reciprocal_route_bit_for_bit():
             u = p.u1._t + p.u2._t if p.u1 is not None else ()
             non_finite_u += not all(map(math.isfinite, u))
     assert non_finite_u > 200
+
+
+# -- the generated pipeline kernel against the Jet formulas it writes out --------
+
+def _pipeline_outcome(pipeline, lam: Jet):
+    """The record's field orders and packed slots, or the type and message of
+    the exception that ``pipeline`` raises on ``lam``."""
+    try:
+        p = pipeline(lam)
+    except Exception as err:  # noqa: BLE001 - both routes must fail alike
+        return (type(err), str(err))
+    fields = [getattr(p, name) for name in ("em", "c1", "c2", "K", "e1K", "e2K", "u1", "u2")]
+    values = [c for f in fields if f is not None for c in f._t] + _flat(p.ddlogK or ())
+    orders = [None if f is None else f.order for f in fields]
+    return p.lam is lam, orders, p.ddlogK is None, struct.pack(f"<{len(values)}d", *values)
+
+
+def _random_lambda_jet(rng: random.Random) -> Jet:
+    """Order-4 jets with specials in any slot, huge slots whose products
+    overflow, values past exp's overflow, and affine jets (K often 0.0)."""
+    scale = rng.choice((3.0, 3.0, 1e100, 1e160, 1e300))
+    taylor = [_special_or_uniform(rng, rng.choice((0.0, 0.05)), scale) for _ in range(15)]
+    taylor[0] = rng.choice((rng.uniform(-2.0, 2.0),) * 5 + (rng.uniform(-800.0, 800.0), -1e300))
+    if rng.random() < 0.15:  # a constant or an affine lambda
+        keep = rng.choice((1, 3))
+        taylor[keep:] = [0.0] * (15 - keep)
+    return Jet(4, tuple(taylor))
+
+
+def test_pipeline_kernel_matches_the_jet_formulas_bit_for_bit():
+    rng = random.Random(1406)
+    kinds = Counter()
+    for _ in range(3000):
+        lam = _random_lambda_jet(rng)
+        expected = _pipeline_outcome(conformal_pipeline_jets, lam)
+        assert _pipeline_outcome(conformal_pipeline, lam) == expected, lam
+        if len(expected) == 2:
+            kinds[expected[0].__name__] += 1
+        elif expected[2]:
+            kinds["K == 0"] += 1
+        else:
+            values = [v for (v,) in struct.iter_unpack("<d", expected[3])]
+            kinds["finite" if all(map(math.isfinite, values)) else "non-finite"] += 1
+    assert kinds["DomainError"] > 200 and kinds["K == 0"] > 200, kinds
+    assert kinds["finite"] > 500 and kinds["non-finite"] > 1000, kinds
+
+
+LINE = ConformalSurface.from_config({"name": "line", "lambda": "x1"})
+
+
+@pytest.mark.parametrize("x", SIGNED_ZERO_POINTS + ((0.3, -0.2),))
+def test_pipeline_kernel_keeps_an_exactly_zero_curvature(x):
+    p = surface_jets(LINE, x)
+    assert p.K.value == 0.0
+    assert p.u1 is None and p.u2 is None and p.ddlogK is None
+    assert _pipeline_outcome(lambda lam: p, p.lam) == _pipeline_outcome(
+        conformal_pipeline_jets, p.lam
+    )
+
+
+def test_pipeline_kernel_names_an_exp_overflow_and_its_point():
+    steep = ConformalSurface.from_config({"name": "steep", "lambda": "-1000 + x1"})
+    x = (0.0, 0.0)
+    with pytest.raises(DomainError) as jet_route:
+        conformal_pipeline_jets(steep.lambda_jet(x, 4))
+    with pytest.raises(DomainError) as kernel_route:
+        surface_jets(steep, x)
+    assert str(kernel_route.value) == f"{jet_route.value} at point {x!r}"
+    assert str(kernel_route.value) == "exp overflows at value 1000.0 at point (0.0, 0.0)"
+
+
+@pytest.mark.parametrize("order", (0, 1, 2, 3))
+def test_pipeline_kernel_rejects_a_jet_not_of_order_four(order):
+    lam = Jet(order, tuple(0.5 for _ in Jet.constant(0.0, order)._t))
+    outcome = _pipeline_outcome(conformal_pipeline, lam)
+    assert outcome == _pipeline_outcome(conformal_pipeline_jets, lam)
+    assert outcome == (ValueError, "conformal pipeline needs a lambda jet of order 4")
 
 
 def test_first_partials_are_the_first_three_raw_partials():

@@ -5,8 +5,9 @@ it, ``lift`` binds only ``verify_lift`` from it, and ``cli`` only parses
 arguments and prints what ``verify.report`` returns.  A value that only one
 caller ever sets is a module constant, not a keyword, so the public
 functions keep exactly the defaulted parameters listed here.  The frame
-kernels and the closed curvature table are generated on first use, so a
-command that needs none of them pays for none at setup.
+kernels, the closed curvature table and the order-4 pipeline kernel are
+generated on first use, so a command that needs none of them pays for none
+at setup.
 """
 
 import ast
@@ -165,14 +166,19 @@ def test_public_functions_keep_only_the_pinned_defaulted_parameters():
 
 _KERNEL_PROBE = """
 import contextlib, io, sys
-from wagnerlift import cli, connection, lift
+from wagnerlift import cli, connection, lift, surface
 kernels = (connection._koszul_kernel, connection._curvature_kernel, lift._closed_table_kernel)
 assert [k.cache_info().currsize for k in kernels] == [0, 0, 0]
 with contextlib.redirect_stdout(io.StringIO()):
-    assert cli.run(["surface", "info", "--surface", "sphere", "--at", "0.3,0.2"]) == 0
     assert cli.run(["geodesic", "--surface", "bump", "--start", "0.1,0.2,0",
                     "--velocity", "0.6,0,0.8", "--t-max", "0.05", "--step", "0.01",
                     "--wong"]) == 0
+    assert cli.run(["base-geodesic", "--surface", "sphere", "--start", "0.1,0.2",
+                    "--velocity", "0.6,0.8", "--t-max", "0.05", "--step", "0.01"]) == 0
+pipeline = [surface._pipeline_kernel.cache_info().currsize]
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["surface", "info", "--surface", "sphere", "--at", "0.3,0.2"]) == 0
+pipeline.append(surface._pipeline_kernel.cache_info().currsize)
 built = [k.cache_info().currsize for k in kernels]
 connection._koszul_kernel(2)  # built here, so nothing above took it
 print(built, connection._koszul_kernel.cache_info().currsize)
@@ -183,6 +189,7 @@ print([k.cache_info().currsize for k in kernels])
 with contextlib.redirect_stdout(io.StringIO()):
     assert cli.run(["verify", "--surface", "sphere", "--samples", "2"]) == 0
 print("numpy" in sys.modules)
+print(pipeline)
 """
 
 
@@ -192,7 +199,9 @@ def test_surface_info_and_geodesic_build_no_curvature_kernel():
     # contract a written-out dim-2 Koszul kernel, and nothing takes the dim-3
     # curvature kernel or the closed curvature table, whose compiles would
     # land in their setup time.  ``lift table`` builds the dim-3 Koszul
-    # kernel and the closed table, and still no curvature kernel.
+    # kernel and the closed table, and still no curvature kernel.  The flows
+    # read the order-3 frame fields, so only ``surface info`` of these
+    # builds the order-4 pipeline kernel.
     path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
     probe = subprocess.run(
         [sys.executable, "-c", _KERNEL_PROBE], capture_output=True, text=True,
@@ -202,3 +211,4 @@ def test_surface_info_and_geodesic_build_no_curvature_kernel():
     assert probe.stdout.split("\n")[:2] == ["[0, 0, 0] 1", "[1, 0, 1]"]
     # The library needs only the standard library: no command imports numpy.
     assert probe.stdout.split("\n")[2] == "False"
+    assert probe.stdout.split("\n")[3] == "[0, 1]"

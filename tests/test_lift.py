@@ -132,6 +132,18 @@ def test_nonholonomity_works_on_flat_surfaces():
     assert nonholonomity(FLAT, (0.3, 0.4)) == pytest.approx(0.0, abs=1e-14)
 
 
+def test_nonholonomity_names_the_point_where_e_minus_lambda_underflows():
+    # e^-800 is 0.0, and the re-expansion divides the bracket by it; the
+    # bracket oracle stops before that, at the vanishing curvature.
+    steep = ConformalSurface.from_config({"name": "steep", "lambda": "800 + 0.1*x1"})
+    with pytest.raises(DomainError) as caught:
+        nonholonomity(steep, (0.0, 0.0))
+    assert type(caught.value) is DomainError
+    assert str(caught.value) == "e^-lambda underflows to 0.0 at point (0.0, 0.0)"
+    with pytest.raises(SingularCurvature):
+        bracket_structure(steep, (0.0, 0.0))
+
+
 @pytest.mark.parametrize("name", ALL_SURFACES)
 def test_nonholonomity_equals_minus_curvature(name):
     surface = catalog(name)

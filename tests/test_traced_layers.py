@@ -88,3 +88,26 @@ def test_a_second_verify_run_still_reaches_the_dominant_layers(monkeypatch):
     assert lift.verify_lift(custom, 30, 1, 1e-8).passed
     for module, name in layers:
         assert counts[f"{module.__name__}.{name}"] > 0, name
+
+
+def test_a_warm_verify_point_runs_the_pipeline_kernel_on_two_lambda_partials(monkeypatch):
+    # On a compiled tape the order-4 record takes the two first partials of
+    # lambda's jet and the generated pipeline kernel, and no Jet arithmetic.
+    custom = surface.ConformalSurface(
+        name="custom", lam=expr.parse("x1^2 + x2^2 + 0.05*sin(x1 - 2*x2)")
+    )
+    lift.verify_lift(custom, 30, 1, 1e-8)
+    assert custom._lam_tape.compiled[4] is not None
+    counts = _count_calls(monkeypatch, [(jets, "diff"), (jets, "compose")])
+    multiply = jets.Jet.__mul__
+
+    def counted(*args):
+        counts["wagnerlift.jets.Jet.__mul__"] += 1
+        return multiply(*args)
+
+    monkeypatch.setattr(jets.Jet, "__mul__", counted)
+    monkeypatch.setattr(jets.Jet, "__rmul__", counted)
+    assert lift.verify_lift(custom, 1, 2, 1e-8).passed
+    assert counts["wagnerlift.jets.diff"] == 2
+    assert counts["wagnerlift.jets.compose"] == 0
+    assert counts["wagnerlift.jets.Jet.__mul__"] == 0
