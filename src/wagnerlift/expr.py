@@ -402,7 +402,7 @@ def _compile(tape: Tape, order: int):
     """``tape`` at ``order`` as one generated function ``(x1, x2) -> Taylor
     tuple``, or None when an exponent depends on x1/x2 or an output is a
     known NaN."""
-    src = _Source(order)
+    src = _Source()
     r = [[x, *tail] for x, tail in zip(("x1", "x2"), _SEED_TAILS[order])]
     r += [[v] + [0.0] * (jets._SIZE[order] - 1) for v in tape._leaves]
     names = {fn: name for name, fn in jets.FUNCTIONS.items()}
@@ -434,24 +434,20 @@ def _compile(tape: Tape, order: int):
 
 
 class _Source:
-    """Straight-line float code for one tape at one order.
+    """Straight-line float code for jet operations on lists of Taylor slots, whose
+    length gives their order: the compiled tapes and ``surface._pipeline_kernel``.
 
     A slot is a float known at compile time or the name of a local.  The code
     performs the jets' float operations in their order, less those whose
     result is known: known operands fold; x*1.0, x*-1.0 (as -x), x + -0.0 and
     x - 0.0 give x; and a product term with a +-0.0 factor is left out, which
     changes no kernel sum (they start at +0.0) unless the other factor is not
-    finite.  So the function sums those factors and its outputs, and raises
+    finite.  So a tape's function sums those factors and its outputs, and raises
     ``FloatingPointError`` when the sum t is not finite (t - t is then NaN;
     a sum that overflows only sends the point to the jets).
     """
 
-    def __init__(self, order: int):
-        self.order = order
-        # Per output slot, the (i, j) of its product terms in kernel order.
-        self.terms = [[] for _ in range(jets._SIZE[order])]
-        for i, j, k in jets._MUL_TABLE[order]:
-            self.terms[k].append((i, j))
+    def __init__(self):
         self.lines: list[str] = []
         self.names: dict = {"log": math.log, "exp": math.exp}
         self.tested: dict[str, None] = {}
@@ -459,6 +455,8 @@ class _Source:
     def text(self, s) -> str:
         if isinstance(s, str):
             return s
+        if isinstance(s, list):  # as a tuple
+            return f"({''.join(f'{self.text(x)}, ' for x in s)})"
         if math.isfinite(s):
             return repr(s)
         self.names[f"c{len(self.names)}"] = s  # inf and nan have no literal
@@ -477,9 +475,10 @@ class _Source:
         return self.local(f"{self.text(a)} {sign} {self.text(b)}")
 
     def mul(self, a: list, b: list, first_b: int = 0) -> list:
-        """``a * b`` less the terms of ``b``'s slots below ``first_b``."""
+        """``a * b`` at the shorter list's order, as ``Jet.__mul__`` truncates,
+        less the terms of ``b``'s slots below ``first_b``."""
         out = []
-        for pairs in self.terms:
+        for pairs in jets._PRODUCT_TERMS[: min(len(a), len(b))]:
             acc, chain = 0.0, ""  # the known leading partial sum, then the rest
             for i, j in (pair for pair in pairs if pair[1] >= first_b):
                 x, y = a[i], b[j]
@@ -505,8 +504,11 @@ class _Source:
 
     def compose(self, f: list, derivs) -> list:
         """``jets.compose`` of ``f`` with ``derivs(f[0], order)``; ``jets._log``
-        and ``jets._exp`` run inline, other sequences by name."""
-        n = self.order
+        and ``jets._exp`` run inline, other sequences by name.  The first Horner step's
+        zero slots times the perturbation p change no slot: they are +-0.0 in sums from
+        +0.0, or lie above the degree of p's first non-finite slot, a floor that each
+        later step raises by one (p has no value slot), past the order."""
+        n = jets._ORDER[len(f)]
         if isinstance(f[0], str) and derivs is jets._log:
             self.lines.append(f"if {f[0]} <= 0.0: raise FloatingPointError")
             d = [self.local(f"log({f[0]})")]
@@ -543,13 +545,16 @@ class _Source:
             return None  # the sign of a folded NaN depends on how it was computed
         self.tested.update(dict.fromkeys(s for s in out if isinstance(s, str)))
         tested = list(self.tested)
-        body = list(self.lines)
         for i in range(0, len(tested), 64):  # short sums keep Python's compiler shallow
-            body.append("t = " + " + ".join(["t"] * (i > 0) + tested[i : i + 64]))
+            self.lines.append("t = " + " + ".join(["t"] * (i > 0) + tested[i : i + 64]))
         if tested:
-            body.append("if t - t != 0.0: raise FloatingPointError")
-        body.append(f"return ({', '.join(map(self.text, out))},)")
-        exec("def compiled(x1, x2):\n    " + "\n    ".join(body), self.names)
+            self.lines.append("if t - t != 0.0: raise FloatingPointError")
+        self.lines.append(f"return {self.text(out)}")
+        return self.define("x1, x2")
+
+    def define(self, params: str):
+        """The lines as the body of a function of ``params``."""
+        exec(f"def compiled({params}):\n    " + "\n    ".join(self.lines), self.names)
         return self.names["compiled"]
 
 

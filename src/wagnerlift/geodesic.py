@@ -369,7 +369,11 @@ def integrate_lift(
                                lambda y: stage(y[0], y[1], *y[3:], keep),
                                partial(_lift_sample, stage, keep))
     x = (states[-1][0], states[-1][1])  # the final sample has no stage 1, nor its K test
-    K = conformal_laplacian_curvature(surface, x)
+    try:
+        K = conformal_laplacian_curvature(surface, x)
+    except (ChartDomainError, DomainError) as failure:  # only the final sample left the domain
+        failure.last_valid_t = times[-2]
+        raise
     if abs(K) < KAPPA_MIN:
         raise SingularCurvature(x, K)
     speed, monitor = [], []

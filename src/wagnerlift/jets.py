@@ -9,14 +9,14 @@ Taylor-scaled (divided by a!·b!) so that multiplication is a plain truncated
 polynomial product; the public accessors return raw derivative values.
 
 Products run through straight-line kernels generated at import, one per order,
-from ``_MUL_TABLE``: each kernel unpacks two coefficient tuples into locals and
-returns every output slot as ``0.0 + a[i]*b[j] + ...`` with the terms in table
-order.  That is the same sequence of roundings as accumulating
-``out[k] += a[i]*b[j]`` over the table from a zero-filled list, so the
-kernels are bit-identical to that loop, signed zeros included.  Because every
-slot sum starts from +0.0, no kernel output is -0.0; adding the constant
-Taylor term in ``compose`` therefore touches slot 0 only, since adding 0.0 to
-the other slots would change no bit.
+from ``_PRODUCT_TERMS`` (``_MUL_TABLE`` by output slot, which ``expr._Source``
+also reads): each kernel unpacks two coefficient tuples into locals and returns
+every output slot as ``0.0 + a[i]*b[j] + ...`` with the terms in table order.
+That is the same sequence of roundings as accumulating ``out[k] += a[i]*b[j]``
+over the table from a zero-filled list, so the kernels are bit-identical to
+that loop, signed zeros included.  Because every slot sum starts from +0.0, no
+kernel output is -0.0; adding the constant Taylor term in ``compose`` therefore
+touches slot 0 only, since adding 0.0 to the other slots would change no bit.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ def _monomials(order: int) -> list[tuple[int, int]]:
 MONOMIALS = {n: _monomials(n) for n in range(MAX_ORDER + 1)}
 _INDEX = {n: {ab: i for i, ab in enumerate(MONOMIALS[n])} for n in range(MAX_ORDER + 1)}
 _SIZE = {n: len(MONOMIALS[n]) for n in range(MAX_ORDER + 1)}
+_ORDER = {size: n for n, size in _SIZE.items()}  # the order of a Taylor slot count
 
 # (i, j, k): coefficient i times coefficient j contributes to output slot k.
 _MUL_TABLE: dict[int, list[tuple[int, int, int]]] = {}
@@ -50,6 +51,11 @@ for _n in range(MAX_ORDER + 1):
             if _a1 + _a2 + _b1 + _b2 <= _n:
                 _tbl.append((_i, _j, _INDEX[_n][(_a1 + _a2, _b1 + _b2)]))
     _MUL_TABLE[_n] = _tbl
+
+# Per output slot k, the (i, j) of a product's terms a[i]*b[j] in ``_MUL_TABLE``'s
+# order.  They do not depend on the order, so order n reads the first _SIZE[n] slots.
+_PRODUCT_TERMS = [[(i, j) for i, j, k in _MUL_TABLE[MAX_ORDER] if k == slot]
+                  for slot in range(_SIZE[MAX_ORDER])]
 
 # (src, factor, dst): Taylor coefficients of the partial derivative.
 _DIFF_TABLE: dict[tuple[int, int], list[tuple[int, float, int]]] = {}
@@ -77,13 +83,9 @@ def _product_kernel(n: int, first_b: int):
     """Straight-line product of two order-``n`` coefficient tuples, less the
     terms of ``b``'s slots below ``first_b``."""
     size = _SIZE[n]
-    sums = [["0.0"] for _ in range(size)]
-    for i, j, k in _MUL_TABLE[n]:
-        if j >= first_b:
-            sums[k].append(f"a{i}*b{j}")
-    a = ", ".join(f"a{i}" for i in range(size))
-    b = ", ".join(f"b{i}" for i in range(size))
-    slots = ", ".join(" + ".join(terms) for terms in sums)
+    a, b = (", ".join(f"{x}{i}" for i in range(size)) for x in "ab")
+    slots = ", ".join(" + ".join(["0.0"] + [f"a{i}*b{j}" for i, j in terms if j >= first_b])
+                      for terms in _PRODUCT_TERMS[:size])
     namespace: dict = {}
     exec(f"def kernel(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
     return namespace["kernel"]

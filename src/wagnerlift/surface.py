@@ -9,8 +9,8 @@ conformal factor at the point, so derivatives are exact up to roundoff:
     c112 = e^(-lambda) d2(lambda)        c212 = -e^(-lambda) d1(lambda)
     K    = e1(c212) - e2(c112) - c112^2 - c212^2   ( = -e^(-2 lambda) Lap(lambda) )
 
-One float function, generated on first use, computes the record with every
-float operation of these formulas' ``Jet`` arithmetic in order, so it keeps their bits.
+One float function, which ``expr._Source`` writes on first use, computes the
+record with these formulas' ``Jet`` float operations in order, so it keeps their bits.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from . import jets
-from .expr import Expr, Tape, eval_jet, format_expr, parse
+from .expr import Expr, Tape, _Source, eval_jet, format_expr, parse
 from .jets import DomainError, Jet
 
 Point = tuple[float, float]
@@ -169,54 +169,27 @@ def conformal_pipeline(lam: Jet) -> ConformalJets:
 
 @cache
 def _pipeline_kernel():
-    """The module docstring's ``Jet`` formulas as one float function with every float op
-    in order (0.0*x terms, 1.0*x and /1.0 factors, sums from 0.0), so slots keep their bits."""
-    lines = []
-    order = {size: n for n, size in jets._SIZE.items()}
-
-    def let(expr: str) -> str:  # one local per slot
-        lines.append(f"v{len(lines)} = {expr}")
-        return f"v{len(lines) - 1}"
-
-    def each(template: str, *fields) -> tuple:
-        return tuple(let(template.format(*xs)) for xs in zip(*fields))
-
-    def mul(a, b, first_b=0):  # jets._MUL_KERNELS, or _PERTURB_KERNELS with first_b=1
-        sums = [["0.0"] for _ in range(min(len(a), len(b)))]
-        for i, j, k in jets._MUL_TABLE[order[len(sums)]]:
-            if j >= first_b:
-                sums[k].append(f"{a[i]}*{b[j]}")
-        return tuple(let(" + ".join(terms)) for terms in sums)
-
-    def e(axis, f):  # jets.diff's table lists the output slots in order
-        return mul(em, [let(f"{c!r}*{f[i]}") for i, c, _ in jets._DIFF_TABLE[order[len(f)], axis]])
-
-    def compose(f, derivs):
-        taylor = [let(f"{d} / {jets._FACTORIALS[k]!r}") for k, d in enumerate(derivs)]
-        result = (let(f"{taylor[-1]} + 0.0"),) + ("0.0",) * (len(f) - 1)
-        for t in reversed(taylor[:-1]):
-            result = mul(result, f, first_b=1)
-            result = (let(f"{result[0]} + {t}"),) + result[1:]
-        return result
-
+    """The module docstring's formulas as one float function by ``expr._Source``, which
+    keeps the ``Jet`` bits: it leaves out only x/1.0, 1.0*x and ``compose``'s idle 0.0*x."""
+    src = _Source()
     lam, d1, d2 = ([f"{x}{i}" for i in range(n)] for x, n in (("l", 15), ("p", 10), ("q", 10)))
-    minus_lam = each("-{}", lam)
-    em = compose(minus_lam, [let(f"exp({minus_lam[0]})")] * 5)
-    c1, c2 = mul(em, d2), each("-{}", mul(em, d1))
+    em = src.compose([src.local(f"-{x}") for x in lam], jets._exp)
+    c1, c2 = src.mul(em, d2), [src.local(f"-{x}") for x in src.mul(em, d1)]
+
+    def e(axis, f):  # em * jets.diff(f, axis)
+        table = jets._DIFF_TABLE[jets._ORDER[len(f)], axis]
+        return src.mul(em, [f[i] if c == 1.0 else src.local(f"{c!r}*{f[i]}") for i, c, _ in table])
+
     # c1 and c2 are squared at order 2, the order of K, which drops the other slots.
-    K = each("{} - {}", each("{} - {}", e(1, c2), e(2, c1)), mul(c1[:6], c1[:6]))
-    K = each("{} - {}", K, mul(c2[:6], c2[:6]))
+    squares = zip(e(1, c2), e(2, c1), src.mul(c1[:6], c1[:6]), src.mul(c2[:6], c2[:6]))
+    K = [src.op(src.op(src.op(a, "-", b), "-", c), "-", d) for a, b, c, d in squares]
     head = [em, c1, c2, K, e(1, K), e(2, K)]
-    lines.append(f"if {K[0]} == 0.0: return {head}, None")
-    lines.append(f"r0, r1, r2 = reciprocal_derivs({K[0]}, 2)")
-    inverse_K = compose(K, ["r0", "r1", "r2"])
-    u1, u2 = mul(head[4], inverse_K), mul(head[5], inverse_K)
-    ddlogK = tuple(tuple(f"0.0 + {em[0]}*{u[i]}" for u in (u1, u2)) for i in (1, 2))
-    lines.append(f"return {head + [u1, u2]}, {ddlogK}")
-    namespace = {"exp": math.exp, "reciprocal_derivs": jets.reciprocal_derivs}
-    source = f"def kernel({', '.join(lam + d1 + d2)}):\n    " + "\n    ".join(lines) + "\n"
-    exec(source.replace("'", ""), namespace)  # the return lines print slot names quoted
-    return namespace["kernel"]
+    src.lines.append(f"if {K[0]} == 0.0: return {src.text(head)}, None")
+    inverse_K = src.compose(K, jets.reciprocal_derivs)
+    u1, u2 = src.mul(head[4], inverse_K), src.mul(head[5], inverse_K)
+    ddlogK = [[src.mul(em, [u[i]])[0] for u in (u1, u2)] for i in (1, 2)]
+    src.lines.append(f"return {src.text(head + [u1, u2])}, {src.text(ddlogK)}")
+    return src.define(", ".join(lam + d1 + d2))
 
 
 def surface_jets(surface: ConformalSurface, x: Point) -> ConformalJets:

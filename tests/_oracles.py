@@ -30,8 +30,9 @@ built its matrix from the checked order-4 values, and ``base_rhs_reference``
 the base flow as it read e^-lambda, c112 and c212 from an order-2 lambda jet;
 ``lift.lifted_frame`` and ``geodesic.integrate_base`` must keep their bits.
 ``conformal_pipeline_jets`` is the order-4 conformal pipeline as ``Jet``
-arithmetic, the formulas whose float operations ``surface._pipeline_kernel``
-writes out; the kernel must give the same bits, or the same exception.
+arithmetic, the formulas that ``expr._Source`` writes out as
+``surface._pipeline_kernel`` less float operations that change no bit; the
+kernel must give the same bits, or the same exception.
 """
 
 from __future__ import annotations
@@ -623,7 +624,7 @@ def deviation_nested(a: tuple, b: tuple) -> float:
 
 def conformal_pipeline_jets(lam: jets.Jet) -> ConformalJets:
     """``surface.conformal_pipeline`` as ``Jet`` arithmetic, the formulas its
-    generated kernel spells out float by float."""
+    generated kernel writes out, less float operations that change no bit."""
     if lam.order != 4:
         raise ValueError("conformal pipeline needs a lambda jet of order 4")
     em = jets.exp(-lam)

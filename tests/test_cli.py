@@ -3,6 +3,7 @@
 import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
@@ -11,9 +12,10 @@ from pathlib import Path
 import pytest
 
 import wagnerlift
-from wagnerlift import cli
+from wagnerlift import cli, geodesic
 from wagnerlift import surface as surface_module
 from wagnerlift.cli import run
+from wagnerlift.surface import catalog
 
 FLAT_CONFIG = {"name": "flat", "lambda": "0", "guard": "all"}
 
@@ -490,6 +492,52 @@ def test_mid_flight_failure_prints_last_valid_time(tmp_path, capsys):
     assert code == 3
     assert captured.out == ""
     assert captured.err.splitlines()[-1] == "last valid t: 1.06"
+
+
+_SPHERE = "log(2) - log(1 + x1^2 + x2^2)"
+_SUITE_VELOCITY = (0.6, 0.1 * random.Random(0).random(), 0.8)  # verify's first geodesic, seed 0
+
+
+def _pinhole_sphere(tmp_path, where: str) -> tuple[str, float, list]:
+    """The sphere with a point missing where verify's first suite geodesic at
+    seed 0 ends: a disc of radius 1e-11 left out of the ``guard``, or a zero of
+    a log in ``lambda``.  Also the time of the sample before that end point."""
+    s0 = geodesic.LiftState(0.0, 0.0, 0.0, *_SUITE_VELOCITY)
+    trajectory = geodesic.integrate_lift(catalog("sphere"), s0, t_max=5.0, h=1e-3)
+    end = list(trajectory.states[-1][:2])
+    r2 = f"(x1 - ({end[0]!r}))^2 + (x2 - ({end[1]!r}))^2"
+    config = {"name": "pinhole", "lambda": _SPHERE, "guard": f"{r2} - 1e-22 > 0"}
+    if where == "lambda":
+        config = {"name": "pinhole", "lambda": f"{_SPHERE} + 0*log({r2})"}
+    path = tmp_path / "pinhole.json"
+    path.write_text(json.dumps({**config, "window": [[-2, 2], [-2, 2]]}))
+    return str(path), trajectory.t[-2], end
+
+
+def test_verify_reports_a_final_sample_outside_the_chart(tmp_path, capsys):
+    # Only the final sample of the geodesic leaves the chart; its K is
+    # evaluated after the integration loop.
+    surface, last_valid_t, end = _pinhole_sphere(tmp_path, "guard")
+    assert run(["verify", "--surface", surface, "--samples", "2", "--seed", "0"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    suite = json.loads(captured.out)["geodesic"]
+    assert suite["pass"] is False and suite["checks"] == [
+        {"name": "geodesic_left_chart", "t": last_valid_t, "point": end, "pass": False}
+    ]
+
+
+@pytest.mark.parametrize("where", ["guard", "lambda"])
+def test_a_failure_at_the_final_sample_prints_the_last_valid_time(tmp_path, capsys, where):
+    surface, last_valid_t, _ = _pinhole_sphere(tmp_path, where)
+    velocity = ",".join(map(repr, _SUITE_VELOCITY))
+    assert run(["geodesic", "--surface", surface, "--start", "0,0,0", "--velocity", velocity,
+                "--t-max", "5", "--step", "0.001"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = {"guard": "outside chart domain", "lambda": "log of non-positive value 0.0"}[where]
+    assert error in captured.err.splitlines()[0]
+    assert captured.err.splitlines()[-1] == f"last valid t: {last_valid_t!r}"
 
 
 def test_pointwise_failure_prints_no_time(capsys):

@@ -89,6 +89,15 @@ def test_conformal_jets_is_the_one_base_geometry_record():
     assert fields == ["c112", "c212", "c312", "c313", "c323", "K"]
 
 
+def test_surface_leaves_its_pipeline_kernel_to_the_one_jet_code_writer():
+    # ``expr._Source`` writes the order-4 pipeline kernel: surface runs no
+    # generated code of its own and reads no product term table.
+    names = {getattr(node, "id", None) or getattr(node, "attr", None)
+             for node in ast.walk(_tree("surface"))}
+    assert not names & {"exec", "eval", "_MUL_TABLE", "_PRODUCT_TERMS"}
+    assert "_Source" in _imports("surface")["expr"]
+
+
 def test_lift_takes_only_verify_lift_from_verify():
     imported = _imports("lift")
     assert not imported.keys() & {"json", "random"}, imported

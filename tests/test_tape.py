@@ -6,10 +6,13 @@ that order, which reruns a point on the jet path when it raises or meets a
 non-finite value.  The cases here compare the jet bits (``struct.pack``) or
 the exception type and message with ``eval_jet_reference``: on the jet path
 at four points per order, and on the compiled path after running each tape
-past the threshold.
+past the threshold.  The compositions and mixed-order products of
+``expr._Source``, which also writes ``surface``'s pipeline kernel, are compared
+with ``jets.compose`` and ``Jet.__mul__`` on random jets with special slots.
 """
 
 import itertools
+import math
 import pickle
 import random
 import struct
@@ -362,3 +365,72 @@ def test_inline_log_raises_where_jets_log_does():
     with pytest.raises(OverflowError):
         exp_tape._compiled[1](1e200, 0.5)
     assert _bits(exp_tape._compiled[1](float("-inf"), 0.5)) == _bits((0.0, 0.0, 0.0))
+
+
+# -- the lemma behind the pipeline kernel's left-out Horner terms ---------------
+
+_LEMMA_SPECIAL = (0.0, -0.0, 5e-324, 1e300, -1e300, math.inf, -math.inf, math.nan, -math.nan)
+_NON_FINITE = (math.inf, -math.inf, math.nan, -math.nan)
+
+
+def _slot_function(sizes, emit):
+    """``emit`` on lists of named slots, one list per size, as a function of
+    those slots returning ``emit``'s slot list."""
+    src = ex._Source()
+    lists = [[f"s{k}_{i}" for i in range(size)] for k, size in enumerate(sizes)]
+    out = emit(src, *lists)
+    src.lines.append(f"return {src.text(out)}")
+    return src.define(", ".join(name for names in lists for name in names))
+
+
+def _lemma_slot(rng: random.Random) -> float:
+    return rng.choice(_LEMMA_SPECIAL) if rng.random() < 0.2 else rng.uniform(-3.0, 3.0)
+
+
+def _lemma_jet(rng: random.Random, order: int) -> Jet:
+    """A jet with a value in every sequence's domain and special perturbation
+    slots; two in five have a non-finite one."""
+    taylor = [_lemma_slot(rng) for _ in range(jets._SIZE[order])]
+    if rng.random() < 0.4:
+        taylor[rng.randrange(1, len(taylor))] = rng.choice(_NON_FINITE)
+    taylor[0] = rng.uniform(0.1, 3.0)
+    return Jet(order, tuple(taylor))
+
+
+@pytest.mark.parametrize("order", range(1, jets.MAX_ORDER + 1))
+@pytest.mark.parametrize(
+    "derivs", [jets._exp, jets._log, jets.reciprocal_derivs, jets._sin, jets._atan],
+    ids=lambda derivs: derivs.__name__,
+)
+def test_source_compose_without_the_first_steps_zero_terms_keeps_the_jet_bits(derivs, order):
+    # ``_Source.compose`` leaves out the first Horner step's products of the
+    # perturbation with zero slots, with no finiteness test: they change no
+    # slot, non-finite perturbation slots included.
+    composed = _slot_function([jets._SIZE[order]], lambda src, f: src.compose(f, derivs))
+    warm = Jet(order, tuple(0.1 * k + 0.5 for k in range(jets._SIZE[order])))
+    for _ in range(16):  # CPython 3.11 picks a two-NaN result's sign by specialization state
+        composed(*warm._t)
+        jets.compose(warm, derivs(warm.value, order))
+    rng = random.Random(2300 + order)
+    non_finite = 0
+    for _ in range(2000):
+        jet = _lemma_jet(rng, order)
+        expected = _bits(jets.compose(jet, derivs(jet.value, order))._t)
+        assert _bits(composed(*jet._t)) == expected, jet
+        non_finite += not all(map(math.isfinite, jet._t[1:]))
+    assert non_finite > 600
+
+
+@pytest.mark.parametrize("orders", [(4, 2), (2, 4), (3, 1), (1, 0), (4, 0)], ids=str)
+def test_source_mul_of_mixed_orders_truncates_as_the_jets_do(orders):
+    sizes = [jets._SIZE[n] for n in orders]
+    product = _slot_function(sizes, lambda src, a, b: src.mul(a, b))
+    rng = random.Random(2310 + 10 * orders[0] + orders[1])
+    jet_pairs = [[Jet(n, tuple(_lemma_slot(rng) for _ in range(size)))
+                  for n, size in zip(orders, sizes)] for _ in range(2000)]
+    for a, b in jet_pairs[:16]:  # warm both, as above
+        product(*a._t, *b._t), a * b
+    for a, b in jet_pairs:
+        expected = a * b
+        assert expected.order == min(orders)
+        assert _bits(product(*a._t, *b._t)) == _bits(expected._t), (a, b)
