@@ -23,13 +23,12 @@ sampled data only: centered differences for the acceleration and the generic
 Koszul coefficients for the connection, independent of the integrator's
 right-hand side.
 
-Lambda is evaluated once per RK stage (``_lift_stage``).  At an accepted
-sample, stage 1 (which every rk45 retry reuses) also gives the frame fields
-kept for ``wong_residual`` and the Q3/K monitor's K = -e^(-2 lambda)
-Lap(lambda), which keeps the bits of an order-2 evaluation because the
-order-2 coefficients are a prefix of the order-3 ones; the final sample,
-which has no next step, is evaluated at order 2.  Each stage runs on a
-compiled branch and reruns on the jets where that branch cannot vouch for
+Lambda is evaluated once per RK stage (``_lift_stage``).  At every sample,
+the final one too, stage 1 (which every rk45 retry reuses) also gives the
+frame fields kept for ``wong_residual`` and the Q3/K monitor's K = -e^(-2
+lambda) Lap(lambda), which keeps the bits of an order-2 evaluation because
+the order-2 coefficients are a prefix of the order-3 ones.  Each stage runs
+on a compiled branch and reruns on the jets where that branch cannot vouch for
 its point (lambda not compiled, a guard that fails, a fallback, fields
 ``_checked`` rejects), so a fresh surface starts on the jets; an rk4 sample
 is the four stages and ``_rk4_step``'s sums written out.  The base flow
@@ -55,7 +54,6 @@ from .surface import (
     ConformalSurface,
     Point,
     SingularCurvature,
-    conformal_laplacian_curvature,
     frame_fields,
     frame_fields_from,
     laplacian_curvature_from,
@@ -105,8 +103,7 @@ class Trajectory:
     """Samples as parallel columns.  ``states`` holds the integrator's tuples,
     (x1, x2, phi, Q1, Q2, Q3) or (x1, x2, P1, P2) by ``kind``.  The Q3/K
     monitor and the Wong residual are None where absent; ``fields`` holds
-    ``frame_fields`` at every lifted sample but the last and at their
-    projections."""
+    ``frame_fields`` at every lifted sample and at their projections."""
 
     kind: str  # "lift" or "base"
     surface: ConformalSurface
@@ -285,10 +282,11 @@ def _integrate(
 ) -> tuple[list[float], list[tuple]]:
     """Times and states of the samples from (0, y0) to t_max.
 
-    ``first(y)`` gives ``f(y)`` at each accepted rk45 sample but the last,
-    once (retries reuse it).  An rk4 step of length h, the partial last step
-    too, is ``sample(y, h)``, by default ``_rk4_step(f, y, h, first(y))``.
-    Evaluation and step failures carry the last accepted time as ``last_valid_t``.
+    ``first(y)`` gives ``f(y)`` at each accepted rk45 sample and at the final
+    sample, once (retries reuse it).  An rk4 step of length h, the partial last
+    step too, is ``sample(y, h)``, by default ``_rk4_step(f, y, h, first(y))``.
+    Evaluation and step failures carry the last accepted time as ``last_valid_t``,
+    a failure at the final sample the time of the sample before it.
     """
     if h <= 0.0:
         raise ValueError("step size must be positive")
@@ -345,10 +343,12 @@ def _integrate(
                     h_try = h_step * max(growth, 0.2)
                 else:
                     h_try = h_step * max(0.2, _RK45_SAFETY * (atol / error) ** 0.2)
+        samples.append((t, y))
+        t = samples[-2][0]  # a failure at the final sample carries the time before it
+        first(y)
     except (SingularCurvature, ChartDomainError, DomainError, StepFailure) as failure:
         failure.last_valid_t = t
         raise
-    samples.append((t, y))
     return tuple(map(list, zip(*samples)))  # times, states
 
 
@@ -357,33 +357,25 @@ def integrate_lift(
 ) -> Trajectory:
     """Integrate the lifted geodesic flow from ``s0`` over [0, t_max].
 
-    Every sample carries the speed and the conserved-ratio monitor Q3/K, and
-    all but the last their frame fields.  Evaluation failures along the path
-    (chart guard, |K| below ``KAPPA_MIN``) abort the run with the last valid
-    time attached to the exception.
+    Every sample, the last included, carries the speed, the conserved-ratio
+    monitor Q3/K and its frame fields, all from its stage 1.  Evaluation
+    failures along the path (chart guard, |K| below ``KAPPA_MIN``) abort the
+    run with the last valid time attached to the exception.
     """
-    kept: list[tuple] = []  # stage 1's (K, fields) per sample but the last
+    kept: list[tuple] = []  # stage 1's (K, fields) per sample
     stage, keep = _lift_stage(surface), kept.append
     y0 = (s0.x1, s0.x2, s0.phi, s0.Q1, s0.Q2, s0.Q3)
     times, states = _integrate(lambda y: stage(y[0], y[1], *y[3:]), y0, t_max, h, method,
                                lambda y: stage(y[0], y[1], *y[3:], keep),
                                partial(_lift_sample, stage, keep))
-    x = (states[-1][0], states[-1][1])  # the final sample has no stage 1, nor its K test
-    try:
-        K = conformal_laplacian_curvature(surface, x)
-    except (ChartDomainError, DomainError) as failure:  # only the final sample left the domain
-        failure.last_valid_t = times[-2]
-        raise
-    if abs(K) < KAPPA_MIN:
-        raise SingularCurvature(x, K)
     speed, monitor = [], []
-    for y, K in zip(states, [info[0] for info in kept] + [K]):
+    for y, (K, _) in zip(states, kept):
         try:
             speed.append(math.sqrt(y[3] ** 2 + y[4] ** 2 + y[5] ** 2))
         except OverflowError:
             speed.append(math.inf)
         monitor.append(y[5] / K)
-    fields = [info[1] for info in kept] + [None]
+    fields = [info[1] for info in kept]
     wong = [None] * len(states)
     return Trajectory("lift", surface, method, h, times, states, speed, monitor, wong, fields)
 

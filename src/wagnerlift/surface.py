@@ -80,7 +80,10 @@ class ConformalSurface:
 
     def lambda_jet(self, x: Point, order: int) -> Jet:
         self.require(x)
-        return eval_jet(self._lam_tape, x, order)
+        try:
+            return eval_jet(self._lam_tape, x, order)
+        except DomainError as err:
+            raise DomainError(f"{err} at point {x!r}") from None
 
     @classmethod
     def from_config(cls, config: dict) -> "ConformalSurface":
@@ -101,6 +104,8 @@ class ConformalSurface:
                 raise ValueError
         except (TypeError, ValueError):
             raise ValueError(f"window needs two pairs of finite numbers, got {window!r}") from None
+        if not (math.isfinite(bounds[1] - bounds[0]) and math.isfinite(bounds[3] - bounds[2])):
+            raise ValueError(f"window needs a finite width on both axes, got {window!r}")
         return cls(name=name, lam=lam, guard=guard, window=(bounds[:2], bounds[2:]))
 
 

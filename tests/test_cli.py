@@ -444,8 +444,8 @@ def test_verify_reports_a_geodesic_leaving_the_chart(tmp_path, capsys):
     [
         # The base flow reads the order-3 frame fields, so it fails as
         # ``geodesic`` does: the jet of log(x1) at x1 = 1e-155 underflows in
-        # its third partial, and an overflow of e^-lambda names the point.
-        ("log(x1)", "1e-155,0.5", "log underflows at value 1e-155"),
+        # its third partial; that error and an overflow of e^-lambda name the point.
+        ("log(x1)", "1e-155,0.5", "log underflows at value 1e-155 at point (1e-155, 0.5)"),
         ("-1000 + 0*x1", "0,0", "exp overflows at value 1000.0 at point (0.0, 0.0)"),
         # e^-lambda c112 = e^700 * 1e10 overflows while every partial is finite.
         ("-700 + 1e10*x2", "0,0", "non-finite frame fields at point (0.0, 0.0)"),
@@ -504,6 +504,12 @@ def _pinhole_sphere(tmp_path, where: str) -> tuple[str, float, list]:
     a log in ``lambda``.  Also the time of the sample before that end point."""
     s0 = geodesic.LiftState(0.0, 0.0, 0.0, *_SUITE_VELOCITY)
     trajectory = geodesic.integrate_lift(catalog("sphere"), s0, t_max=5.0, h=1e-3)
+    return _pinhole(tmp_path, trajectory, where)
+
+
+def _pinhole(tmp_path, trajectory, where: str) -> tuple[str, float, list]:
+    """The sphere with a point missing where ``trajectory`` ends, as ``_pinhole_sphere``
+    describes; also the time of the sample before that end point."""
     end = list(trajectory.states[-1][:2])
     r2 = f"(x1 - ({end[0]!r}))^2 + (x2 - ({end[1]!r}))^2"
     config = {"name": "pinhole", "lambda": _SPHERE, "guard": f"{r2} - 1e-22 > 0"}
@@ -515,8 +521,8 @@ def _pinhole_sphere(tmp_path, where: str) -> tuple[str, float, list]:
 
 
 def test_verify_reports_a_final_sample_outside_the_chart(tmp_path, capsys):
-    # Only the final sample of the geodesic leaves the chart; its K is
-    # evaluated after the integration loop.
+    # Only the final sample of the geodesic leaves the chart; its stage 1,
+    # which starts no step, is the last evaluation of the run.
     surface, last_valid_t, end = _pinhole_sphere(tmp_path, "guard")
     assert run(["verify", "--surface", surface, "--samples", "2", "--seed", "0"]) == 1
     captured = capsys.readouterr()
@@ -538,6 +544,22 @@ def test_a_failure_at_the_final_sample_prints_the_last_valid_time(tmp_path, caps
     error = {"guard": "outside chart domain", "lambda": "log of non-positive value 0.0"}[where]
     assert error in captured.err.splitlines()[0]
     assert captured.err.splitlines()[-1] == f"last valid t: {last_valid_t!r}"
+
+
+@pytest.mark.parametrize("method", ["rk4", "rk45"])
+def test_a_base_run_whose_final_sample_alone_leaves_the_chart_exits_three(tmp_path, capsys,
+                                                                           method):
+    start = geodesic.BaseState(0.0, 0.0, 0.6, 0.1)
+    trajectory = geodesic.integrate_base(catalog("sphere"), start, 1.0, 0.01, method)
+    surface, last_valid_t, end = _pinhole(tmp_path, trajectory, "guard")
+    assert run(["base-geodesic", "--surface", surface, "--start=0,0", "--velocity=0.6,0.1",
+                "--t-max", "1", "--step", "0.01", "--method", method]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error, *rest = captured.err.splitlines()
+    point = f"({end[0]!r}, {end[1]!r})"
+    assert error.startswith(f"error: point {point} outside chart domain: ")
+    assert rest == [f"offending point: {point}", f"last valid t: {last_valid_t!r}"]
 
 
 def test_pointwise_failure_prints_no_time(capsys):
@@ -737,14 +759,15 @@ def test_final_sample_with_vanishing_curvature_exits_three(capsys):
 def test_vanishing_curvature_at_the_final_sample_alone_exits_three(capsys):
     # Near x2 = 1.2e8 the sphere's Laplacian rounds to zero at some floats and
     # not at their neighbours.  Every stage of this one rk4 step passes the
-    # K test; the final sample, which has no stage of its own, does not.
+    # K test; the final sample's own stage 1 does not, so the last valid time
+    # is that of the sample before it.
     code = run(["geodesic", "--surface", "sphere", "--start=0,120548255.99999931,0",
                 "--velocity=0,1e-23,0", "--t-max=1", "--step=1"])
     captured = capsys.readouterr()
     assert code == 3
     assert captured.out == ""
     assert "at point (0.0, 120548255.9999994) is below the singularity threshold" in captured.err
-    assert "last valid t" not in captured.err
+    assert captured.err.splitlines()[-1] == "last valid t: 0.0"
 
 
 def test_wong_on_a_trajectory_too_short_exits_two(capsys):

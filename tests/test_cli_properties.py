@@ -53,6 +53,7 @@ _MALFORMED = {
     "window5": '{"name": "w", "lambda": "x1^2 + x2^2", "window": 5}',
     "window_null": '{"name": "w", "lambda": "x1^2 + x2^2", "window": [[-1, 1], [0, null]]}',
     "window_inf": '{"name": "w", "lambda": "x1^2 + x2^2", "window": [[-1e400, 1], [-1, 1]]}',
+    "window_wide": '{"name": "w", "lambda": "x1^2 + x2^2", "window": [[-1e308, 1e308], [-1, 1]]}',
 }
 
 

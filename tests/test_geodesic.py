@@ -27,6 +27,8 @@ from wagnerlift.surface import (
     ChartDomainError,
     ConformalSurface,
     catalog,
+    conformal_laplacian_curvature,
+    frame_fields,
     frame_fields_from,
     laplacian_curvature_from,
     sample_points,
@@ -299,9 +301,9 @@ def test_rk4_wong_job_evaluates_lambda_once_per_stage(monkeypatch, surface):
     surface, runs = _count_lambda_runs(monkeypatch, surface.name)
     trajectory = geo.integrate_lift(surface, start, t_max=steps * 1e-2, h=1e-2)
     geo.wong_residual(surface, geo.project(trajectory))
-    # Stage 1 at each accepted sample also yields its monitor and Wong
-    # fields; the final sample is evaluated once, at order 2, for its monitor.
-    assert runs == [3] * (4 * steps) + [2]
+    # Stage 1 at each sample also yields its monitor and Wong fields; the
+    # final sample, which starts no step, is that stage 1 alone.
+    assert runs == [3] * (4 * steps + 1)
 
 
 def test_rk45_retries_reuse_the_first_stage(monkeypatch):
@@ -316,10 +318,10 @@ def test_rk45_retries_reuse_the_first_stage(monkeypatch):
     assert attempts > accepted  # a step was rejected and retried
 
 
-def test_base_run_evaluates_no_final_sample(monkeypatch):
+def test_base_run_evaluates_its_final_sample_once(monkeypatch):
     surface, runs = _count_lambda_runs(monkeypatch, "sphere")
     geo.integrate_base(surface, geo.BaseState(0.5, 0.0, 0.0, 1.0), t_max=0.1, h=1e-2)
-    assert len(runs) == 4 * 10
+    assert len(runs) == 4 * 10 + 1
 
 
 # -- the fused lifted stage ------------------------------------------------------------
@@ -623,6 +625,22 @@ def test_a_partial_last_step_keeps_the_bits_of_rk4_step(monkeypatch, name, t_max
     assert _bits(trajectory.q3_over_k[-2]) == _bits(y[5] / K)
 
 
+@pytest.mark.parametrize("method, h", [("rk4", 1e-2), ("rk45", 0.1)])
+@pytest.mark.parametrize("name, start", [("sphere", (0.3, 0.2)), ("halfplane", (0.2, 1.5)),
+                                         ("bump", (0.3, -0.1))])
+def test_the_final_sample_keeps_the_bits_of_its_pointwise_routes(method, h, name, start):
+    surface, oracle = catalog(name), catalog(name)  # fresh tapes; the oracle's stays on the jets
+    state = geo.LiftState(*start, 0.0, 0.6, 0.1, 0.8)
+    for t_max, compiled in ((1e-3, False), (2.0, True)):  # the last stage on the jets, then not
+        trajectory = geo.integrate_lift(surface, state, t_max=t_max, h=h, method=method)
+        assert (surface._lam_tape.compiled[3] is not None) == compiled
+        y = trajectory.states[-1]
+        x = (y[0], y[1])
+        K = conformal_laplacian_curvature(oracle, x)
+        assert _bits(trajectory.q3_over_k[-1]) == _bits(y[5] / K)
+        assert _bits(trajectory.fields[-1]) == _bits(frame_fields(oracle, x))
+
+
 @pytest.mark.parametrize("name", ["sphere", "halfplane", "bump"])
 def test_the_kept_k_keeps_the_bits_of_laplacian_curvature_from(name):
     surface = catalog(name)
@@ -667,9 +685,9 @@ def test_rk4_sphere_run_leaves_the_jet_path_after_the_threshold(monkeypatch):
     start = geo.LiftState(0.3, 0.2, 0.0, 0.6, 0.0, 0.8)
     trajectory = geo.integrate_lift(surface, start, t_max=1.0, h=1e-3)
     assert len(trajectory.t) == 1001
-    # 4000 order-3 runs, of which the first COMPILE_AFTER run on jets, and
-    # the final sample's single order-2 run.
-    assert Counter(runs) == {3: COMPILE_AFTER, 2: 1}
+    # 4001 order-3 runs, the final sample's too, of which the first
+    # COMPILE_AFTER run on jets.
+    assert Counter(runs) == {3: COMPILE_AFTER}
 
 
 @pytest.mark.parametrize("method, h", [("rk4", 1e-2), ("rk45", 0.1)])
@@ -852,7 +870,7 @@ def test_base_run_keeps_the_bits_of_the_order_two_flow(config, method, h):
 def test_wong_residual_from_carried_fields_matches_fresh_evaluation(method):
     start = geo.LiftState(0.3, 0.1, 0.0, 0.6, 0.0, 0.8)
     projected = geo.project(geo.integrate_lift(BUMP, start, t_max=0.5, h=1e-2, method=method))
-    assert all(fields is not None for fields in projected.fields[:-1])
+    assert all(fields is not None for fields in projected.fields)
     bare = replace(projected, fields=[None] * len(projected.t))
     assert bare == projected  # the carried fields are outside ==
     assert geo.wong_residual(BUMP, projected) == geo.wong_residual(BUMP, bare)
