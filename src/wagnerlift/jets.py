@@ -4,9 +4,11 @@ A ``Jet`` carries the value and all partial derivatives of a scalar field of
 two variables at a point, up to a fixed order (at most 4).  Arithmetic on jets
 propagates derivatives exactly: sums and products term by term, quotients via
 the reciprocal series, and elementary functions by composing their univariate
-derivative sequences with the truncated series.  Internally coefficients are
-Taylor-scaled (divided by a!·b!) so that multiplication is a plain truncated
-polynomial product; the public accessors return raw derivative values.
+derivative sequences with the truncated series (those of tan, tanh and atan
+evaluate polynomials built once at import, up to MAX_ORDER).  Internally
+coefficients are Taylor-scaled (divided by a!·b!) so that multiplication is a
+plain truncated polynomial product; the public accessors return raw derivative
+values.
 
 Products run through straight-line kernels generated at import, one per order,
 from ``_PRODUCT_TERMS`` (``_MUL_TABLE`` by output slot, which ``expr._Source``
@@ -363,24 +365,6 @@ def _poly_eval(p: list[float], x: float) -> float:
     return acc
 
 
-def _tangent_derivs(u: float, n: int, sign: float) -> list[float]:
-    # y' = 1 + sign*y^2 expresses every higher derivative as a polynomial in y.
-    derivs = [u]
-    p = [0.0, 1.0]  # the polynomial y itself
-    for _ in range(n):
-        p = _poly_mul(_poly_diff(p), [1.0, 0.0, sign])
-        derivs.append(_poly_eval(p, u))
-    return derivs
-
-
-def _tan(v: float, n: int) -> list[float]:
-    return _tangent_derivs(math.tan(v), n, 1.0)
-
-
-def _tanh(v: float, n: int) -> list[float]:
-    return _tangent_derivs(math.tanh(v), n, -1.0)
-
-
 def _poly_sub(p: list[float], q: list[float]) -> list[float]:
     n = max(len(p), len(q))
     p = p + [0.0] * (n - len(p))
@@ -388,19 +372,30 @@ def _poly_sub(p: list[float], q: list[float]) -> list[float]:
     return [a - b for a, b in zip(p, q)]
 
 
+# y' = 1 + sign*y^2 makes the k-th derivative of tan (sign 1) and tanh (sign -1)
+# a polynomial P_k in y, from P_0 = y, and d^k atan = Q_k(x) / (1+x^2)^k with
+# Q_1 = 1 and Q_{k+1} = Q_k' (1+x^2) - 2k x Q_k: none depends on the point.
+_TAN_POLYS, _TANH_POLYS, _ATAN_POLYS = [[0.0, 1.0]], [[0.0, 1.0]], [[1.0]]
+for _k in range(1, MAX_ORDER + 1):  # Q_5 too, unread
+    _TAN_POLYS.append(_poly_mul(_poly_diff(_TAN_POLYS[-1]), [1.0, 0.0, 1.0]))
+    _TANH_POLYS.append(_poly_mul(_poly_diff(_TANH_POLYS[-1]), [1.0, 0.0, -1.0]))
+    _ATAN_POLYS.append(_poly_sub(_poly_mul(_poly_diff(_ATAN_POLYS[-1]) or [0.0], [1.0, 0.0, 1.0]),
+                                 _poly_mul([0.0, 2.0 * _k], _ATAN_POLYS[-1])))
+
+
+def _tan(v: float, n: int) -> list[float]:
+    u = math.tan(v)
+    return [u] + [_poly_eval(p, u) for p in _TAN_POLYS[1 : n + 1]]
+
+
+def _tanh(v: float, n: int) -> list[float]:
+    u = math.tanh(v)
+    return [u] + [_poly_eval(p, u) for p in _TANH_POLYS[1 : n + 1]]
+
+
 def _atan(v: float, n: int) -> list[float]:
-    # d^k atan = Q_k(x) / (1+x^2)^k with Q_1 = 1 and
-    # Q_{k+1} = Q_k' (1+x^2) - 2k x Q_k.
-    derivs = [math.atan(v)]
-    q = [1.0]
     w = 1.0 + v * v
-    for k in range(1, n + 1):
-        derivs.append(_poly_eval(q, v) / w**k)
-        q = _poly_sub(
-            _poly_mul(_poly_diff(q) or [0.0], [1.0, 0.0, 1.0]),
-            _poly_mul([0.0, 2.0 * k], q),
-        )
-    return derivs
+    return [math.atan(v)] + [_poly_eval(q, v) / w**k for k, q in enumerate(_ATAN_POLYS[:n], 1)]
 
 
 DERIVS = {

@@ -176,14 +176,21 @@ def _lifted_table(c1: float, c2: float, c312: float, u1: float, u2: float) -> tu
 
 
 def lift_frame_point(surface: ConformalSurface, x: Point) -> FramePoint:
-    """The lifted orthonormal frame at ``x`` as a generic FramePoint (dim 3)."""
+    """The lifted orthonormal frame at ``x`` as a generic FramePoint (dim 3),
+    one per ``ConformalJets`` record: a surface keeps its last, keyed by the
+    identity of the record ``_checked_jets`` returns, so the routes at a point
+    share it."""
     p = _checked_jets(surface, x)
-    c1, c2 = first_partials(p.c1), first_partials(p.c2)
-    u1, u2 = first_partials(p.u1), first_partials(p.u2)
-    # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
-    c = _lifted_table(c1[0], c2[0], -1.0, u1[0], u2[0])
-    dc = tuple(_lifted_table(c1[s], c2[s], 0.0, u1[s], u2[s]) for s in (1, 2))
-    return FramePoint(dim=3, c=c, dc=dc, em=p.em.value)
+    last = surface._last_frame
+    if last[0] is not p:
+        c1, c2 = first_partials(p.c1), first_partials(p.c2)
+        u1, u2 = first_partials(p.u1), first_partials(p.u2)
+        # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
+        c = _lifted_table(c1[0], c2[0], -1.0, u1[0], u2[0])
+        dc = tuple(_lifted_table(c1[s], c2[s], 0.0, u1[s], u2[s]) for s in (1, 2))
+        last = (p, FramePoint(dim=3, c=c, dc=dc, em=p.em.value))
+        object.__setattr__(surface, "_last_frame", last)
+    return last[1]
 
 
 def lifted_connection(surface: ConformalSurface, x: Point) -> ConnectionTable:

@@ -13,8 +13,8 @@ from __future__ import annotations
 import json
 import random
 from dataclasses import dataclass
-from itertools import chain
-from operator import sub
+from functools import cache
+from itertools import product
 
 from . import connection, geodesic
 from .lift import (
@@ -81,11 +81,19 @@ def _sign(value: float) -> int:
     return 1 if value > 0 else -1
 
 
+@cache
+def _deviation_kernel(depth: int):
+    """(a, b) -> max((abs(a000 - b000), ...)) on dim-3 tables unpacked into locals."""
+    a, b = (connection._nested(lambda *i: x + "".join(map(str, i)), 3, depth) for x in "ab")
+    terms = "".join(f"abs(a{i} - b{i}), " for i in map("".join, product("012", repeat=depth)))
+    exec(f"def kernel(a, b):\n    {a} = a\n    {b} = b\n    return max(({terms}))\n", namespace := {})
+    return namespace["kernel"]
+
+
 def _deviation(a: tuple, b: tuple, depth: int) -> float:
-    """max |a - b| over two nested tables of ``depth`` levels, in index order."""
-    for _ in range(depth - 1):
-        a, b = chain.from_iterable(a), chain.from_iterable(b)
-    return max(map(abs, map(sub, a, b)))
+    """max |a - b| over two dim-3 tables of ``depth`` levels, in index order, so
+    a NaN difference counts only if it comes first; a kernel generated per depth."""
+    return _deviation_kernel(depth)(a, b)
 
 
 def verify_lift(
@@ -99,6 +107,8 @@ def verify_lift(
     Also records the nonholonomity identity and the resolved signs of the
     sectional curvatures and of the mixed curvature components.
     """
+    if sample_count < 1:
+        raise ValueError(f"sample count must be at least 1, got {sample_count}")
     rng = random.Random(seed)
     points = sample_points(surface, sample_count, rng)
 

@@ -32,7 +32,10 @@ the base flow as it read e^-lambda, c112 and c212 from an order-2 lambda jet;
 ``conformal_pipeline_jets`` is the order-4 conformal pipeline as ``Jet``
 arithmetic, the formulas that ``expr._Source`` writes out as
 ``surface._pipeline_kernel`` less float operations that change no bit; the
-kernel must give the same bits, or the same exception.
+kernel must give the same bits, or the same exception.  ``tangent_derivs_loop``
+and ``atan_derivs_loop`` are the derivative sequences of tan, tanh and atan as
+they built their polynomials at every call; the library's tables must give the
+same bits.
 """
 
 from __future__ import annotations
@@ -620,6 +623,32 @@ def deviation_nested(a: tuple, b: tuple) -> float:
     while isinstance(a[0], tuple):
         a, b = [v for row in a for v in row], [v for row in b for v in row]
     return max(abs(x - y) for x, y in zip(a, b))
+
+
+def tangent_derivs_loop(u: float, n: int, sign: float) -> list[float]:
+    """The derivatives of tan (sign 1.0) or tanh (sign -1.0) at the value
+    ``u`` of the function, building each polynomial in the call, as
+    ``jets._tan`` and ``jets._tanh`` did before their tables."""
+    derivs = [u]
+    p = [0.0, 1.0]  # the polynomial y itself
+    for _ in range(n):
+        p = jets._poly_mul(jets._poly_diff(p), [1.0, 0.0, sign])
+        derivs.append(jets._poly_eval(p, u))
+    return derivs
+
+
+def atan_derivs_loop(v: float, n: int) -> list[float]:
+    """``jets._atan`` as it built each Q_k in the call, before its table."""
+    derivs = [math.atan(v)]
+    q = [1.0]
+    w = 1.0 + v * v
+    for k in range(1, n + 1):
+        derivs.append(jets._poly_eval(q, v) / w**k)
+        q = jets._poly_sub(
+            jets._poly_mul(jets._poly_diff(q) or [0.0], [1.0, 0.0, 1.0]),
+            jets._poly_mul([0.0, 2.0 * k], q),
+        )
+    return derivs
 
 
 def conformal_pipeline_jets(lam: jets.Jet) -> ConformalJets:

@@ -17,7 +17,13 @@ from wagnerlift import jets
 from wagnerlift.expr import Tape, eval_jet, parse
 from wagnerlift.jets import Jet
 
-from _oracles import compose_reference, compose_through_value_slot, mul_reference
+from _oracles import (
+    atan_derivs_loop,
+    compose_reference,
+    compose_through_value_slot,
+    mul_reference,
+    tangent_derivs_loop,
+)
 
 # Mixed magnitudes make rounding depend on the summation order; explicit
 # signed zeros check that no slot turns -0.0 into +0.0 or back.
@@ -116,6 +122,34 @@ def test_compose_matches_the_value_slot_products_on_finite_jets(name):
             assert _bits(jets.compose(jet, derivs)._t) == _bits(
                 compose_through_value_slot(jet, derivs)
             ), (n, jet)
+
+
+def _sequence_outcome(derivs, *args):
+    try:
+        return _bits(derivs(*args))
+    except Exception as err:  # noqa: BLE001 - both routes must fail alike
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("name", ["tan", "tanh", "atan"])
+def test_derivative_tables_match_the_per_call_polynomials_bit_for_bit(name):
+    # tan(inf) raises, and (1 + v*v)**k overflows from |v| ~ 1e77 on while
+    # 1 + v*v itself stays finite: both routes must raise alike there.
+    loop = {
+        "tan": lambda v, n: tangent_derivs_loop(math.tan(v), n, 1.0),
+        "tanh": lambda v, n: tangent_derivs_loop(math.tanh(v), n, -1.0),
+        "atan": atan_derivs_loop,
+    }[name]
+    special = [0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 1e100, -1e-300, 1e-160]
+    rng = random.Random(name)
+    values = special + [rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-12, 160) for _ in range(3000)]
+    raised = 0
+    for v in values:
+        for n in range(jets.MAX_ORDER + 1):
+            outcome = _sequence_outcome(jets.DERIVS[name], v, n)
+            assert outcome == _sequence_outcome(loop, v, n), (v, n)
+            raised += isinstance(outcome, tuple)
+    assert raised > 0 or name == "tanh"  # tanh is finite for every input
 
 
 def test_an_overflowed_taylor_term_leaves_the_finite_partials():

@@ -3,6 +3,7 @@
 import json
 import math
 import random
+import struct
 from pathlib import Path
 
 import pytest
@@ -18,7 +19,7 @@ from _oracles import (
     structure_functions,
     torsion_residual,
 )
-from wagnerlift import connection, lift
+from wagnerlift import connection, lift, verify
 from wagnerlift import surface as surface_module
 from wagnerlift.connection import sectional
 from wagnerlift.jets import DomainError
@@ -489,3 +490,62 @@ def test_verify_evaluates_lambda_once_per_sampled_point(monkeypatch):
     verify_lift(surface, sample_count=7, seed=3, tol=1e-8)
     # One order-4 evaluation is shared by the six routes that check a point.
     assert runs == [4] * 7
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_verify_rejects_a_sample_count_below_one_before_sampling(monkeypatch, count):
+    drawn = []
+    monkeypatch.setattr(verify, "sample_points", lambda *args: drawn.append(args))
+    with pytest.raises(ValueError, match=f"sample count must be at least 1, got {count}"):
+        verify_lift(catalog("bump"), count, 1, 1e-8)
+    assert drawn == []
+
+
+# -- one frame point per sampled point ----------------------------------------------
+
+
+def _counting_frame_points(monkeypatch) -> list:
+    built = []
+
+    def counting(**fields):
+        built.append(fields)
+        return connection.FramePoint(**fields)
+
+    monkeypatch.setattr(lift, "FramePoint", counting)
+    return built
+
+
+def _frame_bits(point: connection.FramePoint) -> bytes:
+    def flat(table):
+        return [v for entry in table for v in flat(entry)] if type(table) is tuple else [table]
+
+    values = flat((point.c, point.dc, point.em))
+    return struct.pack(f"{len(values)}d", *values)
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_verify_builds_one_frame_point_per_sampled_point(monkeypatch, seed):
+    built = _counting_frame_points(monkeypatch)
+    verify_lift(catalog("bump"), 20, seed, 1e-8)
+    # The connection and the curvature oracle at a point share its frame.
+    assert len(built) == 20
+
+
+def test_each_surface_and_each_point_tuple_gets_its_own_frame(monkeypatch):
+    # Each surface keeps its own last frame, keyed by the identity of its
+    # record: an equal but distinct tuple and the same point with -0.0 for 0.0
+    # are rebuilt.  Each frame keeps the bits of a build on a fresh surface.
+    built = _counting_frame_points(monkeypatch)
+    sphere, bump, x = catalog("sphere"), catalog("bump"), (0.0, 0.3)
+    calls = [
+        (sphere, x, 1), (sphere, x, 1), (bump, x, 2), (bump, x, 2), (sphere, x, 2),
+        (sphere, tuple(list(x)), 3), (sphere, (-0.0, 0.3), 4), (bump, (-0.0, 0.3), 5),
+    ]
+    frames = []
+    for surface, point, count in calls:
+        frames.append(lift_frame_point(surface, point))
+        assert len(built) == count, (surface.name, point)
+    assert frames[1] is frames[0] is frames[4] and frames[3] is frames[2]
+    for (surface, point, _), frame in zip(calls, frames):
+        fresh = lift_frame_point(catalog(surface.name), tuple(list(point)))
+        assert _frame_bits(frame) == _frame_bits(fresh), (surface.name, point)
