@@ -56,24 +56,18 @@ def _checked_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
     return p
 
 
-def first_partials(jet) -> tuple[float, float, float]:
-    """(value, d_1, d_2) of a jet of order >= 1.  These are Taylor slots 0-2,
-    whose scale is 1, so they are ``coeffs[:3]`` without its products."""
-    return jet._t[:3]
-
-
 # -- lifted frame ---------------------------------------------------------------
 
 
 def _coefficient_rows(p: ConformalJets) -> tuple:
-    """Frame coefficient fields as (value, d_1, d_2) partials, rows E1, E2, E3,
-    columns (d1, d2, d_phi)."""
-    em, zero = first_partials(p.em), (0.0, 0.0, 0.0)
-    (c1, c11, c12), (c2, c21, c22) = first_partials(p.c1), first_partials(p.c2)
+    """Frame coefficient fields as (value, d_1, d_2), the Taylor slots of the record's
+    order-1 jets (scale 1), rows E1, E2, E3, columns (d1, d2, d_phi)."""
+    em, zero = p.em._t, (0.0, 0.0, 0.0)
+    (c1, c11, c12), (c2, c21, c22) = p.c1._t, p.c2._t
     return (
         (em, zero, (-c1, -c11, -c12)),
         (zero, em, (-c2, -c21, -c22)),
-        (zero, zero, first_partials(p.K)),
+        (zero, zero, p.K._t),
     )
 
 
@@ -112,7 +106,9 @@ def nonholonomity(surface: ConformalSurface, x: Point) -> float:
     rows = _coefficient_rows(surface_jets(surface, x))
     if rows[0][0][0] == 0.0:  # the frame's e^-lambda, which _reexpand divides by
         raise DomainError(f"e^-lambda underflows to 0.0 at point {x!r}")
-    return _reexpand(rows, _bracket_components(rows, 0, 1))[2]
+    N = _reexpand(rows, _bracket_components(rows, 0, 1))[2]
+    require_finite((N,), x)
+    return N
 
 
 # -- lifted structure functions ----------------------------------------------------
@@ -183,8 +179,7 @@ def lift_frame_point(surface: ConformalSurface, x: Point) -> FramePoint:
     p = _checked_jets(surface, x)
     last = surface._last_frame
     if last[0] is not p:
-        c1, c2 = first_partials(p.c1), first_partials(p.c2)
-        u1, u2 = first_partials(p.u1), first_partials(p.u2)
+        c1, c2, u1, u2 = p.c1._t, p.c2._t, p.u1._t, p.u2._t
         # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
         c = _lifted_table(c1[0], c2[0], -1.0, u1[0], u2[0])
         dc = tuple(_lifted_table(c1[s], c2[s], 0.0, u1[s], u2[s]) for s in (1, 2))

@@ -3,14 +3,14 @@
 A surface is the metric g = e^(2*lambda) (dx1^2 + dx2^2) on a chart domain,
 with the canonical positively oriented orthonormal frame e_a = e^(-lambda) d_a.
 Point queries read the structure functions, Gaussian curvature and its frame
-derivatives from one ``ConformalJets`` record of the order-4 jet of the
-conformal factor at the point, so derivatives are exact up to roundoff:
+derivatives from one ``ConformalJets`` record, order-1 jets that the order-4 jet
+of the conformal factor at the point gives, so derivatives are exact up to roundoff:
 
     c112 = e^(-lambda) d2(lambda)        c212 = -e^(-lambda) d1(lambda)
     K    = e1(c212) - e2(c112) - c112^2 - c212^2   ( = -e^(-2 lambda) Lap(lambda) )
 
-One float function, which ``expr._Source`` writes on first use, computes the
-record with these formulas' ``Jet`` float operations in order, so it keeps their bits.
+One float function that ``expr._Source`` writes runs these formulas' ``Jet`` float
+operations in order, each jet to the order the record reads, so it keeps their bits.
 """
 
 from __future__ import annotations
@@ -142,11 +142,10 @@ class SingularCurvature(Exception):
 
 @dataclass(frozen=True)
 class ConformalJets:
-    """The base geometry at a point, as the jets that an order-4 lambda jet gives.
+    """The base geometry at a point as order-1 jets, from the order-4 lambda jet ``lam``.
 
-    ``u1``/``u2`` are the logarithmic frame derivatives e_i(K)/K; ``ddlogK``
-    holds e_i(e_j(K)/K) values indexed [i][j].  They are None when K vanishes
-    at the point.
+    ``u1``/``u2`` are the logarithmic frame derivatives e_i(K)/K; ``ddlogK`` holds
+    e_i(e_j(K)/K) values indexed [i][j].  They are None when K vanishes at the point.
     """
 
     lam: Jet
@@ -163,22 +162,23 @@ class ConformalJets:
 
 def conformal_pipeline(lam: Jet) -> ConformalJets:
     """The ``ConformalJets`` record of an order-4 lambda jet, by ``_pipeline_kernel``
-    on the Taylor slots of lambda and of its first partials."""
+    on the order-3 Taylor slots of lambda and of its first partials."""
     if lam.order != 4:
         raise ValueError("conformal pipeline needs a lambda jet of order 4")
     try:
-        slots, ddlogK = _pipeline_kernel()(*lam._t, *jets.diff(lam, 1)._t, *jets.diff(lam, 2)._t)
+        slots, ddlogK = _pipeline_kernel()(*lam._t[:10], *jets.diff(lam, 1)._t, *jets.diff(lam, 2)._t)
     except OverflowError:
         raise DomainError(f"exp overflows at value {-lam.value!r}") from None
-    return ConformalJets(lam, *map(jets._new, (4, 3, 3, 2, 1, 1, 1, 1), slots), ddlogK=ddlogK)
+    return ConformalJets(lam, *[jets._new(1, t) for t in slots], ddlogK=ddlogK)
 
 
 @cache
 def _pipeline_kernel():
     """The module docstring's formulas as one float function by ``expr._Source``, which
-    keeps the ``Jet`` bits: it leaves out only x/1.0, 1.0*x and ``compose``'s idle 0.0*x."""
+    keeps the ``Jet`` bits: it leaves out only x/1.0, 1.0*x and ``compose``'s idle 0.0*x.
+    A slot of degree d reads no higher slot, so each jet runs only to the order it is read."""
     src = _Source()
-    lam, d1, d2 = ([f"{x}{i}" for i in range(n)] for x, n in (("l", 15), ("p", 10), ("q", 10)))
+    lam, d1, d2 = ([f"{x}{i}" for i in range(10)] for x in "lpq")
     em = src.compose([src.local(f"-{x}") for x in lam], jets._exp)
     c1, c2 = src.mul(em, d2), [src.local(f"-{x}") for x in src.mul(em, d1)]
 
@@ -189,9 +189,9 @@ def _pipeline_kernel():
     # c1 and c2 are squared at order 2, the order of K, which drops the other slots.
     squares = zip(e(1, c2), e(2, c1), src.mul(c1[:6], c1[:6]), src.mul(c2[:6], c2[:6]))
     K = [src.op(src.op(src.op(a, "-", b), "-", c), "-", d) for a, b, c, d in squares]
-    head = [em, c1, c2, K, e(1, K), e(2, K)]
+    head = [f[:3] for f in (em, c1, c2, K, e(1, K), e(2, K))]
     src.lines.append(f"if {K[0]} == 0.0: return {src.text(head)}, None")
-    inverse_K = src.compose(K, jets.reciprocal_derivs)
+    inverse_K = src.compose(head[3], jets.reciprocal_derivs)
     u1, u2 = src.mul(head[4], inverse_K), src.mul(head[5], inverse_K)
     ddlogK = [[src.mul(em, [u[i]])[0] for u in (u1, u2)] for i in (1, 2)]
     src.lines.append(f"return {src.text(head + [u1, u2])}, {src.text(ddlogK)}")
@@ -216,7 +216,7 @@ def surface_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
 
 
 def gauss_curvature(surface: ConformalSurface, x: Point) -> ConformalJets:
-    """The order-4 ``surface_jets`` record at ``x``, its values checked finite."""
+    """The ``surface_jets`` record at ``x``, its values checked finite."""
     p = surface_jets(surface, x)
     values = [p.c1.value, p.c2.value, p.K.value, p.e1K.value, p.e2K.value]
     if p.u1 is not None:  # ddlogK is set with u1

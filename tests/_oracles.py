@@ -32,10 +32,12 @@ the base flow as it read e^-lambda, c112 and c212 from an order-2 lambda jet;
 ``conformal_pipeline_jets`` is the order-4 conformal pipeline as ``Jet``
 arithmetic, the formulas that ``expr._Source`` writes out as
 ``surface._pipeline_kernel`` less float operations that change no bit; the
-kernel must give the same bits, or the same exception.  ``tangent_derivs_loop``
-and ``atan_derivs_loop`` are the derivative sequences of tan, tanh and atan as
-they built their polynomials at every call; the library's tables must give the
-same bits.
+kernel must give the same bits in the slots it keeps, or the same exception.
+The jet frames take their jets from it, at the orders of its formulas, not
+from the library's order-1 record.  ``tangent_derivs_loop`` and
+``atan_derivs_loop`` are the derivative sequences of tan, tanh and atan as
+they built their polynomials at every call; the library's tables must give
+the same bits.
 """
 
 from __future__ import annotations
@@ -397,7 +399,7 @@ def constant_frame_point(c_values, dim: int) -> connection.FramePoint:
 def base_frame_point(surface, x) -> connection.FramePoint:
     """The conformal orthonormal frame e_a = e^(-lambda) d_a at ``x`` (dim 2)."""
     p = surface_jets(surface, x)
-    c1, c2 = lift.first_partials(p.c1), lift.first_partials(p.c2)
+    c1, c2 = p.c1._t, p.c2._t
     c, d1c, d2c = (
         (((0.0, c1[s]), (-c1[s], 0.0)), ((0.0, c2[s]), (-c2[s], 0.0))) for s in range(3)
     )
@@ -421,7 +423,8 @@ class JetFramePoint:
 
 def jet_base_frame(surface, x) -> JetFramePoint:
     """The conformal frame e_a = e^(-lambda) d_a at ``x``, as jets."""
-    p = surface_jets(surface, x)
+    surface_jets(surface, x)  # the library's errors at x
+    p = conformal_pipeline_jets(surface.lambda_jet(x, 4))
     zero = jets.Jet.constant(0.0, p.c1.order)
     c = (
         ((zero, p.c1), (-p.c1, zero)),
@@ -432,7 +435,8 @@ def jet_base_frame(surface, x) -> JetFramePoint:
 
 def jet_lift_frame(surface, x) -> JetFramePoint:
     """The lifted frame at ``x``, as jets."""
-    p = lift._checked_jets(surface, x)
+    lift._checked_jets(surface, x)  # the library's errors at x
+    p = conformal_pipeline_jets(surface.lambda_jet(x, 4))
     order = p.c1.order
     zero = jets.Jet.constant(0.0, order)
     minus_one = jets.Jet.constant(-1.0, order)

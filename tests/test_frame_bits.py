@@ -7,15 +7,17 @@ from -0.0 instead of +0.0 would show.  The generated Koszul and curvature
 kernels are also compared with the index loops they replace on random
 tables, where infinities, huge and subnormal entries and NaN results show any
 change in the order of the roundings.  The straight-line steps of
-``verify_lift`` (the generated curvature table, the flat deviation, the
-shared reciprocal of K and ``first_partials``) are compared with the code
-they replace on 2000 random inputs each.  On 2000 random frame records the
-bracket oracle's forward substitution keeps the jet route's bits and agrees
-with the LAPACK solve it replaced within a stated backward-error bound.  The
-lifted frame's rows are compared with the matrix its record used to hold.
+``verify_lift`` (the generated curvature table, the flat deviation and the
+shared reciprocal of K) are compared with the code they replace on 2000
+random inputs each.  On 2000 random frame records the bracket oracle's
+forward substitution keeps the jet route's bits and agrees with the LAPACK
+solve it replaced within a stated backward-error bound.  The lifted frame's
+rows are compared with the matrix its record used to hold.
 The generated order-4 pipeline kernel is compared with the ``Jet`` formulas it
 writes out on 3000 random jets and at a zero curvature, an overflow of
-e^-lambda and a jet of the wrong order.
+e^-lambda and a jet of the wrong order, on the slots its record keeps: the
+first three of each field, and ddlogK.  Every field of that record is an
+order-1 jet whose Taylor slots, which ``lift`` reads, are its raw partials.
 """
 
 import math
@@ -52,7 +54,7 @@ from _oracles import (
 from wagnerlift import connection, lift, verify
 from wagnerlift import expr as ex
 from wagnerlift.jets import DomainError, Jet
-from wagnerlift.lift import SingularCurvature, first_partials, lift_frame_point
+from wagnerlift.lift import SingularCurvature, lift_frame_point
 from wagnerlift.surface import (
     ConformalJets,
     ConformalSurface,
@@ -210,7 +212,7 @@ def test_frame_derivative_matches_the_jet_product_on_signed_zeros(name):
         for f1 in (0.0, -0.0, 1.5, -2.25):
             for f2 in (0.0, -0.0, 0.75):
                 jet = Jet(2, (0.3, f1, f2, 0.1, -0.2, 0.4))
-                partials = first_partials(jet)
+                partials = jet.coeffs
                 for a in range(point.dim):
                     expected = jet_point.d(a, jet).value
                     assert _bits(frame_derivative(point, a, partials[1], partials[2])) == _bits(expected)
@@ -417,9 +419,7 @@ def test_conformal_pipeline_matches_the_two_reciprocal_route_bit_for_bit():
             except Exception as err:  # noqa: BLE001 - both routes must fail alike
                 outcomes.append((type(err), str(err)))
                 continue
-            names = ("em", "c1", "c2", "K", "e1K", "e2K", "u1", "u2")
-            fields = [getattr(p, name) for name in names]
-            values = [c for f in fields if f is not None for c in f._t] + _flat(p.ddlogK or ())
+            values = _kept_slots(p)
             outcomes.append(struct.pack(f"<{len(values)}d", *values))
         assert outcomes[0] == outcomes[1], lam
         if isinstance(outcomes[0], bytes):
@@ -430,17 +430,25 @@ def test_conformal_pipeline_matches_the_two_reciprocal_route_bit_for_bit():
 
 # -- the generated pipeline kernel against the Jet formulas it writes out --------
 
+RECORD_FIELDS = ("em", "c1", "c2", "K", "e1K", "e2K", "u1", "u2")
+
+
+def _kept_slots(p: ConformalJets) -> list:
+    """The slots of a record that the library keeps: (value, d_1, d_2) of each
+    field that is set, then ddlogK."""
+    fields = [getattr(p, name) for name in RECORD_FIELDS]
+    return [c for f in fields if f is not None for c in f._t[:3]] + _flat(p.ddlogK or ())
+
+
 def _pipeline_outcome(pipeline, lam: Jet):
-    """The record's field orders and packed slots, or the type and message of
-    the exception that ``pipeline`` raises on ``lam``."""
+    """Which of the record's fields are set and its packed kept slots, or the
+    type and message of the exception that ``pipeline`` raises on ``lam``."""
     try:
         p = pipeline(lam)
     except Exception as err:  # noqa: BLE001 - both routes must fail alike
         return (type(err), str(err))
-    fields = [getattr(p, name) for name in ("em", "c1", "c2", "K", "e1K", "e2K", "u1", "u2")]
-    values = [c for f in fields if f is not None for c in f._t] + _flat(p.ddlogK or ())
-    orders = [None if f is None else f.order for f in fields]
-    return p.lam is lam, orders, p.ddlogK is None, struct.pack(f"<{len(values)}d", *values)
+    values, unset = _kept_slots(p), [getattr(p, name) is None for name in RECORD_FIELDS]
+    return p.lam is lam, unset, p.ddlogK is None, struct.pack(f"<{len(values)}d", *values)
 
 
 def _random_lambda_jet(rng: random.Random) -> Jet:
@@ -505,9 +513,31 @@ def test_pipeline_kernel_rejects_a_jet_not_of_order_four(order):
     assert outcome == (ValueError, "conformal pipeline needs a lambda jet of order 4")
 
 
-def test_first_partials_are_the_first_three_raw_partials():
+def _records():
+    """``surface_jets`` records at the catalog's sampled and signed-zero chart
+    points, on the K = 0 ``LINE`` and of 2000 random order-4 lambda jets."""
+    for name in ("sphere", "halfplane", "bump"):
+        surface = catalog(name)
+        points = sample_points(surface, 20, random.Random(name)) + list(SIGNED_ZERO_POINTS)
+        yield from (surface_jets(surface, x) for x in points if surface.contains(x))
+    for x in SIGNED_ZERO_POINTS:
+        yield surface_jets(LINE, x)
     rng = random.Random(1405)
     for _ in range(2000):
-        order = rng.randint(1, 4)
-        jet = Jet(order, tuple(_special_or_uniform(rng, 0.3) for _ in Jet.constant(0.0, order)._t))
-        assert struct.pack("<3d", *first_partials(jet)) == struct.pack("<3d", *jet.coeffs[:3])
+        try:
+            yield conformal_pipeline(_random_lambda_jet(rng))
+        except DomainError:
+            pass
+
+
+def test_every_record_field_is_an_order_one_jet_whose_slots_are_its_raw_partials():
+    # ``lift`` reads the Taylor slots ``_t`` as (value, d_1, d_2).
+    counted = Counter()
+    for p in _records():
+        fields = [getattr(p, name) for name in RECORD_FIELDS]
+        for f in fields:
+            if f is not None:
+                assert f.order == 1, p
+                assert struct.pack("<3d", *f._t) == struct.pack("<3d", *f.coeffs), p
+        counted["K == 0" if p.u1 is None else "u set"] += 1
+    assert counted["K == 0"] > 200 and counted["u set"] > 1000, counted

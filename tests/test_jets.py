@@ -166,3 +166,57 @@ def test_an_overflowed_taylor_term_leaves_the_finite_partials():
     # The old route turns all of them into NaN.
     old = compose_through_value_slot(Jet.variable(1e-103, 1, 3), jets.DERIVS["log"](1e-103, 3))
     assert all(math.isnan(v) for v in old)
+
+
+# -- degree prefix: the lower-order result is the head of the higher-order one ----
+
+_PREFIX_SPECIAL = (0.0, -0.0, math.inf, -math.inf, math.nan, -math.nan, 1e300, -1e300, 5e-324)
+
+
+def _prefix_jet(rng: random.Random, n: int) -> Jet:
+    """An order-``n`` jet whose slots are a special value one time in four,
+    else uniform at a random scale up to 1e200, so products overflow too."""
+    return Jet(n, tuple(
+        rng.choice(_PREFIX_SPECIAL) if rng.random() < 0.25
+        else rng.uniform(-1.0, 1.0) * 10.0 ** rng.choice((0, 0, 5, 100, 200))
+        for _ in range(jets._SIZE[n])
+    ))
+
+
+def _prefix_outcome(fn, m: int):
+    """The packed first ``_SIZE[m]`` slots of the jet ``fn`` gives, or the type
+    and message of its exception."""
+    try:
+        return _bits(fn()._t[: jets._SIZE[m]])
+    except Exception as err:  # noqa: BLE001 - both orders must fail alike
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("m, n", [(m, n) for n in range(1, jets.MAX_ORDER + 1) for m in range(n)])
+def test_a_lower_order_result_is_the_prefix_of_the_higher_order_one(m, n):
+    # A slot of degree d reads no slot of higher degree, in a product and in
+    # every Horner step of a composition, so truncating first changes no bit.
+    # ``surface._pipeline_kernel`` computes each jet only to the order it is
+    # read because of this; ``expr._Source`` keeps the ``jets`` bits.
+    rng = random.Random(2400 + 10 * m + n)
+    cases = [(_prefix_jet(rng, n), _prefix_jet(rng, n)) for _ in range(2000)]
+    for a, b in cases[:16]:  # CPython 3.11 picks a two-NaN result's sign by specialization state
+        for k in (m, n):
+            _prefix_outcome(lambda: a.truncate(k) * b.truncate(k), k)
+            _prefix_outcome(lambda: jets.reciprocal(a.truncate(k)), k)
+            _prefix_outcome(lambda: jets.exp(a.truncate(k)), k)
+    raised = 0
+    for a, b in cases:
+        low, high = a.truncate(m), a
+        routes = [
+            (lambda: low * b.truncate(m), lambda: a * b),
+            (lambda: jets.compose(low, jets._exp(low.value, m)),
+             lambda: jets.compose(high, jets._exp(high.value, n))),
+            (lambda: jets.compose(low, jets.reciprocal_derivs(low.value, m)),
+             lambda: jets.compose(high, jets.reciprocal_derivs(high.value, n))),
+        ]
+        for low_route, high_route in routes:
+            outcome = _prefix_outcome(low_route, m)
+            assert outcome == _prefix_outcome(high_route, m), (m, n, a, b)
+            raised += isinstance(outcome, tuple)
+    assert raised > 100

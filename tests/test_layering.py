@@ -4,10 +4,10 @@
 it, ``lift`` binds only ``verify_lift`` from it, and ``cli`` only parses
 arguments and prints what ``verify.report`` returns.  A value that only one
 caller ever sets is a module constant, not a keyword, so the public
-functions keep exactly the defaulted parameters listed here.  The frame
-kernels, the closed curvature table and the order-4 pipeline kernel are
-generated on first use, so a command that needs none of them pays for none
-at setup.
+functions keep exactly the defaulted parameters listed here, and ``src/``
+keeps within its line count.  The frame kernels, the closed curvature table
+and the order-4 pipeline kernel are generated on first use, so a command that
+needs none of them pays for none at setup.
 """
 
 import ast
@@ -52,6 +52,18 @@ def _imports(module: str) -> dict[str, set]:
             else:
                 imported.setdefault(node.module, set()).update(names)
     return imported
+
+
+# The line count of src/wagnerlift/*.py when this bound was last set.
+SRC_LINES = 2912
+
+
+def test_src_stays_within_its_line_count():
+    """``src/`` is tracked like a benchmark: its lines, counted as ``wc -l``
+    counts them (newline characters), fall or stay flat.  A change that raises
+    ``SRC_LINES`` records old -> new and why in CHANGES.md."""
+    lines = sum(path.read_bytes().count(b"\n") for path in SRC.glob("*.py"))
+    assert lines <= SRC_LINES, f"src/ has {lines} lines, above its bound of {SRC_LINES}"
 
 
 def test_geometry_modules_import_neither_lift_nor_verify():

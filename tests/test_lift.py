@@ -145,6 +145,16 @@ def test_nonholonomity_names_the_point_where_e_minus_lambda_underflows():
         bracket_structure(steep, (0.0, 0.0))
 
 
+def test_nonholonomity_names_a_point_of_non_finite_geometry():
+    # x2^2 overflows to inf and log(inf) raises nothing, so e^-lambda is inf
+    # and the bracket NaN: the route raises as lifted_structure does there.
+    sphere, x = catalog("sphere"), (0.0, 1e300)
+    for route in (nonholonomity, lifted_structure):
+        with pytest.raises(DomainError) as caught:
+            route(sphere, x)
+        assert str(caught.value) == "non-finite geometry at point (0.0, 1e+300)"
+
+
 @pytest.mark.parametrize("name", ALL_SURFACES)
 def test_nonholonomity_equals_minus_curvature(name):
     surface = catalog(name)
