@@ -25,13 +25,14 @@ partial derivatives at a point.
 Evaluation runs on a ``Tape``: the AST lowered once, with no jet arithmetic,
 to a straight line of jet operations (Taylor propagation along a tape,
 Griewank & Walther, *Evaluating Derivatives*, ch. 13).  Registers 0 and 1
-hold the x1/x2 seed jets, then come one register per ``Literal``/``Const``
-leaf and one per operation in post-order.  After ``COMPILE_AFTER``
-successful runs at an order, the tape compiles that order by source
-transformation (as Tapenade does; Hascoet & Pascual, ACM TOMS 39(3), 2013)
-into one function over float locals, which folds the registers that do not
-depend on x1/x2 and runs the derivative sequences of log and exp inline, in
-``jets._log``'s and ``jets._exp``'s operation order (``_compile``).
+hold the x1/x2 seed jets, then comes one register per non-variable node,
+leaves included, in post-order; the jet run and the compiler read one list.
+After ``COMPILE_AFTER`` successful runs at an order, the tape compiles that
+order by source transformation (as Tapenade does; Hascoet & Pascual, ACM
+TOMS 39(3), 2013) into one function over float locals, which folds the
+registers that do not depend on x1/x2 and runs the derivative sequences of
+log and exp inline, in ``jets._log``'s and ``jets._exp``'s operation order
+(``_compile``).
 
 The results are bit-identical to evaluating the tree recursively: the tape
 applies the same jet operations to the same operands in the same order
@@ -314,29 +315,25 @@ COMPILE_AFTER = 20
 class Tape:
     """An expression lowered once to a straight line of jet operations.
 
-    Registers 0 and 1 hold the x1/x2 seed jets, then one register per
-    ``Literal``/``Const`` leaf, then one per operation in post-order.  Each
-    operation is ``(fn, i, j, k)``: ``r[k] = fn(r[i], r[j])``, or ``fn(r[i])``
-    when ``j`` is None.  Evaluate through ``eval_jet``.
+    Registers 0 and 1 hold the x1/x2 seed jets; entry k of ``_ops``, one per
+    non-variable node in post-order, writes register k + 2: ``fn(r[i], r[j])``
+    for ``(fn, i, j)``, ``fn(r[i])`` when ``j`` is None, or the constant ``i``
+    when ``fn`` is None.  Evaluate through ``eval_jet``.
     """
 
-    __slots__ = ("_expr", "_leaves", "_ops", "_out", "_runs", "_compiled")
+    __slots__ = ("_expr", "_ops", "_out", "_runs", "_compiled")
 
     def __init__(self, expr: Expr):
         self._expr = expr
-        leaves: list[float] = []
         ops: list[tuple] = []
 
         def lower(e: Expr) -> int:
-            # Leaves return their register; operations return -(index + 1)
-            # until the leaf count, and with it their register, is known.
             kind = type(e)
             if kind is Var:
                 return _SEEDS[e.name]
             if kind is Literal or kind is Const:
-                leaves.append(e.value if kind is Literal else CONSTANTS[e.name])
-                return len(leaves) + 1
-            if kind is Neg:
+                ops.append((None, e.value if kind is Literal else CONSTANTS[e.name], None))
+            elif kind is Neg:
                 ops.append((operator.neg, lower(e.arg), None))
             elif kind is Call:
                 ops.append((jets.FUNCTIONS[e.func], lower(e.arg), None))
@@ -346,19 +343,10 @@ class Tape:
                 ops.append((_BINARY[kind], lower(e.left), lower(e.right)))
             else:
                 raise TypeError(f"not an expression node: {e!r}")
-            return -len(ops)
+            return len(ops) + 1
 
-        out = lower(expr)
-        first_op = 2 + len(leaves)
-
-        def register(ref: int | None) -> int | None:
-            return ref if ref is None or ref >= 0 else first_op - 1 - ref
-
-        self._leaves = tuple(leaves)
-        self._ops = tuple(
-            (fn, register(i), register(j), first_op + k) for k, (fn, i, j) in enumerate(ops)
-        )
-        self._out = register(out)
+        self._out = lower(expr)
+        self._ops = tuple(ops)
         self._runs = [0] * (jets.MAX_ORDER + 1)
         self._compiled: list = [None] * (jets.MAX_ORDER + 1)  # None: on the jets
 
@@ -386,9 +374,11 @@ class Tape:
 
     def _run_jets(self, x1: float, x2: float, order: int) -> Jet:
         r = [jets._new(order, (x, *tail)) for x, tail in zip((x1, x2), _SEED_TAILS[order])]
-        r += [Jet.constant(v, order) for v in self._leaves]
-        for fn, i, j, _ in self._ops:
-            r.append(fn(r[i]) if j is None else fn(r[i], r[j]))
+        for fn, i, j in self._ops:
+            if j is not None:
+                r.append(fn(r[i], r[j]))
+            else:
+                r.append(fn(r[i]) if fn is not None else Jet.constant(i, order))
         return r[self._out]
 
 
@@ -404,9 +394,11 @@ def _compile(tape: Tape, order: int):
     known NaN."""
     src = _Source()
     r = [[x, *tail] for x, tail in zip(("x1", "x2"), _SEED_TAILS[order])]
-    r += [[v] + [0.0] * (jets._SIZE[order] - 1) for v in tape._leaves]
     names = {fn: name for name, fn in jets.FUNCTIONS.items()}
-    for fn, i, j, _ in tape._ops:
+    for fn, i, j in tape._ops:
+        if fn is None:
+            r.append([i] + [0.0] * (jets._SIZE[order] - 1))
+            continue
         a, b = r[i], None if j is None else r[j]
         if fn is _power:
             if any(isinstance(s, str) for s in b):
@@ -425,10 +417,8 @@ def _compile(tape: Tape, order: int):
             out = src.mul(a, src.compose(b, jets.reciprocal_derivs))
         elif fn in _SLOTWISE:
             out = [src.op(x, _SLOTWISE[fn], y) for x, y in zip(a, b)]
-        elif fn in names:
+        else:  # an elementary function
             out = src.compose(a, jets.DERIVS[names[fn]])
-        else:
-            return None
         r.append(out)
     return src.function(r[tape._out])
 

@@ -105,7 +105,7 @@ def verify_lift(
     (c) closed-form curvature vs the generic curvature formula.
 
     Also records the nonholonomity identity and the resolved signs of the
-    sectional curvatures and of the mixed curvature components.
+    sectional curvatures (0 within ``tol``) and mixed curvature components.
     """
     if sample_count < 1:
         raise ValueError(f"sample count must be at least 1, got {sample_count}")
@@ -139,7 +139,7 @@ def verify_lift(
         values["pair_1212"].append(closed_curv.pair_component(1, 2, 1, 2))
         for name, i, j in (("sectional_12", 1, 2), ("sectional_13", 1, 3), ("sectional_23", 2, 3)):
             value = connection.sectional(closed_curv, i, j)
-            signs[name].add(_sign(value))
+            signs[name].add(0 if abs(value) <= tol else _sign(value))
             values[name].append(value)
         u1, u2 = structure.c313, structure.c323
         if abs(u1) > 1e-6:

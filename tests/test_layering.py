@@ -55,7 +55,7 @@ def _imports(module: str) -> dict[str, set]:
 
 
 # The line count of src/wagnerlift/*.py when this bound was last set.
-SRC_LINES = 2912
+SRC_LINES = 2899
 
 
 def test_src_stays_within_its_line_count():

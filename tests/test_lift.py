@@ -447,6 +447,17 @@ def test_verify_report_signs_bump():
     assert signs["mixed_1223_vs_plus_u2"] == -1
 
 
+def test_verify_report_gives_a_sectional_curvature_within_tol_of_zero_sign_zero():
+    # K = 3/4, so K(E1,E2) = 3/4 - K is 0 up to rounding of either sign.
+    config = {"name": "sphere34", "lambda": "log(2*1.1547005383792515/(1 + x1^2 + x2^2))"}
+    report = verify_lift(ConformalSurface.from_config(config), sample_count=50, seed=1, tol=1e-8)
+    summary = report.curvature_summary["sectional_12"]
+    assert summary["min"] < 0.0 < summary["max"]
+    assert report.passed
+    assert report.resolved_signs["sectional_12"] == 0
+    assert report.resolved_signs["sectional_signs_stable"] is True
+
+
 def test_verify_report_json_shape():
     report = verify_lift(catalog("halfplane"), sample_count=5, seed=3, tol=1e-8)
     data = json.loads(report.to_json())

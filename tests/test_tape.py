@@ -11,6 +11,7 @@ past the threshold.  The compositions and mixed-order products of
 with ``jets.compose`` and ``Jet.__mul__`` on random jets with special slots.
 """
 
+import dataclasses
 import itertools
 import math
 import pickle
@@ -130,6 +131,29 @@ def test_signed_zero_leaves_match_reference(node):
         _assert_matches_reference(node, PTS, order)
 
 
+# -- the layout ------------------------------------------------------------------
+
+
+def _nodes(node: ex.Expr) -> list:
+    """``node`` and its descendants."""
+    children = (getattr(node, field.name) for field in dataclasses.fields(node))
+    return [node, *(n for c in children if isinstance(c, ex.Expr) for n in _nodes(c))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(expression)
+def test_tape_has_one_entry_per_node_but_the_variables_reading_only_lower_registers(node):
+    tape = Tape(node)
+    assert len(tape._ops) == sum(not isinstance(n, ex.Var) for n in _nodes(node))
+    for k, (fn, i, j) in enumerate(tape._ops):
+        operands = [] if fn is None else [r for r in (i, j) if r is not None]
+        assert all(0 <= r < k + 2 for r in operands), (k, tape._ops[k])
+    if isinstance(node, ex.Var):
+        assert (tape._out, tape._ops) == ({"x1": 0, "x2": 1}[node.name], ())
+    else:
+        assert tape._out == len(tape._ops) + 1
+
+
 # -- the compiled path -------------------------------------------------------------
 
 WARM = [(0.3, -0.7), (1.5, 0.25), (-2.0, 1.0), (0.7, 1.3), (-0.4, -1.1), (2.5, 0.6)]
@@ -177,6 +201,8 @@ def test_compiled_tape_matches_reference_at_every_order(node, pts):
         "-(x1 - x2)",
         # At x1 = 0 one Horner term overflows where no output does.
         "log(1e-5 + 1e300*x1^2)",
+        "2 + pi",  # no operation reads a variable
+        "x2",  # no operation at all
     ],
 )
 def test_a_point_keeps_its_bits_across_compilation(source):
@@ -249,13 +275,17 @@ def test_varying_exponent_keeps_the_runtime_power(monkeypatch):
     assert powers == [0] * (3 * ex.COMPILE_AFTER)
 
 
-def test_failing_constant_subtree_never_compiles():
-    tape = Tape(parse("x1 + log(0 - 1)"))
+@pytest.mark.parametrize("order", range(jets.MAX_ORDER + 1))
+@pytest.mark.parametrize("source,value", [("x1 + log(0 - 1)", "-1.0"), ("x1 + log(0)", "0.0")])
+def test_failing_constant_subtree_never_compiles(source, value, order):
+    node = parse(source)
+    tape = Tape(node)
     for point in PTS * ex.COMPILE_AFTER:
-        with pytest.raises(jets.DomainError, match="log of non-positive value -1.0"):
-            eval_jet(tape, point, 1)
-    assert tape._runs[1] == 0
-    assert tape._compiled[1] is None
+        expected = _outcome(lambda: eval_jet_reference(node, point, order))
+        assert expected == ("raised", jets.DomainError, f"log of non-positive value {value}")
+        assert _outcome(lambda: eval_jet(tape, point, order)) == expected
+    assert tape._runs[order] == 0
+    assert tape._compiled[order] is None
 
 
 def test_compilation_waits_for_the_threshold_run_at_each_order():
