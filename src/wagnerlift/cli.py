@@ -178,18 +178,14 @@ def _run_surface_info(ns) -> int:
     surf = _load_surface(ns.surface)
     x = ns.at
     p = gauss_curvature(surf, x)
-    lam = p.lam.value
-    if not math.isfinite(lam):
+    if not math.isfinite(p.lam.value):
         raise DomainError(f"non-finite lambda at point {x!r}")
-    print(f"surface: {surf.name}")
-    print(f"point: ({_num(x[0])}, {_num(x[1])})")
-    print(f"lambda_expr: {format_expr(surf.lam)}")
-    print(f"lambda: {_num(lam)}")
-    print(f"c1_12: {_num(p.c1.value)}")
-    print(f"c2_12: {_num(p.c2.value)}")
-    print(f"K: {_num(p.K.value)}")
-    print(f"e1K: {_num(p.e1K.value)}")
-    print(f"e2K: {_num(p.e2K.value)}")
+    lines = [f"surface: {surf.name}", f"point: ({_num(x[0])}, {_num(x[1])})",
+             f"lambda_expr: {format_expr(surf.lam)}"]
+    fields = (("lambda", p.lam), ("c1_12", p.c1), ("c2_12", p.c2),
+              ("K", p.K), ("e1K", p.e1K), ("e2K", p.e2K))
+    lines += [f"{label}: {_num(jet.value)}" for label, jet in fields]
+    print("\n".join(lines))
     return EXIT_OK
 
 
@@ -201,33 +197,26 @@ def _run_lift_table(ns) -> int:
     gamma = lift.lifted_connection(surf, x)
     curv = lift.lifted_curvature_closed(surf, x)
 
-    print(f"surface: {surf.name}")
-    print(f"point: ({_num(x[0])}, {_num(x[1])})")
-    print("lifted frame (rows E1,E2,E3 in basis d1,d2,dphi):")
-    for row in frame:
-        print("  " + "  ".join(_num(v) for v in row))
-    print("structure functions chat^k_ij:")
-    for label, value in (
-        ("chat^1_12", structure.c112),
-        ("chat^2_12", structure.c212),
-        ("chat^3_12", structure.c312),
-        ("chat^3_13", structure.c313),
-        ("chat^3_23", structure.c323),
-    ):
-        print(f"  {label}: {_num(value)}")
-    print("connection Gamma-hat^k_ij (k-th block, rows i, columns j):")
+    lines = [f"surface: {surf.name}", f"point: ({_num(x[0])}, {_num(x[1])})",
+             "lifted frame (rows E1,E2,E3 in basis d1,d2,dphi):"]
+    lines += ["  " + "  ".join(_num(v) for v in row) for row in frame]
+    lines.append("structure functions chat^k_ij:")
+    values = structure.c112, structure.c212, structure.c312, structure.c313, structure.c323
+    lines += [f"  chat^{label}: {_num(value)}"
+              for label, value in zip(("1_12", "2_12", "3_12", "3_13", "3_23"), values)]
+    lines.append("connection Gamma-hat^k_ij (k-th block, rows i, columns j):")
     for k in range(1, 4):
-        print(f"  k={k}:")
-        for i in range(1, 4):
-            print("    " + "  ".join(_num(gamma.entry(k, i, j)) for j in range(1, 4)))
-    print("curvature components <R(Ea,Eb)Ec,Ed>:")
+        lines.append(f"  k={k}:")
+        lines += ["    " + "  ".join(_num(gamma.entry(k, i, j)) for j in range(1, 4))
+                  for i in range(1, 4)]
+    lines.append("curvature components <R(Ea,Eb)Ec,Ed>:")
     planes = ((1, 2), (1, 3), (2, 3))
     for n, (a, b) in enumerate(planes):
-        for c, d in planes[n:]:
-            print(f"  M({a}{b},{c}{d}): {_num(curv.pair_component(a, b, c, d))}")
-    print("sectional curvatures of the frame planes:")
-    for i, j in planes:
-        print(f"  K(E{i},E{j}): {_num(connection.sectional(curv, i, j))}")
+        lines += [f"  M({a}{b},{c}{d}): {_num(curv.pair_component(a, b, c, d))}"
+                  for c, d in planes[n:]]
+    lines.append("sectional curvatures of the frame planes:")
+    lines += [f"  K(E{i},E{j}): {_num(connection.sectional(curv, i, j))}" for i, j in planes]
+    print("\n".join(lines))
     return EXIT_OK
 
 

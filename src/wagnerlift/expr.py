@@ -29,10 +29,11 @@ hold the x1/x2 seed jets, then comes one register per non-variable node,
 leaves included, in post-order; the jet run and the compiler read one list.
 After ``COMPILE_AFTER`` successful runs at an order, the tape compiles that
 order by source transformation (as Tapenade does; Hascoet & Pascual, ACM
-TOMS 39(3), 2013) into one function over float locals, which folds the
-registers that do not depend on x1/x2 and runs the derivative sequences of
-log and exp inline, in ``jets._log``'s and ``jets._exp``'s operation order
-(``_compile``).
+TOMS 39(3), 2013) into one function over float locals (``_compile``).  It folds
+the registers that do not depend on x1/x2, runs log's and exp's derivative
+sequences inline in ``jets._log``'s and ``jets._exp``'s operation order, and
+forms in each Horner step only the Taylor slots that reach the output, as
+``jets.compose`` does.
 
 The results are bit-identical to evaluating the tree recursively: the tape
 applies the same jet operations to the same operands in the same order
@@ -308,7 +309,7 @@ _BINARY = {Add: operator.add, Sub: operator.sub, Mul: operator.mul, Div: operato
 
 
 # Successful jet runs after which a tape compiles that order.  Compiling costs
-# 15 to 30 jet runs, so a tape queried at a few points never compiles.
+# 25 to 40 jet runs, so a tape queried at a few points never compiles.
 COMPILE_AFTER = 20
 
 
@@ -494,10 +495,9 @@ class _Source:
 
     def compose(self, f: list, derivs) -> list:
         """``jets.compose`` of ``f`` with ``derivs(f[0], order)``; ``jets._log``
-        and ``jets._exp`` run inline, other sequences by name.  The first Horner step's
-        zero slots times the perturbation p change no slot: they are +-0.0 in sums from
-        +0.0, or lie above the degree of p's first non-finite slot, a floor that each
-        later step raises by one (p has no value slot), past the order."""
+        and ``jets._exp`` run inline, other sequences by name.  Each Horner step forms
+        only the slots that reach the output, as in ``jets``: a dead slot feeds only dead
+        slots, and no term reads the 0.0 that pads the last step's slots."""
         n = jets._ORDER[len(f)]
         if isinstance(f[0], str) and derivs is jets._log:
             self.lines.append(f"if {f[0]} <= 0.0: raise FloatingPointError")
@@ -513,9 +513,10 @@ class _Source:
         else:
             d = derivs(f[0], n)
         taylor = d[:2] + [self.op(d[k], "/", jets._FACTORIALS[k]) for k in range(2, n + 1)]
-        result = [self.op(taylor[n], "+", 0.0), *[0.0] * (len(f) - 1)]
-        for k in range(n - 1, -1, -1):
-            result = self.mul(result, f, 1)  # the perturbation f - f0, as jets.compose
+        result = [self.op(taylor[n], "+", 0.0)]
+        for k in range(n - 1, -1, -1):  # the perturbation f - f0, as jets.compose
+            size = jets._SIZE[n - k]
+            result = self.mul(result + [0.0] * (size - len(result)), f[:size], 1)
             result[0] = self.op(result[0], "+", taylor[k])
         return result
 

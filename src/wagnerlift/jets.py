@@ -10,15 +10,19 @@ coefficients are Taylor-scaled (divided by a!·b!) so that multiplication is a
 plain truncated polynomial product; the public accessors return raw derivative
 values.
 
-Products run through straight-line kernels generated at import, one per order,
-from ``_PRODUCT_TERMS`` (``_MUL_TABLE`` by output slot, which ``expr._Source``
-also reads): each kernel unpacks two coefficient tuples into locals and returns
-every output slot as ``0.0 + a[i]*b[j] + ...`` with the terms in table order.
-That is the same sequence of roundings as accumulating ``out[k] += a[i]*b[j]``
-over the table from a zero-filled list, so the kernels are bit-identical to
-that loop, signed zeros included.  Because every slot sum starts from +0.0, no
-kernel output is -0.0; adding the constant Taylor term in ``compose`` therefore
-touches slot 0 only, since adding 0.0 to the other slots would change no bit.
+Products and compositions run through straight-line kernels generated at import,
+one per order, from ``_PRODUCT_TERMS`` (``_MUL_TABLE`` by output slot, which
+``expr._Source`` also reads).  A product kernel unpacks two coefficient tuples
+into locals and returns every output slot as ``0.0 + a[i]*b[j] + ...`` with the
+terms in table order: the same sequence of roundings as accumulating ``out[k] +=
+a[i]*b[j]`` over the table from a zero-filled list, signed zeros included.  A
+Horner kernel (``compose``) multiplies by the perturbation f - f0, which has no
+value slot, so a slot of degree d with k steps still to run reaches only degree
+d + k and up (Griewank & Walther, *Evaluating Derivatives*, ch. 13): the step
+with k Taylor terms still to add forms only the slots of degree <= n - k, each
+the same sum as in a full product, and a dead slot feeds only dead slots.  No
+slot sum is -0.0, since each starts from +0.0, so adding the constant Taylor
+term touches slot 0 only: adding 0.0 to the other slots would change no bit.
 """
 
 from __future__ import annotations
@@ -81,20 +85,33 @@ _SCALE = {
 }
 
 
-def _product_kernel(n: int, first_b: int):
-    """Straight-line product of two order-``n`` coefficient tuples, less the
-    terms of ``b``'s slots below ``first_b``."""
+def _product_kernel(n: int):
+    """Straight-line product of two order-``n`` coefficient tuples."""
     size = _SIZE[n]
     a, b = (", ".join(f"{x}{i}" for i in range(size)) for x in "ab")
-    slots = ", ".join(" + ".join(["0.0"] + [f"a{i}*b{j}" for i, j in terms if j >= first_b])
+    slots = ", ".join(" + ".join(["0.0"] + [f"a{i}*b{j}" for i, j in terms])
                       for terms in _PRODUCT_TERMS[:size])
     namespace: dict = {}
     exec(f"def kernel(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
     return namespace["kernel"]
 
 
-_MUL_KERNELS = tuple(_product_kernel(n, 0) for n in range(MAX_ORDER + 1))
-_PERTURB_KERNELS = tuple(_product_kernel(n, 1) for n in range(MAX_ORDER + 1))
+def _horner_kernel(n: int):
+    """Straight-line ``compose`` at order ``n`` of Taylor slots ``b`` and derivatives ``d``."""
+    code = f"def kernel(b, d):\n    _, {''.join(f'b{j}, ' for j in range(1, _SIZE[n]))}= b\n"
+    code += f"    a0 = d[{n}] / {_FACTORIALS[n]!r} + 0.0\n"
+    for k in range(n - 1, -1, -1):  # the products of the perturbation, less its value slot
+        slots = [" + ".join(["0.0"] + [f"a{i}*b{j}" for i, j in terms if j])
+                 for terms in _PRODUCT_TERMS[: _SIZE[n - k]]]
+        slots[0] += f" + d[{k}] / {_FACTORIALS[k]!r}"
+        code += f"    {''.join(f'a{s}, ' for s in range(len(slots)))}= {', '.join(slots)},\n"
+    namespace: dict = {}
+    exec(code + f"    return ({''.join(f'a{s}, ' for s in range(_SIZE[n]))})\n", namespace)
+    return namespace["kernel"]
+
+
+_MUL_KERNELS = tuple(map(_product_kernel, range(MAX_ORDER + 1)))
+_HORNER_KERNELS = tuple(map(_horner_kernel, range(MAX_ORDER + 1)))
 
 
 def _new(order: int, taylor: tuple[float, ...]) -> "Jet":
@@ -251,19 +268,8 @@ def diff(jet: Jet, axis: int) -> Jet:
 
 def compose(jet: Jet, derivs: list[float]) -> Jet:
     """Jet of h(f) given the jet of f and [h(f0), h'(f0), ..., h^(n)(f0)]."""
-    n = jet.order
-    kernel, f = _PERTURB_KERNELS[n], jet._t
-    taylor = [derivs[k] / _FACTORIALS[k] for k in range(n + 1)]
-    # Horner's rule from the zero jet in the perturbation f - f0, whose 0.0
-    # value slot the kernel leaves out: its +-0.0 products change no kernel
-    # sum (each starts at +0.0), and an overflowed Taylor term would make them
-    # NaN.  The leading term is added to +0.0, so the value is a +0.0 sum plus
-    # the Taylor term at every order, and adding 0.0 past slot 0 is a no-op.
-    result = (taylor[n] + 0.0,) + (0.0,) * (_SIZE[n] - 1)
-    for k in range(n - 1, -1, -1):
-        result = kernel(result, f)
-        result = (result[0] + taylor[k],) + result[1:]
-    return _new(n, result)
+    # Horner's rule in f - f0: products with its 0.0 value slot would make an overflowed term NaN.
+    return _new(jet.order, _HORNER_KERNELS[jet.order](jet._t, derivs))
 
 
 def integer_power(jet: Jet, n: int) -> Jet:

@@ -175,7 +175,7 @@ def conformal_pipeline(lam: Jet) -> ConformalJets:
 @cache
 def _pipeline_kernel():
     """The module docstring's formulas as one float function by ``expr._Source``, which
-    keeps the ``Jet`` bits: it leaves out only x/1.0, 1.0*x and ``compose``'s idle 0.0*x.
+    keeps the ``Jet`` bits: it leaves out only x/1.0 and 1.0*x.
     A slot of degree d reads no higher slot, so each jet runs only to the order it is read."""
     src = _Source()
     lam, d1, d2 = ([f"{x}{i}" for i in range(10)] for x in "lpq")

@@ -7,7 +7,8 @@ plain loops and the recursive AST interpreter that the library's kernels and
 tapes replace, and the frame calculus and bracket oracle as they ran on whole
 jets before they ran on first partials, the Koszul and curvature index
 loops and the frame derivative that the generated frame kernels replace,
-``jets.compose`` as it multiplied by the perturbation's zero value slot, and
+``jets.compose`` as it multiplied by the perturbation's zero value slot and
+as it ran every Horner step at full order (``compose_full_order``), and
 the entry-by-entry expansion of the six curvature components, kept here to
 pin those bit for bit.  So are the per-point steps of ``verify_lift`` as they
 ran before they were straight-line code: the curvature table's fill loop,
@@ -282,6 +283,36 @@ def compose_through_value_slot(jet: jets.Jet, derivs: list[float]) -> tuple:
     result = (taylor[n] + 0.0,) + (0.0,) * (len(jets.MONOMIALS[n]) - 1)
     for k in range(n - 1, -1, -1):
         result = kernel(result, p)
+        result = (result[0] + taylor[k],) + result[1:]
+    return result
+
+
+def _perturbation_kernel(n: int):
+    """Straight-line product of two order-``n`` coefficient tuples, less the
+    terms of ``b``'s value slot: the library's perturbation kernel before its
+    Horner steps were truncated."""
+    size = len(jets.MONOMIALS[n])
+    a, b = (", ".join(f"{x}{i}" for i in range(size)) for x in "ab")
+    slots = ", ".join(" + ".join(["0.0"] + [f"a{i}*b{j}" for i, j in terms if j >= 1])
+                      for terms in jets._PRODUCT_TERMS[:size])
+    namespace: dict = {}
+    exec(f"def kernel(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
+    return namespace["kernel"]
+
+
+_PERTURBATION_KERNELS = [_perturbation_kernel(n) for n in range(jets.MAX_ORDER + 1)]
+
+
+def compose_full_order(jet: jets.Jet, derivs: list[float]) -> tuple:
+    """Taylor coefficients of h(f) as ``jets.compose`` formed them before each
+    Horner step kept only the slots that reach the output: every step
+    multiplies the whole jet by the perturbation, less its value slot."""
+    n = jet.order
+    kernel, f = _PERTURBATION_KERNELS[n], jet._t
+    taylor = [derivs[k] / jets._FACTORIALS[k] for k in range(n + 1)]
+    result = (taylor[n] + 0.0,) + (0.0,) * (len(jets.MONOMIALS[n]) - 1)
+    for k in range(n - 1, -1, -1):
+        result = kernel(result, f)
         result = (result[0] + taylor[k],) + result[1:]
     return result
 

@@ -19,6 +19,7 @@ from wagnerlift.jets import Jet
 
 from _oracles import (
     atan_derivs_loop,
+    compose_full_order,
     compose_reference,
     compose_through_value_slot,
     mul_reference,
@@ -122,6 +123,46 @@ def test_compose_matches_the_value_slot_products_on_finite_jets(name):
             assert _bits(jets.compose(jet, derivs)._t) == _bits(
                 compose_through_value_slot(jet, derivs)
             ), (n, jet)
+
+
+_COMPOSE_SPECIAL = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, 1e308, -1e308]
+
+
+def _compose_outcome(compose, jet, derivs):
+    try:
+        return _bits(compose(jet, derivs))
+    except Exception as err:  # noqa: BLE001 - both routes must fail alike
+        return type(err), str(err)
+
+
+@pytest.mark.parametrize("n", range(jets.MAX_ORDER + 1))
+def test_truncated_horner_steps_match_the_full_order_loop_bit_for_bit(n):
+    # ``jets.compose`` forms in each Horner step only the slots that reach the
+    # output, the full-order loop every slot.  4000 jets per order (20 000 in
+    # all) with special values in the slots and in the derivative sequence; one
+    # sequence in 50 is too short, and both routes must raise alike on it.
+    rng = random.Random(2800 + n)
+    size = len(jets.MONOMIALS[n])
+
+    def slot():
+        if rng.random() < 0.25:
+            return rng.choice(_COMPOSE_SPECIAL)
+        return rng.uniform(-1.0, 1.0) * 10.0 ** rng.randint(-8, 8)
+
+    warm = Jet(n, tuple(0.5 + 0.1 * k for k in range(size)))
+    for _ in range(16):  # CPython 3.11 picks a two-NaN result's sign by specialization state
+        jets.compose(warm, [1.0] * (n + 1))
+        compose_full_order(warm, [1.0] * (n + 1))
+    non_finite = raised = 0
+    for _ in range(4000):
+        jet = Jet(n, tuple(slot() for _ in range(size)))
+        derivs = [slot() for _ in range(n + 1 if rng.random() >= 0.02 else rng.randint(0, n))]
+        expected = _compose_outcome(compose_full_order, jet, derivs)
+        got = _compose_outcome(lambda j, d: jets.compose(j, d)._t, jet, derivs)
+        assert got == expected, (jet, derivs)
+        non_finite += not all(map(math.isfinite, [*jet._t, *derivs]))
+        raised += not isinstance(expected, bytes)
+    assert non_finite > 500 and raised > 40
 
 
 def _sequence_outcome(derivs, *args):

@@ -12,6 +12,7 @@ with ``jets.compose`` and ``Jet.__mul__`` on random jets with special slots.
 """
 
 import dataclasses
+import dis
 import itertools
 import math
 import pickle
@@ -28,6 +29,7 @@ from wagnerlift.expr import Tape, eval_jet, parse
 from wagnerlift.jets import Jet
 from wagnerlift.surface import (
     ConformalSurface,
+    _pipeline_kernel,
     conformal_laplacian_curvature,
     laplacian_curvature_from,
 )
@@ -449,6 +451,26 @@ def test_source_compose_without_the_first_steps_zero_terms_keeps_the_jet_bits(de
         assert _bits(composed(*jet._t)) == expected, jet
         non_finite += not all(map(math.isfinite, jet._t[1:]))
     assert non_finite > 600
+
+
+def _binary_ops(function, op: str | None = None) -> int:
+    return sum(ins.opname == "BINARY_OP" and op in (None, ins.argrepr)
+               for ins in dis.get_instructions(function))
+
+
+def test_horner_steps_form_only_the_slots_that_reach_the_output():
+    # The step with k Taylor terms still to add forms the slots of degree <= n - k,
+    # from the perturbation's slots past its value: at order 4, 2 + 9 + 25 + 55 = 91
+    # products, where every step at full order formed 4 * 55 = 220.
+    def products(m):  # monomial pairs of total degree <= m, the second one not constant
+        return sum(sum(a) + sum(b) <= m for a in jets.MONOMIALS[m] for b in jets.MONOMIALS[m][1:])
+
+    assert [products(m) for m in range(1, jets.MAX_ORDER + 1)] == [2, 9, 25, 55]
+    for n in range(jets.MAX_ORDER + 1):
+        expected = sum(products(m) for m in range(1, n + 1))
+        assert _binary_ops(jets._HORNER_KERNELS[n], "*") == expected, n
+    # surface's kernel composes e^(-lambda) and 1/K alike: 464 BINARY_OPs at full order.
+    assert _binary_ops(_pipeline_kernel()) == 418
 
 
 @pytest.mark.parametrize("orders", [(4, 2), (2, 4), (3, 1), (1, 0), (4, 0)], ids=str)
