@@ -16,10 +16,10 @@ Conventions, used consistently everywhere:
 
 This module is the generic oracle for the closed-form lift formulas: the
 curvature comes from c and e_a alone, never from the closed forms.  The
-Koszul and curvature formulas run as straight-line kernels generated per
-frame dimension on first use.  Each writes every entry as one left-to-right
-expression in the order of the index loops it replaces, so it rounds as they
-did, signed zeros included; the loops are the bit references of the tests.
+Koszul and curvature formulas run as straight-line kernels generated on first
+use.  Each writes every entry as one left-to-right expression in the order of
+the index loops it replaces, less terms known to be +-0.0 (see ``curvature``),
+so it rounds as they did, signed zeros included; the tests keep the loops.
 """
 
 from __future__ import annotations
@@ -85,8 +85,9 @@ def _nested(leaf, n: int, depth: int, index: tuple = ()) -> str:
     return "(" + "".join(_nested(leaf, n, depth, index + (i,)) + ", " for i in range(n)) + ")"
 
 
-def _koszul(c: str, k: int, i: int, j: int) -> str:
-    return f"0.5 * ({c}{k}{i}{j} + {c}{j}{k}{i} + {c}{i}{k}{j})"
+def _koszul(c: str, k: int, i: int, j: int, dead=()) -> str:  # "" if every slot is dead
+    terms = [t for t in (f"{c}{k}{i}{j}", f"{c}{j}{k}{i}", f"{c}{i}{k}{j}") if t not in dead]
+    return f"0.5 * ({' + '.join(terms)})" if terms else ""
 
 
 def _unpack(c: str, n: int) -> str:
@@ -101,19 +102,25 @@ def _koszul_kernel(n: int):
 
 
 @cache
-def _curvature_kernel(n: int):
+def _curvature_kernel(n: int, zeros: frozenset):
+    """The kernel of inputs whose (table, k, i, j) slots ``zeros`` of (c, d_1 c, d_2 c) are 0.0."""
+    dead = {f"{'cpq'[t]}{k}{i}{j}" for t, k, i, j in zeros}
     lines = [_unpack(c, n) for c in "cpq"]  # c and its chart partials d_1 c, d_2 c
-    for k, i, j in product(range(n), repeat=3):  # Gamma, e_1 Gamma and e_2 Gamma
-        lines.append(f"G{k}{i}{j} = {_koszul('c', k, i, j)}")
-        lines += (f"E{a}{k}{i}{j} = 0.0 + em * ({_koszul(d, k, i, j)})" for a, d in enumerate("pq"))
+    live = {f"c{k}{i}{j}" for k, i, j in product(range(n), repeat=3)} - dead
+    for k, i, j, (name, c) in product(range(n), range(n), range(n), (("G", "c"), ("E0", "p"), ("E1", "q"))):
+        if terms := _koszul(c, k, i, j, dead):  # Gamma, e_1 Gamma and e_2 Gamma
+            live.add(name := f"{name}{k}{i}{j}")
+            lines.append(f"{name} = " + (terms if c == "c" else f"0.0 + em * ({terms})"))
 
     def entry(l: int, i: int, j: int, k: int) -> str:  # e_a Gamma is 0.0 along E3, a = 2
-        ei, ej = ("0.0" if a == 2 else f"E{a}{l}{b}{k}" for a, b in ((i, j), (j, i)))
-        return f"{ei} - {ej}" + "".join(
-            f" + G{l}{i}{s}*G{s}{j}{k} - G{l}{j}{s}*G{s}{i}{k} - c{s}{i}{j}*G{l}{s}{k}"
-            for s in range(n)
-        )
+        ei, ej = (f"E{a}{l}{b}{k}" if f"E{a}{l}{b}{k}" in live else "0.0" for a, b in ((i, j), (j, i)))
+        return f"{ei} - {ej}" + "".join(term for s in range(n) for term in (
+            f" + G{l}{i}{s}*G{s}{j}{k}", f" - G{l}{j}{s}*G{s}{i}{k}", f" - c{s}{i}{j}*G{l}{s}{k}"
+        ) if live.issuperset(term[3:].split("*")))
 
+    if zeros:  # a dead slot that is not 0.0 is truthy, and f - f is NaN unless f is finite
+        finite = [f"{f} - {f}" for f in ["em", *sorted(live)] if f[0] != "E"]
+        lines.append(f"if {' or '.join(sorted(dead) + finite)}:\n        raise FloatingPointError")
     lines.append(f"return {_nested(entry, n, 4)}")
     exec("def kernel(c, p, q, em):\n    " + "\n    ".join(lines) + "\n", namespace := {})
     return namespace["kernel"]
@@ -137,6 +144,14 @@ def koszul(point: FramePoint) -> ConnectionTable:
 # -- curvature -----------------------------------------------------------------
 
 
+_KNOWN_ZEROS: dict[int, frozenset] = {}  # dimension -> the slots 0.0 at every call so far
+
+
+def _zero_slots(tables) -> frozenset:
+    return frozenset((t, k, i, j) for t, table in enumerate(tables)
+                     for k, i, j in product(range(len(table)), repeat=3) if table[k][i][j] == 0.0)
+
+
 def curvature(point: FramePoint) -> CurvatureTable:
     """Full lowered curvature table from the structure functions at the point.
 
@@ -146,6 +161,21 @@ def curvature(point: FramePoint) -> CurvatureTable:
 
     with e_i Gamma from the chart partials of Gamma that the Koszul formula
     gives on the chart partials of c, and the s terms added in turn.
+
+    The kernel leaves out the Koszul terms and R products that are +-0.0 if
+    the slots of (c, d_1 c, d_2 c) that were 0.0 at every call so far still
+    are.  Its guard checks that, and that em and every live c and Gamma are
+    finite.  No bit changes: a left-out Koszul term changes only the sign of
+    a zero sum, which R reads as a product factor or in e_a Gamma = 0.0 +
+    em * (...), never -0.0; so no partial sum of an R entry is -0.0 either,
+    and adding +-0.0 to it is exact.
     """
-    R = _curvature_kernel(point.dim)(point.c, *point.dc, point.em)
-    return CurvatureTable(dim=point.dim, R=R)
+    n, tables = point.dim, (point.c, *point.dc)
+    if (zeros := _KNOWN_ZEROS.get(n)) is None:
+        zeros = _KNOWN_ZEROS[n] = _zero_slots(tables)
+    while True:  # the kernel without known zeros has no guard
+        try:
+            return CurvatureTable(dim=n, R=_curvature_kernel(n, zeros)(*tables, point.em))
+        except FloatingPointError:  # keep only this call's zeros; if none left, use no known zeros
+            seen = zeros & _zero_slots(tables)
+            zeros, _KNOWN_ZEROS[n] = (seen, seen) if seen != zeros else (frozenset(), zeros)

@@ -18,13 +18,19 @@ writes out on 3000 random jets and at a zero curvature, an overflow of
 e^-lambda and a jet of the wrong order, on the slots its record keeps: the
 first three of each field, and ddlogK.  Every field of that record is an
 order-1 jet whose Taylor slots, which ``lift`` reads, are its raw partials.
+The curvature kernel for the zeros ``connection.curvature`` learns keeps the
+loops' bits on 2000 lifted frame points, learning from none and after, and on
+3000 lifted points with special values in live slots, in em and in known-zero
+slots, through its guard and both reruns.
 """
 
+import dis
 import math
 import random
 import struct
 import sys
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -541,3 +547,138 @@ def test_every_record_field_is_an_order_one_jet_whose_slots_are_its_raw_partials
                 assert struct.pack("<3d", *f._t) == struct.pack("<3d", *f.coeffs), p
         counted["K == 0" if p.u1 is None else "u set"] += 1
     assert counted["K == 0"] > 200 and counted["u set"] > 1000, counted
+
+
+# -- the curvature kernel for the known zeros of its input ------------------------
+
+# The lifted frame's live structure functions, 0-based (k, i, j) with i < j:
+# c^1_12, c^2_12, c^3_12 = -1, c^3_13 = u1 and c^3_23 = u2.  The constant
+# c^3_12 has zero chart partials.
+_LIFTED_LIVE = {(0, 0, 1), (1, 0, 1), (2, 0, 1), (2, 0, 2), (2, 1, 2)}
+LIFTED_ZEROS = frozenset(
+    (t, k, i, j) for t, k, i, j in product(range(3), repeat=4)
+    if (k, *sorted((i, j))) not in (_LIFTED_LIVE - {(2, 0, 1)} if t else _LIFTED_LIVE)
+)
+ZERO_PATTERN_SPECIALS = (0.0, -0.0, math.inf, -math.inf, math.nan, 1e300, -1e300, 5e-324, -5e-324)
+
+
+def _binary_ops(function) -> int:
+    return sum(ins.opname == "BINARY_OP" for ins in dis.get_instructions(function))
+
+
+def _with(point, em=None, **slots) -> connection.FramePoint:
+    """``point`` with em and the named slots (table letter c, p or q, then
+    k, i, j) replaced."""
+    tables = [[[list(row) for row in plane] for plane in table] for table in (point.c, *point.dc)]
+    for name, value in slots.items():
+        t, k, i, j = "cpq".index(name[0]), *map(int, name[1:])
+        tables[t][k][i][j] = value
+    c, p, q = (tuple(tuple(map(tuple, plane)) for plane in table) for table in tables)
+    return connection.FramePoint(dim=3, c=c, dc=(p, q), em=point.em if em is None else em)
+
+
+def _record_kernels(monkeypatch) -> list:
+    """The zero patterns of the curvature kernels run from now on, in order."""
+    kernel, built = connection._curvature_kernel, []
+    monkeypatch.setattr(connection, "_curvature_kernel", lambda n, zeros: built.append(zeros) or kernel(n, zeros))
+    return built
+
+
+def _warm(points, *patterns):
+    """Run each pattern's kernel and the loop past CPython's specialization of
+    their float operations (the two-NaN quirk of the module's fixture)."""
+    for zeros, point in product(patterns, points):
+        for _ in range(16):
+            connection._curvature_kernel(3, zeros)(point.c, *point.dc, point.em)
+            curvature_loop(point)
+
+
+BUMP_POINT = lift_frame_point(catalog("bump"), (0.3, 0.2))
+
+
+def test_the_lifted_pattern_leaves_out_60_percent_of_the_kernels_float_operations():
+    assert len(LIFTED_ZEROS) == 17 + 19 + 19
+    assert connection._zero_slots((BUMP_POINT.c, *BUMP_POINT.dc)) == LIFTED_ZEROS
+    assert _binary_ops(connection._curvature_kernel(3, frozenset())) == 1881
+    assert _binary_ops(connection._curvature_kernel(3, LIFTED_ZEROS)) == 741  # guard included
+
+
+def _lifted_points() -> list:
+    """100 sampled lifted frame points of each catalog surface and of 20
+    seeded custom ones."""
+    surfaces = [catalog(name) for name in ("sphere", "halfplane", "bump")]
+    points = []
+    for surface in surfaces + [_custom(seed) for seed in range(100, 120)]:
+        for x in sample_points(surface, 100, random.Random(surface.name + " zeros")):
+            try:
+                points.append(lift_frame_point(surface, x))
+            except (DomainError, SingularCurvature):
+                pass
+    return points
+
+
+def test_curvature_learns_the_lifted_zero_pattern_and_keeps_the_loop_bits(monkeypatch):
+    points = _lifted_points()
+    assert len(points) > 2000
+    expected = [_outcome(curvature_loop, point) for point in points]
+    _warm(points[:1], connection._zero_slots((points[0].c, *points[0].dc)))
+    monkeypatch.setattr(connection, "_KNOWN_ZEROS", {})
+    for _ in range(2):  # learning from no pattern, then on the learned one
+        for point, outcome in zip(points, expected):
+            assert _outcome(connection.curvature, point) == outcome, point
+    # The sphere's and the half-plane's points add zeros of their own; bump's
+    # have exactly the lift's structural ones.
+    assert connection._KNOWN_ZEROS == {3: LIFTED_ZEROS}
+
+
+def test_a_known_zero_that_is_not_zero_narrows_the_pattern_to_this_calls_zeros(monkeypatch):
+    monkeypatch.setattr(connection, "_KNOWN_ZEROS", {})
+    extra = _with(BUMP_POINT, c001=0.0, c010=-0.0)  # a point with two more zeros
+    for point, learned in (
+        (extra, LIFTED_ZEROS | {(0, 0, 0, 1), (0, 0, 1, 0)}),  # the first call's zeros
+        (BUMP_POINT, LIFTED_ZEROS),
+        (_with(BUMP_POINT, c000=-0.0, p000=2.5, q222=math.nan), LIFTED_ZEROS - {(1, 0, 0, 0), (2, 2, 2, 2)}),
+    ):
+        assert _outcome(connection.curvature, point) == _outcome(curvature_loop, point)
+        assert connection._KNOWN_ZEROS == {3: learned}
+
+
+@pytest.mark.parametrize("slots", [{"em": math.inf}, {"em": math.nan}, {"c001": math.inf},
+                                   {"c201": -math.inf}, {"c001": 1e308}])  # the last: Gamma^1_12 = inf
+def test_a_value_that_is_not_finite_leaves_the_pattern_as_it_was(monkeypatch, slots):
+    # The guard fails, no known zero left the pattern, and the call reruns on
+    # the kernel without known zeros.
+    monkeypatch.setattr(connection, "_KNOWN_ZEROS", {3: LIFTED_ZEROS})
+    point = _with(BUMP_POINT, **slots)
+    _warm([BUMP_POINT], LIFTED_ZEROS, frozenset())
+    built = _record_kernels(monkeypatch)
+    assert _outcome(connection.curvature, point) == _outcome(curvature_loop, point)
+    assert built == [LIFTED_ZEROS, frozenset()]
+    assert connection._KNOWN_ZEROS[3] is LIFTED_ZEROS
+
+
+def test_the_guard_and_its_reruns_keep_the_loop_bits_on_special_values(monkeypatch):
+    # Specials in the live slots, in em and in seven of the known-zero slots;
+    # each call starts from the lifted pattern.
+    fillable = sorted(LIFTED_ZEROS)[::8]
+    live = sorted(set(product(range(3), repeat=4)) - LIFTED_ZEROS)
+    _warm([BUMP_POINT], LIFTED_ZEROS, frozenset(), *(LIFTED_ZEROS - {slot} for slot in fillable))
+    built = _record_kernels(monkeypatch)
+    monkeypatch.setattr(connection, "_KNOWN_ZEROS", {})
+    rng = random.Random(1407)
+    routes = Counter()
+    for _ in range(3000):
+        slots = rng.sample(live, rng.choice((0, 1, 2))) + [rng.choice(fillable)] * (rng.random() < 0.4)
+        point = _with(
+            BUMP_POINT, em=rng.choice(ZERO_PATTERN_SPECIALS) if rng.random() < 0.2 else None,
+            **{"cpq"[t] + f"{k}{i}{j}": rng.choice(ZERO_PATTERN_SPECIALS) for t, k, i, j in slots},
+        )
+        connection._KNOWN_ZEROS[3], built[:] = LIFTED_ZEROS, []
+        assert _outcome(connection.curvature, point) == _outcome(curvature_loop, point), point
+        narrowed = LIFTED_ZEROS & connection._zero_slots((point.c, *point.dc))
+        assert connection._KNOWN_ZEROS[3] == narrowed
+        tried = [LIFTED_ZEROS] + [narrowed] * (narrowed != LIFTED_ZEROS)
+        assert built in (tried, tried + [frozenset()]), built
+        routes["narrowed" if narrowed != LIFTED_ZEROS else "kept",
+               "rerun without known zeros" if built[-1] == frozenset() else "guard held"] += 1
+    assert min(routes.values()) > 100 and len(routes) == 4, routes

@@ -55,7 +55,7 @@ def _imports(module: str) -> dict[str, set]:
 
 
 # The line count of src/wagnerlift/*.py when this bound was last set.
-SRC_LINES = 2899
+SRC_LINES = 2925
 
 
 def test_src_stays_within_its_line_count():
@@ -185,6 +185,17 @@ def test_public_functions_keep_only_the_pinned_defaulted_parameters():
     assert _defaulted_parameters() == PUBLIC_DEFAULTS
 
 
+def _fresh_process(source: str) -> str:
+    """The stdout of ``source`` run in a new interpreter on this ``src/``."""
+    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
+    probe = subprocess.run(
+        [sys.executable, "-c", source], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path}, timeout=120,
+    )
+    assert probe.returncode == 0, probe.stderr
+    return probe.stdout
+
+
 _KERNEL_PROBE = """
 import contextlib, io, sys
 from wagnerlift import cli, connection, lift, surface
@@ -223,13 +234,27 @@ def test_surface_info_and_geodesic_build_no_curvature_kernel():
     # kernel and the closed table, and still no curvature kernel.  The flows
     # read the order-3 frame fields, so only ``surface info`` of these
     # builds the order-4 pipeline kernel.
-    path = os.pathsep.join(filter(None, (str(SRC.parent), os.environ.get("PYTHONPATH"))))
-    probe = subprocess.run(
-        [sys.executable, "-c", _KERNEL_PROBE], capture_output=True, text=True,
-        env={**os.environ, "PYTHONPATH": path}, timeout=120,
-    )
-    assert probe.returncode == 0, probe.stderr
-    assert probe.stdout.split("\n")[:2] == ["[0, 0, 0] 1", "[1, 0, 1]"]
+    stdout = _fresh_process(_KERNEL_PROBE)
+    assert stdout.split("\n")[:2] == ["[0, 0, 0] 1", "[1, 0, 1]"]
     # The library needs only the standard library: no command imports numpy.
-    assert probe.stdout.split("\n")[2] == "False"
-    assert probe.stdout.split("\n")[3] == "[0, 1]"
+    assert stdout.split("\n")[2] == "False"
+    assert stdout.split("\n")[3] == "[0, 1]"
+
+
+_PATTERN_PROBE = """
+import contextlib, io
+from wagnerlift import cli, connection
+with contextlib.redirect_stdout(io.StringIO()):
+    for name in ("sphere", "bump"):
+        assert cli.run(["verify", "--surface", name, "--samples", "5"]) == 0
+built = connection._curvature_kernel.cache_info().currsize
+connection._curvature_kernel(3, frozenset())  # built here, so nothing above took it
+print(built > 0, connection._curvature_kernel.cache_info().currsize - built)
+"""
+
+
+def test_verify_on_finite_points_builds_no_curvature_kernel_without_known_zeros():
+    # In a fresh process: ``verify`` runs the curvature kernels of the zero
+    # patterns it learns, and never the one of no known zeros, whose guard-free
+    # full form only a point with a value that is not finite needs.
+    assert _fresh_process(_PATTERN_PROBE).split() == ["True", "1"]

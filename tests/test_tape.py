@@ -434,10 +434,11 @@ def _lemma_jet(rng: random.Random, order: int) -> Jet:
     "derivs", [jets._exp, jets._log, jets.reciprocal_derivs, jets._sin, jets._atan],
     ids=lambda derivs: derivs.__name__,
 )
-def test_source_compose_without_the_first_steps_zero_terms_keeps_the_jet_bits(derivs, order):
-    # ``_Source.compose`` leaves out the first Horner step's products of the
-    # perturbation with zero slots, with no finiteness test: they change no
-    # slot, non-finite perturbation slots included.
+def test_source_compose_keeps_the_jet_bits_on_special_perturbations(derivs, order):
+    # ``_Source.compose`` writes each Horner step as ``jets.compose`` runs it:
+    # the same slots from the perturbation's slots past its value, with no
+    # finiteness test, so it keeps every bit, non-finite perturbation slots
+    # included.
     composed = _slot_function([jets._SIZE[order]], lambda src, f: src.compose(f, derivs))
     warm = Jet(order, tuple(0.1 * k + 0.5 for k in range(jets._SIZE[order])))
     for _ in range(16):  # CPython 3.11 picks a two-NaN result's sign by specialization state
