@@ -18,7 +18,7 @@ This module is the generic oracle for the closed-form lift formulas: the
 curvature comes from c and e_a alone, never from the closed forms.  The
 Koszul and curvature formulas run as straight-line kernels generated on first
 use.  Each writes every entry as one left-to-right expression in the order of
-the index loops it replaces, less terms known to be +-0.0 (see ``curvature``),
+the index loops it replaces, less terms on declared zero slots (``curvature``),
 so it rounds as they did, signed zeros included; the tests keep the loops.
 """
 
@@ -39,6 +39,7 @@ class FramePoint:
     c: tuple  # c[k][i][j] values; antisymmetric in (i, j)
     dc: tuple  # (d_1 c, d_2 c), each laid out like c
     em: float
+    zeros: frozenset = frozenset()  # (table, k, i, j) slots of (c, *dc) that are 0.0 by construction
 
 
 @dataclass(frozen=True)
@@ -144,9 +145,6 @@ def koszul(point: FramePoint) -> ConnectionTable:
 # -- curvature -----------------------------------------------------------------
 
 
-_KNOWN_ZEROS: dict[int, frozenset] = {}  # dimension -> the slots 0.0 at every call so far
-
-
 def _zero_slots(tables) -> frozenset:
     return frozenset((t, k, i, j) for t, table in enumerate(tables)
                      for k, i, j in product(range(len(table)), repeat=3) if table[k][i][j] == 0.0)
@@ -163,19 +161,15 @@ def curvature(point: FramePoint) -> CurvatureTable:
     gives on the chart partials of c, and the s terms added in turn.
 
     The kernel leaves out the Koszul terms and R products that are +-0.0 if
-    the slots of (c, d_1 c, d_2 c) that were 0.0 at every call so far still
-    are.  Its guard checks that, and that em and every live c and Gamma are
-    finite.  No bit changes: a left-out Koszul term changes only the sign of
-    a zero sum, which R reads as a product factor or in e_a Gamma = 0.0 +
-    em * (...), never -0.0; so no partial sum of an R entry is -0.0 either,
-    and adding +-0.0 to it is exact.
+    the slots the point declares in ``zeros`` are 0.0.  Its guard checks that,
+    and that em and every live c and Gamma are finite; if not, the call reruns
+    on the kernel without known zeros.  No bit changes: a left-out Koszul term
+    changes only the sign of a zero sum, which R reads as a product factor or
+    in e_a Gamma = 0.0 + em * (...), never -0.0; so no partial sum of an R
+    entry is -0.0 either, and adding +-0.0 to it is exact.
     """
     n, tables = point.dim, (point.c, *point.dc)
-    if (zeros := _KNOWN_ZEROS.get(n)) is None:
-        zeros = _KNOWN_ZEROS[n] = _zero_slots(tables)
-    while True:  # the kernel without known zeros has no guard
-        try:
-            return CurvatureTable(dim=n, R=_curvature_kernel(n, zeros)(*tables, point.em))
-        except FloatingPointError:  # keep only this call's zeros; if none left, use no known zeros
-            seen = zeros & _zero_slots(tables)
-            zeros, _KNOWN_ZEROS[n] = (seen, seen) if seen != zeros else (frozenset(), zeros)
+    try:
+        return CurvatureTable(dim=n, R=_curvature_kernel(n, point.zeros)(*tables, point.em))
+    except FloatingPointError:  # the kernel without known zeros has no guard
+        return CurvatureTable(dim=n, R=_curvature_kernel(n, frozenset())(*tables, point.em))

@@ -24,6 +24,8 @@ M(ab, cd) = <R(E_a, E_b) E_c, E_d>, come out as
 The signs of the two mixed M(12, a3) components are pinned by the generic
 frame-calculus oracle (``verify.verify_lift`` re-checks them at every sampled
 point and records the resolution); sectional curvatures use K(X,Y) = <R(X,Y)Y,X>.
+The bracket oracle, the nonholonomity and the closed table are straight-line
+functions of one checked record, which a surface tests once per point.
 """
 
 from __future__ import annotations
@@ -46,13 +48,17 @@ from .surface import (
 
 
 def _checked_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
+    """The ``surface_jets`` record at ``x``, its K and finiteness tested once per
+    surface: a surface keeps the last record that passed, and one that raised is tested again."""
     p = surface_jets(surface, x)
-    K = p.K.value
-    if abs(K) < KAPPA_MIN or p.u1 is None:
-        raise SingularCurvature(x, K)
-    # A finite K bounds c1 and c2, and finite u_i bound e_i(K).
-    (a, b), (c, d) = p.ddlogK
-    require_finite((K, p.u1.value, p.u2.value, a, b, c, d), x)
+    if surface._last_checked is not p:
+        K = p.K.value
+        if abs(K) < KAPPA_MIN or p.u1 is None:
+            raise SingularCurvature(x, K)
+        # A finite K bounds c1 and c2, and finite u_i bound e_i(K).
+        (a, b), (c, d) = p.ddlogK
+        require_finite((K, p.u1.value, p.u2.value, a, b, c, d), x)
+        object.__setattr__(surface, "_last_checked", p)
     return p
 
 
@@ -79,34 +85,38 @@ def lifted_frame(surface: ConformalSurface, x: Point) -> tuple:
     return tuple([(d1[0], d2[0], dphi[0]) for d1, d2, dphi in rows])
 
 
-def _bracket_components(rows: tuple, i: int, j: int) -> list[float]:
-    """Chart components of [E_i, E_j] from the coefficient partials.
+@cache
+def _bracket_kernel(table: bool):
+    """``_coefficient_rows`` -> the table chat[k][i][j] (``table``) or the N of [E1, E2].
 
-    The coefficients are phi-independent, so only d_1 and d_2 act.
-    """
-    ri, rj = rows[i], rows[j]
-    p, q, r, s = ri[0][0], rj[0][0], ri[1][0], rj[1][0]
-    return [0.0 + p * b1 - q * a1 + r * b2 - s * a2 for (_, a1, a2), (_, b1, b2) in zip(ri, rj)]
-
-
-def _reexpand(rows: tuple, v) -> tuple[float, float, float]:
-    """(a1, a2, N) with the chart vector ``v`` = a1 E1 + a2 E2 + N d_phi, by
-    forward substitution: the frame is lower triangular in (d_1, d_2, d_phi)."""
-    a1 = v[0] / rows[0][0][0]
-    a2 = v[1] / rows[1][1][0]
-    return a1, a2, v[2] - (a1 * rows[0][2][0] + a2 * rows[1][2][0])
+    Per pair (i, j): the chart components v of [E_i, E_j], where only d_1 and d_2
+    act (the coefficients are phi-independent), and v = a E1 + b E2 + N d_phi by
+    forward substitution, the frame being lower triangular in (d_1, d_2, d_phi),
+    then N / K on E3 = K d_phi.  Each is one expression in the order of the loops
+    it writes out, so it rounds as they did."""
+    pairs = ((0, 1), (0, 2), (1, 2)) if table else ((0, 1),)
+    lines = [f"{connection._nested(lambda *s: 'r%d%d%d' % s, 3, 3)} = rows"]
+    for i, j in pairs:
+        v = [f"0.0 + r{i}00 * r{j}{m}1 - r{j}00 * r{i}{m}1 + r{i}10 * r{j}{m}2 - r{j}10 * r{i}{m}2"
+             for m in range(3)]
+        lines += [f"a{i}{j} = ({v[0]}) / r000", f"b{i}{j} = ({v[1]}) / r110",
+                  f"n{i}{j} = {v[2]} - (a{i}{j} * r020 + b{i}{j} * r120)"] + [f"k{i}{j} = n{i}{j} / r220"] * table
+    planes = "".join(f"((0.0, {x}01, {x}02), (-{x}01, 0.0, {x}12), (-{x}02, -{x}12, 0.0)), " for x in "abk")
+    lines.append(f"return ({planes})" if table else "return n01")
+    exec("def kernel(rows):\n    " + "\n    ".join(lines) + "\n", namespace := {})
+    return namespace["kernel"]
 
 
 def nonholonomity(surface: ConformalSurface, x: Point) -> float:
     """d_phi-component of the vertical projection of [E1, E2]; equals -K(x).
 
     Computed by expanding the bracket of the horizontal coefficient fields and
-    subtracting their horizontal part (``_reexpand``), not citing the curvature.
+    subtracting their horizontal part (``_bracket_kernel``), not citing the curvature.
     """
     rows = _coefficient_rows(surface_jets(surface, x))
-    if rows[0][0][0] == 0.0:  # the frame's e^-lambda, which _reexpand divides by
+    if rows[0][0][0] == 0.0:  # the frame's e^-lambda, which the substitution divides by
         raise DomainError(f"e^-lambda underflows to 0.0 at point {x!r}")
-    N = _reexpand(rows, _bracket_components(rows, 0, 1))[2]
+    N = _bracket_kernel(False)(rows)
     require_finite((N,), x)
     return N
 
@@ -147,14 +157,8 @@ def lifted_structure(surface: ConformalSurface, x: Point) -> LiftedStructure:
 def bracket_structure(surface: ConformalSurface, x: Point) -> tuple:
     """Oracle for the structure functions: numerically bracket the frame
     coefficient fields and re-expand each bracket in the lifted frame
-    (``_reexpand``, whose N / K is on E3 = K d_phi).  Returns the full table
-    chat[k][i][j]."""
-    rows = _coefficient_rows(_checked_jets(surface, x))
-    K = rows[2][2][0]
-    pairs = ((0, 1), (0, 2), (1, 2))
-    brackets = [_reexpand(rows, _bracket_components(rows, i, j)) for i, j in pairs]
-    planes = zip(*[(a1, a2, N / K) for a1, a2, N in brackets])  # per k, the three brackets
-    return tuple(((0.0, a, b), (-a, 0.0, c), (-b, -c, 0.0)) for a, b, c in planes)
+    (``_bracket_kernel``).  Returns the full table chat[k][i][j]."""
+    return _bracket_kernel(True)(_coefficient_rows(_checked_jets(surface, x)))
 
 
 # -- lifted connection ----------------------------------------------------------
@@ -171,6 +175,13 @@ def _lifted_table(c1: float, c2: float, c312: float, u1: float, u2: float) -> tu
     )
 
 
+# The 55 slots (table, k, i, j) of (c, d_1 c, d_2 c) that are 0.0 at every
+# lifted point: the zeros of the table's layout, and chat^3_12's constant partials.
+_LIFTED_ZEROS = connection._zero_slots(
+    (_lifted_table(1.0, 1.0, 1.0, 1.0, 1.0), *[_lifted_table(1.0, 1.0, 0.0, 1.0, 1.0)] * 2)
+)
+
+
 def lift_frame_point(surface: ConformalSurface, x: Point) -> FramePoint:
     """The lifted orthonormal frame at ``x`` as a generic FramePoint (dim 3),
     one per ``ConformalJets`` record: a surface keeps its last, keyed by the
@@ -183,7 +194,7 @@ def lift_frame_point(surface: ConformalSurface, x: Point) -> FramePoint:
         # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
         c = _lifted_table(c1[0], c2[0], -1.0, u1[0], u2[0])
         dc = tuple(_lifted_table(c1[s], c2[s], 0.0, u1[s], u2[s]) for s in (1, 2))
-        last = (p, FramePoint(dim=3, c=c, dc=dc, em=p.em.value))
+        last = (p, FramePoint(dim=3, c=c, dc=dc, em=p.em.value, zeros=_LIFTED_ZEROS))
         object.__setattr__(surface, "_last_frame", last)
     return last[1]
 
@@ -197,25 +208,26 @@ def lifted_connection(surface: ConformalSurface, x: Point) -> ConnectionTable:
 # -- lifted curvature ----------------------------------------------------------
 
 
-def closed_pair_components(p: ConformalJets) -> dict:
-    """The six independent components M(ab, cd) = <R(E_a,E_b)E_c, E_d>."""
+_PLANES = ((1, 2), (1, 3), (2, 3))
+# The keys of ``closed_pair_components``, in the order of ``_closed_components``.
+_PAIR_KEYS = tuple((p, q) for n, p in enumerate(_PLANES) for q in _PLANES[n:])
+
+
+def _closed_components(p: ConformalJets) -> tuple:
+    """The six M(ab, cd) in ``_PAIR_KEYS`` order."""
     if p.u1 is None or p.ddlogK is None:
         raise ValueError("curvature ratios unavailable: K vanishes at the point")
     c1, c2, K, u1, u2 = p.c1.value, p.c2.value, p.K.value, p.u1.value, p.u2.value
     dd = p.ddlogK
-    return {
-        ((1, 2), (1, 2)): 0.75 - K,
-        ((1, 2), (1, 3)): -u1,
-        ((1, 2), (2, 3)): -u2,
-        ((1, 3), (1, 3)): -0.25 - dd[0][0] - c1 * u2 + u1 * u1,
-        ((1, 3), (2, 3)): -dd[0][1] + c1 * u1 + u1 * u2,
-        ((2, 3), (2, 3)): -0.25 - dd[1][1] + c2 * u1 + u2 * u2,
-    }
+    return (0.75 - K, -u1, -u2,
+            -0.25 - dd[0][0] - c1 * u2 + u1 * u1,
+            -dd[0][1] + c1 * u1 + u1 * u2,
+            -0.25 - dd[1][1] + c2 * u1 + u2 * u2)
 
 
-_PLANES = ((1, 2), (1, 3), (2, 3))
-# The keys of ``closed_pair_components``, in its order.
-_PAIR_KEYS = tuple((p, q) for n, p in enumerate(_PLANES) for q in _PLANES[n:])
+def closed_pair_components(p: ConformalJets) -> dict:
+    """The six independent components M(ab, cd) = <R(E_a,E_b)E_c, E_d>."""
+    return dict(zip(_PAIR_KEYS, _closed_components(p)))
 
 
 @cache
@@ -243,7 +255,7 @@ def table_from_pair_components(components: dict) -> CurvatureTable:
 
 def lifted_curvature_closed(surface: ConformalSurface, x: Point) -> CurvatureTable:
     """Closed-form curvature of the lifted metric at ``x`` (full lowered table)."""
-    return table_from_pair_components(closed_pair_components(_checked_jets(surface, x)))
+    return CurvatureTable(dim=3, R=_closed_table_kernel()(*_closed_components(_checked_jets(surface, x))))
 
 
 def lifted_curvature_oracle(surface: ConformalSurface, x: Point) -> CurvatureTable:

@@ -60,6 +60,7 @@ class ConformalSurface:
     _guard_tape: Tape | None = field(init=False, repr=False, compare=False)
     _last_jets: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _last_frame: tuple = field(default=(None, None), init=False, repr=False, compare=False)
+    _last_checked: ConformalJets | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_lam_tape", Tape(self.lam))

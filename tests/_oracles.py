@@ -13,10 +13,13 @@ the entry-by-entry expansion of the six curvature components, kept here to
 pin those bit for bit.  So are the per-point steps of ``verify_lift`` as they
 ran before they were straight-line code: the curvature table's fill loop,
 the nested deviation walk and the conformal pipeline that divides by K
-twice.  The jet bracket oracle re-expands with the library's forward
-substitution, in the same order; ``bracket_structure_lapack`` is the
-bracket oracle as it solved with LAPACK before that substitution replaced it,
-kept as a reference within a bound.
+twice; and the bracket oracle, the nonholonomity and the closed curvature
+table as the loops and the component dict that ``lift`` writes out as one
+function each (``bracket_structure_loop``, ``nonholonomity_loop``,
+``lifted_curvature_closed_loop``).  The jet bracket oracle re-expands with
+that forward substitution, ``_reexpand``, in the same order;
+``bracket_structure_lapack`` is the bracket oracle as it solved with LAPACK
+before that substitution replaced it, kept as a reference within a bound.
 The linear-system connection, the base and constant frame points, the
 consistency residuals of the connection and curvature tables and the speeds
 of lifted and base states are oracles that only the tests need.
@@ -600,6 +603,48 @@ def _coefficient_jets(p) -> tuple:
     )
 
 
+def _bracket_components(rows: tuple, i: int, j: int) -> list[float]:
+    """Chart components of [E_i, E_j] from the coefficient partials of
+    ``lift._coefficient_rows``; the coefficients are phi-independent, so only
+    d_1 and d_2 act."""
+    ri, rj = rows[i], rows[j]
+    p, q, r, s = ri[0][0], rj[0][0], ri[1][0], rj[1][0]
+    return [0.0 + p * b1 - q * a1 + r * b2 - s * a2 for (_, a1, a2), (_, b1, b2) in zip(ri, rj)]
+
+
+def _reexpand(rows: tuple, v) -> tuple[float, float, float]:
+    """(a1, a2, N) with the chart vector ``v`` = a1 E1 + a2 E2 + N d_phi, by
+    forward substitution: the frame is lower triangular in (d_1, d_2, d_phi)."""
+    a1 = v[0] / rows[0][0][0]
+    a2 = v[1] / rows[1][1][0]
+    return a1, a2, v[2] - (a1 * rows[0][2][0] + a2 * rows[1][2][0])
+
+
+def bracket_table_loop(rows: tuple) -> tuple:
+    """``lift._bracket_kernel(True)``: the loop over the three brackets that
+    it writes out, on the rows of ``lift._coefficient_rows``."""
+    K = rows[2][2][0]
+    pairs = ((0, 1), (0, 2), (1, 2))
+    brackets = [_reexpand(rows, _bracket_components(rows, i, j)) for i, j in pairs]
+    planes = zip(*[(a1, a2, N / K) for a1, a2, N in brackets])  # per k, the three brackets
+    return tuple(((0.0, a, b), (-a, 0.0, c), (-b, -c, 0.0)) for a, b, c in planes)
+
+
+def bracket_structure_loop(surface, x) -> tuple:
+    """``lift.bracket_structure`` on the loop route."""
+    return bracket_table_loop(lift._coefficient_rows(lift._checked_jets(surface, x)))
+
+
+def nonholonomity_loop(surface, x) -> float:
+    """``lift.nonholonomity`` on the loop route."""
+    rows = lift._coefficient_rows(surface_jets(surface, x))
+    if rows[0][0][0] == 0.0:
+        raise DomainError(f"e^-lambda underflows to 0.0 at point {x!r}")
+    N = _reexpand(rows, _bracket_components(rows, 0, 1))[2]
+    require_finite((N,), x)
+    return N
+
+
 def _bracket_components_jets(rows: tuple, i: int, j: int) -> list[float]:
     out = []
     for mu in range(3):
@@ -612,7 +657,7 @@ def _bracket_components_jets(rows: tuple, i: int, j: int) -> list[float]:
 
 
 def _reexpand_jets(rows: tuple, v: list[float]) -> tuple[float, float, float]:
-    """``lift._reexpand`` on the jets' values, in the same order."""
+    """``_reexpand`` on the jets' values, in the same order."""
     a1 = v[0] / rows[0][0].value
     a2 = v[1] / rows[1][1].value
     return a1, a2, v[2] - (a1 * rows[0][2].value + a2 * rows[1][2].value)
@@ -640,7 +685,7 @@ def bracket_structure_lapack(surface, x) -> tuple:
     frame_matrix = np.array([[rows[k][mu][0] for k in range(3)] for mu in range(3)])
     table = [[[0.0] * 3 for _ in range(3)] for _ in range(3)]
     for i, j in ((0, 1), (0, 2), (1, 2)):
-        coefficients = np.linalg.solve(frame_matrix, np.array(lift._bracket_components(rows, i, j)))
+        coefficients = np.linalg.solve(frame_matrix, np.array(_bracket_components(rows, i, j)))
         for k in range(3):
             table[k][i][j] = float(coefficients[k])
             table[k][j][i] = -float(coefficients[k])
@@ -796,6 +841,27 @@ def table_from_pair_form(components: dict) -> connection.CurvatureTable:
         for l in range(3)
     )
     return connection.CurvatureTable(dim=3, R=R)
+
+
+def closed_pair_components_reference(p: ConformalJets) -> dict:
+    """``lift.closed_pair_components`` as the dict it wrote out key by key."""
+    if p.u1 is None or p.ddlogK is None:
+        raise ValueError("curvature ratios unavailable: K vanishes at the point")
+    c1, c2, K, u1, u2 = p.c1.value, p.c2.value, p.K.value, p.u1.value, p.u2.value
+    dd = p.ddlogK
+    return {
+        ((1, 2), (1, 2)): 0.75 - K,
+        ((1, 2), (1, 3)): -u1,
+        ((1, 2), (2, 3)): -u2,
+        ((1, 3), (1, 3)): -0.25 - dd[0][0] - c1 * u2 + u1 * u1,
+        ((1, 3), (2, 3)): -dd[0][1] + c1 * u1 + u1 * u2,
+        ((2, 3), (2, 3)): -0.25 - dd[1][1] + c2 * u1 + u2 * u2,
+    }
+
+
+def lifted_curvature_closed_loop(surface, x) -> connection.CurvatureTable:
+    """``lift.lifted_curvature_closed`` as the component dict and the fill loop."""
+    return table_from_pair_loop(closed_pair_components_reference(lift._checked_jets(surface, x)))
 
 
 def table_from_pair_loop(components: dict) -> connection.CurvatureTable:

@@ -18,12 +18,17 @@ writes out on 3000 random jets and at a zero curvature, an overflow of
 e^-lambda and a jet of the wrong order, on the slots its record keeps: the
 first three of each field, and ddlogK.  Every field of that record is an
 order-1 jet whose Taylor slots, which ``lift`` reads, are its raw partials.
-The curvature kernel for the zeros ``connection.curvature`` learns keeps the
-loops' bits on 2000 lifted frame points, learning from none and after, and on
-3000 lifted points with special values in live slots, in em and in known-zero
-slots, through its guard and both reruns.
+The curvature kernel for the zeros a lifted frame point declares keeps the
+loops' bits on 2000 lifted frame points, after a dense frame point too, and on
+3000 lifted points with special values in live slots, in em and in declared
+zero slots, through its guard and its rerun.  The bracket oracle, the
+nonholonomity and the closed curvature table, one straight-line function each,
+keep the bits of the loops and the component dict they write out at catalog,
+custom and flat surface points, on 3000 records and on 3000 coefficient rows
+with special values in any slot.
 """
 
+import dataclasses
 import dis
 import math
 import random
@@ -35,11 +40,15 @@ from itertools import product
 import pytest
 
 from _oracles import (
+    _bracket_components,
     _bracket_components_jets,
+    _reexpand,
     _coefficient_jets,
     base_frame_point,
     bracket_structure_jets,
     bracket_structure_lapack,
+    bracket_structure_loop,
+    bracket_table_loop,
     conformal_pipeline_jets,
     conformal_pipeline_two_reciprocals,
     curvature_jets,
@@ -51,8 +60,10 @@ from _oracles import (
     jet_values,
     koszul_jets,
     koszul_values_loop,
+    lifted_curvature_closed_loop,
     lifted_frame_reference,
     nonholonomity_jets,
+    nonholonomity_loop,
     random_smooth_expr,
     table_from_pair_form,
     table_from_pair_loop,
@@ -325,7 +336,7 @@ def test_bracket_substitution_matches_the_jet_route_bit_for_bit():
         ), p
         rows, jet_rows = lift._coefficient_rows(p), _coefficient_jets(p)
         for i, j in ((0, 1), (0, 2), (1, 2)):
-            assert _outcome(lift._bracket_components, rows, i, j) == _outcome(
+            assert _outcome(_bracket_components, rows, i, j) == _outcome(
                 _bracket_components_jets, jet_rows, i, j
             )
 
@@ -379,6 +390,107 @@ def test_bracket_substitution_matches_the_lapack_solve_within_its_bound():
         compared += 1
         pivoted += max(abs(c1), abs(c2)) > em  # LAPACK swaps the rows
     assert compared > 350 and pivoted > 300
+
+
+# -- the straight-line lift routes against the loops they write out ---------------
+
+LIFT_ROUTES = (
+    (lift.bracket_structure, bracket_structure_loop),
+    (lift.nonholonomity, nonholonomity_loop),
+    (lift.lifted_curvature_closed, lifted_curvature_closed_loop),
+    (lift.lifted_curvature_closed, lambda surface, x: lift.table_from_pair_components(
+        lift.closed_pair_components(lift._checked_jets(surface, x)))),
+)
+
+
+def _warm_lift_routes():
+    """Past CPython's specialization of each route's float operations (the
+    two-NaN quirk of the module's fixture)."""
+    bump, x = catalog("bump"), (0.3, 0.2)
+    for _ in range(16):
+        for route, reference in LIFT_ROUTES:
+            route(bump, x), reference(bump, x)
+        for table in (True, False):
+            lift._bracket_kernel(table)(lift._coefficient_rows(surface_jets(bump, x)))
+            bracket_table_loop(lift._coefficient_rows(surface_jets(bump, x)))
+
+
+def _compare_lift_routes(surface, x) -> list:
+    """Each route's outcome at ``x`` on a fresh copy of ``surface``, asserted
+    equal to its references' there; the outcomes, in ``LIFT_ROUTES`` order."""
+    outcomes = []
+    for route, reference in LIFT_ROUTES:
+        expected = _outcome(reference, *_copy(surface, x))
+        assert _outcome(route, *_copy(surface, x)) == expected, (route.__name__, surface.name, x)
+        outcomes.append(expected)
+    return outcomes
+
+
+def _copy(surface, x):
+    """A copy of ``surface`` with its memos as they are: the routes read the
+    same record at ``x`` but check it afresh."""
+    copy = ConformalSurface(name=surface.name, lam=surface.lam, guard=surface.guard,
+                            window=surface.window)
+    object.__setattr__(copy, "_last_jets", surface._last_jets)
+    return copy, x
+
+
+def test_straight_line_lift_routes_keep_the_loop_bits_at_surface_points():
+    # Catalog, seeded custom and flat surfaces at sampled and signed-zero points.
+    _warm_lift_routes()
+    kinds = Counter()
+    for surface in SURFACES + [_custom(seed) for seed in range(100, 106)]:
+        points = sample_points(surface, 30, random.Random(surface.name + " routes"))
+        for x in points + [x for x in SIGNED_ZERO_POINTS if surface.contains(x)]:
+            for outcome in _compare_lift_routes(surface, x):
+                kinds["table" if isinstance(outcome, bytes) else outcome[0].__name__] += 1
+    assert kinds["table"] > 1500 and kinds["SingularCurvature"] > 50, kinds
+
+
+def _special_jet(rng: random.Random, share: float) -> Jet:
+    return Jet(1, tuple(_special_or_uniform(rng, share) for _ in range(3)))
+
+
+def _special_record(rng: random.Random) -> ConformalJets:
+    """A record with ±0.0, ±inf, NaN, ±1e300 or 5e-324 in any slot of em,
+    c^1_12, c^2_12, K, u and ddlogK; about one in three of them passes
+    ``_checked_jets``."""
+    share = rng.choice((0.02, 0.1, 0.3))
+    em, c1, c2, K, u1, u2 = (_special_jet(rng, share) for _ in range(6))
+    dd = tuple(tuple(_special_or_uniform(rng, share) for _ in range(2)) for _ in range(2))
+    return ConformalJets(lam=em, em=em, c1=c1, c2=c2, K=K, e1K=u1, e2K=u2, u1=u1, u2=u2, ddlogK=dd)
+
+
+def test_straight_line_lift_routes_keep_the_loop_bits_on_special_records():
+    _warm_lift_routes()
+    rng = random.Random(1408)
+    kinds = Counter()
+    for _ in range(3000):
+        outcomes = _compare_lift_routes(*_served(_special_record(rng)))
+        for name, outcome in zip(("bracket", "nonholonomity", "closed"), outcomes):
+            if isinstance(outcome, bytes):
+                values = struct.unpack(f"<{len(outcome) // 8}d", outcome)
+                kinds[name, "finite" if all(map(math.isfinite, values)) else "not finite"] += 1
+            else:
+                kinds[name, outcome[0].__name__] += 1
+    for name in ("bracket", "nonholonomity", "closed"):
+        assert kinds[name, "finite"] > 100 and kinds[name, "DomainError"] > 100, kinds
+    assert kinds["bracket", "not finite"] > 100 and kinds["closed", "not finite"] > 100, kinds
+    assert kinds["bracket", "SingularCurvature"] > 100, kinds
+
+
+def test_bracket_functions_keep_the_loop_bits_on_special_rows():
+    # Any slot of the rows, the four that are 0.0 in every frame too.
+    _warm_lift_routes()
+    rng = random.Random(1409)
+    for _ in range(3000):
+        share = rng.choice((0.05, 0.3))
+        rows = tuple(tuple(tuple(_special_or_uniform(rng, share) for _ in range(3))
+                           for _ in range(3)) for _ in range(3))
+        assert _outcome(lift._bracket_kernel(True), rows) == _outcome(bracket_table_loop, rows), rows
+        assert _outcome(lift._bracket_kernel(False), rows) == _outcome(
+            lambda rows: _reexpand(rows, _bracket_components(rows, 0, 1))[2], rows
+        ), rows
 
 
 def test_generated_curvature_table_matches_the_fill_loop_bit_for_bit():
@@ -568,13 +680,14 @@ def _binary_ops(function) -> int:
 
 def _with(point, em=None, **slots) -> connection.FramePoint:
     """``point`` with em and the named slots (table letter c, p or q, then
-    k, i, j) replaced."""
+    k, i, j) replaced; it declares the same zeros."""
     tables = [[[list(row) for row in plane] for plane in table] for table in (point.c, *point.dc)]
     for name, value in slots.items():
         t, k, i, j = "cpq".index(name[0]), *map(int, name[1:])
         tables[t][k][i][j] = value
     c, p, q = (tuple(tuple(map(tuple, plane)) for plane in table) for table in tables)
-    return connection.FramePoint(dim=3, c=c, dc=(p, q), em=point.em if em is None else em)
+    em = point.em if em is None else em
+    return connection.FramePoint(dim=3, c=c, dc=(p, q), em=em, zeros=point.zeros)
 
 
 def _record_kernels(monkeypatch) -> list:
@@ -617,54 +730,53 @@ def _lifted_points() -> list:
     return points
 
 
-def test_curvature_learns_the_lifted_zero_pattern_and_keeps_the_loop_bits(monkeypatch):
+def test_lifted_points_declare_the_lifted_zero_pattern_and_keep_the_loop_bits(monkeypatch):
+    # The sphere's and the half-plane's points have zeros of their own; every
+    # lifted point declares exactly the lift's structural ones, and its guard holds.
     points = _lifted_points()
     assert len(points) > 2000
+    assert {point.zeros for point in points} == {LIFTED_ZEROS}
     expected = [_outcome(curvature_loop, point) for point in points]
-    _warm(points[:1], connection._zero_slots((points[0].c, *points[0].dc)))
-    monkeypatch.setattr(connection, "_KNOWN_ZEROS", {})
-    for _ in range(2):  # learning from no pattern, then on the learned one
-        for point, outcome in zip(points, expected):
-            assert _outcome(connection.curvature, point) == outcome, point
-    # The sphere's and the half-plane's points add zeros of their own; bump's
-    # have exactly the lift's structural ones.
-    assert connection._KNOWN_ZEROS == {3: LIFTED_ZEROS}
+    _warm(points[:1], LIFTED_ZEROS)
+    built = _record_kernels(monkeypatch)
+    for point, outcome in zip(points, expected):
+        assert _outcome(connection.curvature, point) == outcome, point
+    assert built == [LIFTED_ZEROS] * len(points)
 
 
-def test_a_known_zero_that_is_not_zero_narrows_the_pattern_to_this_calls_zeros(monkeypatch):
-    monkeypatch.setattr(connection, "_KNOWN_ZEROS", {})
+def test_a_declared_zero_that_is_not_zero_reruns_without_known_zeros(monkeypatch):
     extra = _with(BUMP_POINT, c001=0.0, c010=-0.0)  # a point with two more zeros
-    for point, learned in (
-        (extra, LIFTED_ZEROS | {(0, 0, 0, 1), (0, 0, 1, 0)}),  # the first call's zeros
-        (BUMP_POINT, LIFTED_ZEROS),
-        (_with(BUMP_POINT, c000=-0.0, p000=2.5, q222=math.nan), LIFTED_ZEROS - {(1, 0, 0, 0), (2, 2, 2, 2)}),
+    _warm([BUMP_POINT], LIFTED_ZEROS, frozenset())
+    built = _record_kernels(monkeypatch)
+    for point, tried in (
+        (extra, [LIFTED_ZEROS]),
+        (BUMP_POINT, [LIFTED_ZEROS]),
+        (_with(BUMP_POINT, c000=-0.0, p000=2.5, q222=math.nan), [LIFTED_ZEROS, frozenset()]),
+        (dataclasses.replace(BUMP_POINT, zeros=LIFTED_ZEROS | {(0, 0, 0, 1)}), [LIFTED_ZEROS | {(0, 0, 0, 1)},
+                                                                               frozenset()]),
     ):
+        built[:] = []
         assert _outcome(connection.curvature, point) == _outcome(curvature_loop, point)
-        assert connection._KNOWN_ZEROS == {3: learned}
+        assert built == tried
 
 
 @pytest.mark.parametrize("slots", [{"em": math.inf}, {"em": math.nan}, {"c001": math.inf},
                                    {"c201": -math.inf}, {"c001": 1e308}])  # the last: Gamma^1_12 = inf
-def test_a_value_that_is_not_finite_leaves_the_pattern_as_it_was(monkeypatch, slots):
-    # The guard fails, no known zero left the pattern, and the call reruns on
-    # the kernel without known zeros.
-    monkeypatch.setattr(connection, "_KNOWN_ZEROS", {3: LIFTED_ZEROS})
+def test_a_value_that_is_not_finite_reruns_without_known_zeros(monkeypatch, slots):
+    # The guard fails, and the call reruns on the kernel without known zeros.
     point = _with(BUMP_POINT, **slots)
     _warm([BUMP_POINT], LIFTED_ZEROS, frozenset())
     built = _record_kernels(monkeypatch)
     assert _outcome(connection.curvature, point) == _outcome(curvature_loop, point)
     assert built == [LIFTED_ZEROS, frozenset()]
-    assert connection._KNOWN_ZEROS[3] is LIFTED_ZEROS
 
 
 def test_the_guard_and_its_reruns_keep_the_loop_bits_on_special_values(monkeypatch):
-    # Specials in the live slots, in em and in seven of the known-zero slots;
-    # each call starts from the lifted pattern.
+    # Specials in the live slots, in em and in seven of the known-zero slots.
     fillable = sorted(LIFTED_ZEROS)[::8]
     live = sorted(set(product(range(3), repeat=4)) - LIFTED_ZEROS)
-    _warm([BUMP_POINT], LIFTED_ZEROS, frozenset(), *(LIFTED_ZEROS - {slot} for slot in fillable))
+    _warm([BUMP_POINT], LIFTED_ZEROS, frozenset())
     built = _record_kernels(monkeypatch)
-    monkeypatch.setattr(connection, "_KNOWN_ZEROS", {})
     rng = random.Random(1407)
     routes = Counter()
     for _ in range(3000):
@@ -673,12 +785,30 @@ def test_the_guard_and_its_reruns_keep_the_loop_bits_on_special_values(monkeypat
             BUMP_POINT, em=rng.choice(ZERO_PATTERN_SPECIALS) if rng.random() < 0.2 else None,
             **{"cpq"[t] + f"{k}{i}{j}": rng.choice(ZERO_PATTERN_SPECIALS) for t, k, i, j in slots},
         )
-        connection._KNOWN_ZEROS[3], built[:] = LIFTED_ZEROS, []
+        built[:] = []
         assert _outcome(connection.curvature, point) == _outcome(curvature_loop, point), point
-        narrowed = LIFTED_ZEROS & connection._zero_slots((point.c, *point.dc))
-        assert connection._KNOWN_ZEROS[3] == narrowed
-        tried = [LIFTED_ZEROS] + [narrowed] * (narrowed != LIFTED_ZEROS)
-        assert built in (tried, tried + [frozenset()]), built
-        routes["narrowed" if narrowed != LIFTED_ZEROS else "kept",
+        broken = LIFTED_ZEROS - connection._zero_slots((point.c, *point.dc))  # a declared zero is not 0.0
+        assert built in ([LIFTED_ZEROS], [LIFTED_ZEROS, frozenset()]), built
+        assert not broken or built[-1] == frozenset()
+        routes["declared zero broken" if broken else "declared zeros hold",
                "rerun without known zeros" if built[-1] == frozenset() else "guard held"] += 1
-    assert min(routes.values()) > 100 and len(routes) == 4, routes
+    assert min(routes.values()) > 100 and len(routes) == 3, routes
+
+
+def test_a_dense_frame_point_leaves_the_lifted_points_on_their_pattern(monkeypatch):
+    # A dense random dim-3 point first, then the lifted points of a bump
+    # ``verify_lift``: each still runs the 55-slot kernel and keeps the loop bits.
+    rng = random.Random(1410)
+    dense = [tuple(tuple(tuple(rng.uniform(-2.0, 2.0) for _ in range(3)) for _ in range(3))
+                   for _ in range(3)) for _ in range(3)]
+    connection.curvature(connection.FramePoint(dim=3, c=dense[0], dc=tuple(dense[1:]), em=0.7))
+    _warm([BUMP_POINT], LIFTED_ZEROS)
+    built = _record_kernels(monkeypatch)
+    bump = catalog("bump")
+    oracle = []
+    monkeypatch.setattr(verify, "lifted_curvature_oracle", lambda surface, x: oracle.append(
+        (lift_frame_point(surface, x), lift.lifted_curvature_oracle(surface, x))) or oracle[-1][1])
+    assert verify.verify_lift(bump, 30, 7, 1e-8).passed
+    assert len(oracle) == 30 and built == [LIFTED_ZEROS] * 30
+    for point, table in oracle:
+        assert _outcome(lambda: table) == _outcome(curvature_loop, point), point

@@ -4,6 +4,7 @@ import json
 import math
 import random
 import struct
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -570,3 +571,84 @@ def test_each_surface_and_each_point_tuple_gets_its_own_frame(monkeypatch):
     for (surface, point, _), frame in zip(calls, frames):
         fresh = lift_frame_point(catalog(surface.name), tuple(list(point)))
         assert _frame_bits(frame) == _frame_bits(fresh), (surface.name, point)
+
+
+# -- one check per record -------------------------------------------------------------
+
+VERIFY_ROUTES = ("lifted_structure", "bracket_structure", "lifted_connection",
+                 "lifted_curvature_closed", "lifted_curvature_oracle", "nonholonomity")
+CHECKED_ROUTES = (lifted_frame, lifted_structure, bracket_structure, lifted_connection,
+                  lifted_curvature_closed, lifted_curvature_oracle)
+CUBIC = {"name": "cubic", "lambda": "x1^3"}  # K = -6 x1 e^(-2 x1^3), 0.0 at x1 = 0
+
+
+def _count_checks(monkeypatch) -> Counter:
+    """Calls of the six routes ``verify`` reads, of ``surface_jets`` in ``lift``
+    and of ``require_finite`` by its number of values: 7 is the record's
+    finiteness test, which follows its K test, and 1 the nonholonomity's."""
+    calls = Counter()
+
+    def counting(name, function):
+        return lambda *args: calls.update([name]) or function(*args)
+
+    for name in VERIFY_ROUTES:
+        monkeypatch.setattr(verify, name, counting(name, getattr(verify, name)))
+    monkeypatch.setattr(lift, "surface_jets", counting("surface_jets", lift.surface_jets))
+    finite = lift.require_finite
+    monkeypatch.setattr(lift, "require_finite",
+                        lambda values, x: calls.update([f"require_finite {len(values)}"]) or finite(values, x))
+    return calls
+
+
+@pytest.mark.parametrize("seed", [1, 7])
+def test_verify_tests_each_sampled_record_once(monkeypatch, seed):
+    # At warm points: each route once per point and surface_jets six times,
+    # as before, but the record's K and finiteness tests once.
+    surface = catalog("bump")
+    verify_lift(surface, 5, seed + 1, 1e-8)
+    calls = _count_checks(monkeypatch)
+    verify_lift(surface, 20, seed, 1e-8)
+    assert calls == Counter({**dict.fromkeys(VERIFY_ROUTES, 20), "surface_jets": 6 * 20,
+                             "require_finite 7": 20, "require_finite 1": 20})
+
+
+@pytest.mark.parametrize("config, x, error", [
+    (CUBIC, (0.0, 0.3), SingularCurvature),
+    ({"name": "log", "lambda": "log(x1)"}, (1e-60, 0.5), DomainError),  # u1 is not finite
+])
+def test_a_record_whose_check_raised_raises_again_on_every_route(monkeypatch, config, x, error):
+    surface = ConformalSurface.from_config(config)
+    calls = _count_checks(monkeypatch)
+    for route in CHECKED_ROUTES * 2:
+        with pytest.raises(error):
+            route(surface, x)
+        assert surface._last_checked is None
+    assert calls["surface_jets"] == 12
+    assert calls["require_finite 7"] == (12 if error is DomainError else 0)
+
+
+def test_a_passed_record_is_never_served_for_a_record_that_raised(monkeypatch):
+    surface, good, bad = ConformalSurface.from_config(CUBIC), (0.5, 0.3), (0.0, 0.3)
+    calls = _count_checks(monkeypatch)
+    table = bracket_structure(surface, good)
+    passed = surface._last_checked
+    assert lifted_structure(surface, good).c312 == -1.0 and passed is not None
+    for route in (lifted_structure, bracket_structure, lifted_curvature_closed):
+        with pytest.raises(SingularCurvature):
+            route(surface, bad)
+    assert surface._last_checked is passed
+    assert bracket_structure(surface, good) == table  # a new record, tested again
+    assert surface._last_checked is not passed
+    assert calls["require_finite 7"] == 2
+
+
+def test_two_surfaces_at_one_point_tuple_are_each_checked(monkeypatch):
+    x = (0.0, 0.3)
+    bump, other_bump, cubic = catalog("bump"), catalog("bump"), ConformalSurface.from_config(CUBIC)
+    calls = _count_checks(monkeypatch)
+    for surface in (bump, other_bump, bump, other_bump):
+        lifted_structure(surface, x)
+    assert calls["require_finite 7"] == 2
+    assert bump._last_checked is not other_bump._last_checked
+    with pytest.raises(SingularCurvature):
+        lifted_structure(cubic, x)
