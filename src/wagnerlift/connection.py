@@ -26,7 +26,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cache
-from itertools import product
+from itertools import count, product
 
 
 @dataclass(frozen=True)
@@ -77,6 +77,7 @@ def sectional(table: CurvatureTable, i: int, j: int) -> float:
 
 
 # -- generated kernels ------------------------------------------------------------
+_DEFINED = count()  # numbers the file names the kernels compile under, one each
 
 
 def _nested(leaf, n: int, depth: int, index: tuple = ()) -> str:
@@ -98,7 +99,8 @@ def _unpack(c: str, n: int) -> str:
 @cache
 def _koszul_kernel(n: int):
     body = f"return {_nested(lambda k, i, j: _koszul('c', k, i, j), n, 3)}"
-    exec(f"def kernel(c):\n    {_unpack('c', n)}\n    {body}\n", namespace := {})
+    source = f"def kernel(c):\n    {_unpack('c', n)}\n    {body}\n"
+    exec(compile(source, f"<wagnerlift koszul{n} #{next(_DEFINED)}>", "exec"), namespace := {})
     return namespace["kernel"]
 
 
@@ -122,8 +124,8 @@ def _curvature_kernel(n: int, zeros: frozenset):
     if zeros:  # a dead slot that is not 0.0 is truthy, and f - f is NaN unless f is finite
         finite = [f"{f} - {f}" for f in ["em", *sorted(live)] if f[0] != "E"]
         lines.append(f"if {' or '.join(sorted(dead) + finite)}:\n        raise FloatingPointError")
-    lines.append(f"return {_nested(entry, n, 4)}")
-    exec("def kernel(c, p, q, em):\n    " + "\n    ".join(lines) + "\n", namespace := {})
+    source = "def kernel(c, p, q, em):\n    " + "\n    ".join(lines) + f"\n    return {_nested(entry, n, 4)}\n"
+    exec(compile(source, f"<wagnerlift curvature{n} #{next(_DEFINED)}>", "exec"), namespace := {})
     return namespace["kernel"]
 
 

@@ -29,11 +29,11 @@ hold the x1/x2 seed jets, then comes one register per non-variable node,
 leaves included, in post-order; the jet run and the compiler read one list.
 After ``COMPILE_AFTER`` successful runs at an order, the tape compiles that
 order by source transformation (as Tapenade does; Hascoet & Pascual, ACM
-TOMS 39(3), 2013) into one function over float locals (``_compile``).  It folds
-the registers that do not depend on x1/x2, runs log's and exp's derivative
-sequences inline in ``jets._log``'s and ``jets._exp``'s operation order, and
-forms in each Horner step only the Taylor slots that reach the output, as
-``jets.compose`` does.
+TOMS 39(3), 2013) into one function over float locals (``_compile``), which
+``jets._Source`` writes, the writer of the jets' own product and Horner kernels.
+It folds the registers that do not depend on x1/x2, runs log's and exp's
+derivative sequences inline in ``jets._log``'s and ``jets._exp``'s operation
+order, and forms each Horner step as ``jets.compose`` does.
 
 The results are bit-identical to evaluating the tree recursively: the tape
 applies the same jet operations to the same operands in the same order
@@ -393,7 +393,7 @@ def _compile(tape: Tape, order: int):
     """``tape`` at ``order`` as one generated function ``(x1, x2) -> Taylor
     tuple``, or None when an exponent depends on x1/x2 or an output is a
     known NaN."""
-    src = _Source()
+    src = jets._Source()
     r = [[x, *tail] for x, tail in zip(("x1", "x2"), _SEED_TAILS[order])]
     names = {fn: name for name, fn in jets.FUNCTIONS.items()}
     for fn, i, j in tape._ops:
@@ -422,131 +422,6 @@ def _compile(tape: Tape, order: int):
             out = src.compose(a, jets.DERIVS[names[fn]])
         r.append(out)
     return src.function(r[tape._out])
-
-
-class _Source:
-    """Straight-line float code for jet operations on lists of Taylor slots, whose
-    length gives their order: the compiled tapes and ``surface._pipeline_kernel``.
-
-    A slot is a float known at compile time or the name of a local.  The code
-    performs the jets' float operations in their order, less those whose
-    result is known: known operands fold; x*1.0, x*-1.0 (as -x), x + -0.0 and
-    x - 0.0 give x; and a product term with a +-0.0 factor is left out, which
-    changes no kernel sum (they start at +0.0) unless the other factor is not
-    finite.  So a tape's function sums those factors and its outputs, and raises
-    ``FloatingPointError`` when the sum t is not finite (t - t is then NaN;
-    a sum that overflows only sends the point to the jets).
-    """
-
-    def __init__(self):
-        self.lines: list[str] = []
-        self.names: dict = {"log": math.log, "exp": math.exp}
-        self.tested: dict[str, None] = {}
-
-    def text(self, s) -> str:
-        if isinstance(s, str):
-            return s
-        if isinstance(s, list):  # as a tuple
-            return f"({''.join(f'{self.text(x)}, ' for x in s)})"
-        if math.isfinite(s):
-            return repr(s)
-        self.names[f"c{len(self.names)}"] = s  # inf and nan have no literal
-        return f"c{len(self.names) - 1}"
-
-    def local(self, expr: str) -> str:
-        self.lines.append(f"v{len(self.lines)} = {expr}")
-        return f"v{len(self.lines) - 1}"
-
-    def op(self, a, sign: str, b):
-        if not isinstance(a, str) and not isinstance(b, str):
-            return a + b if sign == "+" else a - b if sign == "-" else a / b
-        if sign != "/" and not isinstance(b, str) and b == 0.0:
-            if (math.copysign(1.0, b) < 0.0) == (sign == "+"):
-                return a  # x + -0.0 and x - 0.0 are x
-        return self.local(f"{self.text(a)} {sign} {self.text(b)}")
-
-    def mul(self, a: list, b: list, first_b: int = 0) -> list:
-        """``a * b`` at the shorter list's order, as ``Jet.__mul__`` truncates,
-        less the terms of ``b``'s slots below ``first_b``."""
-        out = []
-        for pairs in jets._PRODUCT_TERMS[: min(len(a), len(b))]:
-            acc, chain = 0.0, ""  # the known leading partial sum, then the rest
-            for i, j in (pair for pair in pairs if pair[1] >= first_b):
-                x, y = a[i], b[j]
-                if not (isinstance(x, str) or isinstance(y, str)):
-                    term = x * y
-                    if term != 0.0 and chain:  # a +-0.0 term changes no sum
-                        chain += f" + {self.text(term)}"
-                    elif term != 0.0:
-                        acc += term
-                    continue
-                if not isinstance(x, str):
-                    x, y = y, x
-                if isinstance(y, str):
-                    chain += f" + {x}*{y}"
-                elif y == 0.0:
-                    self.tested[x] = None
-                elif y == 1.0 or y == -1.0:
-                    chain += f" {'+' if y > 0.0 else '-'} {x}"
-                else:
-                    chain += f" + {x}*{self.text(y)}"
-            out.append(self.local(self.text(acc) + chain) if chain else acc)
-        return out
-
-    def compose(self, f: list, derivs) -> list:
-        """``jets.compose`` of ``f`` with ``derivs(f[0], order)``; ``jets._log``
-        and ``jets._exp`` run inline, other sequences by name.  Each Horner step forms
-        only the slots that reach the output, as in ``jets``: a dead slot feeds only dead
-        slots, and no term reads the 0.0 that pads the last step's slots."""
-        n = jets._ORDER[len(f)]
-        if isinstance(f[0], str) and derivs is jets._log:
-            self.lines.append(f"if {f[0]} <= 0.0: raise FloatingPointError")
-            d = [self.local(f"log({f[0]})")]
-            for k in range(1, n + 1):  # sign * (k - 1)! / v**k
-                d.append(self.local(f"{(-1) ** (k - 1) * jets._FACTORIALS[k - 1]!r} / {f[0]}**{k}"))
-        elif isinstance(f[0], str) and derivs is jets._exp:
-            d = [self.local(f"exp({f[0]})")] * (n + 1)
-        elif isinstance(f[0], str):
-            d = [f"v{len(self.lines)}_{k}" for k in range(n + 1)]
-            self.names[derivs.__name__] = derivs
-            self.lines.append(f"{', '.join(d)}, = {derivs.__name__}({f[0]}, {n})")
-        else:
-            d = derivs(f[0], n)
-        taylor = d[:2] + [self.op(d[k], "/", jets._FACTORIALS[k]) for k in range(2, n + 1)]
-        result = [self.op(taylor[n], "+", 0.0)]
-        for k in range(n - 1, -1, -1):  # the perturbation f - f0, as jets.compose
-            size = jets._SIZE[n - k]
-            result = self.mul(result + [0.0] * (size - len(result)), f[:size], 1)
-            result[0] = self.op(result[0], "+", taylor[k])
-        return result
-
-    def power(self, f: list, n: int) -> list:
-        """``jets.integer_power`` of ``f``."""
-        if n == 0:
-            return [1.0] + [0.0] * (len(f) - 1)
-        if n < 0:
-            return self.compose(self.power(f, -n), jets.reciprocal_derivs)
-        result = f
-        for _ in range(n - 1):
-            result = self.mul(result, f)
-        return result
-
-    def function(self, out: list):
-        if any(s != s for s in out if not isinstance(s, str)):
-            return None  # the sign of a folded NaN depends on how it was computed
-        self.tested.update(dict.fromkeys(s for s in out if isinstance(s, str)))
-        tested = list(self.tested)
-        for i in range(0, len(tested), 64):  # short sums keep Python's compiler shallow
-            self.lines.append("t = " + " + ".join(["t"] * (i > 0) + tested[i : i + 64]))
-        if tested:
-            self.lines.append("if t - t != 0.0: raise FloatingPointError")
-        self.lines.append(f"return {self.text(out)}")
-        return self.define("x1, x2")
-
-    def define(self, params: str):
-        """The lines as the body of a function of ``params``."""
-        exec(f"def compiled({params}):\n    " + "\n    ".join(self.lines), self.names)
-        return self.names["compiled"]
 
 
 def eval_jet(expr: Expr | str | Tape, point: tuple[float, float], order: int) -> Jet:

@@ -11,10 +11,10 @@ plain truncated polynomial product; the public accessors return raw derivative
 values.
 
 Products and compositions run through straight-line kernels generated at import,
-one per order, from ``_PRODUCT_TERMS`` (``_MUL_TABLE`` by output slot, which
-``expr._Source`` also reads).  A product kernel unpacks two coefficient tuples
-into locals and returns every output slot as ``0.0 + a[i]*b[j] + ...`` with the
-terms in table order: the same sequence of roundings as accumulating ``out[k] +=
+one per order, by ``_Source``, the one writer of jet code (it also writes ``expr``'s
+compiled tapes and ``surface``'s pipeline kernel), and ``_define`` compiles them.
+A product slot is ``0.0 + a[i]*b[j] + ...`` with the terms in ``_PRODUCT_TERMS``
+order (``_MUL_TABLE`` by output slot): the roundings of accumulating ``out[k] +=
 a[i]*b[j]`` over the table from a zero-filled list, signed zeros included.  A
 Horner kernel (``compose``) multiplies by the perturbation f - f0, which has no
 value slot, so a slot of degree d with k steps still to run reaches only degree
@@ -28,6 +28,7 @@ term touches slot 0 only: adding 0.0 to the other slots would change no bit.
 from __future__ import annotations
 
 import math
+from itertools import count
 from operator import add, mul, neg, sub
 
 MAX_ORDER = 4
@@ -85,29 +86,163 @@ _SCALE = {
 }
 
 
+class _Source:
+    """Straight-line float code for jet operations on lists of Taylor slots, whose length
+    gives their order: this module's kernels, the compiled tapes and the pipeline kernel.
+
+    A slot is a float known at compile time or the name of a local.  The code
+    performs the jets' float operations in their order, less those whose
+    result is known: known operands fold; x*1.0, x*-1.0 (as -x), x + -0.0 and
+    x - 0.0 give x; and a product term with a +-0.0 factor is left out, which
+    changes no kernel sum (they start at +0.0) unless the other factor is not
+    finite.  So a tape's function sums those factors and its outputs, and raises
+    ``FloatingPointError`` when the sum t is not finite (t - t is then NaN;
+    a sum that overflows only sends the point to the jets).
+    """
+
+    def __init__(self):
+        self.lines: list[str] = []
+        self.names: dict = {"log": math.log, "exp": math.exp}
+        self.tested: dict[str, None] = {}
+
+    def text(self, s) -> str:
+        if isinstance(s, str):
+            return s
+        if isinstance(s, list):  # as a tuple
+            return f"({''.join(f'{self.text(x)}, ' for x in s)})"
+        if math.isfinite(s):
+            return repr(s)
+        self.names[f"c{len(self.names)}"] = s  # inf and nan have no literal
+        return f"c{len(self.names) - 1}"
+
+    def local(self, expr: str) -> str:
+        self.lines.append(f"v{len(self.lines)} = {expr}")
+        return f"v{len(self.lines) - 1}"
+
+    def op(self, a, sign: str, b):
+        if not isinstance(a, str) and not isinstance(b, str):
+            return a + b if sign == "+" else a - b if sign == "-" else a / b
+        if sign != "/" and not isinstance(b, str) and b == 0.0:
+            if (math.copysign(1.0, b) < 0.0) == (sign == "+"):
+                return a  # x + -0.0 and x - 0.0 are x
+        return self.local(f"{self.text(a)} {sign} {self.text(b)}")
+
+    def mul(self, a: list, b: list, first_b: int = 0) -> list:
+        """``a * b`` at the shorter list's order, as ``Jet.__mul__`` truncates,
+        less the terms of ``b``'s slots below ``first_b``."""
+        out = []
+        for pairs in _PRODUCT_TERMS[: min(len(a), len(b))]:
+            acc, chain = 0.0, ""  # the known leading partial sum, then the rest
+            for i, j in (pair for pair in pairs if pair[1] >= first_b):
+                x, y = a[i], b[j]
+                if not (isinstance(x, str) or isinstance(y, str)):
+                    term = x * y
+                    if term != 0.0 and chain:  # a +-0.0 term changes no sum
+                        chain += f" + {self.text(term)}"
+                    elif term != 0.0:
+                        acc += term
+                    continue
+                if not isinstance(x, str):
+                    x, y = y, x
+                if isinstance(y, str):
+                    chain += f" + {x}*{y}"
+                elif y == 0.0:
+                    self.tested[x] = None
+                elif y == 1.0 or y == -1.0:
+                    chain += f" {'+' if y > 0.0 else '-'} {x}"
+                else:
+                    chain += f" + {x}*{self.text(y)}"
+            out.append(self.local(self.text(acc) + chain) if chain else acc)
+        return out
+
+    def compose(self, f: list, derivs) -> list:
+        """``compose`` of ``f`` and ``derivs(f[0], order)``: ``_log``, ``_exp`` inline, others by name."""
+        n = _ORDER[len(f)]
+        if isinstance(f[0], str) and derivs is _log:
+            self.lines.append(f"if {f[0]} <= 0.0: raise FloatingPointError")
+            d = [self.local(f"log({f[0]})")]
+            for k in range(1, n + 1):  # sign * (k - 1)! / v**k
+                d.append(self.local(f"{(-1) ** (k - 1) * _FACTORIALS[k - 1]!r} / {f[0]}**{k}"))
+        elif isinstance(f[0], str) and derivs is _exp:
+            d = [self.local(f"exp({f[0]})")] * (n + 1)
+        elif isinstance(f[0], str):
+            d = [f"v{len(self.lines)}_{k}" for k in range(n + 1)]
+            self.names[derivs.__name__] = derivs
+            self.lines.append(f"{', '.join(d)}, = {derivs.__name__}({f[0]}, {n})")
+        else:
+            d = derivs(f[0], n)
+        return self.horner(f, d)
+
+    def horner(self, f: list, d: list) -> list:
+        """h(f) from ``d`` = [h(f0), ..., h^(n)(f0)] by Horner's rule in f - f0: each step
+        multiplies the slots that reach the output, padded with 0.0, by ``f`` cut to
+        the step's size, and no term reads the padding or ``f[0]``."""
+        n = len(d) - 1
+        taylor = d[:2] + [self.op(d[k], "/", _FACTORIALS[k]) for k in range(2, n + 1)]
+        result = [self.op(taylor[n], "+", 0.0)]
+        for k in range(n - 1, -1, -1):
+            size = _SIZE[n - k]
+            result = self.mul(result + [0.0] * (size - len(result)), f[:size], 1)
+            result[0] = self.op(result[0], "+", taylor[k])
+        return result
+
+    def power(self, f: list, n: int) -> list:
+        """``integer_power`` of ``f``."""
+        if n == 0:
+            return [1.0] + [0.0] * (len(f) - 1)
+        if n < 0:
+            return self.compose(self.power(f, -n), reciprocal_derivs)
+        result = f
+        for _ in range(n - 1):
+            result = self.mul(result, f)
+        return result
+
+    def function(self, out: list):
+        """The tape function ``(x1, x2) -> out``, or None if an output is a known NaN."""
+        if any(s != s for s in out if not isinstance(s, str)):
+            return None  # the sign of a folded NaN depends on how it was computed
+        self.tested.update(dict.fromkeys(s for s in out if isinstance(s, str)))
+        tested = list(self.tested)
+        for i in range(0, len(tested), 64):  # short sums keep Python's compiler shallow
+            self.lines.append("t = " + " + ".join(["t"] * (i > 0) + tested[i : i + 64]))
+        if tested:
+            self.lines.append("if t - t != 0.0: raise FloatingPointError")
+        self.lines.append(f"return {self.text(out)}")
+        return _define(f"tape{_ORDER[len(out)]}", "x1, x2", self.lines, self.names)
+
+
+_DEFINED = count()  # numbers the file names of the generated functions
+
+
+def _define(label: str, params: str, lines: list, names: dict):
+    """The function ``label`` of ``params`` with body ``lines`` and globals ``names``, compiled
+    under a file name of its own, ``<wagnerlift label #n>``, and kept without its source."""
+    source = f"def {label}({params}):\n    " + "\n    ".join(lines) + "\n"
+    exec(compile(source, f"<wagnerlift {label} #{next(_DEFINED)}>", "exec"), names)
+    return names[label]
+
+
+def _unpacked(src: _Source, name: str, n: int) -> list:
+    """The order-``n`` Taylor slots of the tuple ``name``, unpacked into locals."""
+    slots = [f"{name}{i}" for i in range(_SIZE[n])]
+    src.lines.append(f"{''.join(f'{x}, ' for x in slots)}= {name}")
+    return slots
+
+
 def _product_kernel(n: int):
     """Straight-line product of two order-``n`` coefficient tuples."""
-    size = _SIZE[n]
-    a, b = (", ".join(f"{x}{i}" for i in range(size)) for x in "ab")
-    slots = ", ".join(" + ".join(["0.0"] + [f"a{i}*b{j}" for i, j in terms])
-                      for terms in _PRODUCT_TERMS[:size])
-    namespace: dict = {}
-    exec(f"def kernel(a, b):\n    {a}, = a\n    {b}, = b\n    return ({slots},)\n", namespace)
-    return namespace["kernel"]
+    src = _Source()
+    out = src.mul(_unpacked(src, "a", n), _unpacked(src, "b", n))
+    src.lines.append(f"return {src.text(out)}")
+    return _define(f"mul{n}", "a, b", src.lines, src.names)
 
 
 def _horner_kernel(n: int):
     """Straight-line ``compose`` at order ``n`` of Taylor slots ``b`` and derivatives ``d``."""
-    code = f"def kernel(b, d):\n    _, {''.join(f'b{j}, ' for j in range(1, _SIZE[n]))}= b\n"
-    code += f"    a0 = d[{n}] / {_FACTORIALS[n]!r} + 0.0\n"
-    for k in range(n - 1, -1, -1):  # the products of the perturbation, less its value slot
-        slots = [" + ".join(["0.0"] + [f"a{i}*b{j}" for i, j in terms if j])
-                 for terms in _PRODUCT_TERMS[: _SIZE[n - k]]]
-        slots[0] += f" + d[{k}] / {_FACTORIALS[k]!r}"
-        code += f"    {''.join(f'a{s}, ' for s in range(len(slots)))}= {', '.join(slots)},\n"
-    namespace: dict = {}
-    exec(code + f"    return ({''.join(f'a{s}, ' for s in range(_SIZE[n]))})\n", namespace)
-    return namespace["kernel"]
+    src = _Source()
+    out = src.horner(_unpacked(src, "b", n), [f"d[{k}]" for k in range(n + 1)])
+    src.lines.append(f"return {src.text(out)}")
+    return _define(f"horner{n}", "b, d", src.lines, src.names)
 
 
 _MUL_KERNELS = tuple(map(_product_kernel, range(MAX_ORDER + 1)))

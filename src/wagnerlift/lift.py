@@ -35,7 +35,7 @@ from functools import cache
 
 from . import connection
 from .connection import ConnectionTable, CurvatureTable, FramePoint
-from .jets import DomainError
+from .jets import DomainError, _define
 from .surface import (
     KAPPA_MIN,
     ConformalJets,
@@ -103,8 +103,7 @@ def _bracket_kernel(table: bool):
                   f"n{i}{j} = {v[2]} - (a{i}{j} * r020 + b{i}{j} * r120)"] + [f"k{i}{j} = n{i}{j} / r220"] * table
     planes = "".join(f"((0.0, {x}01, {x}02), (-{x}01, 0.0, {x}12), (-{x}02, -{x}12, 0.0)), " for x in "abk")
     lines.append(f"return ({planes})" if table else "return n01")
-    exec("def kernel(rows):\n    " + "\n    ".join(lines) + "\n", namespace := {})
-    return namespace["kernel"]
+    return _define("brackets" if table else "nonholonomity", "rows", lines, {})
 
 
 def nonholonomity(surface: ConformalSurface, x: Point) -> float:
@@ -209,25 +208,18 @@ def lifted_connection(surface: ConformalSurface, x: Point) -> ConnectionTable:
 
 
 _PLANES = ((1, 2), (1, 3), (2, 3))
-# The keys of ``closed_pair_components``, in the order of ``_closed_components``.
+# The pairs (ab, cd) of the six M(ab, cd), in the order of ``_closed_components``.
 _PAIR_KEYS = tuple((p, q) for n, p in enumerate(_PLANES) for q in _PLANES[n:])
 
 
 def _closed_components(p: ConformalJets) -> tuple:
-    """The six M(ab, cd) in ``_PAIR_KEYS`` order."""
-    if p.u1 is None or p.ddlogK is None:
-        raise ValueError("curvature ratios unavailable: K vanishes at the point")
+    """The six M(ab, cd) in ``_PAIR_KEYS`` order, of a record ``_checked_jets`` passed."""
     c1, c2, K, u1, u2 = p.c1.value, p.c2.value, p.K.value, p.u1.value, p.u2.value
     dd = p.ddlogK
     return (0.75 - K, -u1, -u2,
             -0.25 - dd[0][0] - c1 * u2 + u1 * u1,
             -dd[0][1] + c1 * u1 + u1 * u2,
             -0.25 - dd[1][1] + c2 * u1 + u2 * u2)
-
-
-def closed_pair_components(p: ConformalJets) -> dict:
-    """The six independent components M(ab, cd) = <R(E_a,E_b)E_c, E_d>."""
-    return dict(zip(_PAIR_KEYS, _closed_components(p)))
 
 
 @cache
@@ -241,16 +233,7 @@ def _closed_table_kernel():
             R[l, i, j, k] = R[k, j, i, l] = f"m{n}"
             R[k, i, j, l] = R[l, j, i, k] = f"-m{n}"
     body = connection._nested(lambda *index: R.get(index, "0.0"), 3, 4)
-    exec(f"def kernel(m0, m1, m2, m3, m4, m5):\n    return {body}\n", namespace := {})
-    return namespace["kernel"]
-
-
-def table_from_pair_components(components: dict) -> CurvatureTable:
-    """The full lowered table R[l][i][j][k] = <R(E_i,E_j)E_k, E_l>, filled
-    from the six components by the pair symmetry and the antisymmetries in
-    (i,j) and (k,l); entries with i = j or k = l are 0.0."""
-    m = map(components.__getitem__, _PAIR_KEYS)
-    return CurvatureTable(dim=3, R=_closed_table_kernel()(*m))
+    return _define("closed_table", "m0, m1, m2, m3, m4, m5", [f"return {body}"], {})
 
 
 def lifted_curvature_closed(surface: ConformalSurface, x: Point) -> CurvatureTable:

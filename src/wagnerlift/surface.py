@@ -9,7 +9,7 @@ of the conformal factor at the point gives, so derivatives are exact up to round
     c112 = e^(-lambda) d2(lambda)        c212 = -e^(-lambda) d1(lambda)
     K    = e1(c212) - e2(c112) - c112^2 - c212^2   ( = -e^(-2 lambda) Lap(lambda) )
 
-One float function that ``expr._Source`` writes runs these formulas' ``Jet`` float
+One float function that ``jets._Source`` writes runs these formulas' ``Jet`` float
 operations in order, each jet to the order the record reads, so it keeps their bits.
 """
 
@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from . import jets
-from .expr import Expr, Tape, _Source, eval_jet, format_expr, parse
-from .jets import DomainError, Jet
+from .expr import Expr, Tape, eval_jet, format_expr, parse
+from .jets import DomainError, Jet, _define, _Source
 
 Point = tuple[float, float]
 
@@ -175,7 +175,7 @@ def conformal_pipeline(lam: Jet) -> ConformalJets:
 
 @cache
 def _pipeline_kernel():
-    """The module docstring's formulas as one float function by ``expr._Source``, which
+    """The module docstring's formulas as one float function by ``jets._Source``, which
     keeps the ``Jet`` bits: it leaves out only x/1.0 and 1.0*x.
     A slot of degree d reads no higher slot, so each jet runs only to the order it is read."""
     src = _Source()
@@ -196,7 +196,7 @@ def _pipeline_kernel():
     u1, u2 = src.mul(head[4], inverse_K), src.mul(head[5], inverse_K)
     ddlogK = [[src.mul(em, [u[i]])[0] for u in (u1, u2)] for i in (1, 2)]
     src.lines.append(f"return {src.text(head + [u1, u2])}, {src.text(ddlogK)}")
-    return src.define(", ".join(lam + d1 + d2))
+    return _define("pipeline", ", ".join(lam + d1 + d2), src.lines, src.names)
 
 
 def surface_jets(surface: ConformalSurface, x: Point) -> ConformalJets:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from . import connection, geodesic
+from . import connection, geodesic, jets
 from .lift import (
     bracket_structure,
     lifted_connection,
@@ -83,16 +83,17 @@ def _sign(value: float) -> int:
 
 @cache
 def _deviation_kernel(depth: int):
-    """(a, b) -> max((abs(a000 - b000), ...)) on dim-3 tables unpacked into locals."""
+    """(a, b) -> max((abs(a000 - b000), ...)) on dim-3 tables unpacked into locals,
+    or NaN if a difference is NaN: their sum is then NaN, and only then."""
     a, b = (connection._nested(lambda *i: x + "".join(map(str, i)), 3, depth) for x in "ab")
     terms = "".join(f"abs(a{i} - b{i}), " for i in map("".join, product("012", repeat=depth)))
-    exec(f"def kernel(a, b):\n    {a} = a\n    {b} = b\n    return max(({terms}))\n", namespace := {})
-    return namespace["kernel"]
+    lines = [f"{a} = a", f"{b} = b", f"d = ({terms})", "t = sum(d)", "return t if t != t else max(d)"]
+    return jets._define(f"deviation{depth}", "a, b", lines, {})
 
 
 def _deviation(a: tuple, b: tuple, depth: int) -> float:
-    """max |a - b| over two dim-3 tables of ``depth`` levels, in index order, so
-    a NaN difference counts only if it comes first; a kernel generated per depth."""
+    """max |a - b| over two dim-3 tables of ``depth`` levels, NaN if any difference
+    is NaN; a kernel generated per depth."""
     return _deviation_kernel(depth)(a, b)
 
 
@@ -134,7 +135,7 @@ def verify_lift(
             _deviation(closed_curv.R, lifted_curvature_oracle(surface, x).R, 4),
             abs(nonholonomity(surface, x) + structure.K),
         )
-        deviations = list(map(max, deviations, at_x))
+        deviations = [d if d != d else max(w, d) for w, d in zip(deviations, at_x)]  # max(w, nan) is w
 
         values["pair_1212"].append(closed_curv.pair_component(1, 2, 1, 2))
         for name, i, j in (("sectional_12", 1, 2), ("sectional_13", 1, 3), ("sectional_23", 2, 3)):

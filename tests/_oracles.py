@@ -34,7 +34,7 @@ built its matrix from the checked order-4 values, and ``base_rhs_reference``
 the base flow as it read e^-lambda, c112 and c212 from an order-2 lambda jet;
 ``lift.lifted_frame`` and ``geodesic.integrate_base`` must keep their bits.
 ``conformal_pipeline_jets`` is the order-4 conformal pipeline as ``Jet``
-arithmetic, the formulas that ``expr._Source`` writes out as
+arithmetic, the formulas that ``jets._Source`` writes out as
 ``surface._pipeline_kernel`` less float operations that change no bit; the
 kernel must give the same bits in the slots it keeps, or the same exception.
 The jet frames take their jets from it, at the orders of its formulas, not
@@ -699,10 +699,12 @@ def nonholonomity_jets(surface, x) -> float:
 
 
 def deviation_nested(a: tuple, b: tuple) -> float:
-    """``verify._deviation`` over flattened lists instead of iterators."""
+    """``verify._deviation`` over flattened lists: the first NaN |a - b| in index
+    order, else the largest."""
     while isinstance(a[0], tuple):
         a, b = [v for row in a for v in row], [v for row in b for v in row]
-    return max(abs(x - y) for x, y in zip(a, b))
+    deviations = [abs(x - y) for x, y in zip(a, b)]
+    return next((d for d in deviations if d != d), max(deviations))
 
 
 def tangent_derivs_loop(u: float, n: int, sign: float) -> list[float]:
@@ -828,8 +830,8 @@ def _pair_form(components: dict, a: int, b: int, c: int, d: int) -> float:
 
 
 def table_from_pair_form(components: dict) -> connection.CurvatureTable:
-    """``lift.table_from_pair_components`` with each of the 81 entries looked
-    up by ``_pair_form``."""
+    """The closed table (``lift._closed_table_kernel``) of a component dict, with
+    each of the 81 entries looked up by ``_pair_form``."""
     R = tuple(
         tuple(
             tuple(
@@ -844,7 +846,7 @@ def table_from_pair_form(components: dict) -> connection.CurvatureTable:
 
 
 def closed_pair_components_reference(p: ConformalJets) -> dict:
-    """``lift.closed_pair_components`` as the dict it wrote out key by key."""
+    """The six M(ab, cd) of ``lift._closed_components`` as a dict written out key by key."""
     if p.u1 is None or p.ddlogK is None:
         raise ValueError("curvature ratios unavailable: K vanishes at the point")
     c1, c2, K, u1, u2 = p.c1.value, p.c2.value, p.K.value, p.u1.value, p.u2.value
@@ -865,8 +867,8 @@ def lifted_curvature_closed_loop(surface, x) -> connection.CurvatureTable:
 
 
 def table_from_pair_loop(components: dict) -> connection.CurvatureTable:
-    """``lift.table_from_pair_components`` as the fill loop over the six
-    components that the generated table function replaces."""
+    """The closed table (``lift._closed_table_kernel``) of a component dict as the
+    fill loop over the six components that the generated table function replaces."""
     R = [[[[0.0] * 3 for _ in range(3)] for _ in range(3)] for _ in range(3)]
     for ((a, b), (c, d)), value in components.items():
         for i, j, k, l in ((a - 1, b - 1, c - 1, d - 1), (c - 1, d - 1, a - 1, b - 1)):

@@ -235,6 +235,11 @@ def test_frame_derivative_matches_the_jet_product_on_signed_zeros(name):
                     assert _bits(frame_derivative(point, a, partials[1], partials[2])) == _bits(expected)
 
 
+def _closed_table(components: dict) -> tuple:
+    """``lift._closed_table_kernel()`` of the six components of a ``_PAIR_KEYS`` dict."""
+    return lift._closed_table_kernel()(*map(components.__getitem__, lift._PAIR_KEYS))
+
+
 def test_curvature_table_fill_matches_the_pair_form_expansion():
     # Signed zeros and infinities included: a negated 0.0 must stay -0.0.
     # NaN is left out: -v and the old -1.0 * v differ in a NaN's sign bit,
@@ -248,9 +253,7 @@ def test_curvature_table_fill_matches_the_pair_form_expansion():
             key: rng.choice(special) if rng.random() < 0.3 else rng.uniform(-5.0, 5.0)
             for key in keys
         }
-        assert _outcome(lift.table_from_pair_components, components) == _outcome(
-            table_from_pair_form, components
-        )
+        assert _outcome(_closed_table, components) == _outcome(table_from_pair_form, components)
 
 
 KERNEL_ENTRIES = (0.0, -0.0, float("inf"), float("-inf"), 1e300, -1e300, 5e-324, -5e-324)
@@ -398,8 +401,6 @@ LIFT_ROUTES = (
     (lift.bracket_structure, bracket_structure_loop),
     (lift.nonholonomity, nonholonomity_loop),
     (lift.lifted_curvature_closed, lifted_curvature_closed_loop),
-    (lift.lifted_curvature_closed, lambda surface, x: lift.table_from_pair_components(
-        lift.closed_pair_components(lift._checked_jets(surface, x)))),
 )
 
 
@@ -498,9 +499,7 @@ def test_generated_curvature_table_matches_the_fill_loop_bit_for_bit():
     rng = random.Random(1402)
     for _ in range(2000):
         components = {key: _special_or_uniform(rng, 0.3, 5.0) for key in lift._PAIR_KEYS}
-        assert _outcome(lift.table_from_pair_components, components) == _outcome(
-            table_from_pair_loop, components
-        )
+        assert _outcome(_closed_table, components) == _outcome(table_from_pair_loop, components)
 
 
 def _nested_table(rng: random.Random, depth: int) -> tuple:
@@ -511,12 +510,15 @@ def _nested_table(rng: random.Random, depth: int) -> tuple:
 
 @pytest.mark.parametrize("depth", (3, 4))
 def test_flat_deviation_matches_the_nested_walk_bit_for_bit(depth):
-    # A NaN difference does not compare, so where it falls in the walk
-    # decides the result: both must visit the entries in index order.
+    # A NaN difference does not compare, so a plain max keeps it only in first
+    # place: both must give the NaN wherever it falls, and the largest otherwise.
     rng = random.Random(1403 + depth)
+    nan = 0
     for _ in range(2000):
         a, b = _nested_table(rng, depth), _nested_table(rng, depth)
         assert _outcome(verify._deviation, a, b, depth) == _outcome(deviation_nested, a, b)
+        nan += math.isnan(deviation_nested(a, b))
+    assert nan > 200
 
 
 def test_conformal_pipeline_matches_the_two_reciprocal_route_bit_for_bit():

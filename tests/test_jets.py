@@ -238,7 +238,7 @@ def test_a_lower_order_result_is_the_prefix_of_the_higher_order_one(m, n):
     # A slot of degree d reads no slot of higher degree, in a product and in
     # every Horner step of a composition, so truncating first changes no bit.
     # ``surface._pipeline_kernel`` computes each jet only to the order it is
-    # read because of this; ``expr._Source`` keeps the ``jets`` bits.
+    # read because of this; ``jets._Source`` keeps the ``jets`` bits.
     rng = random.Random(2400 + 10 * m + n)
     cases = [(_prefix_jet(rng, n), _prefix_jet(rng, n)) for _ in range(2000)]
     for a, b in cases[:16]:  # CPython 3.11 picks a two-NaN result's sign by specialization state

@@ -11,15 +11,21 @@ needs none of them pays for none at setup.
 """
 
 import ast
+import cProfile
 import dataclasses
 import json
 import os
+import pstats
 import subprocess
 import sys
 from pathlib import Path
 
+import pytest
+
 import wagnerlift
 import wagnerlift.lift
+from wagnerlift.lift import verify_lift
+from wagnerlift.surface import catalog
 
 SRC = Path(wagnerlift.__file__).parent
 DATA = Path(__file__).parent / "data"
@@ -55,7 +61,7 @@ def _imports(module: str) -> dict[str, set]:
 
 
 # The line count of src/wagnerlift/*.py when this bound was last set.
-SRC_LINES = 2932
+SRC_LINES = 2928
 
 
 def test_src_stays_within_its_line_count():
@@ -102,12 +108,25 @@ def test_conformal_jets_is_the_one_base_geometry_record():
 
 
 def test_surface_leaves_its_pipeline_kernel_to_the_one_jet_code_writer():
-    # ``expr._Source`` writes the order-4 pipeline kernel: surface runs no
+    # ``jets._Source`` writes the order-4 pipeline kernel: surface runs no
     # generated code of its own and reads no product term table.
     names = {getattr(node, "id", None) or getattr(node, "attr", None)
              for node in ast.walk(_tree("surface"))}
     assert not names & {"exec", "eval", "_MUL_TABLE", "_PRODUCT_TERMS"}
-    assert "_Source" in _imports("surface")["expr"]
+    assert "_Source" in _imports("surface")["jets"]
+
+
+def test_exec_runs_only_in_the_jets_definer_and_the_two_connection_kernels():
+    # ``jets._define`` compiles every generated function but ``connection``'s two
+    # kernels, since that module imports nothing from the package.
+    sites = sorted(
+        (path.stem, getattr(top, "name", None))
+        for path in SRC.glob("*.py") for top in ast.parse(path.read_text()).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("exec", "eval")
+    )
+    assert sites == [("connection", "_curvature_kernel"), ("connection", "_koszul_kernel"),
+                     ("jets", "_define")]
 
 
 def test_lift_takes_only_verify_lift_from_verify():
@@ -260,3 +279,46 @@ def test_verify_on_finite_points_builds_no_curvature_kernel_without_known_zeros(
     # guard-free full form only a point with a value that is not finite needs.
     # The bracket table and the nonholonomity build their functions once each.
     assert _fresh_process(_PATTERN_PROBE).split() == ["1", "1", "2", "2"]
+
+
+_NAMES_PROBE = """
+import contextlib, gc, io, json
+from wagnerlift import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    assert cli.run(["verify", "--surface", "sphere", "--samples", "2"]) == 0
+    assert cli.run(["geodesic", "--surface", "bump", "--start", "0.1,0.2,0",
+                    "--velocity", "0.6,0,0.8", "--t-max", "0.5", "--step", "0.01", "--wong"]) == 0
+    assert cli.run(["surface", "info", "--surface", "sphere", "--at", "0.3,0.2"]) == 0
+# Generated: compiled under a <...> file name with globals that are no module's.
+print(json.dumps([f.__code__.co_filename for f in gc.get_objects() if type(f).__name__ == "function"
+                  and f.__code__.co_filename.startswith("<")
+                  and ("__name__" not in f.__globals__ or f.__code__.co_filename.startswith("<wagnerlift"))]))
+"""
+
+
+def test_every_generated_function_compiles_under_a_file_name_of_its_own():
+    # One name per function, so profiles and tracebacks tell them apart: the
+    # import-time jet kernels, the pipeline kernel, the compiled tapes, and the
+    # lift, verify and connection kernels.
+    names = json.loads(_fresh_process(_NAMES_PROBE))
+    assert len(set(names)) == len(names)
+    assert all(name.startswith("<wagnerlift ") for name in names), names
+    labels = {name.split()[1].rstrip(">") for name in names}
+    assert labels >= {*(f"{kind}{n}" for kind in ("mul", "horner") for n in range(5)), "pipeline",
+                      "tape3", "koszul3", "curvature3", "brackets", "nonholonomity",
+                      "closed_table", "deviation3", "deviation4"}, labels
+
+
+def test_profiles_keep_a_row_for_every_generated_function():
+    # pstats keys a row by file name, line and function name, so generated
+    # functions that shared one file name would merge into one row.
+    bump = catalog("bump")
+    profiler = cProfile.Profile()
+    profiler.runcall(lambda: [verify_lift(bump, 10, seed, 1e-8) for seed in range(20)])
+    generated = [entry for entry in profiler.getstats() if not isinstance(entry.code, str)
+                 and entry.code.co_filename.startswith("<wagnerlift")]
+    rows = {key: row for key, row in pstats.Stats(profiler).stats.items()
+            if key[0].startswith("<wagnerlift")}
+    assert len(rows) == len(generated) >= 9
+    assert sum(row[2] for row in rows.values()) == pytest.approx(
+        sum(entry.inlinetime for entry in generated))

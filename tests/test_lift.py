@@ -1,5 +1,6 @@
 """Wagner-lift tests: frame, nonholonomity, structure, connection, curvature."""
 
+import itertools
 import json
 import math
 import random
@@ -27,7 +28,6 @@ from wagnerlift.jets import DomainError
 from wagnerlift.lift import (
     SingularCurvature,
     bracket_structure,
-    closed_pair_components,
     lift_frame_point,
     lifted_connection,
     lifted_curvature_closed,
@@ -386,12 +386,6 @@ def test_lifted_sectional_validates_indices():
         lifted_sectional(sph, (0.0, 0.0), 1, 5)
 
 
-def test_closed_components_need_curvature_ratios():
-    geometry = gauss_curvature(FLAT, (0.0, 0.0))
-    with pytest.raises(ValueError):
-        closed_pair_components(geometry)
-
-
 # -- frame point plumbing -----------------------------------------------------------
 
 
@@ -420,6 +414,50 @@ def test_verify_lift_passes(name, tol):
         "nonholonomity_plus_curvature",
     }
     assert report.resolved_signs["sectional_signs_stable"]
+
+
+def _with(table: tuple, index: tuple, value: float) -> tuple:
+    """``table`` with the entry at ``index`` replaced by ``value``."""
+    if not index:
+        return value
+    return tuple(_with(t, index[1:], value) if i == index[0] else t for i, t in enumerate(table))
+
+
+@pytest.mark.parametrize("depth", (3, 4))
+def test_a_nan_difference_anywhere_makes_the_deviation_nan(depth):
+    # max keeps a NaN only in first place; every position must give NaN.
+    zeros = 0.0
+    for _ in range(depth):
+        zeros = (zeros,) * 3
+    for index in itertools.product(range(3), repeat=depth):
+        table = _with(_with(zeros, (0, 0, 1, 2)[:depth], 5.0), index, math.nan)
+        assert math.isnan(verify._deviation(table, zeros, depth)), index
+        assert math.isnan(verify._deviation(zeros, table, depth)), index
+        assert verify._deviation(_with(zeros, index, -2.0), zeros, depth) == 2.0
+
+
+@pytest.mark.parametrize("index", [(0, 0, 0, 0), (0, 1, 0, 1), (2, 2, 2, 2)], ids=str)
+@pytest.mark.parametrize("sample", [0, 2])
+def test_verify_fails_the_curvature_check_on_a_nan_oracle_entry(monkeypatch, index, sample):
+    # A NaN entry of the oracle's table at one sampled point: at the first one
+    # a later finite deviation must not replace it, and at the last it must
+    # replace the finite ones before it.  The other checks are unchanged.
+    oracle, points = verify.lifted_curvature_oracle, []
+
+    def nan_oracle(surface, x):
+        points.append(x)
+        table = oracle(surface, x)
+        return table if len(points) != sample + 1 else connection.CurvatureTable(3, _with(table.R, index, math.nan))
+
+    expected = verify_lift(catalog("bump"), 3, 5, 1e-6)
+    monkeypatch.setattr(verify, "lifted_curvature_oracle", nan_oracle)
+    report = verify_lift(catalog("bump"), 3, 5, 1e-6)
+    assert not report.passed and len(points) == 3
+    for check, before in zip(report.checks, expected.checks):
+        if check.name == "curvature_closed_vs_oracle":
+            assert math.isnan(check.max_deviation) and not check.passed
+        else:
+            assert check == before
 
 
 def test_verify_report_signs_sphere():

@@ -7,8 +7,10 @@ non-finite value.  The cases here compare the jet bits (``struct.pack``) or
 the exception type and message with ``eval_jet_reference``: on the jet path
 at four points per order, and on the compiled path after running each tape
 past the threshold.  The compositions and mixed-order products of
-``expr._Source``, which also writes ``surface``'s pipeline kernel, are compared
-with ``jets.compose`` and ``Jet.__mul__`` on random jets with special slots.
+``jets._Source``, which also writes the jets' own kernels and ``surface``'s
+pipeline kernel, are compared with the loops in ``_oracles`` that share no
+code with it (``compose_full_order`` and ``mul_reference``) on random jets
+with special slots.
 """
 
 import dataclasses
@@ -34,7 +36,13 @@ from wagnerlift.surface import (
     laplacian_curvature_from,
 )
 
-from _oracles import coeffs_reference, eval_jet_reference, random_smooth_expr
+from _oracles import (
+    coeffs_reference,
+    compose_full_order,
+    eval_jet_reference,
+    mul_reference,
+    random_smooth_expr,
+)
 
 
 def _bits(values) -> bytes:
@@ -408,11 +416,11 @@ _NON_FINITE = (math.inf, -math.inf, math.nan, -math.nan)
 def _slot_function(sizes, emit):
     """``emit`` on lists of named slots, one list per size, as a function of
     those slots returning ``emit``'s slot list."""
-    src = ex._Source()
+    src = jets._Source()
     lists = [[f"s{k}_{i}" for i in range(size)] for k, size in enumerate(sizes)]
     out = emit(src, *lists)
     src.lines.append(f"return {src.text(out)}")
-    return src.define(", ".join(name for names in lists for name in names))
+    return jets._define("slots", ", ".join(name for names in lists for name in names), src.lines, src.names)
 
 
 def _lemma_slot(rng: random.Random) -> float:
@@ -435,20 +443,20 @@ def _lemma_jet(rng: random.Random, order: int) -> Jet:
     ids=lambda derivs: derivs.__name__,
 )
 def test_source_compose_keeps_the_jet_bits_on_special_perturbations(derivs, order):
-    # ``_Source.compose`` writes each Horner step as ``jets.compose`` runs it:
-    # the same slots from the perturbation's slots past its value, with no
-    # finiteness test, so it keeps every bit, non-finite perturbation slots
-    # included.
+    # ``_Source.compose`` writes each Horner step, ``jets.compose``'s kernels
+    # included, as the full-order loop runs it: the slots that reach the output,
+    # from the perturbation's slots past its value, with no finiteness test, so
+    # it keeps every bit, non-finite perturbation slots included.
     composed = _slot_function([jets._SIZE[order]], lambda src, f: src.compose(f, derivs))
     warm = Jet(order, tuple(0.1 * k + 0.5 for k in range(jets._SIZE[order])))
     for _ in range(16):  # CPython 3.11 picks a two-NaN result's sign by specialization state
         composed(*warm._t)
-        jets.compose(warm, derivs(warm.value, order))
+        compose_full_order(warm, derivs(warm.value, order))
     rng = random.Random(2300 + order)
     non_finite = 0
     for _ in range(2000):
         jet = _lemma_jet(rng, order)
-        expected = _bits(jets.compose(jet, derivs(jet.value, order))._t)
+        expected = _bits(compose_full_order(jet, derivs(jet.value, order)))
         assert _bits(composed(*jet._t)) == expected, jet
         non_finite += not all(map(math.isfinite, jet._t[1:]))
     assert non_finite > 600
@@ -481,9 +489,9 @@ def test_source_mul_of_mixed_orders_truncates_as_the_jets_do(orders):
     rng = random.Random(2310 + 10 * orders[0] + orders[1])
     jet_pairs = [[Jet(n, tuple(_lemma_slot(rng) for _ in range(size)))
                   for n, size in zip(orders, sizes)] for _ in range(2000)]
+    size = min(sizes)
     for a, b in jet_pairs[:16]:  # warm both, as above
-        product(*a._t, *b._t), a * b
+        product(*a._t, *b._t), mul_reference(a._t[:size], b._t[:size], min(orders))
     for a, b in jet_pairs:
-        expected = a * b
-        assert expected.order == min(orders)
-        assert _bits(product(*a._t, *b._t)) == _bits(expected._t), (a, b)
+        expected = mul_reference(a._t[:size], b._t[:size], min(orders))
+        assert _bits(product(*a._t, *b._t)) == _bits(expected), (a, b)
