@@ -20,6 +20,8 @@ Koszul and curvature formulas run as straight-line kernels generated on first
 use.  Each writes every entry as one left-to-right expression in the order of
 the index loops it replaces, less terms on declared zero slots (``curvature``),
 so it rounds as they did, signed zeros included; the tests keep the loops.
+It imports nothing from the package, so it hosts the one definer of generated
+functions, ``_define``, and the tuple writers ``_nested`` and ``_unpack``.
 """
 
 from __future__ import annotations
@@ -77,7 +79,15 @@ def sectional(table: CurvatureTable, i: int, j: int) -> float:
 
 
 # -- generated kernels ------------------------------------------------------------
-_DEFINED = count()  # numbers the file names the kernels compile under, one each
+_DEFINED = count()  # numbers the file names of the generated functions, one each
+
+
+def _define(label: str, params: str, lines: list, names: dict):
+    """The function ``label`` of ``params`` with body ``lines`` and globals ``names``, compiled
+    under a file name of its own, ``<wagnerlift label #n>``, and kept without its source."""
+    source = f"def {label}({params}):\n    " + "\n    ".join(lines) + "\n"
+    exec(compile(source, f"<wagnerlift {label} #{next(_DEFINED)}>", "exec"), names)
+    return names[label]
 
 
 def _nested(leaf, n: int, depth: int, index: tuple = ()) -> str:
@@ -87,28 +97,27 @@ def _nested(leaf, n: int, depth: int, index: tuple = ()) -> str:
     return "(" + "".join(_nested(leaf, n, depth, index + (i,)) + ", " for i in range(n)) + ")"
 
 
+def _unpack(name: str, n: int, depth: int) -> str:
+    """``name``'s ``_nested`` tuple unpacked into one local per leaf, ``name`` + index (``c012``)."""
+    return f"{_nested(lambda *index: name + ''.join(map(str, index)), n, depth)} = {name}"
+
+
 def _koszul(c: str, k: int, i: int, j: int, dead=()) -> str:  # "" if every slot is dead
     terms = [t for t in (f"{c}{k}{i}{j}", f"{c}{j}{k}{i}", f"{c}{i}{k}{j}") if t not in dead]
     return f"0.5 * ({' + '.join(terms)})" if terms else ""
 
 
-def _unpack(c: str, n: int) -> str:
-    return f"{_nested(lambda k, i, j: f'{c}{k}{i}{j}', n, 3)} = {c}"
-
-
 @cache
 def _koszul_kernel(n: int):
     body = f"return {_nested(lambda k, i, j: _koszul('c', k, i, j), n, 3)}"
-    source = f"def kernel(c):\n    {_unpack('c', n)}\n    {body}\n"
-    exec(compile(source, f"<wagnerlift koszul{n} #{next(_DEFINED)}>", "exec"), namespace := {})
-    return namespace["kernel"]
+    return _define(f"koszul{n}", "c", [_unpack("c", n, 3), body], {})
 
 
 @cache
 def _curvature_kernel(n: int, zeros: frozenset):
     """The kernel of inputs whose (table, k, i, j) slots ``zeros`` of (c, d_1 c, d_2 c) are 0.0."""
     dead = {f"{'cpq'[t]}{k}{i}{j}" for t, k, i, j in zeros}
-    lines = [_unpack(c, n) for c in "cpq"]  # c and its chart partials d_1 c, d_2 c
+    lines = [_unpack(c, n, 3) for c in "cpq"]  # c and its chart partials d_1 c, d_2 c
     live = {f"c{k}{i}{j}" for k, i, j in product(range(n), repeat=3)} - dead
     for k, i, j, (name, c) in product(range(n), range(n), range(n), (("G", "c"), ("E0", "p"), ("E1", "q"))):
         if terms := _koszul(c, k, i, j, dead):  # Gamma, e_1 Gamma and e_2 Gamma
@@ -124,9 +133,7 @@ def _curvature_kernel(n: int, zeros: frozenset):
     if zeros:  # a dead slot that is not 0.0 is truthy, and f - f is NaN unless f is finite
         finite = [f"{f} - {f}" for f in ["em", *sorted(live)] if f[0] != "E"]
         lines.append(f"if {' or '.join(sorted(dead) + finite)}:\n        raise FloatingPointError")
-    source = "def kernel(c, p, q, em):\n    " + "\n    ".join(lines) + f"\n    return {_nested(entry, n, 4)}\n"
-    exec(compile(source, f"<wagnerlift curvature{n} #{next(_DEFINED)}>", "exec"), namespace := {})
-    return namespace["kernel"]
+    return _define(f"curvature{n}", "c, p, q, em", [*lines, f"return {_nested(entry, n, 4)}"], {})
 
 
 # -- connection -----------------------------------------------------------------

@@ -12,7 +12,7 @@ values.
 
 Products and compositions run through straight-line kernels generated at import,
 one per order, by ``_Source``, the one writer of jet code (it also writes ``expr``'s
-compiled tapes and ``surface``'s pipeline kernel), and ``_define`` compiles them.
+compiled tapes and ``surface``'s pipeline kernel); ``connection._define`` compiles them.
 A product slot is ``0.0 + a[i]*b[j] + ...`` with the terms in ``_PRODUCT_TERMS``
 order (``_MUL_TABLE`` by output slot): the roundings of accumulating ``out[k] +=
 a[i]*b[j]`` over the table from a zero-filled list, signed zeros included.  A
@@ -28,8 +28,9 @@ term touches slot 0 only: adding 0.0 to the other slots would change no bit.
 from __future__ import annotations
 
 import math
-from itertools import count
 from operator import add, mul, neg, sub
+
+from .connection import _define, _unpack
 
 MAX_ORDER = 4
 
@@ -211,22 +212,10 @@ class _Source:
         return _define(f"tape{_ORDER[len(out)]}", "x1, x2", self.lines, self.names)
 
 
-_DEFINED = count()  # numbers the file names of the generated functions
-
-
-def _define(label: str, params: str, lines: list, names: dict):
-    """The function ``label`` of ``params`` with body ``lines`` and globals ``names``, compiled
-    under a file name of its own, ``<wagnerlift label #n>``, and kept without its source."""
-    source = f"def {label}({params}):\n    " + "\n    ".join(lines) + "\n"
-    exec(compile(source, f"<wagnerlift {label} #{next(_DEFINED)}>", "exec"), names)
-    return names[label]
-
-
 def _unpacked(src: _Source, name: str, n: int) -> list:
     """The order-``n`` Taylor slots of the tuple ``name``, unpacked into locals."""
-    slots = [f"{name}{i}" for i in range(_SIZE[n])]
-    src.lines.append(f"{''.join(f'{x}, ' for x in slots)}= {name}")
-    return slots
+    src.lines.append(_unpack(name, _SIZE[n], 1))
+    return [f"{name}{i}" for i in range(_SIZE[n])]
 
 
 def _product_kernel(n: int):

@@ -34,8 +34,8 @@ from dataclasses import dataclass
 from functools import cache
 
 from . import connection
-from .connection import ConnectionTable, CurvatureTable, FramePoint
-from .jets import DomainError, _define
+from .connection import ConnectionTable, CurvatureTable, FramePoint, _define, _nested, _unpack
+from .jets import DomainError
 from .surface import (
     KAPPA_MIN,
     ConformalJets,
@@ -48,17 +48,21 @@ from .surface import (
 
 
 def _checked_jets(surface: ConformalSurface, x: Point) -> ConformalJets:
-    """The ``surface_jets`` record at ``x``, its K and finiteness tested once per
-    surface: a surface keeps the last record that passed, and one that raised is tested again."""
+    """The ``surface_jets`` record at ``x``, its K and finiteness tested once per surface: a
+    surface keeps the last record that passed with its lifted frame, and one that raised is tested again."""
     p = surface_jets(surface, x)
-    if surface._last_checked is not p:
+    if surface._last_frame[0] is not p:
         K = p.K.value
         if abs(K) < KAPPA_MIN or p.u1 is None:
             raise SingularCurvature(x, K)
         # A finite K bounds c1 and c2, and finite u_i bound e_i(K).
         (a, b), (c, d) = p.ddlogK
         require_finite((K, p.u1.value, p.u2.value, a, b, c, d), x)
-        object.__setattr__(surface, "_last_checked", p)
+        c1, c2, u1, u2 = p.c1._t, p.c2._t, p.u1._t, p.u2._t
+        # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
+        c, *dc = (_lifted_table(c1[s], c2[s], (-1.0, 0.0, 0.0)[s], u1[s], u2[s]) for s in range(3))
+        frame = FramePoint(dim=3, c=c, dc=tuple(dc), em=p.em.value, zeros=_LIFTED_ZEROS)
+        object.__setattr__(surface, "_last_frame", (p, frame))
     return p
 
 
@@ -95,7 +99,7 @@ def _bracket_kernel(table: bool):
     then N / K on E3 = K d_phi.  Each is one expression in the order of the loops
     it writes out, so it rounds as they did."""
     pairs = ((0, 1), (0, 2), (1, 2)) if table else ((0, 1),)
-    lines = [f"{connection._nested(lambda *s: 'r%d%d%d' % s, 3, 3)} = rows"]
+    lines = [_unpack("r", 3, 3)]
     for i, j in pairs:
         v = [f"0.0 + r{i}00 * r{j}{m}1 - r{j}00 * r{i}{m}1 + r{i}10 * r{j}{m}2 - r{j}10 * r{i}{m}2"
              for m in range(3)]
@@ -103,7 +107,7 @@ def _bracket_kernel(table: bool):
                   f"n{i}{j} = {v[2]} - (a{i}{j} * r020 + b{i}{j} * r120)"] + [f"k{i}{j} = n{i}{j} / r220"] * table
     planes = "".join(f"((0.0, {x}01, {x}02), (-{x}01, 0.0, {x}12), (-{x}02, -{x}12, 0.0)), " for x in "abk")
     lines.append(f"return ({planes})" if table else "return n01")
-    return _define("brackets" if table else "nonholonomity", "rows", lines, {})
+    return _define("brackets" if table else "nonholonomity", "r", lines, {})
 
 
 def nonholonomity(surface: ConformalSurface, x: Point) -> float:
@@ -182,20 +186,10 @@ _LIFTED_ZEROS = connection._zero_slots(
 
 
 def lift_frame_point(surface: ConformalSurface, x: Point) -> FramePoint:
-    """The lifted orthonormal frame at ``x`` as a generic FramePoint (dim 3),
-    one per ``ConformalJets`` record: a surface keeps its last, keyed by the
-    identity of the record ``_checked_jets`` returns, so the routes at a point
-    share it."""
-    p = _checked_jets(surface, x)
-    last = surface._last_frame
-    if last[0] is not p:
-        c1, c2, u1, u2 = p.c1._t, p.c2._t, p.u1._t, p.u2._t
-        # chat^3_12 = -1 is constant: its partials are 0.0, negated to -0.0.
-        c = _lifted_table(c1[0], c2[0], -1.0, u1[0], u2[0])
-        dc = tuple(_lifted_table(c1[s], c2[s], 0.0, u1[s], u2[s]) for s in (1, 2))
-        last = (p, FramePoint(dim=3, c=c, dc=dc, em=p.em.value, zeros=_LIFTED_ZEROS))
-        object.__setattr__(surface, "_last_frame", last)
-    return last[1]
+    """The lifted orthonormal frame at ``x`` as a generic FramePoint (dim 3), built once
+    per record ``_checked_jets`` passes, so the routes at a point share it."""
+    _checked_jets(surface, x)
+    return surface._last_frame[1]
 
 
 def lifted_connection(surface: ConformalSurface, x: Point) -> ConnectionTable:
@@ -232,7 +226,7 @@ def _closed_table_kernel():
         for i, j, k, l in ((a - 1, b - 1, c - 1, d - 1), (c - 1, d - 1, a - 1, b - 1)):
             R[l, i, j, k] = R[k, j, i, l] = f"m{n}"
             R[k, i, j, l] = R[l, j, i, k] = f"-m{n}"
-    body = connection._nested(lambda *index: R.get(index, "0.0"), 3, 4)
+    body = _nested(lambda *index: R.get(index, "0.0"), 3, 4)
     return _define("closed_table", "m0, m1, m2, m3, m4, m5", [f"return {body}"], {})
 
 

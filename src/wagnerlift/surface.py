@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 from functools import cache
 
 from . import jets
+from .connection import _define
 from .expr import Expr, Tape, eval_jet, format_expr, parse
-from .jets import DomainError, Jet, _define, _Source
+from .jets import DomainError, Jet, _Source
 
 Point = tuple[float, float]
 
@@ -60,7 +61,6 @@ class ConformalSurface:
     _guard_tape: Tape | None = field(init=False, repr=False, compare=False)
     _last_jets: tuple | None = field(default=None, init=False, repr=False, compare=False)
     _last_frame: tuple = field(default=(None, None), init=False, repr=False, compare=False)
-    _last_checked: ConformalJets | None = field(default=None, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         object.__setattr__(self, "_lam_tape", Tape(self.lam))

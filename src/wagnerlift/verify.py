@@ -11,12 +11,14 @@ them do.
 from __future__ import annotations
 
 import json
+import math
 import random
 from dataclasses import dataclass
 from functools import cache
 from itertools import product
 
-from . import connection, geodesic, jets
+from . import connection, geodesic
+from .connection import _define, _unpack
 from .lift import (
     bracket_structure,
     lifted_connection,
@@ -41,7 +43,7 @@ class CheckResult:
     def to_dict(self) -> dict:
         return {
             "name": self.name,
-            "max_abs_deviation": self.max_deviation,
+            "max_abs_deviation": self.max_deviation if math.isfinite(self.max_deviation) else None,  # strict JSON
             "tolerance": self.tolerance,
             "pass": self.passed,
         }
@@ -83,18 +85,12 @@ def _sign(value: float) -> int:
 
 @cache
 def _deviation_kernel(depth: int):
-    """(a, b) -> max((abs(a000 - b000), ...)) on dim-3 tables unpacked into locals,
-    or NaN if a difference is NaN: their sum is then NaN, and only then."""
-    a, b = (connection._nested(lambda *i: x + "".join(map(str, i)), 3, depth) for x in "ab")
+    """(a, b) -> max((abs(a000 - b000), ...)) over two dim-3 tables of ``depth`` levels
+    unpacked into locals, or NaN if a difference is NaN: their sum is then NaN, and only then."""
     terms = "".join(f"abs(a{i} - b{i}), " for i in map("".join, product("012", repeat=depth)))
-    lines = [f"{a} = a", f"{b} = b", f"d = ({terms})", "t = sum(d)", "return t if t != t else max(d)"]
-    return jets._define(f"deviation{depth}", "a, b", lines, {})
-
-
-def _deviation(a: tuple, b: tuple, depth: int) -> float:
-    """max |a - b| over two dim-3 tables of ``depth`` levels, NaN if any difference
-    is NaN; a kernel generated per depth."""
-    return _deviation_kernel(depth)(a, b)
+    lines = [_unpack("a", 3, depth), _unpack("b", 3, depth), f"d = ({terms})", "t = sum(d)",
+             "return t if t != t else max(d)"]
+    return _define(f"deviation{depth}", "a, b", lines, {})
 
 
 def verify_lift(
@@ -130,9 +126,9 @@ def verify_lift(
         gamma_closed = lifted_connection(surface, x).gamma
         closed_curv = lifted_curvature_closed(surface, x)
         at_x = (
-            _deviation(structure.table(), bracket_table, 3),
-            _deviation(gamma_closed, connection.koszul_values(bracket_table, 3), 3),
-            _deviation(closed_curv.R, lifted_curvature_oracle(surface, x).R, 4),
+            _deviation_kernel(3)(structure.table(), bracket_table),
+            _deviation_kernel(3)(gamma_closed, connection.koszul_values(bracket_table, 3)),
+            _deviation_kernel(4)(closed_curv.R, lifted_curvature_oracle(surface, x).R),
             abs(nonholonomity(surface, x) + structure.K),
         )
         deviations = [d if d != d else max(w, d) for w, d in zip(deviations, at_x)]  # max(w, nan) is w

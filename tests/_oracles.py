@@ -699,7 +699,7 @@ def nonholonomity_jets(surface, x) -> float:
 
 
 def deviation_nested(a: tuple, b: tuple) -> float:
-    """``verify._deviation`` over flattened lists: the first NaN |a - b| in index
+    """``verify._deviation_kernel`` over flattened lists: the first NaN |a - b| in index
     order, else the largest."""
     while isinstance(a[0], tuple):
         a, b = [v for row in a for v in row], [v for row in b for v in row]

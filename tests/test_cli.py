@@ -2,9 +2,11 @@
 
 import argparse
 import json
+import math
 import os
 import random
 import re
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -12,7 +14,7 @@ from pathlib import Path
 import pytest
 
 import wagnerlift
-from wagnerlift import cli, geodesic
+from wagnerlift import cli, connection, geodesic, verify
 from wagnerlift import surface as surface_module
 from wagnerlift.cli import run
 from wagnerlift.surface import catalog
@@ -210,6 +212,40 @@ def test_verify_fails_with_impossible_tolerance(capsys):
     report = json.loads(capsys.readouterr().out)
     assert code == 1
     assert report["pass"] is False
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf])
+def test_verify_prints_strict_json_for_a_deviation_that_is_not_finite(bad, monkeypatch, capsys):
+    # One oracle entry that is not finite fails the curvature check, and its
+    # deviation prints as null: strict JSON has no NaN or Infinity.
+    oracle = verify.lifted_curvature_oracle
+
+    def bad_oracle(surface, x):
+        R = [[[list(row) for row in plane] for plane in block] for block in oracle(surface, x).R]
+        R[0][1][0][1] = bad
+        return connection.CurvatureTable(3, R)
+
+    def reject(constant):
+        raise ValueError(f"{constant} is not strict JSON")
+
+    monkeypatch.setattr(verify, "lifted_curvature_oracle", bad_oracle)
+    code = run(["verify", "--surface", "sphere", "--samples", "3", "--seed", "1"])
+    report = json.loads(capsys.readouterr().out, parse_constant=reject)
+    assert code == 1 and report["pass"] is False
+    checks = {check["name"]: check for check in report["lift"]["checks"]}
+    assert checks.pop("curvature_closed_vs_oracle") == {
+        "name": "curvature_closed_vs_oracle", "max_abs_deviation": None, "tolerance": 1e-8, "pass": False}
+    assert all(check["pass"] for check in checks.values())
+
+
+def test_every_command_of_the_readme_command_line_block_exits_zero(tmp_path, monkeypatch, capsys):
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = text.split("## Command line\n\n```sh\n", 1)[1].split("```", 1)[0]
+    commands = [shlex.split(line) for line in block.replace("\\\n", " ").splitlines()]
+    assert len(commands) == 6 and all(argv[0] == "wagnerlift" for argv in commands)
+    monkeypatch.chdir(tmp_path)
+    for argv in commands:
+        assert run(argv[1:]) == 0, argv
 
 
 @pytest.mark.parametrize(

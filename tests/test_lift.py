@@ -431,9 +431,9 @@ def test_a_nan_difference_anywhere_makes_the_deviation_nan(depth):
         zeros = (zeros,) * 3
     for index in itertools.product(range(3), repeat=depth):
         table = _with(_with(zeros, (0, 0, 1, 2)[:depth], 5.0), index, math.nan)
-        assert math.isnan(verify._deviation(table, zeros, depth)), index
-        assert math.isnan(verify._deviation(zeros, table, depth)), index
-        assert verify._deviation(_with(zeros, index, -2.0), zeros, depth) == 2.0
+        assert math.isnan(verify._deviation_kernel(depth)(table, zeros)), index
+        assert math.isnan(verify._deviation_kernel(depth)(zeros, table)), index
+        assert verify._deviation_kernel(depth)(_with(zeros, index, -2.0), zeros) == 2.0
 
 
 @pytest.mark.parametrize("index", [(0, 0, 0, 0), (0, 1, 0, 1), (2, 2, 2, 2)], ids=str)
@@ -591,6 +591,16 @@ def test_verify_builds_one_frame_point_per_sampled_point(monkeypatch, seed):
     assert len(built) == 20
 
 
+def test_the_structure_the_connection_and_the_curvature_oracle_share_one_frame_point(monkeypatch):
+    # The record's check builds its frame, so the three routes at a point build one.
+    built = _counting_frame_points(monkeypatch)
+    surface, x = catalog("bump"), (0.1, 0.2)
+    lifted_structure(surface, x)
+    lifted_connection(surface, x)
+    lifted_curvature_oracle(surface, x)
+    assert len(built) == 1
+
+
 def test_each_surface_and_each_point_tuple_gets_its_own_frame(monkeypatch):
     # Each surface keeps its own last frame, keyed by the identity of its
     # record: an equal but distinct tuple and the same point with -0.0 for 0.0
@@ -660,7 +670,7 @@ def test_a_record_whose_check_raised_raises_again_on_every_route(monkeypatch, co
     for route in CHECKED_ROUTES * 2:
         with pytest.raises(error):
             route(surface, x)
-        assert surface._last_checked is None
+        assert surface._last_frame[0] is None
     assert calls["surface_jets"] == 12
     assert calls["require_finite 7"] == (12 if error is DomainError else 0)
 
@@ -669,14 +679,14 @@ def test_a_passed_record_is_never_served_for_a_record_that_raised(monkeypatch):
     surface, good, bad = ConformalSurface.from_config(CUBIC), (0.5, 0.3), (0.0, 0.3)
     calls = _count_checks(monkeypatch)
     table = bracket_structure(surface, good)
-    passed = surface._last_checked
+    passed = surface._last_frame[0]
     assert lifted_structure(surface, good).c312 == -1.0 and passed is not None
     for route in (lifted_structure, bracket_structure, lifted_curvature_closed):
         with pytest.raises(SingularCurvature):
             route(surface, bad)
-    assert surface._last_checked is passed
+    assert surface._last_frame[0] is passed
     assert bracket_structure(surface, good) == table  # a new record, tested again
-    assert surface._last_checked is not passed
+    assert surface._last_frame[0] is not passed
     assert calls["require_finite 7"] == 2
 
 
@@ -687,6 +697,6 @@ def test_two_surfaces_at_one_point_tuple_are_each_checked(monkeypatch):
     for surface in (bump, other_bump, bump, other_bump):
         lifted_structure(surface, x)
     assert calls["require_finite 7"] == 2
-    assert bump._last_checked is not other_bump._last_checked
+    assert bump._last_frame[0] is not other_bump._last_frame[0]
     with pytest.raises(SingularCurvature):
         lifted_structure(cubic, x)

@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from wagnerlift import expr as ex
-from wagnerlift import jets
+from wagnerlift import connection, jets
 from wagnerlift.expr import Tape, eval_jet, parse
 from wagnerlift.jets import Jet
 from wagnerlift.surface import (
@@ -420,7 +420,7 @@ def _slot_function(sizes, emit):
     lists = [[f"s{k}_{i}" for i in range(size)] for k, size in enumerate(sizes)]
     out = emit(src, *lists)
     src.lines.append(f"return {src.text(out)}")
-    return jets._define("slots", ", ".join(name for names in lists for name in names), src.lines, src.names)
+    return connection._define("slots", ", ".join(name for names in lists for name in names), src.lines, src.names)
 
 
 def _lemma_slot(rng: random.Random) -> float:
